@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
     try:
         summary = run_all(config)
     except PosetError as exc:
-        # e.g. sweeps past the exhaustive directed-subset budget at n >= 6
+        # e.g. a sweep past the poset enumeration cap
         raise CliError(str(exc))
     for group in summary.groups:
         status = "FAIL" if group["failures"] else (

@@ -179,11 +179,12 @@ def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4):
     elems = list(iter_bits(bits))
     for n_l in range(1, max_size + 1):
         for l in enumerate_v_semilattices(n_l):
+            sup = l.sup_table
             for img in monotone_map_images(p, l.poset):
                 image = 0
                 for x in elems:
                     image |= 1 << img[x]
-                if l.sup_of_bits(image) is None:
+                if sup[image] is None:
                     f = PosetMap(p, l.poset, img)
                     return WitnessCert(l, f, bits, "NO_SUP", None)
     return NoWitnessFound(max_size)

@@ -15,7 +15,7 @@ import csv
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .families import SetFamily
 from .poset import (
@@ -23,7 +23,6 @@ from .poset import (
     InvariantError,
     PosetError,
     PosetMap,
-    directed_sup_closure_step,
     down_set,
     is_consistent,
     is_lower_set,
@@ -33,6 +32,9 @@ from .poset import (
     scott_closure,
 )
 
+# "directed_sup" names the literal closure step that cl_f omits: a finite
+# directed set contains its sup, so the step never adds an element and
+# disabling it changes nothing.  The name stays accepted for the mutation probe.
 CLOSURE_STEPS = ("lower", "pair_join", "directed_sup")
 
 # Mutation hooks for the verification suite: closure steps listed here are
@@ -42,7 +44,10 @@ _DISABLED_STEPS: set[str] = set()
 
 @contextmanager
 def disable_closure_step(name: str):
-    """Temporarily drop one cl_f closure step ("lower" | "pair_join" | "directed_sup")."""
+    """Temporarily drop one cl_f closure step ("lower" | "pair_join" | "directed_sup").
+
+    Dropping "directed_sup" is a no-op, because cl_f never runs that step.
+    """
     if name not in CLOSURE_STEPS:
         raise ValueError(f"unknown closure step {name!r}")
     if name in _DISABLED_STEPS:
@@ -71,9 +76,7 @@ class VSemilattice:
         self.poset = poset
         self.join = tuple(tuple(row) for row in join)
         self._validate()
-        self._sup_memo: dict[int, int | None] = {}
         self._clf_memo: dict[tuple, int] = {}
-        self._dirsup_memo: dict[int, int] = {}
 
     @property
     def n(self) -> int:
@@ -131,12 +134,27 @@ class VSemilattice:
         return self.join[i][j] != -1
 
     def sup_of_bits(self, bits: int):
-        """Least upper bound of an arbitrary subset in the underlying poset, memoized."""
-        hit = self._sup_memo.get(bits, -2)
-        if hit == -2:
-            hit = least_upper_bound(self.poset.up_masks, self.poset.full_mask, bits)
-            self._sup_memo[bits] = hit
-        return hit
+        """Least upper bound of an arbitrary subset in the underlying poset, or None.
+
+        Computed on each call; sweeps over many subsets index ``sup_table``.
+        """
+        return least_upper_bound(self.poset.up_masks, self.poset.full_mask, bits)
+
+    @cached_property
+    def sup_table(self) -> tuple:
+        """``sup_table[b]`` is ``sup_of_bits(b)`` for every subset ``b``.
+
+        Dense over all 2**n subsets, so build it only for small semilattices.
+        The common upper bounds of each subset come from one AND per subset;
+        the sup exists exactly when they form the principal up-set of an
+        element, and up-sets of distinct elements differ.
+        """
+        up = self.poset.up_masks
+        bounds = [self.poset.full_mask]
+        for row in up:
+            bounds += [ub & row for ub in bounds]
+        principal = {row: i for i, row in enumerate(up)}
+        return tuple(principal.get(ub) for ub in bounds)
 
     def join_table_csv(self) -> str:
         buf = io.StringIO()
@@ -217,17 +235,13 @@ def _step_pair_join(l: VSemilattice, bits: int) -> int:
     return bits | found
 
 
-def _step_directed_sup(l: VSemilattice, bits: int) -> int:
-    hit = l._dirsup_memo.get(bits)
-    if hit is None:
-        hit = directed_sup_closure_step(l.poset.up_masks, l.poset.full_mask, bits)
-        l._dirsup_memo[bits] = hit
-    return bits | hit
-
-
 def cl_f(l: VSemilattice, bits: int) -> int:
-    """Least F-Scott closed superset: fixpoint of the lower-closure,
-    consistent-pair-join and directed-sup steps."""
+    """Least F-Scott closed superset: fixpoint of the lower-closure and
+    consistent-pair-join steps.
+
+    The literal definition also closes under directed sups; on a finite poset
+    that step adds nothing (see ``CLOSURE_STEPS``), which the test suite
+    checks against the literal fixpoint."""
     key = (_disabled_key(), bits)
     hit = l._clf_memo.get(key)
     if hit is not None:
@@ -240,10 +254,6 @@ def cl_f(l: VSemilattice, bits: int) -> int:
             cur = down_set(l.poset, cur)
         if "pair_join" not in disabled:
             cur = _step_pair_join(l, cur)
-        if cur != prev:
-            continue
-        if "directed_sup" not in disabled:
-            cur = _step_directed_sup(l, cur)
         if cur == prev:
             break
     l._clf_memo[key] = cur

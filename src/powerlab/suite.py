@@ -38,19 +38,18 @@ from .poset import (
     PosetMap,
     is_consistent,
     is_sober,
-    iter_bits,
     scott_closure,
+    subset_images,
     way_down_masks,
 )
 from .semilattice import (
+    VSemilattice,
     _homomorphism_images,
     _img_is_homomorphism,
     cl_f,
     disable_closure_step,
     gamma_f,
-    is_f_scott_continuous,
-    is_homomorphism,
-    sup_exists_transport_check,
+    is_f_scott_closed,
 )
 
 
@@ -122,6 +121,24 @@ def _strict_pairs(p: FinitePoset) -> tuple:
             if i != j and p.le[i, j]:
                 pairs.append((i, j))
     return tuple(pairs)
+
+
+def _image_sups(l: VSemilattice, img) -> list:
+    """``out[a]``: the least upper bound in ``l`` of the image of subset ``a``
+    of the domain under ``img``, or None; one entry per domain subset."""
+    sup = l.sup_table
+    return [sup[x] for x in subset_images(img, len(img))]
+
+
+def _f_closed_table(l: VSemilattice) -> list[bool]:
+    """``is_f_scott_closed`` of every subset of ``l``, indexed by bitmask."""
+    return [is_f_scott_closed(l, a) for a in range(1 << l.n)]
+
+
+def _continuous_by_table(f: PosetMap, dom_closed: list, cod_closed_sets) -> bool:
+    """F-Scott continuity of ``f``: the preimage of each closed set of the
+    codomain is closed, looked up in the domain's ``_f_closed_table``."""
+    return all(dom_closed[f.preimage_bits(c)] for c in cod_closed_sets)
 
 
 # -- per-poset checks -----------------------------------------------------------
@@ -210,11 +227,9 @@ def check_lemma_2_3(p: FinitePoset, semi_bound: int) -> VerificationReport:
     members = build_hc(p).family.members
     for l in _semilattices_upto(semi_bound):
         for img in monotone_map_images(p, l.poset):
+            sups = _image_sups(l, img)
             for m in members:
-                image = 0
-                for x in iter_bits(m):
-                    image |= 1 << img[x]
-                if l.sup_of_bits(image) is None:
+                if sups[m] is None:
                     failures.append(
                         _payload(
                             "Lem2.3",
@@ -258,12 +273,10 @@ def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
             )
         up = l.poset.up_masks
         for f_img in monos:
+            sups = _image_sups(l, f_img)
             ext = []
             for m in members:
-                image = 0
-                for x in iter_bits(m):
-                    image |= 1 << f_img[x]
-                s = l.sup_of_bits(image)
+                s = sups[m]
                 if s is None:
                     fail(
                         "extension undefined on a member",
@@ -307,12 +320,17 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     bounds = {"max_poset_n": p.n, "max_semilattice_n": semi_bound}
     instance = _poset_instance(p)
     failures = []
+    subsets = range(1 << p.n)
+    closures = [scott_closure(p, a) for a in subsets]
     refutable = [False] * (1 << p.n)
     for l in _semilattices_upto(semi_bound):
         for img in monotone_map_images(p, l.poset):
-            f = PosetMap(p, l.poset, img)
-            for a in range(1 << p.n):
-                if not sup_exists_transport_check(p, l, f, a):
+            if not PosetMap(p, l.poset, img).is_monotone():
+                raise PosetError("transport check requires a monotone map")
+            # sup_exists_transport_check(p, l, f, a) is sups[a] == sups[closures[a]]
+            sups = _image_sups(l, img)
+            for a in subsets:
+                if sups[a] != sups[closures[a]]:
                     failures.append(
                         _payload(
                             "Prop3.2",
@@ -324,10 +342,10 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
                             subset=p.subset_labels(a),
                         )
                     )
-                if l.sup_of_bits(f.image_bits(a)) is None:
+                if sups[a] is None:
                     refutable[a] = True
-    for a in range(1 << p.n):
-        if refutable[a] != refutable[scott_closure(p, a)]:
+    for a in subsets:
+        if refutable[a] != refutable[closures[a]]:
             failures.append(
                 _payload(
                     "Prop3.2",
@@ -354,21 +372,12 @@ def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
     for l in _semilattices_upto(semi_bound):
         refut_maps = set()
         for img in monotone_map_images(p, l.poset):
-            for a in subsets:
-                image = 0
-                for x in iter_bits(a):
-                    image |= 1 << img[x]
-                if l.sup_of_bits(image) is None:
-                    refut_maps.add(a)
+            sups = _image_sups(l, img)
+            refut_maps.update([a for a in subsets if sups[a] is None])
         refut_homs = set()
         for g in _homomorphism_images(h.semilattice, l):
-            comp = tuple(g[j_img[x]] for x in range(p.n))
-            for a in subsets:
-                image = 0
-                for x in iter_bits(a):
-                    image |= 1 << comp[x]
-                if l.sup_of_bits(image) is None:
-                    refut_homs.add(a)
+            sups = _image_sups(l, tuple(g[j_img[x]] for x in range(p.n)))
+            refut_homs.update([a for a in subsets if sups[a] is None])
         if refut_maps != refut_homs:
             diff = refut_maps ^ refut_homs
             failures.append(
@@ -463,12 +472,7 @@ def check_thm_3_10(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
     gf = gamma_f(l)
     if len(gf.members) != len(gamma(p)) + 1:
         fail(f"{len(gf.members)} closed families vs {len(gamma(p)) + 1} closed sets")
-    eta = []
-    for a in g0.members:
-        jbits = 0
-        for x in iter_bits(a):
-            jbits |= 1 << h.j.img[x]
-        eta.append(cl_f(l, jbits))
+    eta = [cl_f(l, h.j.image_bits(a)) for a in g0.members]
     gf_set = set(gf.members)
     for a, image in zip(g0.members, eta):
         if image not in gf_set:
@@ -513,11 +517,14 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     instance = {"kind": "semilattice sweep", **bounds}
     failures = []
     for l in _semilattices_upto(pair_bound):
+        l_closed = _f_closed_table(l)
         for m in _semilattices_upto(pair_bound):
+            m_closed_sets = gamma_f(m).members
             for img in monotone_map_images(l.poset, m.poset):
                 f = PosetMap(l.poset, m.poset, img)
-                hom = is_homomorphism(f, l, m)
-                cont = is_f_scott_continuous(f, l, m)
+                # is_homomorphism and is_f_scott_continuous, by table lookup
+                hom = f.is_monotone() and _img_is_homomorphism(img, l, m)
+                cont = _continuous_by_table(f, l_closed, m_closed_sets)
                 if hom != cont:
                     failures.append(
                         _payload(
@@ -560,16 +567,9 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
         closures = [cl_f(l, a) for a in range(1 << l.n)]
         for m in _semilattices_upto(m_bound):
             for g in _homomorphism_images(l, m):
+                sups = _image_sups(m, g)
                 for a in range(1 << l.n):
-                    ia = 0
-                    for x in iter_bits(a):
-                        ia |= 1 << g[x]
-                    ic = 0
-                    for x in iter_bits(closures[a]):
-                        ic |= 1 << g[x]
-                    sa = m.sup_of_bits(ia)
-                    sc = m.sup_of_bits(ic)
-                    if sa != sc:
+                    if sups[a] != sups[closures[a]]:
                         failures.append(
                             _payload(
                                 "Lem3.6",
@@ -585,7 +585,7 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     return _finish("Lem3.6", instance, failures, [], t0)
 
 
-def check_lemma_3_7(semi_bound: int, hc_base_bound: int) -> VerificationReport:
+def check_lemma_3_7(semi_bound: int, hc_base_bound: int, cache_dir=None) -> VerificationReport:
     """A nonempty F-Scott closed set whose join exists is a principal down-set.
 
     The empty set is excluded: its join being a bottom element never makes it
@@ -597,7 +597,7 @@ def check_lemma_3_7(semi_bound: int, hc_base_bound: int) -> VerificationReport:
     failures = []
     lattices = list(_semilattices_upto(semi_bound))
     for n in range(1, hc_base_bound + 1):
-        for p in enumerate_posets(n):
+        for p in enumerate_posets(n, cache_dir=cache_dir):
             lattices.append(build_hc(p).semilattice)
     for l in lattices:
         for a in gamma_f(l).members:
@@ -618,7 +618,7 @@ def check_lemma_3_7(semi_bound: int, hc_base_bound: int) -> VerificationReport:
     return _finish("Lem3.7", instance, failures, [], t0)
 
 
-def check_cor_3_11(n_cap: int) -> VerificationReport:
+def check_cor_3_11(n_cap: int, cache_dir=None) -> VerificationReport:
     """Powerdomains are isomorphic exactly when the posets are, over every
     pair of instances at the cap; sobriety of each instance is verified first."""
     t0 = time.perf_counter()
@@ -626,7 +626,7 @@ def check_cor_3_11(n_cap: int) -> VerificationReport:
     failures = []
     posets = []
     for n in range(1, n_cap + 1):
-        posets.extend(enumerate_posets(n))
+        posets.extend(enumerate_posets(n, cache_dir=cache_dir))
     for p in posets:
         if not is_sober(p):
             failures.append(
@@ -651,7 +651,7 @@ def check_cor_3_11(n_cap: int) -> VerificationReport:
     return _finish("Cor3.11", instance, failures, [], t0)
 
 
-def check_enum(n_cap: int) -> VerificationReport:
+def check_enum(n_cap: int, cache_dir=None) -> VerificationReport:
     """Enumeration self-test: the generated posets match the brute-force
     oracle exactly, class by class, for every size up to the cap."""
     t0 = time.perf_counter()
@@ -659,7 +659,7 @@ def check_enum(n_cap: int) -> VerificationReport:
     counts = {}
     failures = []
     for n in range(1, n_cap + 1):
-        emitted = enumerate_posets(n)
+        emitted = enumerate_posets(n, cache_dir=cache_dir)
         forms = [canonical_form(p) for p in emitted]
         if len(set(forms)) != len(forms):
             failures.append(
@@ -798,11 +798,11 @@ def run_statement(statement: str, config: Config) -> list[VerificationReport]:
     if statement == "Lem3.6":
         return [check_lemma_3_6(**bound)]
     if statement == "Lem3.7":
-        return [check_lemma_3_7(**bound)]
+        return [check_lemma_3_7(**bound, cache_dir=config.cache_dir)]
     if statement == "Cor3.11":
-        return [check_cor_3_11(bound["max_poset_n"])]
+        return [check_cor_3_11(bound["max_poset_n"], config.cache_dir)]
     if statement == "Enum":
-        return [check_enum(bound["max_poset_n"])]
+        return [check_enum(bound["max_poset_n"], config.cache_dir)]
     raise PosetError(f"unknown statement {statement!r}")
 
 

@@ -188,11 +188,11 @@ class TestVerify:
         assert "unknown suite" in err
 
     def test_oversized_sweep_reports_cleanly(self, capsys):
-        # antichain-heavy powerdomains at n = 6 exceed the exhaustive
-        # directed-subset budget; the CLI must say so, not crash
-        code, _, err = run_cli(capsys, "verify", "--suite", "thm3.10", "--max-poset", "6")
+        # n = 7 is past the poset enumeration cap; the CLI must say so before
+        # any check runs, not crash
+        code, _, err = run_cli(capsys, "verify", "--suite", "thm3.10", "--max-poset", "7")
         assert code == 2
-        assert "capped" in err
+        assert "exceeds the enumeration cap" in err
 
     def test_config_file_flags_win(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -210,6 +210,25 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 2
         assert "unknown config keys" in err
+
+    def test_enum_reads_the_cache_flag(self, capsys, tmp_path, monkeypatch):
+        # a truncated cache file must reach the enumeration self-test through
+        # --cache, so the class-count check catches it instead of passing
+        monkeypatch.delenv("POWERLAB_CACHE", raising=False)
+        cache = tmp_path / "cache"
+        assert run_cli(capsys, "enumerate", "--n", "4", "--cache", str(cache))[0] == 0
+        path = cache / "posets_n4.bin"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        out_path = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "enum", "--max-poset", "4",
+            "--cache", str(cache), "--out", str(out_path),
+        )
+        assert code == 1
+        assert "Enum: FAIL" in out
+        failures = json.loads(out_path.read_text())["statements"][0]["failures"]
+        assert [f["detail"] for f in failures] == ["emitted 8 classes, oracle found 16"]
 
     def test_report_determinism_modulo_timing(self, capsys, tmp_path):
         paths = []

@@ -23,7 +23,8 @@ from powerlab import (
     upper_bounds,
     way_below,
 )
-from powerlab.poset import least_upper_bound
+from powerlab.enumeration import enumerate_v_semilattices, monotone_map_images
+from powerlab.poset import least_upper_bound, subset_images
 
 from conftest import small_posets
 
@@ -346,6 +347,29 @@ class TestPosetMap:
         f = PosetMap(c2, c3, (0, 2))
         g = PosetMap(c3, c2, (0, 0, 1))
         assert g.compose(f).img == (0, 1)
+
+    def test_monotone_matches_relation_matrix(self):
+        # all functions, against the order read from the boolean matrices
+        for p in small_posets(3):
+            for q in small_posets(3):
+                for img in itertools.product(range(q.n), repeat=p.n):
+                    expected = all(
+                        q.le[img[i], img[j]]
+                        for i in range(p.n)
+                        for j in range(p.n)
+                        if p.le[i, j]
+                    )
+                    assert PosetMap(p, q, img).is_monotone() == expected
+
+    def test_subset_images_match_image_bits(self):
+        codomains = [l.poset for n in range(1, 4) for l in enumerate_v_semilattices(n)]
+        for p in small_posets(4):
+            for q in codomains:
+                for img in monotone_map_images(p, q):
+                    f = PosetMap(p, q, img)
+                    table = subset_images(img, p.n)
+                    assert len(table) == 1 << p.n
+                    assert all(table[a] == f.image_bits(a) for a in range(1 << p.n))
 
     def test_monotone_iff_scott_continuous_on_finite(self):
         # all functions, not only the monotone ones, at tiny sizes

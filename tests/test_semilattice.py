@@ -84,6 +84,15 @@ class TestVSemilattice:
             for a in range(1 << l.n):
                 assert l.sup_of_bits(a) == sup(l.poset, a)
 
+    def test_sup_table_matches_least_upper_bound(self):
+        from powerlab.poset import least_upper_bound
+
+        for l in semis_upto(5):
+            up, full = l.poset.up_masks, l.poset.full_mask
+            assert len(l.sup_table) == 1 << l.n
+            for b in range(1 << l.n):
+                assert l.sup_table[b] == least_upper_bound(up, full, b)
+
     def test_join_csv(self, vee):
         l = VSemilattice.from_poset(vee)
         lines = l.join_table_csv().strip().splitlines()

@@ -15,11 +15,23 @@ from powerlab import (
     run_all,
     run_statement,
 )
+from powerlab.enumeration import enumerate_posets, monotone_map_images
+from powerlab.poset import PosetMap, scott_closure
+from powerlab.semilattice import (
+    gamma_f,
+    is_f_scott_continuous,
+    sup_exists_transport_check,
+)
 from powerlab.suite import (
     STATEMENT_ORDER,
+    _continuous_by_table,
+    _f_closed_table,
+    _image_sups,
+    _semilattices_upto,
     check_cor_3_11,
     check_enum,
     check_freeness,
+    check_prop_3_2,
     check_thm_3_9,
     check_thm_3_10,
     exit_code_for,
@@ -160,3 +172,40 @@ class TestFreenessDetail:
         # one powerdomain map restricts to each monotone map, bijectively
         report = check_freeness(vee, 3)
         assert report.verdict == "PASS"
+
+
+class TestTabulatedVerdicts:
+    """The map sweeps look verdicts up in tables; each lookup must agree with
+    the library function that decides the same instance."""
+
+    def test_prop_3_2_matches_transport_check(self):
+        for n in range(1, 4):
+            for p in enumerate_posets(n):
+                closures = [scott_closure(p, a) for a in range(1 << n)]
+                for l in _semilattices_upto(4):
+                    for img in monotone_map_images(p, l.poset):
+                        sups = _image_sups(l, img)
+                        f = PosetMap(p, l.poset, img)
+                        for a in range(1 << n):
+                            assert (sups[a] == sups[closures[a]]) == (
+                                sup_exists_transport_check(p, l, f, a)
+                            )
+
+    def test_prop_3_2_rejects_a_non_monotone_map(self, monkeypatch):
+        # c2's top goes below its bottom once the codomain has two elements
+        monkeypatch.setattr(
+            "powerlab.suite.monotone_map_images", lambda p, q: ((q.n - 1, 0),)
+        )
+        with pytest.raises(PosetError, match="monotone"):
+            check_prop_3_2(catalog.chain(2), 2)
+
+    def test_prop_3_4_matches_f_scott_continuity(self):
+        pool = _semilattices_upto(3)
+        for l in pool:
+            closed = _f_closed_table(l)
+            for m in pool:
+                for img in monotone_map_images(l.poset, m.poset):
+                    f = PosetMap(l.poset, m.poset, img)
+                    assert _continuous_by_table(f, closed, gamma_f(m).members) == (
+                        is_f_scott_continuous(f, l, m)
+                    )
