@@ -129,6 +129,8 @@ def cmd_verify(args) -> int:
             raise CliError(f"cannot read config {args.config}: {exc}")
         except json.JSONDecodeError as exc:
             raise CliError(f"malformed JSON in config {args.config}: {exc}")
+        if not isinstance(settings, dict):
+            raise CliError(f"config {args.config} must be a JSON object")
     # flags win over the config file; the cache env var fills a missing path
     if args.max_poset is not None:
         settings["max_poset_n"] = args.max_poset

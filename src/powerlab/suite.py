@@ -5,14 +5,19 @@ verdict; failures carry a payload from which the instance can be rebuilt and
 replayed.  Statements quantifying over all semilattices are only ever checked
 up to a size bound, so a passing run means "no counterexample at the bound",
 never a proof; the bound travels with each report.
+
+The catalog itself is the ``STATEMENTS`` table at the end of the checks: one
+row per statement with its suite aliases, its check and its bounds.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .catalog import standard_trio
 from .enumeration import (
@@ -55,29 +60,35 @@ from .semilattice import (
 
 @dataclass
 class Config:
-    """Sweep bounds and output options for a verification run."""
+    """Sweep bounds and options for a verification run."""
 
     max_poset_n: int = 5
     max_semilattice_n: int = 4
     suites: tuple = ("all",)
     cache_dir: str | None = None
-    fmt: str = "json"
     jobs: int = 1
     strict: bool = False
 
     def __post_init__(self):
+        for name in ("max_poset_n", "max_semilattice_n", "jobs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PosetError(f"{name} must be an integer, not {value!r}")
         if self.max_poset_n < 1 or self.max_semilattice_n < 1:
             raise PosetError("size caps must be at least 1")
+        if self.jobs < 1:
+            raise PosetError("jobs must be at least 1")
+        if not isinstance(self.suites, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.suites
+        ):
+            raise PosetError(f"suites must be a list of names, not {self.suites!r}")
         self.suites = tuple(self.suites)
-        resolved = []
+        resolved = set()
         for name in self.suites:
-            key = name.lower()
-            if key == "all":
-                resolved = list(STATEMENT_ORDER)
+            if name.lower() == "all":
+                resolved = set(STATEMENT_ORDER)
                 break
-            if key not in SUITE_ALIASES:
-                raise PosetError(f"unknown suite name {name!r}")
-            resolved.append(SUITE_ALIASES[key])
+            resolved.add(_statement(name).id)
         self.statements = tuple(s for s in STATEMENT_ORDER if s in resolved)
 
 
@@ -100,17 +111,67 @@ def _poset_instance(p: FinitePoset) -> dict:
     return {"poset": p.to_json(), "n": p.n, "canonical": canonical_form(p).hex()}
 
 
-def _payload(statement: str, bounds: dict, instance: dict, detail: str, **extra) -> dict:
-    out = {"statement": statement, "bounds": bounds, "instance": instance, "detail": detail}
-    out.update(extra)
-    return out
+class _Check:
+    """One check's findings on one instance, and the clock that times it.
+
+    Each finding is a replayable payload of the statement, the bounds, the
+    instance and a detail line; ``instance=`` in the extras overrides the
+    check's own instance for that one payload.
+    """
+
+    def __init__(self, statement: str, bounds: dict, instance: dict | None = None):
+        self.t0 = time.perf_counter()
+        self.statement = statement
+        self.bounds = bounds
+        self.instance = instance
+        self.failures = []
+        self.inconclusive = []
+
+    @classmethod
+    def on_poset(cls, statement: str, p: FinitePoset, **bounds) -> _Check:
+        return cls(statement, {"max_poset_n": p.n, **bounds}, _poset_instance(p))
+
+    @classmethod
+    def sweep(cls, statement: str, **bounds) -> _Check:
+        return cls(statement, bounds, {"kind": "semilattice sweep", **bounds})
+
+    def _payload(self, detail: str, extra: dict) -> dict:
+        return {
+            "statement": self.statement,
+            "bounds": self.bounds,
+            "instance": self.instance,
+            "detail": detail,
+            **extra,
+        }
+
+    def fail(self, detail: str, **extra) -> None:
+        self.failures.append(self._payload(detail, extra))
+
+    def doubt(self, detail: str, **extra) -> None:
+        self.inconclusive.append(self._payload(detail, extra))
+
+    def report(self) -> VerificationReport:
+        verdict = "FAIL" if self.failures else ("INCONCLUSIVE" if self.inconclusive else "PASS")
+        return VerificationReport(
+            statement=self.statement,
+            instance=self.instance,
+            verdict=verdict,
+            failures=self.failures,
+            inconclusive=self.inconclusive,
+            wall_ms=(time.perf_counter() - self.t0) * 1000.0,
+        )
+
+
+def _posets_upto(k: int, cache_dir=None) -> list:
+    """Every poset of 1 to ``k`` elements, one per isomorphism class."""
+    return [p for n in range(1, k + 1) for p in enumerate_posets(n, cache_dir=cache_dir)]
 
 
 @lru_cache(maxsize=None)
-def _semilattices_upto(k: int) -> tuple:
+def _semilattices_upto(k: int, cache_dir=None) -> tuple:
     out = []
     for n in range(1, k + 1):
-        out.extend(enumerate_v_semilattices(n))
+        out.extend(enumerate_v_semilattices(n, cache_dir=cache_dir))
     return tuple(out)
 
 
@@ -141,133 +202,96 @@ def _continuous_by_table(f: PosetMap, dom_closed: list, cod_closed_sets) -> bool
     return all(dom_closed[f.preimage_bits(c)] for c in cod_closed_sets)
 
 
-# -- per-poset checks -----------------------------------------------------------
+# -- per-poset checks: check(p, semi_bound, cache_dir=None) -----------------------
 
 
-def check_def_2_1(p: FinitePoset, semi_bound: int) -> VerificationReport:
+def check_def_2_1(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
     """Partial-join laws of the powerdomain: commutative, associative in the
     Kleene sense, idempotent, inflationary, and equal to union when defined."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": p.n}
-    instance = _poset_instance(p)
-    failures = []
+    ck = _Check.on_poset("Def2.1", p)
     h = build_hc(p)
     members = h.family.members
-
-    def pj(a, b):
-        return partial_join(h, a, b)
-
+    pj = partial(partial_join, h)
     for a in members:
         if pj(a, a) != a:
-            failures.append(_payload("Def2.1", bounds, instance, "join not idempotent"))
+            ck.fail("join not idempotent")
         for b in members:
             ab = pj(a, b)
             if ab != pj(b, a):
-                failures.append(_payload("Def2.1", bounds, instance, "join not commutative"))
+                ck.fail("join not commutative")
             if ab is not None and a & ~ab:
-                failures.append(_payload("Def2.1", bounds, instance, "join not inflationary"))
+                ck.fail("join not inflationary")
             for c in members:
                 left = pj(ab, c) if ab is not None else None
                 bc = pj(b, c)
                 right = pj(a, bc) if bc is not None else None
                 if left != right:
-                    failures.append(
-                        _payload(
-                            "Def2.1",
-                            bounds,
-                            instance,
-                            "join not associative on "
-                            f"{p.subset_labels(a)}, {p.subset_labels(b)}, {p.subset_labels(c)}",
-                        )
+                    ck.fail(
+                        "join not associative on "
+                        f"{p.subset_labels(a)}, {p.subset_labels(b)}, {p.subset_labels(c)}"
                     )
-    return _finish("Def2.1", instance, failures, [], t0)
+    return ck.report()
 
 
-def check_thm_2_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
+def check_thm_2_2(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
     """The relatively consistent closed sets are exactly the powerdomain
     members, with the way-below relation recomputed by brute force."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": p.n}
-    instance = _poset_instance(p)
-    failures = []
+    ck = _Check.on_poset("Thm2.2", p)
     wd = way_down_masks(p)
     for x in range(p.n):
         if wd[x] != p.down_masks[x]:
-            failures.append(
-                _payload(
-                    "Thm2.2",
-                    bounds,
-                    instance,
-                    f"way-below of {p.labels[x]} differs from its down-set",
-                )
-            )
+            ck.fail(f"way-below of {p.labels[x]} differs from its down-set")
     rel = r_gamma_c(p)
     h = build_hc(p)
     if rel.members != h.family.members:
-        failures.append(
-            _payload(
-                "Thm2.2",
-                bounds,
-                instance,
-                "relatively consistent family differs from the powerdomain",
-                relative=[p.subset_labels(m) for m in rel.members],
-                powerdomain=[p.subset_labels(m) for m in h.family.members],
-            )
+        ck.fail(
+            "relatively consistent family differs from the powerdomain",
+            relative=[p.subset_labels(m) for m in rel.members],
+            powerdomain=[p.subset_labels(m) for m in h.family.members],
         )
-    return _finish("Thm2.2", instance, failures, [], t0)
+    return ck.report()
 
 
-def check_lemma_2_3(p: FinitePoset, semi_bound: int) -> VerificationReport:
+def check_lemma_2_3(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
     """The image of every powerdomain member under every monotone map into
     every semilattice at the bound has a least upper bound."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": p.n, "max_semilattice_n": semi_bound}
-    instance = _poset_instance(p)
-    failures = []
+    ck = _Check.on_poset("Lem2.3", p, max_semilattice_n=semi_bound)
     members = build_hc(p).family.members
-    for l in _semilattices_upto(semi_bound):
+    for l in _semilattices_upto(semi_bound, cache_dir=cache_dir):
         for img in monotone_map_images(p, l.poset):
             sups = _image_sups(l, img)
             for m in members:
                 if sups[m] is None:
-                    failures.append(
-                        _payload(
-                            "Lem2.3",
-                            bounds,
-                            instance,
-                            "member image has no least upper bound",
-                            semilattice=l.poset.to_json(),
-                            map=list(img),
-                            member=p.subset_labels(m),
-                        )
+                    ck.fail(
+                        "member image has no least upper bound",
+                        semilattice=l.poset.to_json(),
+                        map=list(img),
+                        member=p.subset_labels(m),
                     )
-    return _finish("Lem2.3", instance, failures, [], t0)
+    return ck.report()
 
 
-def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
+def check_freeness(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
     """Every monotone map into a semilattice extends along the point-closure
     embedding to a unique join-preserving map on the powerdomain, and the
     extension is computed by taking sups of images."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": p.n, "max_semilattice_n": semi_bound}
-    instance = _poset_instance(p)
-    failures = []
+    ck = _Check.on_poset("Freeness", p, max_semilattice_n=semi_bound)
     h = build_hc(p)
     members = h.family.members
     j_img = h.j.img
     hc_pairs = _strict_pairs(h.poset)
 
-    def fail(detail, **extra):
-        failures.append(_payload("Freeness", bounds, instance, detail, **extra))
+    def fail_map(detail, **extra):
+        ck.fail(detail, semilattice=l.poset.to_json(), map=list(f_img), **extra)
 
-    for l in _semilattices_upto(semi_bound):
+    for l in _semilattices_upto(semi_bound, cache_dir=cache_dir):
         monos = monotone_map_images(p, l.poset)
         homs = _homomorphism_images(h.semilattice, l)
         groups: dict = {}
         for g in homs:
             groups.setdefault(tuple(g[j_img[x]] for x in range(p.n)), []).append(g)
         if len(homs) != len(monos):
-            fail(
+            ck.fail(
                 f"{len(homs)} powerdomain maps vs {len(monos)} monotone maps",
                 semilattice=l.poset.to_json(),
             )
@@ -278,52 +302,34 @@ def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
             for m in members:
                 s = sups[m]
                 if s is None:
-                    fail(
-                        "extension undefined on a member",
-                        semilattice=l.poset.to_json(),
-                        map=list(f_img),
-                        member=p.subset_labels(m),
-                    )
+                    fail_map("extension undefined on a member", member=p.subset_labels(m))
                     break
                 ext.append(s)
             else:
                 ext_t = tuple(ext)
                 if any(not up[ext_t[i]] >> ext_t[j] & 1 for i, j in hc_pairs):
-                    fail("extension not monotone", semilattice=l.poset.to_json(), map=list(f_img))
+                    fail_map("extension not monotone")
                 elif not _img_is_homomorphism(ext_t, h.semilattice, l):
-                    fail(
-                        "extension does not preserve joins",
-                        semilattice=l.poset.to_json(),
-                        map=list(f_img),
-                    )
+                    fail_map("extension does not preserve joins")
                 if tuple(ext_t[j_img[x]] for x in range(p.n)) != f_img:
-                    fail(
-                        "extension does not restrict to the map",
-                        semilattice=l.poset.to_json(),
-                        map=list(f_img),
-                    )
+                    fail_map("extension does not restrict to the map")
                 matching = groups.get(f_img, [])
                 if len(matching) != 1 or matching[0] != ext_t:
-                    fail(
+                    fail_map(
                         f"{len(matching)} powerdomain maps restrict to this map, expected "
-                        "exactly the sup-of-image extension",
-                        semilattice=l.poset.to_json(),
-                        map=list(f_img),
+                        "exactly the sup-of-image extension"
                     )
-    return _finish("Freeness", instance, failures, [], t0)
+    return ck.report()
 
 
-def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
+def check_prop_3_2(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
     """Closure transport: a set's image and its closure's image have a least
     upper bound together (and then the same one), for every monotone map."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": p.n, "max_semilattice_n": semi_bound}
-    instance = _poset_instance(p)
-    failures = []
+    ck = _Check.on_poset("Prop3.2", p, max_semilattice_n=semi_bound)
     subsets = range(1 << p.n)
     closures = [scott_closure(p, a) for a in subsets]
     refutable = [False] * (1 << p.n)
-    for l in _semilattices_upto(semi_bound):
+    for l in _semilattices_upto(semi_bound, cache_dir=cache_dir):
         for img in monotone_map_images(p, l.poset):
             if not PosetMap(p, l.poset, img).is_monotone():
                 raise PosetError("transport check requires a monotone map")
@@ -331,45 +337,32 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
             sups = _image_sups(l, img)
             for a in subsets:
                 if sups[a] != sups[closures[a]]:
-                    failures.append(
-                        _payload(
-                            "Prop3.2",
-                            bounds,
-                            instance,
-                            "closure transport broke",
-                            semilattice=l.poset.to_json(),
-                            map=list(img),
-                            subset=p.subset_labels(a),
-                        )
+                    ck.fail(
+                        "closure transport broke",
+                        semilattice=l.poset.to_json(),
+                        map=list(img),
+                        subset=p.subset_labels(a),
                     )
                 if sups[a] is None:
                     refutable[a] = True
     for a in subsets:
         if refutable[a] != refutable[closures[a]]:
-            failures.append(
-                _payload(
-                    "Prop3.2",
-                    bounds,
-                    instance,
-                    "a set and its closure differ in refutability at the bound",
-                    subset=p.subset_labels(a),
-                )
+            ck.fail(
+                "a set and its closure differ in refutability at the bound",
+                subset=p.subset_labels(a),
             )
-    return _finish("Prop3.2", instance, failures, [], t0)
+    return ck.report()
 
 
-def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
+def check_lemma_3_8(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
     """For each semilattice at the bound, the subsets refutable through
     monotone maps are exactly those whose embedded image is refutable through
     powerdomain homomorphisms."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": p.n, "max_semilattice_n": semi_bound}
-    instance = _poset_instance(p)
-    failures = []
+    ck = _Check.on_poset("Lem3.8", p, max_semilattice_n=semi_bound)
     h = build_hc(p)
     j_img = h.j.img
     subsets = range(1 << p.n)
-    for l in _semilattices_upto(semi_bound):
+    for l in _semilattices_upto(semi_bound, cache_dir=cache_dir):
         refut_maps = set()
         for img in monotone_map_images(p, l.poset):
             sups = _image_sups(l, img)
@@ -380,145 +373,101 @@ def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
             refut_homs.update([a for a in subsets if sups[a] is None])
         if refut_maps != refut_homs:
             diff = refut_maps ^ refut_homs
-            failures.append(
-                _payload(
-                    "Lem3.8",
-                    bounds,
-                    instance,
-                    "map-refutable and embedding-refutable subsets disagree",
-                    semilattice=l.poset.to_json(),
-                    subsets=[p.subset_labels(a) for a in sorted(diff)],
-                )
+            ck.fail(
+                "map-refutable and embedding-refutable subsets disagree",
+                semilattice=l.poset.to_json(),
+                subsets=[p.subset_labels(a) for a in sorted(diff)],
             )
-    return _finish("Lem3.8", instance, failures, [], t0)
+    return ck.report()
 
 
-def check_thm_3_9(p: FinitePoset, semi_bound: int) -> VerificationReport:
+def check_thm_3_9(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
     """Powerdomain membership versus join-existence: the generic closure adds
     nothing to the consistent family, every non-member is refuted by the
     canonical witness, and every member survives the bounded search."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": p.n, "max_semilattice_n": semi_bound}
-    instance = _poset_instance(p)
-    failures = []
-    inconclusive = []
+    ck = _Check.on_poset("Thm3.9", p, max_semilattice_n=semi_bound)
     h = build_hc(p)
     if not h.family_equals_gamma_c:
-        failures.append(
-            _payload(
-                "Thm3.9",
-                bounds,
-                instance,
-                "closure of the consistent family added members",
-            )
-        )
+        ck.fail("closure of the consistent family added members")
     member_set = set(h.family.members)
     for a in gamma(p).members:
         if a in member_set:
-            witness = refute_v_existing(p, a, semi_bound)
+            witness = refute_v_existing(p, a, semi_bound, cache_dir=cache_dir)
             if isinstance(witness, WitnessCert):
-                failures.append(
-                    _payload(
-                        "Thm3.9",
-                        bounds,
-                        instance,
-                        "powerdomain member refuted",
-                        subset=p.subset_labels(a),
-                        witness=witness.to_json(),
-                    )
+                ck.fail(
+                    "powerdomain member refuted",
+                    subset=p.subset_labels(a),
+                    witness=witness.to_json(),
                 )
         else:
             cert = sup_of_image(h.semilattice, h.j, a)
             if cert.verdict != "NO_SUP":
-                fallback = refute_v_existing(p, a, semi_bound)
+                fallback = refute_v_existing(p, a, semi_bound, cache_dir=cache_dir)
                 if isinstance(fallback, WitnessCert):
-                    failures.append(
-                        _payload(
-                            "Thm3.9",
-                            bounds,
-                            instance,
-                            "canonical witness failed to refute a non-member",
-                            subset=p.subset_labels(a),
-                        )
+                    ck.fail(
+                        "canonical witness failed to refute a non-member",
+                        subset=p.subset_labels(a),
                     )
                 else:
-                    inconclusive.append(
-                        _payload(
-                            "Thm3.9",
-                            bounds,
-                            instance,
-                            "non-member survived the bounded refutation search",
-                            subset=p.subset_labels(a),
-                        )
+                    ck.doubt(
+                        "non-member survived the bounded refutation search",
+                        subset=p.subset_labels(a),
                     )
-    return _finish("Thm3.9", instance, failures, inconclusive, t0)
+    return ck.report()
 
 
-def check_thm_3_10(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
+def check_thm_3_10(p: FinitePoset, semi_bound: int = 0, cache_dir=None) -> VerificationReport:
     """Sending a closed set to the closure of its embedded image is an order
     isomorphism between the closed-set family (with the empty set) and the
     F-Scott closure system of the powerdomain."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": p.n}
-    instance = _poset_instance(p)
-    failures = []
-
-    def fail(detail, **extra):
-        failures.append(_payload("Thm3.10", bounds, instance, detail, **extra))
-
+    ck = _Check.on_poset("Thm3.10", p)
     h = build_hc(p)
     l = h.semilattice
     g0 = gamma0(p)
     gf = gamma_f(l)
     if len(gf.members) != len(gamma(p)) + 1:
-        fail(f"{len(gf.members)} closed families vs {len(gamma(p)) + 1} closed sets")
+        ck.fail(f"{len(gf.members)} closed families vs {len(gamma(p)) + 1} closed sets")
     eta = [cl_f(l, h.j.image_bits(a)) for a in g0.members]
     gf_set = set(gf.members)
     for a, image in zip(g0.members, eta):
         if image not in gf_set:
-            fail("image is not F-Scott closed", subset=p.subset_labels(a))
+            ck.fail("image is not F-Scott closed", subset=p.subset_labels(a))
     if len(set(eta)) != len(eta):
-        fail("map is not injective")
+        ck.fail("map is not injective")
     if set(eta) != gf_set:
-        fail("map is not surjective")
+        ck.fail("map is not surjective")
     for i, a in enumerate(g0.members):
         for k, b in enumerate(g0.members):
             if (a & ~b == 0) != (eta[i] & ~eta[k] == 0):
-                fail(
+                ck.fail(
                     "map does not preserve and reflect inclusion",
                     pair=[p.subset_labels(a), p.subset_labels(b)],
                 )
     if not are_isomorphic(g0.poset, gf.family.poset):
-        fail("family posets are not isomorphic")
-    return _finish("Thm3.10", instance, failures, [], t0)
+        ck.fail("family posets are not isomorphic")
+    return ck.report()
 
 
-def check_sober(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
+def check_sober(p: FinitePoset, semi_bound: int = 0, cache_dir=None) -> VerificationReport:
     """Every nonempty irreducible closed set is a point closure."""
-    t0 = time.perf_counter()
-    instance = _poset_instance(p)
-    failures = []
+    ck = _Check.on_poset("Sober", p)
     if not is_sober(p):
-        failures.append(
-            _payload("Sober", {"max_poset_n": p.n}, instance, "poset is not sober")
-        )
-    return _finish("Sober", instance, failures, [], t0)
+        ck.fail("poset is not sober")
+    return ck.report()
 
 
-# -- global checks ----------------------------------------------------------------
+# -- global checks: check(**bounds, cache_dir=None) -------------------------------
 
 
-def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport:
+def check_prop_3_4(pair_bound: int, consistent_bound: int, cache_dir=None) -> VerificationReport:
     """Part 1: a map between semilattices preserves consistent joins exactly
     when preimages of F-Scott closed sets are F-Scott closed.  Part 2: the
     F-Scott closure of a consistent set is the down-set of its join."""
-    t0 = time.perf_counter()
-    bounds = {"pair_bound": pair_bound, "consistent_bound": consistent_bound}
-    instance = {"kind": "semilattice sweep", **bounds}
-    failures = []
-    for l in _semilattices_upto(pair_bound):
+    ck = _Check.sweep("Prop3.4", pair_bound=pair_bound, consistent_bound=consistent_bound)
+    pool = _semilattices_upto(pair_bound, cache_dir=cache_dir)
+    for l in pool:
         l_closed = _f_closed_table(l)
-        for m in _semilattices_upto(pair_bound):
+        for m in pool:
             m_closed_sets = gamma_f(m).members
             for img in monotone_map_images(l.poset, m.poset):
                 f = PosetMap(l.poset, m.poset, img)
@@ -526,63 +475,45 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
                 hom = f.is_monotone() and _img_is_homomorphism(img, l, m)
                 cont = _continuous_by_table(f, l_closed, m_closed_sets)
                 if hom != cont:
-                    failures.append(
-                        _payload(
-                            "Prop3.4",
-                            bounds,
-                            instance,
-                            f"homomorphism={hom} but continuity={cont}",
-                            dom=l.poset.to_json(),
-                            cod=m.poset.to_json(),
-                            map=list(img),
-                        )
+                    ck.fail(
+                        f"homomorphism={hom} but continuity={cont}",
+                        dom=l.poset.to_json(),
+                        cod=m.poset.to_json(),
+                        map=list(img),
                     )
-    for l in _semilattices_upto(consistent_bound):
+    for l in _semilattices_upto(consistent_bound, cache_dir=cache_dir):
         for a in range(1, 1 << l.n):
             if not is_consistent(l.poset, a):
                 continue
             s = l.sup_of_bits(a)
             if s is None or cl_f(l, a) != l.poset.down_masks[s]:
-                failures.append(
-                    _payload(
-                        "Prop3.4",
-                        bounds,
-                        instance,
-                        "closure of a consistent set is not the down-set of its join",
-                        semilattice=l.poset.to_json(),
-                        subset=l.poset.subset_labels(a),
-                    )
+                ck.fail(
+                    "closure of a consistent set is not the down-set of its join",
+                    semilattice=l.poset.to_json(),
+                    subset=l.poset.subset_labels(a),
                 )
-    return _finish("Prop3.4", instance, failures, [], t0)
+    return ck.report()
 
 
-def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
+def check_lemma_3_6(l_bound: int, m_bound: int, cache_dir=None) -> VerificationReport:
     """A subset and its F-Scott closure are refuted by exactly the same
     homomorphisms, so join-existence transports across the closure."""
-    t0 = time.perf_counter()
-    bounds = {"l_bound": l_bound, "m_bound": m_bound}
-    instance = {"kind": "semilattice sweep", **bounds}
-    failures = []
-    for l in _semilattices_upto(l_bound):
+    ck = _Check.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
+    for l in _semilattices_upto(l_bound, cache_dir=cache_dir):
         closures = [cl_f(l, a) for a in range(1 << l.n)]
-        for m in _semilattices_upto(m_bound):
+        for m in _semilattices_upto(m_bound, cache_dir=cache_dir):
             for g in _homomorphism_images(l, m):
                 sups = _image_sups(m, g)
                 for a in range(1 << l.n):
                     if sups[a] != sups[closures[a]]:
-                        failures.append(
-                            _payload(
-                                "Lem3.6",
-                                bounds,
-                                instance,
-                                "join-existence does not transport across the closure",
-                                dom=l.poset.to_json(),
-                                cod=m.poset.to_json(),
-                                map=list(g),
-                                subset=l.poset.subset_labels(a),
-                            )
+                        ck.fail(
+                            "join-existence does not transport across the closure",
+                            dom=l.poset.to_json(),
+                            cod=m.poset.to_json(),
+                            map=list(g),
+                            subset=l.poset.subset_labels(a),
                         )
-    return _finish("Lem3.6", instance, failures, [], t0)
+    return ck.report()
 
 
 def check_lemma_3_7(semi_bound: int, hc_base_bound: int, cache_dir=None) -> VerificationReport:
@@ -591,47 +522,31 @@ def check_lemma_3_7(semi_bound: int, hc_base_bound: int, cache_dir=None) -> Veri
     The empty set is excluded: its join being a bottom element never makes it
     principal, and it is never join-existing once bottomless codomains exist.
     """
-    t0 = time.perf_counter()
-    bounds = {"semi_bound": semi_bound, "hc_base_bound": hc_base_bound}
-    instance = {"kind": "semilattice sweep", **bounds}
-    failures = []
-    lattices = list(_semilattices_upto(semi_bound))
-    for n in range(1, hc_base_bound + 1):
-        for p in enumerate_posets(n, cache_dir=cache_dir):
-            lattices.append(build_hc(p).semilattice)
+    ck = _Check.sweep("Lem3.7", semi_bound=semi_bound, hc_base_bound=hc_base_bound)
+    lattices = list(_semilattices_upto(semi_bound, cache_dir=cache_dir))
+    lattices += [build_hc(p).semilattice for p in _posets_upto(hc_base_bound, cache_dir)]
     for l in lattices:
         for a in gamma_f(l).members:
             if a == 0:
                 continue
             s = l.sup_of_bits(a)
             if s is not None and a != l.poset.down_masks[s]:
-                failures.append(
-                    _payload(
-                        "Lem3.7",
-                        bounds,
-                        instance,
-                        "closed set with a join is not a principal down-set",
-                        semilattice=l.poset.to_json(),
-                        subset=l.poset.subset_labels(a),
-                    )
+                ck.fail(
+                    "closed set with a join is not a principal down-set",
+                    semilattice=l.poset.to_json(),
+                    subset=l.poset.subset_labels(a),
                 )
-    return _finish("Lem3.7", instance, failures, [], t0)
+    return ck.report()
 
 
-def check_cor_3_11(n_cap: int, cache_dir=None) -> VerificationReport:
+def check_cor_3_11(max_poset_n: int, cache_dir=None) -> VerificationReport:
     """Powerdomains are isomorphic exactly when the posets are, over every
     pair of instances at the cap; sobriety of each instance is verified first."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": n_cap}
-    failures = []
-    posets = []
-    for n in range(1, n_cap + 1):
-        posets.extend(enumerate_posets(n, cache_dir=cache_dir))
+    ck = _Check("Cor3.11", {"max_poset_n": max_poset_n})
+    posets = _posets_upto(max_poset_n, cache_dir)
     for p in posets:
         if not is_sober(p):
-            failures.append(
-                _payload("Cor3.11", bounds, _poset_instance(p), "instance is not sober")
-            )
+            ck.fail("instance is not sober", instance=_poset_instance(p))
     forms = [canonical_form(p) for p in posets]
     hforms = [canonical_form(build_hc(p).poset) for p in posets]
     pairs = 0
@@ -639,178 +554,127 @@ def check_cor_3_11(n_cap: int, cache_dir=None) -> VerificationReport:
         for k in range(i, len(posets)):
             pairs += 1
             if (forms[i] == forms[k]) != (hforms[i] == hforms[k]):
-                failures.append(
-                    _payload(
-                        "Cor3.11",
-                        bounds,
-                        {"pair": [posets[i].to_json(), posets[k].to_json()]},
-                        "powerdomain isomorphism disagrees with poset isomorphism",
-                    )
+                ck.fail(
+                    "powerdomain isomorphism disagrees with poset isomorphism",
+                    instance={"pair": [posets[i].to_json(), posets[k].to_json()]},
                 )
-    instance = {"kind": "pair sweep", "pairs": pairs, **bounds}
-    return _finish("Cor3.11", instance, failures, [], t0)
+    ck.instance = {"kind": "pair sweep", "pairs": pairs, **ck.bounds}
+    return ck.report()
 
 
-def check_enum(n_cap: int, cache_dir=None) -> VerificationReport:
+def check_enum(max_poset_n: int, cache_dir=None) -> VerificationReport:
     """Enumeration self-test: the generated posets match the brute-force
     oracle exactly, class by class, for every size up to the cap."""
-    t0 = time.perf_counter()
-    bounds = {"max_poset_n": n_cap}
+    ck = _Check("Enum", {"max_poset_n": max_poset_n})
     counts = {}
-    failures = []
-    for n in range(1, n_cap + 1):
+    for n in range(1, max_poset_n + 1):
         emitted = enumerate_posets(n, cache_dir=cache_dir)
         forms = [canonical_form(p) for p in emitted]
         if len(set(forms)) != len(forms):
-            failures.append(
-                _payload("Enum", bounds, {"n": n}, "duplicate isomorphism class emitted")
-            )
+            ck.fail("duplicate isomorphism class emitted", instance={"n": n})
         oracle = bruteforce_canonical_forms(n)
         if set(forms) != oracle:
-            failures.append(
-                _payload(
-                    "Enum",
-                    bounds,
-                    {"n": n},
-                    f"emitted {len(forms)} classes, oracle found {len(oracle)}",
-                )
+            ck.fail(
+                f"emitted {len(forms)} classes, oracle found {len(oracle)}",
+                instance={"n": n},
             )
         counts[n] = len(forms)
-    instance = {"kind": "enumeration", "counts": counts, **bounds}
-    return _finish("Enum", instance, failures, [], t0)
-
-
-def _finish(statement, instance, failures, inconclusive, t0) -> VerificationReport:
-    verdict = "FAIL" if failures else ("INCONCLUSIVE" if inconclusive else "PASS")
-    return VerificationReport(
-        statement=statement,
-        instance=instance,
-        verdict=verdict,
-        failures=failures,
-        inconclusive=inconclusive,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    ck.instance = {"kind": "enumeration", "counts": counts, **ck.bounds}
+    return ck.report()
 
 
 # -- registry and orchestration ------------------------------------------------
 
 
-STATEMENT_ORDER = (
-    "Def2.1",
-    "Thm2.2",
-    "Lem2.3",
-    "Freeness",
-    "Prop3.2",
-    "Prop3.4",
-    "Lem3.6",
-    "Lem3.7",
-    "Lem3.8",
-    "Thm3.9",
-    "Thm3.10",
-    "Cor3.11",
-    "Sober",
-    "Enum",
+@dataclass(frozen=True)
+class Statement:
+    """One catalog row.  ``bounds(config)`` gives the bound a run reports for
+    the statement; a global check is called as ``check(**bounds, cache_dir=)``,
+    a per-poset check as ``check(p, max_semilattice_n, cache_dir=)`` on every
+    poset up to ``max_poset_n``."""
+
+    id: str
+    aliases: tuple
+    check: Callable
+    bounds: Callable
+    per_poset: bool = False
+
+
+def _per_poset(cap: int | None = None) -> Callable:
+    """Bounds of a per-poset statement: posets up to ``cap`` and the config's."""
+
+    def bounds(config: Config) -> dict:
+        n = config.max_poset_n if cap is None else min(cap, config.max_poset_n)
+        return {"max_poset_n": n, "max_semilattice_n": config.max_semilattice_n}
+
+    return bounds
+
+
+STATEMENTS = (
+    Statement("Def2.1", (), check_def_2_1, _per_poset(), True),
+    Statement("Thm2.2", ("rgamma",), check_thm_2_2, _per_poset(), True),
+    Statement("Lem2.3", ("lemma2.3",), check_lemma_2_3, _per_poset(4), True),
+    Statement("Freeness", ("thm2.4",), check_freeness, _per_poset(4), True),
+    Statement("Prop3.2", (), check_prop_3_2, _per_poset(3), True),
+    Statement(
+        "Prop3.4",
+        (),
+        check_prop_3_4,
+        lambda c: {"pair_bound": min(4, c.max_semilattice_n), "consistent_bound": 5},
+    ),
+    Statement(
+        "Lem3.6",
+        ("lemma3.6",),
+        check_lemma_3_6,
+        lambda c: dict.fromkeys(("l_bound", "m_bound"), min(4, c.max_semilattice_n)),
+    ),
+    Statement(
+        "Lem3.7",
+        ("lemma3.7",),
+        check_lemma_3_7,
+        lambda c: {"semi_bound": 5, "hc_base_bound": min(4, c.max_poset_n)},
+    ),
+    Statement("Lem3.8", ("lemma3.8",), check_lemma_3_8, _per_poset(4), True),
+    Statement("Thm3.9", (), check_thm_3_9, _per_poset(), True),
+    Statement("Thm3.10", (), check_thm_3_10, _per_poset(), True),
+    Statement("Cor3.11", (), check_cor_3_11, lambda c: {"max_poset_n": min(4, c.max_poset_n)}),
+    Statement("Sober", (), check_sober, _per_poset(), True),
+    Statement("Enum", (), check_enum, lambda c: {"max_poset_n": c.max_poset_n}),
 )
 
-_PER_POSET_CHECKS = {
-    "Def2.1": (check_def_2_1, None),
-    "Thm2.2": (check_thm_2_2, None),
-    "Lem2.3": (check_lemma_2_3, 4),
-    "Freeness": (check_freeness, 4),
-    "Prop3.2": (check_prop_3_2, 3),
-    "Lem3.8": (check_lemma_3_8, 4),
-    "Thm3.9": (check_thm_3_9, None),
-    "Thm3.10": (check_thm_3_10, None),
-    "Sober": (check_sober, None),
-}
+STATEMENT_ORDER = tuple(s.id for s in STATEMENTS)
 
-SUITE_ALIASES = {
-    "def2.1": "Def2.1",
-    "thm2.2": "Thm2.2",
-    "rgamma": "Thm2.2",
-    "lemma2.3": "Lem2.3",
-    "lem2.3": "Lem2.3",
-    "freeness": "Freeness",
-    "thm2.4": "Freeness",
-    "prop3.2": "Prop3.2",
-    "prop3.4": "Prop3.4",
-    "lemma3.6": "Lem3.6",
-    "lem3.6": "Lem3.6",
-    "lemma3.7": "Lem3.7",
-    "lem3.7": "Lem3.7",
-    "lemma3.8": "Lem3.8",
-    "lem3.8": "Lem3.8",
-    "thm3.9": "Thm3.9",
-    "thm3.10": "Thm3.10",
-    "cor3.11": "Cor3.11",
-    "sober": "Sober",
-    "enum": "Enum",
-}
+# every name --suite accepts, lowercase: each id and its extra aliases
+_BY_NAME = {name: s for s in STATEMENTS for name in (s.id.lower(), *s.aliases)}
 
 
-def _effective_poset_cap(statement: str, config: Config) -> int:
-    cap = _PER_POSET_CHECKS[statement][1]
-    return config.max_poset_n if cap is None else min(cap, config.max_poset_n)
-
-
-def _statement_bound(statement: str, config: Config) -> dict:
-    if statement in _PER_POSET_CHECKS:
-        return {
-            "max_poset_n": _effective_poset_cap(statement, config),
-            "max_semilattice_n": config.max_semilattice_n,
-        }
-    if statement == "Prop3.4":
-        return {
-            "pair_bound": min(4, config.max_semilattice_n),
-            "consistent_bound": 5,
-        }
-    if statement == "Lem3.6":
-        b = min(4, config.max_semilattice_n)
-        return {"l_bound": b, "m_bound": b}
-    if statement == "Lem3.7":
-        return {"semi_bound": 5, "hc_base_bound": min(4, config.max_poset_n)}
-    if statement == "Cor3.11":
-        return {"max_poset_n": min(4, config.max_poset_n)}
-    if statement == "Enum":
-        return {"max_poset_n": config.max_poset_n}
-    raise PosetError(f"unknown statement {statement!r}")
+def _statement(name: str) -> Statement:
+    try:
+        return _BY_NAME[name.lower()]
+    except KeyError:
+        raise PosetError(f"unknown suite name {name!r}") from None
 
 
 def run_statement(statement: str, config: Config) -> list[VerificationReport]:
     """All instance reports for one statement at the configured bounds."""
-    bound = _statement_bound(statement, config)
-    if statement in _PER_POSET_CHECKS:
-        fn = _PER_POSET_CHECKS[statement][0]
-        tasks = []
-        for n in range(1, bound["max_poset_n"] + 1):
-            for p in enumerate_posets(n, cache_dir=config.cache_dir):
-                tasks.append(p)
-        if config.jobs > 1 and len(tasks) > 1:
-            args = [
-                (statement, p.to_json(), config.max_semilattice_n) for p in tasks
-            ]
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                dicts = list(pool.map(_run_per_poset_task, args))
-            return [VerificationReport(**d) for d in dicts]
-        return [fn(p, config.max_semilattice_n) for p in tasks]
-    if statement == "Prop3.4":
-        return [check_prop_3_4(**bound)]
-    if statement == "Lem3.6":
-        return [check_lemma_3_6(**bound)]
-    if statement == "Lem3.7":
-        return [check_lemma_3_7(**bound, cache_dir=config.cache_dir)]
-    if statement == "Cor3.11":
-        return [check_cor_3_11(bound["max_poset_n"], config.cache_dir)]
-    if statement == "Enum":
-        return [check_enum(bound["max_poset_n"], config.cache_dir)]
-    raise PosetError(f"unknown statement {statement!r}")
+    st = _statement(statement)
+    bound = st.bounds(config)
+    if not st.per_poset:
+        return [st.check(**bound, cache_dir=config.cache_dir)]
+    semi_bound = bound["max_semilattice_n"]
+    tasks = _posets_upto(bound["max_poset_n"], config.cache_dir)
+    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        args = [(st.id, p.to_json(), semi_bound, config.cache_dir) for p in tasks]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return [VerificationReport(**d) for d in pool.map(_run_per_poset_task, args)]
+    return [st.check(p, semi_bound, cache_dir=config.cache_dir) for p in tasks]
 
 
 def _run_per_poset_task(args) -> dict:
-    statement, poset_json, semi_bound = args
+    statement, poset_json, semi_bound, cache_dir = args
     p = FinitePoset.from_json(poset_json)
-    fn = _PER_POSET_CHECKS[statement][0]
-    return fn(p, semi_bound).to_dict()
+    return _statement(statement).check(p, semi_bound, cache_dir=cache_dir).to_dict()
 
 
 @dataclass
@@ -863,7 +727,7 @@ def run_all(config: Config | None = None) -> Summary:
         groups.append(
             {
                 "statement": statement,
-                "bound": _statement_bound(statement, config),
+                "bound": _statement(statement).bounds(config),
                 "instances": len(reports),
                 "failures": [f for r in reports for f in r.failures],
                 "inconclusive": [x for r in reports for x in r.inconclusive],
@@ -877,26 +741,15 @@ def replay_failure(payload: dict) -> str:
     """Re-run the instance a failure payload came from and return the verdict.
 
     Payloads carry the statement, the bounds it ran at, and the instance
-    descriptor, which is all the replay needs.
+    descriptor, which is all the replay needs: a per-poset check runs on the
+    payload's poset, a global check on the payload's bounds.
     """
-    statement = payload["statement"]
+    st = _statement(payload["statement"])
     bounds = payload["bounds"]
-    if statement in _PER_POSET_CHECKS:
-        poset_json = payload["instance"]["poset"]
-        p = FinitePoset.from_json(poset_json)
-        fn = _PER_POSET_CHECKS[statement][0]
-        return fn(p, bounds.get("max_semilattice_n", 4)).verdict
-    if statement == "Prop3.4":
-        return check_prop_3_4(**bounds).verdict
-    if statement == "Lem3.6":
-        return check_lemma_3_6(**bounds).verdict
-    if statement == "Lem3.7":
-        return check_lemma_3_7(**bounds).verdict
-    if statement == "Cor3.11":
-        return check_cor_3_11(bounds["max_poset_n"]).verdict
-    if statement == "Enum":
-        return check_enum(bounds["max_poset_n"]).verdict
-    raise PosetError(f"unknown statement {statement!r}")
+    if st.per_poset:
+        p = FinitePoset.from_json(payload["instance"]["poset"])
+        return st.check(p, bounds.get("max_semilattice_n", 4)).verdict
+    return st.check(**bounds).verdict
 
 
 # -- mutation sensitivity ---------------------------------------------------------

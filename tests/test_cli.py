@@ -211,6 +211,55 @@ class TestVerify:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ([2, "sober"], "must be a JSON object"),
+            ("sober", "must be a JSON object"),
+            ({"max_poset_n": "5"}, "max_poset_n must be an integer"),
+            ({"max_poset_n": 2.5}, "max_poset_n must be an integer"),
+            ({"max_poset_n": True}, "max_poset_n must be an integer"),
+            ({"suites": [1]}, "suites must be a list of names"),
+        ],
+        ids=["list", "string", "str-cap", "float-cap", "bool-cap", "int-suite"],
+    )
+    def test_malformed_config_values(self, capsys, tmp_path, settings, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, _, err = run_cli(
+            capsys, "verify", "--suite", "sober", "--max-poset", "2", "--jobs", jobs
+        )
+        assert code == 2
+        assert "jobs must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["--suite", "lem3.6", "--max-semilattice", "3"], [1, 2, 3]),
+            (["--suite", "thm3.9", "--max-poset", "2", "--max-semilattice", "2"], [1, 2]),
+        ],
+        ids=["pool", "refutation"],
+    )
+    def test_semilattice_search_reads_the_cache_flag(
+        self, capsys, tmp_path, monkeypatch, argv, sizes
+    ):
+        # with --cache given, no sweep may read or write the POWERLAB_CACHE dir
+        from powerlab.suite import _semilattices_upto
+
+        _semilattices_upto.cache_clear()
+        env, flag = tmp_path / "env", tmp_path / "flag"
+        monkeypatch.setenv("POWERLAB_CACHE", str(env))
+        code, _, _ = run_cli(capsys, "verify", *argv, "--cache", str(flag))
+        assert code == 0
+        assert not env.exists() or not any(env.iterdir())
+        assert sorted(f.name for f in flag.iterdir()) == [f"posets_n{n}.bin" for n in sizes]
+
     def test_enum_reads_the_cache_flag(self, capsys, tmp_path, monkeypatch):
         # a truncated cache file must reach the enumeration self-test through
         # --cache, so the class-count check catches it instead of passing

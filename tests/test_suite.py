@@ -1,7 +1,10 @@
 """The verification sweep: reports, determinism, replay, and mutation hooks."""
 
 import copy
+import importlib.util
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +66,40 @@ class TestConfig:
     def test_caps_validated(self):
         with pytest.raises(PosetError, match="caps"):
             Config(max_poset_n=0)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_validated(self, jobs):
+        with pytest.raises(PosetError, match="jobs must be at least 1"):
+            Config(jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "name, statement",
+        [
+            ("def2.1", "Def2.1"),
+            ("thm2.2", "Thm2.2"),
+            ("rgamma", "Thm2.2"),
+            ("lemma2.3", "Lem2.3"),
+            ("lem2.3", "Lem2.3"),
+            ("freeness", "Freeness"),
+            ("thm2.4", "Freeness"),
+            ("prop3.2", "Prop3.2"),
+            ("prop3.4", "Prop3.4"),
+            ("lemma3.6", "Lem3.6"),
+            ("lem3.6", "Lem3.6"),
+            ("lemma3.7", "Lem3.7"),
+            ("lem3.7", "Lem3.7"),
+            ("lemma3.8", "Lem3.8"),
+            ("lem3.8", "Lem3.8"),
+            ("thm3.9", "Thm3.9"),
+            ("thm3.10", "Thm3.10"),
+            ("cor3.11", "Cor3.11"),
+            ("sober", "Sober"),
+            ("enum", "Enum"),
+        ],
+    )
+    def test_every_suite_name_selects_its_statement(self, name, statement):
+        assert Config(suites=(name,)).statements == (statement,)
+        assert Config(suites=(name.upper(),)).statements == (statement,)
 
 
 class TestChecks:
@@ -130,6 +167,33 @@ class TestRunAll:
             strip_timing(parallel.to_json())["statements"]
         )
 
+    def test_pool_size_is_bounded(self, monkeypatch):
+        # a huge --jobs must not fork that many workers: the pool is capped by
+        # the task count and the CPU count
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("powerlab.suite.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        reports = run_statement("Sober", Config(max_poset_n=3, jobs=100000))
+        assert sizes == [4] and len(reports) == 8
+        run_statement("Sober", Config(max_poset_n=2, jobs=100000))
+        assert sizes == [4, 3]
+        assert len(run_statement("Sober", Config(max_poset_n=1, jobs=100000))) == 1
+        assert sizes == [4, 3]  # one task runs in-process
+
     def test_exit_code_mapping(self):
         assert exit_code_for(False, False, False) == 0
         assert exit_code_for(True, False, False) == 1
@@ -165,6 +229,27 @@ class TestMutation:
         report = check_cor_3_11(2)
         payload = {"statement": "Cor3.11", "bounds": {"max_poset_n": 2}}
         assert replay_failure(payload) == "PASS"
+
+    @pytest.mark.parametrize("statement", STATEMENT_ORDER)
+    def test_every_statement_replays(self, statement):
+        # per-poset payloads carry a report's instance, global ones the group bound
+        cfg = Config(max_poset_n=2, max_semilattice_n=2, suites=(statement,))
+        (group,) = run_all(cfg).to_json()["statements"]
+        report = run_statement(statement, cfg)[-1]
+        payload = {"statement": statement, "bounds": group["bound"]}
+        if "poset" in report.instance:
+            payload["instance"] = report.instance
+        assert replay_failure(json.loads(json.dumps(payload))) == "PASS"
+
+
+def test_traced_spans_cover_the_catalog():
+    # the benchmark's tracer names one span per statement id; a statement
+    # missing there would run untimed
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.STATEMENTS == STATEMENT_ORDER
 
 
 class TestFreenessDetail:
