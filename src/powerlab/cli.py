@@ -3,7 +3,8 @@
 Subcommands mirror the library surface: family and powerdomain dumps, the
 F-Scott closure system, join-existence witnesses, isomorphism-free poset
 enumeration, and the verification sweep.  Exit codes: 0 all pass, 1 any
-failure, 2 usage or input error, 3 inconclusive results under --strict.
+failure, 2 usage or input error (every ``PosetError`` a subcommand raises),
+3 inconclusive results under --strict.
 """
 
 from __future__ import annotations
@@ -91,23 +92,14 @@ def cmd_gammaf(args) -> int:
 
 def cmd_vexist(args) -> int:
     p = _load_poset(args.poset)
-    try:
-        bits = p.subset_from_labels([s for s in args.set.split(",") if s])
-    except PosetError as exc:
-        raise CliError(str(exc))
-    try:
-        result = refute_v_existing(p, bits, max_size=args.max_l)
-    except PosetError as exc:
-        raise CliError(str(exc))
+    bits = p.subset_from_labels([s for s in args.set.split(",") if s])
+    result = refute_v_existing(p, bits, max_size=args.max_l)
     _emit(json.dumps(result.to_json(), indent=2), args.out)
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        posets = enumerate_posets(args.n, cache_dir=args.cache)
-    except PosetError as exc:
-        raise CliError(str(exc))
+    posets = enumerate_posets(args.n, cache_dir=args.cache)
     lines = []
     if args.semilattices:
         for p in posets:
@@ -149,15 +141,9 @@ def cmd_verify(args) -> int:
     unknown = set(settings) - known
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        config = Config(**settings)
-    except PosetError as exc:
-        raise CliError(str(exc))
-    try:
-        summary = run_all(config)
-    except PosetError as exc:
-        # e.g. a sweep past the poset enumeration cap
-        raise CliError(str(exc))
+    # a PosetError here (bad settings, a sweep past the enumeration cap)
+    # reaches main, which reports it as a usage error
+    summary = run_all(Config(**settings))
     for group in summary.groups:
         status = "FAIL" if group["failures"] else (
             "INCONCLUSIVE" if group["inconclusive"] else "PASS"
@@ -230,7 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except CliError as exc:
+    except (CliError, PosetError) as exc:
         print(f"powerlab: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

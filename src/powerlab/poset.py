@@ -105,12 +105,28 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, data) -> "FinitePoset":
-        """Parse the ``{"labels": [...], "covers": [[lo, hi], ...]}`` format."""
+        """Parse the ``{"labels": [...], "covers": [[lo, hi], ...]}`` format.
+
+        Labels are strings and every cover is a two-element list of labels;
+        any other shape is a ``PosetError``.
+        """
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict) or "labels" not in data or "covers" not in data:
             raise PosetError('poset JSON needs "labels" and "covers" fields')
-        return cls.from_covers(data["labels"], [tuple(p) for p in data["covers"]])
+        labels, covers = data["labels"], data["covers"]
+        if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+            raise PosetError(f'"labels" must be a list of strings, not {labels!r}')
+        if not isinstance(covers, list):
+            raise PosetError(f'"covers" must be a list of pairs, not {covers!r}')
+        for pair in covers:
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(isinstance(lab, str) for lab in pair)
+            ):
+                raise PosetError(f"cover pair {pair!r} is not a list of two labels")
+        return cls.from_covers(labels, [tuple(pair) for pair in covers])
 
     # -- derived structure -------------------------------------------------
 

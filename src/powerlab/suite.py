@@ -78,6 +78,10 @@ class Config:
             raise PosetError("size caps must be at least 1")
         if self.jobs < 1:
             raise PosetError("jobs must be at least 1")
+        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
+            raise PosetError(f"cache_dir must be a path string, not {self.cache_dir!r}")
+        if not isinstance(self.strict, bool):
+            raise PosetError(f"strict must be true or false, not {self.strict!r}")
         if not isinstance(self.suites, (list, tuple)) or not all(
             isinstance(name, str) for name in self.suites
         ):

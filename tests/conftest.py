@@ -1,7 +1,7 @@
 import pytest
 
 from powerlab import catalog, down_set
-from powerlab.poset import directed_sup_closure_step
+from powerlab.poset import directed_sup_closure_step, iter_bits
 
 
 @pytest.fixture
@@ -67,3 +67,64 @@ def literal_fixpoint(p, bits, join=None):
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def literal_canonical_form(p):
+    """The canonical form by the unpruned search: the same colours, refinement,
+    target cell and packed leaf as ``canonical_form``, but every element of
+    every target cell is branched on, so an n-element antichain costs n!
+    leaves.  No cache is read or written.  The reference for the twin pruning
+    and the leaf packing of the production search."""
+    n = p.n
+    up, down = p.up_masks, p.down_masks
+
+    def refine(colors):
+        while True:
+            sigs = []
+            for i in range(n):
+                below = sorted(colors[j] for j in iter_bits(down[i] & ~(1 << i)))
+                above = sorted(colors[j] for j in iter_bits(up[i] & ~(1 << i)))
+                sigs.append((colors[i], tuple(below), tuple(above)))
+            ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+            new = tuple(ranking[s] for s in sigs)
+            if new == colors:
+                return new
+            colors = new
+
+    def leaf_bytes(colors):
+        perm = sorted(range(n), key=lambda i: colors[i])
+        inv = [0] * n
+        for new, old in enumerate(perm):
+            inv[old] = new
+        acc = 0
+        pos = 0
+        for i in range(n):
+            row = 0
+            for j in iter_bits(up[perm[i]]):
+                row |= 1 << inv[j]
+            for j in range(n):
+                if row >> j & 1:
+                    acc |= 1 << pos
+                pos += 1
+        return bytes([n]) + acc.to_bytes((n * n + 7) // 8, "big")
+
+    leaves = []
+
+    def search(colors):
+        cells = {}
+        for i, c in enumerate(colors):
+            cells.setdefault(c, []).append(i)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            leaves.append(leaf_bytes(colors))
+            return
+        fresh = max(colors) + 1
+        for v in target:
+            branched = list(colors)
+            branched[v] = fresh
+            search(refine(tuple(branched)))
+
+    initial = tuple((down[i].bit_count(), up[i].bit_count()) for i in range(n))
+    ranking = {s: r for r, s in enumerate(sorted(set(initial)))}
+    search(refine(tuple(ranking[s] for s in initial)))
+    return min(leaves)

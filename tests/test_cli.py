@@ -301,3 +301,61 @@ class TestVerify:
                 group.pop("wall_ms")
             blobs.append(json.dumps(data, sort_keys=True))
         assert blobs[0] == blobs[1]
+
+
+class TestPosetShape:
+    """Malformed poset JSON is an input error (exit 2) in every subcommand."""
+
+    @pytest.mark.parametrize(
+        "poset, message",
+        [
+            ({"labels": ["a"], "covers": [["a"]]}, "not a list of two labels"),
+            ({"labels": ["a", "b", "c"], "covers": [["a", "b", "c"]]}, "not a list of two labels"),
+            ({"labels": [["a"], "b"], "covers": []}, "must be a list of strings"),
+            ({"labels": ["a", "b"], "covers": ["ab"]}, "not a list of two labels"),
+            ({"labels": "ab", "covers": []}, "must be a list of strings"),
+            ({"labels": ["a"], "covers": 5}, "must be a list of pairs"),
+        ],
+        ids=[
+            "one-label-pair",
+            "three-label-pair",
+            "unhashable-label",
+            "string-pair",
+            "string-labels",
+            "number-covers",
+        ],
+    )
+    def test_malformed_shape_rejected(self, capsys, tmp_path, poset, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(poset))
+        code, out, err = run_cli(capsys, "hoare", str(path))
+        assert code == 2
+        assert out == ""
+        assert "invalid poset" in err and message in err
+
+    def test_empty_poset_hoare(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"labels": [], "covers": []}))
+        code, out, err = run_cli(capsys, "hoare", str(path))
+        assert code == 2
+        assert out == ""
+        assert "needs a nonempty poset" in err
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"cache_dir": 5}, "cache_dir must be a path string"),
+            ({"strict": "no"}, "strict must be true or false"),
+            ({"strict": 1}, "strict must be true or false"),
+        ],
+        ids=["int-cache-dir", "string-strict", "int-strict"],
+    )
+    def test_mistyped_value_rejected(self, capsys, tmp_path, settings, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, "suites": ["sober"], "max_poset_n": 2}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert message in err
