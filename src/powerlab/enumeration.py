@@ -19,8 +19,6 @@ import struct
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from .families import _ideals
 from .poset import FinitePoset, PosetError, PosetMap, iter_bits
 
@@ -34,8 +32,8 @@ def unpack_canonical(data: bytes) -> FinitePoset:
     """Rebuild a poset (with default labels) from its packed canonical form."""
     n = data[0]
     acc = int.from_bytes(data[1:], "big")
-    le = [[bool(acc >> (i * n + j) & 1) for j in range(n)] for i in range(n)]
-    return FinitePoset(le)
+    full = (1 << n) - 1
+    return FinitePoset.from_up_masks([acc >> (i * n) & full for i in range(n)])
 
 
 def canonical_form(p: FinitePoset) -> bytes:
@@ -174,18 +172,16 @@ def enumerate_posets(n: int, max_n: int = DEFAULT_MAX_N, cache_dir=None):
 @lru_cache(maxsize=None)
 def _canonical_forms(n: int) -> tuple[bytes, ...]:
     if n == 1:
-        return (canonical_form(FinitePoset([[True]])),)
+        return (canonical_form(FinitePoset.from_up_masks([1])),)
     seen: set[bytes] = set()
+    top = 1 << (n - 1)
     for prev in _canonical_forms(n - 1):
         p = unpack_canonical(prev)
-        base = p.le
+        # the new element n - 1 is maximal and lies above exactly the ideal
         for ideal in _ideals(p, include_empty=True):
-            le = np.zeros((n, n), dtype=bool)
-            le[: n - 1, : n - 1] = base
-            le[n - 1, n - 1] = True
-            for i in iter_bits(ideal):
-                le[i, n - 1] = True
-            seen.add(canonical_form(FinitePoset(le)))
+            up = [row | top if ideal >> i & 1 else row for i, row in enumerate(p.up_masks)]
+            up.append(top)
+            seen.add(canonical_form(FinitePoset.from_up_masks(up)))
     return tuple(sorted(seen))
 
 
@@ -221,14 +217,13 @@ def bruteforce_canonical_forms(n: int) -> frozenset:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     forms = set()
     for pattern in range(1 << len(pairs)):
-        le = np.eye(n, dtype=bool)
+        up = [1 << i for i in range(n)]
         for k in iter_bits(pattern):
             i, j = pairs[k]
-            le[i, j] = True
-        closed = le.astype(np.uint8) @ le.astype(np.uint8) > 0
-        if (closed & ~le).any():
+            up[i] |= 1 << j
+        if any(up[j] & ~row for row in up for j in iter_bits(row)):
             continue
-        forms.add(canonical_form(FinitePoset(le)))
+        forms.add(canonical_form(FinitePoset.from_up_masks(up)))
     return frozenset(forms)
 
 
@@ -268,6 +263,7 @@ def monotone_map_images(p: FinitePoset, q: FinitePoset) -> tuple[tuple[int, ...]
         img[e] = -1
 
     rec(0)
+    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
     return tuple(out)
 
 

@@ -68,15 +68,14 @@ class SetFamily:
     @cached_property
     def poset(self) -> FinitePoset:
         """The family as a poset under inclusion; member i becomes element i."""
-        k = len(self.members)
-        le = [[False] * k for _ in range(k)]
-        for i, a in enumerate(self.members):
-            for j, b in enumerate(self.members):
-                le[i][j] = a & ~b == 0
+        up = [
+            sum(1 << j for j, b in enumerate(self.members) if a & ~b == 0)
+            for a in self.members
+        ]
         labels = tuple(
             "{" + ",".join(self.base.subset_labels(m)) + "}" for m in self.members
         )
-        return FinitePoset(le, labels)
+        return FinitePoset.from_up_masks(up, labels)
 
     def member_bits(self, indices_mask: int) -> list[int]:
         """Members selected by a bitmask over member indices."""
@@ -113,6 +112,7 @@ def _ideals(p: FinitePoset, include_empty: bool) -> list[int]:
             rec(k + 1, mask | (1 << e))
 
     rec(0, 0)
+    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
     if not include_empty:
         out.remove(0)
     return out

@@ -73,7 +73,7 @@ def build_hc(p: FinitePoset) -> ConsistentHoare:
     j = PosetMap(p, fp, tuple(j_img))
     for x in range(p.n):
         for y in range(p.n):
-            if bool(p.le[x, y]) != bool(fp.le[j_img[x], j_img[y]]):
+            if p.leq(x, y) != fp.leq(j_img[x], j_img[y]):
                 raise InvariantError("point-closure embedding does not reflect the order")
     semilattice = VSemilattice.from_poset(fp)
     if semilattice is None:

@@ -1,10 +1,11 @@
 """Finite partial orders and their elementary order-theoretic predicates.
 
-A poset is stored as a read-only boolean matrix ``le`` with ``le[i, j]``
-meaning element ``i`` is below element ``j``.  Subsets of the universe are
-plain Python ints used as bitmasks (bit ``i`` set means element ``i`` is in
-the subset); they are the currency of every family computation in this
-package.
+A poset on elements ``0..n-1`` is stored as two tuples of int bitmasks:
+``up_masks[i]`` has bit ``j`` set when element ``i`` is below element ``j``,
+and ``down_masks[j]`` holds the same relation read by columns.  Subsets of
+the universe are plain Python ints used as bitmasks in the same way (bit
+``i`` set means element ``i`` is in the subset); they are the currency of
+every family computation in this package.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import json
 import string
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 
 class PosetError(ValueError):
@@ -41,34 +40,69 @@ def _default_labels(n: int) -> tuple[str, ...]:
 class FinitePoset:
     """Immutable finite poset on elements ``0..n-1`` with display labels.
 
-    The relation is kept fully transitively closed so that order queries are
-    single matrix lookups; the covering relation is derived on demand.
+    The relation is stored fully transitively closed as the bitmasks
+    ``up_masks`` and ``down_masks``, so an order query is one shift; the
+    covering relation is derived on demand and ``le`` is a derived read-only
+    matrix view.  ``FinitePoset(le, labels)`` takes any square nested
+    sequence of truth values with ``le[i][j]`` meaning ``i`` is below ``j``;
+    ``from_up_masks`` takes the up-masks directly.  Both run the same checks.
     """
 
     def __init__(self, le, labels=None):
-        le = np.array(le, dtype=bool)
-        if le.ndim != 2 or le.shape[0] != le.shape[1]:
-            raise PosetError(f"relation matrix must be square, got shape {le.shape}")
-        n = le.shape[0]
+        rows = [tuple(row) for row in le]
+        n = len(rows)
+        for row in rows:
+            if len(row) != n:
+                raise PosetError(f"relation matrix must be square, got shape {(n, len(row))}")
+        self._set_relation(
+            tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows), labels
+        )
+
+    def _set_relation(self, up: tuple[int, ...], labels) -> None:
+        n = len(up)
         labels = tuple(labels) if labels is not None else _default_labels(n)
         if len(labels) != n:
             raise PosetError(f"expected {n} labels, got {len(labels)}")
         if len(set(labels)) != n:
             raise PosetError("duplicate label")
-        if n:
-            if not le[np.diag_indices(n)].all():
-                raise PosetError("relation is not reflexive")
-            if (le & le.T).sum() != n:
-                raise PosetError("relation is not antisymmetric")
-            closed = le.astype(np.uint8) @ le.astype(np.uint8) > 0
-            if (closed & ~le).any():
-                raise PosetError("relation is not transitive")
-        le.flags.writeable = False
-        self.n = int(n)
+        for i, row in enumerate(up):
+            if row >> n:
+                raise PosetError(f"up-mask of element {i} has bits outside 0..{n - 1}")
+        if any(not row >> i & 1 for i, row in enumerate(up)):
+            raise PosetError("relation is not reflexive")
+        # one pass reads the columns and what each row reaches in two steps;
+        # a reflexive row is transitive iff that two-step reach is the row.
+        # iter_bits is inlined: every poset built runs this loop, and the
+        # generator would double its cost
+        down = [0] * n
+        transitive = True
+        for i, row in enumerate(up):
+            bit, reach, rest = 1 << i, 0, row
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                down[j] |= bit
+                reach |= up[j]
+                rest ^= low
+            transitive = transitive and reach == row
+        if any(row & down[i] != 1 << i for i, row in enumerate(up)):
+            raise PosetError("relation is not antisymmetric")
+        if not transitive:
+            raise PosetError("relation is not transitive")
+        self.n = n
         self.labels = labels
-        self.le = le
+        self.up_masks = up
+        self.down_masks = tuple(down)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_up_masks(cls, up_masks, labels=None) -> "FinitePoset":
+        """Build a poset from ``up_masks[i]``, the bitmask of the elements at
+        or above ``i``; validated like the matrix constructor."""
+        p = cls.__new__(cls)
+        p._set_relation(tuple(up_masks), labels)
+        return p
 
     @classmethod
     def from_covers(cls, labels, cover_pairs) -> "FinitePoset":
@@ -82,26 +116,25 @@ class FinitePoset:
             raise PosetError("duplicate label")
         n = len(labels)
         index = {lab: i for i, lab in enumerate(labels)}
-        adj = np.zeros((n, n), dtype=bool)
+        up = [1 << i for i in range(n)]
         for pair in cover_pairs:
             a, b = pair
             if a not in index or b not in index:
                 raise PosetError(f"cover pair {pair!r} uses an unknown label")
             if a == b:
                 raise PosetError(f"cover pair {pair!r} is a self-loop")
-            adj[index[a], index[b]] = True
-        reach = adj.copy()
-        reach[np.diag_indices(n)] = True
-        for _ in range(max(n, 1)):
-            nxt = (reach.astype(np.uint8) @ reach.astype(np.uint8)) > 0
-            if (nxt == reach).all():
-                break
-            reach = nxt
-        strict_both = reach & reach.T
-        strict_both[np.diag_indices(n)] = False
-        if strict_both.any():
-            raise PosetError("cycle detected among cover pairs")
-        return cls(reach, labels)
+            up[index[a]] |= 1 << index[b]
+        # Warshall's closure on rows: once k is done, every row reaching k
+        # also reaches everything k reaches
+        for k in range(n):
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        for i in range(n):
+            for j in iter_bits(up[i] & ~(1 << i)):
+                if up[j] >> i & 1:
+                    raise PosetError("cycle detected among cover pairs")
+        return cls.from_up_masks(up, labels)
 
     @classmethod
     def from_json(cls, data) -> "FinitePoset":
@@ -131,28 +164,9 @@ class FinitePoset:
     # -- derived structure -------------------------------------------------
 
     @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        """``up_masks[i]`` holds the elements above or equal to ``i``."""
-        out = []
-        for i in range(self.n):
-            row = 0
-            for j in range(self.n):
-                if self.le[i, j]:
-                    row |= 1 << j
-            out.append(row)
-        return tuple(out)
-
-    @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        """``down_masks[i]`` holds the elements below or equal to ``i``."""
-        out = []
-        for j in range(self.n):
-            col = 0
-            for i in range(self.n):
-                if self.le[i, j]:
-                    col |= 1 << i
-            out.append(col)
-        return tuple(out)
+    def le(self) -> tuple[tuple[bool, ...], ...]:
+        """Read-only matrix view: ``le[i][j]`` is whether ``i`` is below ``j``."""
+        return tuple(tuple(bool(row >> j & 1) for j in range(self.n)) for row in self.up_masks)
 
     @cached_property
     def full_mask(self) -> int:
@@ -168,7 +182,7 @@ class FinitePoset:
         return tuple(sorted(range(self.n), key=lambda i: (self.down_masks[i].bit_count(), i)))
 
     def leq(self, i: int, j: int) -> bool:
-        return bool(self.le[i, j])
+        return bool(self.up_masks[i] >> j & 1)
 
     # -- subsets by label ---------------------------------------------------
 
@@ -204,10 +218,10 @@ class FinitePoset:
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        return self.labels == other.labels and (self.le == other.le).all()
+        return self.labels == other.labels and self.up_masks == other.up_masks
 
     def __hash__(self):
-        return hash((self.labels, self.le.tobytes()))
+        return hash((self.labels, self.up_masks))
 
 
 @dataclass(frozen=True)
@@ -414,6 +428,7 @@ def enumerate_directed_subsets(up_masks, domain_bits: int) -> list[int]:
         rec(k + 1, nd, chosen + (x,), tuple(new_needs))
 
     rec(0, 0, (), ())
+    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
     return out
 
 
@@ -460,7 +475,7 @@ def way_below(p: FinitePoset, x: int, y: int) -> bool:
     is assumed here.
     """
     for dbits, s in directed_subsets_with_sups(p):
-        if s is not None and p.le[y, s] and not down_set(p, dbits) >> x & 1:
+        if s is not None and p.up_masks[y] >> s & 1 and not down_set(p, dbits) >> x & 1:
             return False
     return True
 
@@ -511,10 +526,11 @@ def is_sober(p: FinitePoset) -> bool:
 
 def hasse(p: FinitePoset) -> tuple[tuple[int, int], ...]:
     """Covering pairs ``(i, j)``: the transitive reduction of the order."""
-    n = p.n
-    lt = p.le.copy()
-    if n:
-        lt[np.diag_indices(n)] = False
-    via = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    cover = lt & ~via
-    return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(cover)))
+    strict = [row & ~(1 << i) for i, row in enumerate(p.up_masks)]
+    out = []
+    for i, row in enumerate(strict):
+        via = 0
+        for j in iter_bits(row):
+            via |= strict[j]
+        out.extend((i, j) for j in iter_bits(row & ~via))
+    return tuple(out)

@@ -118,7 +118,7 @@ class VSemilattice:
                     continue
                 if join[j][i] != v:
                     raise PosetError("join table is not commutative")
-                if not (p.le[i, v] and p.le[j, v]):
+                if not (p.leq(i, v) and p.leq(j, v)):
                     raise PosetError("join entry is not an upper bound")
                 ub = p.up_masks[i] & p.up_masks[j]
                 if ub & ~p.up_masks[v]:
@@ -408,6 +408,7 @@ def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[tuple[int, .
         img[z] = -1
 
     rec(0)
+    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
     return tuple(out)
 
 

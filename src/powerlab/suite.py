@@ -43,6 +43,7 @@ from .poset import (
     PosetMap,
     is_consistent,
     is_sober,
+    iter_bits,
     scott_closure,
     subset_images,
     way_down_masks,
@@ -180,12 +181,9 @@ def _semilattices_upto(k: int, cache_dir=None) -> tuple:
 
 
 def _strict_pairs(p: FinitePoset) -> tuple:
-    pairs = []
-    for i in range(p.n):
-        for j in range(p.n):
-            if i != j and p.le[i, j]:
-                pairs.append((i, j))
-    return tuple(pairs)
+    return tuple(
+        (i, j) for i, row in enumerate(p.up_masks) for j in iter_bits(row & ~(1 << i))
+    )
 
 
 def _image_sups(l: VSemilattice, img) -> list:

@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 from powerlab import (
@@ -28,17 +27,17 @@ def bruteforce_isomorphic(p, q):
         return False
     n = p.n
     for perm in itertools.permutations(range(n)):
-        if all(p.le[i, j] == q.le[perm[i], perm[j]] for i in range(n) for j in range(n)):
+        if all(p.le[i][j] == q.le[perm[i]][perm[j]] for i in range(n) for j in range(n)):
             return True
     return False
 
 
 def relabel(p, perm):
     n = p.n
-    le = np.zeros((n, n), dtype=bool)
+    le = [[False] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            le[perm[i], perm[j]] = p.le[i, j]
+            le[perm[i]][perm[j]] = p.le[i][j]
     return FinitePoset(le)
 
 
@@ -103,8 +102,8 @@ class TestEnumeratePosets:
             assert emitted == bruteforce_canonical_forms(n)
 
     def test_deterministic_order(self):
-        first = [p.le.tobytes() for p in enumerate_posets(4)]
-        second = [p.le.tobytes() for p in enumerate_posets(4)]
+        first = [p.up_masks for p in enumerate_posets(4)]
+        second = [p.up_masks for p in enumerate_posets(4)]
         assert first == second
 
     def test_cap_enforced(self):
@@ -118,8 +117,8 @@ class TestEnumeratePosets:
         warmup = enumerate_posets(4, cache_dir=tmp_path)
         assert (tmp_path / "posets_n4.bin").exists()
         cached = enumerate_posets(4, cache_dir=tmp_path)
-        assert [p.le.tobytes() for p in cached] == [p.le.tobytes() for p in fresh]
-        assert [p.le.tobytes() for p in warmup] == [p.le.tobytes() for p in fresh]
+        assert [p.up_masks for p in cached] == [p.up_masks for p in fresh]
+        assert [p.up_masks for p in warmup] == [p.up_masks for p in fresh]
 
     def test_cache_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POWERLAB_CACHE", str(tmp_path))
@@ -153,9 +152,9 @@ class TestEnumerateSemilattices:
 
     def test_matches_filter(self):
         for n in range(1, 5):
-            got = [l.poset.le.tobytes() for l in enumerate_v_semilattices(n)]
+            got = [l.poset.up_masks for l in enumerate_v_semilattices(n)]
             want = [
-                p.le.tobytes() for p in enumerate_posets(n) if is_v_semilattice(p)
+                p.up_masks for p in enumerate_posets(n) if is_v_semilattice(p)
             ]
             assert got == want
 
@@ -181,10 +180,10 @@ class TestMonotoneMaps:
                     img
                     for img in itertools.product(range(q.n), repeat=p.n)
                     if all(
-                        q.le[img[i], img[j]]
+                        q.le[img[i]][img[j]]
                         for i in range(p.n)
                         for j in range(p.n)
-                        if p.le[i, j]
+                        if p.le[i][j]
                     )
                 }
                 got = {f.img for f in enumerate_monotone_maps(p, q)}

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -57,7 +58,7 @@ class TestConstruction:
 
     def test_vee_closure_matches_oracle(self, vee):
         oracle = floyd_warshall_closure(3, [("a", "t"), ("b", "t")], vee.labels)
-        assert vee.le.tolist() == oracle
+        assert [list(row) for row in vee.le] == oracle
 
     @pytest.mark.parametrize(
         "labels,covers",
@@ -93,8 +94,122 @@ class TestConstruction:
             )
 
     def test_relation_is_read_only(self, vee):
-        with pytest.raises(ValueError):
-            vee.le[0, 0] = False
+        with pytest.raises(TypeError):
+            vee.le[0][0] = False
+
+
+AXIOMS = ("reflexive", "antisymmetric", "transitive")
+
+
+def first_failing_axiom(m):
+    """Literal oracle: the first order axiom the matrix breaks, in the order
+    the constructor checks them, or None for a partial order."""
+    n = len(m)
+    if not all(m[i][i] for i in range(n)):
+        return "reflexive"
+    if any(m[i][j] and m[j][i] for i in range(n) for j in range(n) if i != j):
+        return "antisymmetric"
+    if any(
+        m[i][j] and m[j][k] and not m[i][k]
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    ):
+        return "transitive"
+    return None
+
+
+def random_matrices(rng, n, count):
+    """Uniform matrices, matrices with a true diagonal, random partial orders
+    and random partial orders with one entry flipped, in turn."""
+    for k in range(count):
+        m = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+        if k % 4:
+            for i in range(n):
+                m[i][i] = True
+        if k % 4 >= 2:
+            # close the upper triangle transitively and relabel: a partial order
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] = i == j or (i < j and m[i][j])
+            for mid in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        m[i][j] = m[i][j] or (m[i][mid] and m[mid][j])
+            perm = rng.sample(range(n), n)
+            m = [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        if k % 4 == 3:
+            i, j = rng.randrange(n), rng.randrange(n)
+            m[i][j] = not m[i][j]
+        yield m
+
+
+class TestAxiomOracle:
+    def check(self, m):
+        n = len(m)
+        masks = [sum(1 << j for j in range(n) if m[i][j]) for i in range(n)]
+        axiom = first_failing_axiom(m)
+        if axiom is not None:
+            for build in (lambda: FinitePoset(m), lambda: FinitePoset.from_up_masks(masks)):
+                with pytest.raises(PosetError, match=f"^relation is not {axiom}$"):
+                    build()
+            return axiom
+        p = FinitePoset(m)
+        assert p == FinitePoset.from_up_masks(masks)
+        assert all(p.leq(i, j) == m[i][j] for i in range(n) for j in range(n))
+        assert [list(row) for row in p.le] == m
+        assert all(
+            p.down_masks[j] >> i & 1 == m[i][j] for i in range(n) for j in range(n)
+        )
+        return axiom
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_matrix(self, n):
+        seen = set()
+        for code in range(1 << n * n):
+            m = [[bool(code >> (i * n + j) & 1) for j in range(n)] for i in range(n)]
+            seen.add(self.check(m))
+        # two elements cannot break transitivity without breaking an earlier axiom
+        assert seen == {None, *AXIOMS[:n]}
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_random_matrices(self, n):
+        seen = {self.check(m) for m in random_matrices(random.Random(n), n, 400)}
+        assert seen == {None, *AXIOMS}
+
+    def test_up_masks_outside_the_universe_rejected(self):
+        with pytest.raises(PosetError, match="outside"):
+            FinitePoset.from_up_masks([0b101, 0b10])
+        with pytest.raises(PosetError, match="outside"):
+            FinitePoset.from_up_masks([-1])
+
+    def test_mask_and_matrix_builds_agree(self):
+        for p in small_posets(5):
+            from_matrix = FinitePoset([list(row) for row in p.le])
+            from_masks = FinitePoset.from_up_masks(p.up_masks)
+            assert from_matrix == from_masks == p
+            assert hash(from_matrix) == hash(from_masks) == hash(p)
+            renamed = FinitePoset.from_up_masks(p.up_masks, [lab.upper() for lab in p.labels])
+            assert renamed != from_matrix and renamed != from_masks
+            assert len({from_matrix, from_masks, renamed}) == 2
+
+    def test_closure_of_random_covers_matches_oracle(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            labels = tuple("abcdef"[:n])
+            covers = [
+                (labels[a], labels[b])
+                for a, b in itertools.permutations(range(n), 2)
+                if rng.random() < 0.25
+            ]
+            oracle = floyd_warshall_closure(n, covers, labels)
+            if first_failing_axiom(oracle) is None:
+                p = FinitePoset.from_covers(labels, covers)
+                assert [list(row) for row in p.le] == oracle
+            else:
+                with pytest.raises(PosetError, match="cycle"):
+                    FinitePoset.from_covers(labels, covers)
 
 
 class TestDownSet:
@@ -179,9 +294,9 @@ class TestDirectedAndSup:
                 ubs = [
                     u
                     for u in range(p.n)
-                    if all(p.le[x, u] for x in iter_bits(a))
+                    if all(p.le[x][u] for x in iter_bits(a))
                 ]
-                least = [u for u in ubs if all(p.le[u, v] for v in ubs)]
+                least = [u for u in ubs if all(p.le[u][v] for v in ubs)]
                 assert sup(p, a) == (least[0] if least else None)
 
 
@@ -236,7 +351,7 @@ class TestWayBelow:
         for p in small_posets(4):
             for x in range(p.n):
                 for y in range(p.n):
-                    assert way_below(p, x, y) == bool(p.le[x, y])
+                    assert way_below(p, x, y) == bool(p.le[x][y])
 
 
 class TestDirectedEnumeration:
@@ -296,9 +411,9 @@ class TestHasseAndExport:
             expected = set()
             for i in range(p.n):
                 for j in range(p.n):
-                    if i != j and p.le[i, j]:
+                    if i != j and p.le[i][j]:
                         if not any(
-                            k != i and k != j and p.le[i, k] and p.le[k, j]
+                            k != i and k != j and p.le[i][k] and p.le[k][j]
                             for k in range(p.n)
                         ):
                             expected.add((i, j))
@@ -354,10 +469,10 @@ class TestPosetMap:
             for q in small_posets(3):
                 for img in itertools.product(range(q.n), repeat=p.n):
                     expected = all(
-                        q.le[img[i], img[j]]
+                        q.le[img[i]][img[j]]
                         for i in range(p.n)
                         for j in range(p.n)
-                        if p.le[i, j]
+                        if p.le[i][j]
                     )
                     assert PosetMap(p, q, img).is_monotone() == expected
 
