@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .enumeration import enumerate_posets
@@ -99,7 +98,10 @@ def cmd_vexist(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    posets = enumerate_posets(args.n, cache_dir=args.cache)
+    try:
+        posets = enumerate_posets(args.n, cache_dir=args.cache)
+    except OSError as exc:
+        raise CliError(f"cannot use cache directory {args.cache}: {exc}")
     lines = []
     if args.semilattices:
         for p in posets:
@@ -123,7 +125,7 @@ def cmd_verify(args) -> int:
             raise CliError(f"malformed JSON in config {args.config}: {exc}")
         if not isinstance(settings, dict):
             raise CliError(f"config {args.config} must be a JSON object")
-    # flags win over the config file; the cache env var fills a missing path
+    # flags win over the config file
     if args.max_poset is not None:
         settings["max_poset_n"] = args.max_poset
     if args.max_semilattice is not None:
@@ -134,9 +136,6 @@ def cmd_verify(args) -> int:
         settings["jobs"] = args.jobs
     if args.strict:
         settings["strict"] = True
-    if args.cache is not None:
-        settings["cache_dir"] = args.cache
-    settings.setdefault("cache_dir", os.environ.get("POWERLAB_CACHE"))
     known = {f for f in Config.__dataclass_fields__}
     unknown = set(settings) - known
     if unknown:
@@ -196,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--jobs", type=int, default=None)
     verify.add_argument("--strict", action="store_true")
     verify.add_argument("--config", help="JSON config file; flags win")
-    verify.add_argument("--cache", help="canonical-form cache directory")
     verify.add_argument("--out", help="write the report JSON here")
     return parser
 

@@ -14,8 +14,8 @@ canonical form, which avoids ever materializing the 2**(n*n) relation space.
 
 from __future__ import annotations
 
-import os
 import struct
+import tempfile
 from functools import lru_cache
 from pathlib import Path
 
@@ -151,22 +151,24 @@ def enumerate_posets(n: int, max_n: int = DEFAULT_MAX_N, cache_dir=None):
     """All posets on ``n`` elements up to isomorphism, in canonical-form order.
 
     Each emitted poset is the canonical representative of its class, so two
-    runs (and cached versus recomputed runs) produce identical output.
+    runs (and cached versus recomputed runs) produce identical output.  Only
+    a named ``cache_dir`` is read or written: a cache file that fails
+    validation is recomputed and rewritten.
     """
     if n < 1:
         raise PosetError("poset enumeration needs n >= 1")
     if n > max_n:
         raise PosetError(f"n={n} exceeds the enumeration cap {max_n}")
-    cache_dir = _resolve_cache_dir(cache_dir)
-    if cache_dir is not None:
-        cached = _read_cache(cache_dir, n)
-        if cached is not None:
-            return cached
-    forms = _canonical_forms(n)
-    posets = tuple(_poset_from_form(f) for f in forms)
-    if cache_dir is not None:
-        _write_cache(cache_dir, n, forms)
-    return posets
+    if cache_dir is None:
+        forms = _canonical_forms(n)
+    else:
+        cache_dir = Path(cache_dir)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        forms = _read_cache(cache_dir, n)
+        if forms is None:
+            forms = _canonical_forms(n)
+            _write_cache(cache_dir, n, forms)
+    return tuple(_poset_from_form(f) for f in forms)
 
 
 @lru_cache(maxsize=None)
@@ -185,23 +187,13 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
     return tuple(sorted(seen))
 
 
-_SEMILATTICE_POOL: dict = {}
-_NOT_A_SEMILATTICE = object()
-
-
-def enumerate_v_semilattices(n: int, max_n: int = DEFAULT_MAX_N, cache_dir=None):
+@lru_cache(maxsize=None)
+def enumerate_v_semilattices(n: int, max_n: int = DEFAULT_MAX_N) -> tuple:
     """The posets of size ``n`` on which every consistent pair has a least join."""
     from .semilattice import VSemilattice
 
-    out = []
-    for p in enumerate_posets(n, max_n=max_n, cache_dir=cache_dir):
-        hit = _SEMILATTICE_POOL.get(p)
-        if hit is None:
-            hit = VSemilattice.from_poset(p) or _NOT_A_SEMILATTICE
-            _SEMILATTICE_POOL[p] = hit
-        if hit is not _NOT_A_SEMILATTICE:
-            out.append(hit)
-    return tuple(out)
+    candidates = (VSemilattice.from_poset(p) for p in enumerate_posets(n, max_n=max_n))
+    return tuple(l for l in candidates if l is not None)
 
 
 # -- brute-force oracles --------------------------------------------------------
@@ -270,14 +262,9 @@ def monotone_map_images(p: FinitePoset, q: FinitePoset) -> tuple[tuple[int, ...]
 # -- canonical form cache file -----------------------------------------------------
 
 
-def _resolve_cache_dir(cache_dir):
-    if cache_dir is None:
-        cache_dir = os.environ.get("POWERLAB_CACHE")
-    if cache_dir is None:
-        return None
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+# posets_n{n}.bin: a header of n and the class count, then the forms as
+# fixed-size records of 1 + ceil(n*n / 8) bytes, in increasing order
+_HEADER = struct.Struct(">II")
 
 
 def _cache_file(cache_dir: Path, n: int) -> Path:
@@ -285,22 +272,36 @@ def _cache_file(cache_dir: Path, n: int) -> Path:
 
 
 def _write_cache(cache_dir: Path, n: int, forms) -> None:
-    with open(_cache_file(cache_dir, n), "wb") as fh:
-        for form in forms:
-            fh.write(struct.pack(">I", len(form)))
-            fh.write(form)
+    """Write to a temp file beside the cache file, then move it into place, so
+    no reader sees a partly written file."""
+    fh = tempfile.NamedTemporaryFile(dir=cache_dir, prefix=f".posets_n{n}.", delete=False)
+    try:
+        with fh:
+            fh.write(_HEADER.pack(n, len(forms)) + b"".join(forms))
+        Path(fh.name).replace(_cache_file(cache_dir, n))
+    except BaseException:
+        Path(fh.name).unlink(missing_ok=True)
+        raise
 
 
 def _read_cache(cache_dir: Path, n: int):
-    path = _cache_file(cache_dir, n)
-    if not path.exists():
+    """The cached forms of size ``n``, or None when the file is missing or is
+    not exactly what ``_write_cache`` writes: a size that disagrees with its
+    header, another n, forms out of order or a form that is not canonical."""
+    try:
+        data = _cache_file(cache_dir, n).read_bytes()
+    except FileNotFoundError:
         return None
-    forms = []
-    data = path.read_bytes()
-    pos = 0
-    while pos < len(data):
-        (length,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        forms.append(data[pos : pos + length])
-        pos += length
-    return tuple(_poset_from_form(f) for f in forms)
+    size = 1 + (n * n + 7) // 8
+    count, extra = divmod(len(data) - _HEADER.size, size)
+    if extra or count < 0 or data[: _HEADER.size] != _HEADER.pack(n, count):
+        return None
+    forms = tuple(data[k : k + size] for k in range(_HEADER.size, len(data), size))
+    try:
+        if any(a >= b for a, b in zip(forms, forms[1:])) or any(
+            f[0] != n or canonical_form(unpack_canonical(f)) != f for f in forms
+        ):
+            return None
+    except PosetError:  # some form's bits are not a partial order
+        return None
+    return forms

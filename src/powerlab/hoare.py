@@ -160,7 +160,7 @@ def sup_of_image(l: VSemilattice, f: PosetMap, bits: int) -> WitnessCert:
     return WitnessCert(l, f, bits, "SUP_EXISTS", s)
 
 
-def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4, cache_dir=None):
+def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4):
     """Look for a monotone map into a semilattice under which the image of the
     set has no least upper bound.
 
@@ -168,8 +168,8 @@ def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4, cache_dir=No
     non-consistent closed set it always refutes, because any member bounding
     the embedded image would be a consistent superset.  Failing that, all
     semilattices up to ``max_size`` and all monotone maps are searched in
-    canonical order; exhaustion is reported with the bound.  ``cache_dir``
-    is the canonical-form cache that semilattice enumeration reads.
+    canonical order; exhaustion is reported with the bound.  The result
+    depends only on the poset, the set and the bound.
     """
     if not is_scott_closed(p, bits) or bits == 0:
         raise PosetError("refutation is defined for nonempty Scott closed sets")
@@ -179,7 +179,7 @@ def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4, cache_dir=No
         return cert
     elems = list(iter_bits(bits))
     for n_l in range(1, max_size + 1):
-        for l in enumerate_v_semilattices(n_l, cache_dir=cache_dir):
+        for l in enumerate_v_semilattices(n_l):
             sup = l.sup_table
             for img in monotone_map_images(p, l.poset):
                 image = 0

@@ -17,11 +17,10 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache, partial
+from functools import partial
 
 from .catalog import standard_trio
 from .enumeration import (
-    are_isomorphic,
     bruteforce_canonical_forms,
     canonical_form,
     enumerate_posets,
@@ -66,7 +65,6 @@ class Config:
     max_poset_n: int = 5
     max_semilattice_n: int = 4
     suites: tuple = ("all",)
-    cache_dir: str | None = None
     jobs: int = 1
     strict: bool = False
 
@@ -79,8 +77,6 @@ class Config:
             raise PosetError("size caps must be at least 1")
         if self.jobs < 1:
             raise PosetError("jobs must be at least 1")
-        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
-            raise PosetError(f"cache_dir must be a path string, not {self.cache_dir!r}")
         if not isinstance(self.strict, bool):
             raise PosetError(f"strict must be true or false, not {self.strict!r}")
         if not isinstance(self.suites, (list, tuple)) or not all(
@@ -167,17 +163,14 @@ class _Check:
         )
 
 
-def _posets_upto(k: int, cache_dir=None) -> list:
+def _posets_upto(k: int) -> list:
     """Every poset of 1 to ``k`` elements, one per isomorphism class."""
-    return [p for n in range(1, k + 1) for p in enumerate_posets(n, cache_dir=cache_dir)]
+    return [p for n in range(1, k + 1) for p in enumerate_posets(n)]
 
 
-@lru_cache(maxsize=None)
-def _semilattices_upto(k: int, cache_dir=None) -> tuple:
-    out = []
-    for n in range(1, k + 1):
-        out.extend(enumerate_v_semilattices(n, cache_dir=cache_dir))
-    return tuple(out)
+def _semilattices_upto(k: int) -> tuple:
+    """Every semilattice of 1 to ``k`` elements, one per isomorphism class."""
+    return tuple(l for n in range(1, k + 1) for l in enumerate_v_semilattices(n))
 
 
 def _strict_pairs(p: FinitePoset) -> tuple:
@@ -204,10 +197,10 @@ def _continuous_by_table(f: PosetMap, dom_closed: list, cod_closed_sets) -> bool
     return all(dom_closed[f.preimage_bits(c)] for c in cod_closed_sets)
 
 
-# -- per-poset checks: check(p, semi_bound, cache_dir=None) -----------------------
+# -- per-poset checks: check(p, semi_bound) ---------------------------------------
 
 
-def check_def_2_1(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
+def check_def_2_1(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Partial-join laws of the powerdomain: commutative, associative in the
     Kleene sense, idempotent, inflationary, and equal to union when defined."""
     ck = _Check.on_poset("Def2.1", p)
@@ -235,7 +228,7 @@ def check_def_2_1(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verificati
     return ck.report()
 
 
-def check_thm_2_2(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
+def check_thm_2_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """The relatively consistent closed sets are exactly the powerdomain
     members, with the way-below relation recomputed by brute force."""
     ck = _Check.on_poset("Thm2.2", p)
@@ -254,12 +247,12 @@ def check_thm_2_2(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verificati
     return ck.report()
 
 
-def check_lemma_2_3(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
+def check_lemma_2_3(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """The image of every powerdomain member under every monotone map into
     every semilattice at the bound has a least upper bound."""
     ck = _Check.on_poset("Lem2.3", p, max_semilattice_n=semi_bound)
     members = build_hc(p).family.members
-    for l in _semilattices_upto(semi_bound, cache_dir=cache_dir):
+    for l in _semilattices_upto(semi_bound):
         for img in monotone_map_images(p, l.poset):
             sups = _image_sups(l, img)
             for m in members:
@@ -273,7 +266,7 @@ def check_lemma_2_3(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verifica
     return ck.report()
 
 
-def check_freeness(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
+def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Every monotone map into a semilattice extends along the point-closure
     embedding to a unique join-preserving map on the powerdomain, and the
     extension is computed by taking sups of images."""
@@ -286,7 +279,7 @@ def check_freeness(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verificat
     def fail_map(detail, **extra):
         ck.fail(detail, semilattice=l.poset.to_json(), map=list(f_img), **extra)
 
-    for l in _semilattices_upto(semi_bound, cache_dir=cache_dir):
+    for l in _semilattices_upto(semi_bound):
         monos = monotone_map_images(p, l.poset)
         homs = _homomorphism_images(h.semilattice, l)
         groups: dict = {}
@@ -324,14 +317,14 @@ def check_freeness(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verificat
     return ck.report()
 
 
-def check_prop_3_2(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
+def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Closure transport: a set's image and its closure's image have a least
     upper bound together (and then the same one), for every monotone map."""
     ck = _Check.on_poset("Prop3.2", p, max_semilattice_n=semi_bound)
     subsets = range(1 << p.n)
     closures = [scott_closure(p, a) for a in subsets]
     refutable = [False] * (1 << p.n)
-    for l in _semilattices_upto(semi_bound, cache_dir=cache_dir):
+    for l in _semilattices_upto(semi_bound):
         for img in monotone_map_images(p, l.poset):
             if not PosetMap(p, l.poset, img).is_monotone():
                 raise PosetError("transport check requires a monotone map")
@@ -356,7 +349,7 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verificat
     return ck.report()
 
 
-def check_lemma_3_8(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
+def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """For each semilattice at the bound, the subsets refutable through
     monotone maps are exactly those whose embedded image is refutable through
     powerdomain homomorphisms."""
@@ -364,7 +357,7 @@ def check_lemma_3_8(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verifica
     h = build_hc(p)
     j_img = h.j.img
     subsets = range(1 << p.n)
-    for l in _semilattices_upto(semi_bound, cache_dir=cache_dir):
+    for l in _semilattices_upto(semi_bound):
         refut_maps = set()
         for img in monotone_map_images(p, l.poset):
             sups = _image_sups(l, img)
@@ -383,7 +376,7 @@ def check_lemma_3_8(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verifica
     return ck.report()
 
 
-def check_thm_3_9(p: FinitePoset, semi_bound: int, cache_dir=None) -> VerificationReport:
+def check_thm_3_9(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Powerdomain membership versus join-existence: the generic closure adds
     nothing to the consistent family, every non-member is refuted by the
     canonical witness, and every member survives the bounded search."""
@@ -394,7 +387,7 @@ def check_thm_3_9(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verificati
     member_set = set(h.family.members)
     for a in gamma(p).members:
         if a in member_set:
-            witness = refute_v_existing(p, a, semi_bound, cache_dir=cache_dir)
+            witness = refute_v_existing(p, a, semi_bound)
             if isinstance(witness, WitnessCert):
                 ck.fail(
                     "powerdomain member refuted",
@@ -404,7 +397,7 @@ def check_thm_3_9(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verificati
         else:
             cert = sup_of_image(h.semilattice, h.j, a)
             if cert.verdict != "NO_SUP":
-                fallback = refute_v_existing(p, a, semi_bound, cache_dir=cache_dir)
+                fallback = refute_v_existing(p, a, semi_bound)
                 if isinstance(fallback, WitnessCert):
                     ck.fail(
                         "canonical witness failed to refute a non-member",
@@ -418,7 +411,7 @@ def check_thm_3_9(p: FinitePoset, semi_bound: int, cache_dir=None) -> Verificati
     return ck.report()
 
 
-def check_thm_3_10(p: FinitePoset, semi_bound: int = 0, cache_dir=None) -> VerificationReport:
+def check_thm_3_10(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
     """Sending a closed set to the closure of its embedded image is an order
     isomorphism between the closed-set family (with the empty set) and the
     F-Scott closure system of the powerdomain."""
@@ -445,12 +438,17 @@ def check_thm_3_10(p: FinitePoset, semi_bound: int = 0, cache_dir=None) -> Verif
                     "map does not preserve and reflect inclusion",
                     pair=[p.subset_labels(a), p.subset_labels(b)],
                 )
-    if not are_isomorphic(g0.poset, gf.family.poset):
-        ck.fail("family posets are not isomorphic")
+    # eta, read as an index map, must be an order isomorphism of the family posets
+    index = [gf.family.index_of.get(image) for image in eta]
+    src, dst = g0.poset, gf.family.poset
+    if None not in index and any(
+        src.leq(i, k) != dst.leq(x, y) for i, x in enumerate(index) for k, y in enumerate(index)
+    ):
+        ck.fail("map is not an order isomorphism of the family posets")
     return ck.report()
 
 
-def check_sober(p: FinitePoset, semi_bound: int = 0, cache_dir=None) -> VerificationReport:
+def check_sober(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
     """Every nonempty irreducible closed set is a point closure."""
     ck = _Check.on_poset("Sober", p)
     if not is_sober(p):
@@ -458,15 +456,15 @@ def check_sober(p: FinitePoset, semi_bound: int = 0, cache_dir=None) -> Verifica
     return ck.report()
 
 
-# -- global checks: check(**bounds, cache_dir=None) -------------------------------
+# -- global checks: check(**bounds) -----------------------------------------------
 
 
-def check_prop_3_4(pair_bound: int, consistent_bound: int, cache_dir=None) -> VerificationReport:
+def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport:
     """Part 1: a map between semilattices preserves consistent joins exactly
     when preimages of F-Scott closed sets are F-Scott closed.  Part 2: the
     F-Scott closure of a consistent set is the down-set of its join."""
     ck = _Check.sweep("Prop3.4", pair_bound=pair_bound, consistent_bound=consistent_bound)
-    pool = _semilattices_upto(pair_bound, cache_dir=cache_dir)
+    pool = _semilattices_upto(pair_bound)
     for l in pool:
         l_closed = _f_closed_table(l)
         for m in pool:
@@ -483,7 +481,7 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int, cache_dir=None) -> Ve
                         cod=m.poset.to_json(),
                         map=list(img),
                     )
-    for l in _semilattices_upto(consistent_bound, cache_dir=cache_dir):
+    for l in _semilattices_upto(consistent_bound):
         for a in range(1, 1 << l.n):
             if not is_consistent(l.poset, a):
                 continue
@@ -497,13 +495,13 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int, cache_dir=None) -> Ve
     return ck.report()
 
 
-def check_lemma_3_6(l_bound: int, m_bound: int, cache_dir=None) -> VerificationReport:
+def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     """A subset and its F-Scott closure are refuted by exactly the same
     homomorphisms, so join-existence transports across the closure."""
     ck = _Check.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
-    for l in _semilattices_upto(l_bound, cache_dir=cache_dir):
+    for l in _semilattices_upto(l_bound):
         closures = [cl_f(l, a) for a in range(1 << l.n)]
-        for m in _semilattices_upto(m_bound, cache_dir=cache_dir):
+        for m in _semilattices_upto(m_bound):
             for g in _homomorphism_images(l, m):
                 sups = _image_sups(m, g)
                 for a in range(1 << l.n):
@@ -518,15 +516,15 @@ def check_lemma_3_6(l_bound: int, m_bound: int, cache_dir=None) -> VerificationR
     return ck.report()
 
 
-def check_lemma_3_7(semi_bound: int, hc_base_bound: int, cache_dir=None) -> VerificationReport:
+def check_lemma_3_7(semi_bound: int, hc_base_bound: int) -> VerificationReport:
     """A nonempty F-Scott closed set whose join exists is a principal down-set.
 
     The empty set is excluded: its join being a bottom element never makes it
     principal, and it is never join-existing once bottomless codomains exist.
     """
     ck = _Check.sweep("Lem3.7", semi_bound=semi_bound, hc_base_bound=hc_base_bound)
-    lattices = list(_semilattices_upto(semi_bound, cache_dir=cache_dir))
-    lattices += [build_hc(p).semilattice for p in _posets_upto(hc_base_bound, cache_dir)]
+    lattices = list(_semilattices_upto(semi_bound))
+    lattices += [build_hc(p).semilattice for p in _posets_upto(hc_base_bound)]
     for l in lattices:
         for a in gamma_f(l).members:
             if a == 0:
@@ -541,11 +539,11 @@ def check_lemma_3_7(semi_bound: int, hc_base_bound: int, cache_dir=None) -> Veri
     return ck.report()
 
 
-def check_cor_3_11(max_poset_n: int, cache_dir=None) -> VerificationReport:
+def check_cor_3_11(max_poset_n: int) -> VerificationReport:
     """Powerdomains are isomorphic exactly when the posets are, over every
     pair of instances at the cap; sobriety of each instance is verified first."""
     ck = _Check("Cor3.11", {"max_poset_n": max_poset_n})
-    posets = _posets_upto(max_poset_n, cache_dir)
+    posets = _posets_upto(max_poset_n)
     for p in posets:
         if not is_sober(p):
             ck.fail("instance is not sober", instance=_poset_instance(p))
@@ -564,13 +562,13 @@ def check_cor_3_11(max_poset_n: int, cache_dir=None) -> VerificationReport:
     return ck.report()
 
 
-def check_enum(max_poset_n: int, cache_dir=None) -> VerificationReport:
+def check_enum(max_poset_n: int) -> VerificationReport:
     """Enumeration self-test: the generated posets match the brute-force
     oracle exactly, class by class, for every size up to the cap."""
     ck = _Check("Enum", {"max_poset_n": max_poset_n})
     counts = {}
     for n in range(1, max_poset_n + 1):
-        emitted = enumerate_posets(n, cache_dir=cache_dir)
+        emitted = enumerate_posets(n)
         forms = [canonical_form(p) for p in emitted]
         if len(set(forms)) != len(forms):
             ck.fail("duplicate isomorphism class emitted", instance={"n": n})
@@ -591,9 +589,10 @@ def check_enum(max_poset_n: int, cache_dir=None) -> VerificationReport:
 @dataclass(frozen=True)
 class Statement:
     """One catalog row.  ``bounds(config)`` gives the bound a run reports for
-    the statement; a global check is called as ``check(**bounds, cache_dir=)``,
-    a per-poset check as ``check(p, max_semilattice_n, cache_dir=)`` on every
-    poset up to ``max_poset_n``."""
+    the statement; a global check is called as ``check(**bounds)``, a
+    per-poset check as ``check(p, max_semilattice_n)`` on every poset up to
+    ``max_poset_n``.  A check reads nothing but its arguments, so its verdict
+    depends only on the instance and the bounds."""
 
     id: str
     aliases: tuple
@@ -662,21 +661,21 @@ def run_statement(statement: str, config: Config) -> list[VerificationReport]:
     st = _statement(statement)
     bound = st.bounds(config)
     if not st.per_poset:
-        return [st.check(**bound, cache_dir=config.cache_dir)]
+        return [st.check(**bound)]
     semi_bound = bound["max_semilattice_n"]
-    tasks = _posets_upto(bound["max_poset_n"], config.cache_dir)
+    tasks = _posets_upto(bound["max_poset_n"])
     workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        args = [(st.id, p.to_json(), semi_bound, config.cache_dir) for p in tasks]
+        args = [(st.id, p.to_json(), semi_bound) for p in tasks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [VerificationReport(**d) for d in pool.map(_run_per_poset_task, args)]
-    return [st.check(p, semi_bound, cache_dir=config.cache_dir) for p in tasks]
+    return [st.check(p, semi_bound) for p in tasks]
 
 
 def _run_per_poset_task(args) -> dict:
-    statement, poset_json, semi_bound, cache_dir = args
+    statement, poset_json, semi_bound = args
     p = FinitePoset.from_json(poset_json)
-    return _statement(statement).check(p, semi_bound, cache_dir=cache_dir).to_dict()
+    return _statement(statement).check(p, semi_bound).to_dict()
 
 
 @dataclass

@@ -125,6 +125,25 @@ class TestEnumerate:
         assert code == 2
         assert "cap" in err
 
+    def test_corrupt_cache_file_is_rewritten(self, capsys, tmp_path):
+        # a file too short to hold a header is recomputed, not a crash (exit 1)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "posets_n3.bin").write_bytes(b"\x00\x03")
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--cache", str(cache))
+        assert code == 0
+        assert out == run_cli(capsys, "enumerate", "--n", "3")[1]
+        assert len(out.splitlines()) == 5
+        assert (cache / "posets_n3.bin").stat().st_size > 2
+
+    def test_cache_path_that_is_a_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "not-a-dir"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "enumerate", "--n", "3", "--cache", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot use cache directory" in err
+
     def test_output_is_byte_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "enumerate", "--n", "4")
         _, second, _ = run_cli(capsys, "enumerate", "--n", "4")
@@ -238,46 +257,39 @@ class TestVerify:
         assert code == 2
         assert "jobs must be at least 1" in err
 
-    @pytest.mark.parametrize(
-        "argv, sizes",
-        [
-            (["--suite", "lem3.6", "--max-semilattice", "3"], [1, 2, 3]),
-            (["--suite", "thm3.9", "--max-poset", "2", "--max-semilattice", "2"], [1, 2]),
-        ],
-        ids=["pool", "refutation"],
-    )
-    def test_semilattice_search_reads_the_cache_flag(
-        self, capsys, tmp_path, monkeypatch, argv, sizes
-    ):
-        # with --cache given, no sweep may read or write the POWERLAB_CACHE dir
-        from powerlab.suite import _semilattices_upto
-
-        _semilattices_upto.cache_clear()
-        env, flag = tmp_path / "env", tmp_path / "flag"
-        monkeypatch.setenv("POWERLAB_CACHE", str(env))
-        code, _, _ = run_cli(capsys, "verify", *argv, "--cache", str(flag))
-        assert code == 0
-        assert not env.exists() or not any(env.iterdir())
-        assert sorted(f.name for f in flag.iterdir()) == [f"posets_n{n}.bin" for n in sizes]
-
-    def test_enum_reads_the_cache_flag(self, capsys, tmp_path, monkeypatch):
-        # a truncated cache file must reach the enumeration self-test through
-        # --cache, so the class-count check catches it instead of passing
-        monkeypatch.delenv("POWERLAB_CACHE", raising=False)
+    def test_environment_cache_is_not_read(self, capsys, tmp_path, monkeypatch):
+        # a truncated cache file must not shorten the sweep below the 24
+        # posets of 1..4 elements: verification reads no cache, writes none
         cache = tmp_path / "cache"
         assert run_cli(capsys, "enumerate", "--n", "4", "--cache", str(cache))[0] == 0
         path = cache / "posets_n4.bin"
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        out_path = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "enum", "--max-poset", "4",
-            "--cache", str(cache), "--out", str(out_path),
-        )
-        assert code == 1
-        assert "Enum: FAIL" in out
-        failures = json.loads(out_path.read_text())["statements"][0]["failures"]
-        assert [f["detail"] for f in failures] == ["emitted 8 classes, oracle found 16"]
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        before = {f.name: f.read_bytes() for f in cache.iterdir()}
+
+        def thm_3_9_report():
+            out_path = tmp_path / "report.json"
+            code, out, _ = run_cli(
+                capsys, "verify", "--suite", "thm3.9", "--max-poset", "4",
+                "--out", str(out_path),
+            )
+            assert code == 0
+            assert "Thm3.9: PASS (24 instances" in out
+            data = json.loads(out_path.read_text())
+            for group in data["statements"]:
+                group.pop("wall_ms")
+            return data
+
+        monkeypatch.setenv("POWERLAB_CACHE", str(cache))
+        with_env = thm_3_9_report()
+        monkeypatch.delenv("POWERLAB_CACHE")
+        assert thm_3_9_report() == with_env
+        assert {f.name: f.read_bytes() for f in cache.iterdir()} == before
+
+    def test_cache_flag_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "sober", "--max-poset", "2", "--cache", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
     def test_report_determinism_modulo_timing(self, capsys, tmp_path):
         paths = []
@@ -346,11 +358,10 @@ class TestConfigTypes:
     @pytest.mark.parametrize(
         "settings, message",
         [
-            ({"cache_dir": 5}, "cache_dir must be a path string"),
             ({"strict": "no"}, "strict must be true or false"),
             ({"strict": 1}, "strict must be true or false"),
         ],
-        ids=["int-cache-dir", "string-strict", "int-strict"],
+        ids=["string-strict", "int-strict"],
     )
     def test_mistyped_value_rejected(self, capsys, tmp_path, settings, message):
         cfg = tmp_path / "cfg.json"
@@ -359,3 +370,12 @@ class TestConfigTypes:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_cache_dir_is_an_unknown_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        settings = {"cache_dir": str(tmp_path / "cache"), "suites": ["sober"], "max_poset_n": 2}
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unknown config keys: ['cache_dir']" in err

@@ -16,6 +16,7 @@ from powerlab import (
     is_v_semilattice,
     unpack_canonical,
 )
+from powerlab import enumeration
 
 
 from conftest import small_posets
@@ -120,10 +121,10 @@ class TestEnumeratePosets:
         assert [p.up_masks for p in cached] == [p.up_masks for p in fresh]
         assert [p.up_masks for p in warmup] == [p.up_masks for p in fresh]
 
-    def test_cache_env_var(self, tmp_path, monkeypatch):
+    def test_environment_names_no_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POWERLAB_CACHE", str(tmp_path))
         enumerate_posets(3)
-        assert (tmp_path / "posets_n3.bin").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_size_six_matches_oracle(self):
         # the n = 6 classes take a couple of seconds to cross-check
@@ -144,6 +145,92 @@ class TestEnumeratePosets:
         for _ in range(100):
             p, q = rng.sample(reps, 2)
             assert not bruteforce_isomorphic(p, q)
+
+
+def pack(p):
+    """The row-major relation bits of ``p`` under its own labels, packed like
+    a canonical form but without minimizing over relabelings."""
+    acc = sum(row << (i * p.n) for i, row in enumerate(p.up_masks))
+    return bytes([p.n]) + acc.to_bytes((p.n * p.n + 7) // 8, "big")
+
+
+def largest_packing(n):
+    """The largest packed relation of any labeling of any poset on n points;
+    it is not a canonical form, since those are the least packings."""
+    return max(
+        pack(relabel(p, perm))
+        for p in enumerate_posets(n)
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def corrupt_header(n, count):
+    """A corruption that replaces the header and keeps the records."""
+
+    def apply(data):
+        header = enumeration._HEADER
+        return header.pack(n, count) + data[header.size :]
+
+    return apply
+
+
+def corrupt_records(change):
+    """A corruption that edits the list of fixed-size n = 4 records and keeps
+    the header and the file size consistent."""
+
+    def apply(data):
+        start, size = enumeration._HEADER.size, 1 + (4 * 4 + 7) // 8
+        records = [data[k : k + size] for k in range(start, len(data), size)]
+        return data[:start] + b"".join(change(records))
+
+    return apply
+
+
+CORRUPTIONS = {
+    "empty": lambda data: b"",
+    "truncated": lambda data: data[: len(data) // 2],
+    "trailing-byte": lambda data: data + b"\x00",
+    "wrong-n": corrupt_header(5, 16),
+    "wrong-count": corrupt_header(4, 15),
+    "unsorted": corrupt_records(lambda r: [r[1], r[0], *r[2:]]),
+    "duplicate": corrupt_records(lambda r: [r[0], r[0], *r[2:]]),
+    "not-a-poset": corrupt_records(lambda r: [*r[:-1], b"\x04\xff\xff"]),
+    "not-canonical": corrupt_records(lambda r: [*r[:-1], largest_packing(4)]),
+    # an n = 3 form has the same 3-byte size, sorts first and is canonical
+    "foreign-n": corrupt_records(lambda r: [canonical_form(enumerate_posets(3)[0]), *r[1:]]),
+}
+
+
+class TestCacheFile:
+    def test_valid_file_is_read_not_recomputed(self, tmp_path, monkeypatch):
+        fresh = enumerate_posets(4, cache_dir=tmp_path)
+
+        def boom(n):
+            raise AssertionError("recomputed despite a valid cache file")
+
+        monkeypatch.setattr("powerlab.enumeration._canonical_forms", boom)
+        cached = enumerate_posets(4, cache_dir=tmp_path)
+        assert [p.up_masks for p in cached] == [p.up_masks for p in fresh]
+
+    def test_file_layout(self, tmp_path):
+        forms = [canonical_form(p) for p in enumerate_posets(4, cache_dir=tmp_path)]
+        data = (tmp_path / "posets_n4.bin").read_bytes()
+        assert data == enumeration._HEADER.pack(4, 16) + b"".join(forms)
+        assert list(tmp_path.iterdir()) == [tmp_path / "posets_n4.bin"]
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_invalid_file_is_recomputed_and_rewritten(self, tmp_path, name):
+        expected = [p.up_masks for p in enumerate_posets(4)]
+        enumerate_posets(4, cache_dir=tmp_path)
+        path = tmp_path / "posets_n4.bin"
+        good = path.read_bytes()
+        bad = CORRUPTIONS[name](good)
+        assert bad != good
+        path.write_bytes(bad)
+        got = enumerate_posets(4, cache_dir=tmp_path)
+        assert [p.up_masks for p in got] == expected
+        assert path.read_bytes() == good
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestEnumerateSemilattices:

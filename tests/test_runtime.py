@@ -1,7 +1,8 @@
 """What importing and running powerlab leaves behind: only standard-library
-modules, no declared runtime dependency, and no reference cycles from the
-recursive enumerators."""
+modules, no declared runtime dependency, no reads of the environment, and no
+reference cycles from the recursive enumerators."""
 
+import ast
 import gc
 import os
 import subprocess
@@ -70,3 +71,25 @@ def test_cli_import_loads_only_the_standard_library():
 def test_no_runtime_dependency_declared():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # results must not depend on environment variables: no module may name
+    # os.environ or os.getenv, nor import them from os
+    found = []
+    for path in sorted((ROOT / "src" / "powerlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ENVIRONMENT_READERS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = ENVIRONMENT_READERS & {alias.name for alias in node.names}
+                found.extend(f"{path.name}:{node.lineno} from os import {n}" for n in names)
+    assert found == []

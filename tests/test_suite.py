@@ -18,7 +18,9 @@ from powerlab import (
     run_all,
     run_statement,
 )
-from powerlab.enumeration import enumerate_posets, monotone_map_images
+from powerlab.enumeration import canonical_form, enumerate_posets, monotone_map_images
+from powerlab.families import gamma0
+from powerlab.hoare import build_hc
 from powerlab.poset import PosetMap, scott_closure
 from powerlab.semilattice import (
     gamma_f,
@@ -116,6 +118,16 @@ class TestChecks:
         assert report.instance["n"] == 3
         assert report.wall_ms >= 0
         assert json.dumps(report.to_dict())  # JSON serializable
+
+    def test_thm_3_10_family_posets_share_a_canonical_form(self):
+        # Thm3.10 checks eta as an order isomorphism; the canonical forms of
+        # the two family posets must agree with that witness
+        for n in range(1, 5):
+            for p in enumerate_posets(n):
+                closure_system = gamma_f(build_hc(p).semilattice)
+                assert canonical_form(gamma0(p).poset) == canonical_form(
+                    closure_system.family.poset
+                )
 
     def test_thm_3_9_zero_inconclusive(self, wedge):
         report = check_thm_3_9(wedge, 3)
