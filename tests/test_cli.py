@@ -257,6 +257,30 @@ class TestVerify:
         assert code == 2
         assert "jobs must be at least 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "lem3.6", "--max-semilattice", "3"],
+            ["--suite", "thm3.9", "--max-poset", "2", "--max-semilattice", "2"],
+        ],
+        ids=["pool", "refutation"],
+    )
+    def test_semilattice_search_reads_the_cache_flag(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        # the semilattice searches take no --cache flag and leave the
+        # POWERLAB_CACHE dir untouched: verification reads no cache, writes none
+        env = tmp_path / "env"
+        monkeypatch.setenv("POWERLAB_CACHE", str(env))
+        code, _, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert not env.exists() or not any(env.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv, "--cache", str(tmp_path / "flag")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
+
     def test_environment_cache_is_not_read(self, capsys, tmp_path, monkeypatch):
         # a truncated cache file must not shorten the sweep below the 24
         # posets of 1..4 elements: verification reads no cache, writes none
