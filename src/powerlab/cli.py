@@ -3,15 +3,20 @@
 Subcommands mirror the library surface: family and powerdomain dumps, the
 F-Scott closure system, join-existence witnesses, isomorphism-free poset
 enumeration, and the verification sweep.  Exit codes: 0 all pass, 1 any
-failure, 2 usage or input error (every ``PosetError`` a subcommand raises),
-3 inconclusive results under --strict.
+failure, 2 usage or input error (every ``PosetError`` a subcommand raises,
+and an ``--out`` file that cannot be opened), 3 inconclusive results under
+--strict, 4 an unexpected error, whose traceback goes to stderr.
+
+``--out`` is opened before any work starts, as a shell redirection would be.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+import traceback
 
 from .enumeration import enumerate_posets
 from .families import gamma
@@ -21,6 +26,7 @@ from .semilattice import VSemilattice, gamma_f
 from .suite import Config, run_all
 
 USAGE_ERROR = 2
+UNEXPECTED_ERROR = 4
 
 
 class CliError(Exception):
@@ -41,12 +47,21 @@ def _load_poset(path: str) -> FinitePoset:
         raise CliError(f"invalid poset in {path}: {exc}")
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+def _open_out(path: str | None):
+    """The ``--out`` file opened for writing, or a null context for stdout."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+
+
+def _emit(text: str, out):
+    if out is None:
         print(text)
+    else:
+        out.write(text)
 
 
 def cmd_gamma(args) -> int:
@@ -151,9 +166,8 @@ def cmd_verify(args) -> int:
             f"{group['statement']}: {status} "
             f"({group['instances']} instances, bound {group['bound']})"
         )
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(summary.to_json(), fh, indent=2)
+    if args.out is not None:
+        json.dump(summary.to_json(), args.out, indent=2)
     return summary.exit_code()
 
 
@@ -213,10 +227,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        with _open_out(args.out) as out:
+            args.out = out  # the open file, or None for stdout
+            return COMMANDS[args.command](args)
     except (CliError, PosetError) as exc:
         print(f"powerlab: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        traceback.print_exc()
+        return UNEXPECTED_ERROR
 
 
 if __name__ == "__main__":

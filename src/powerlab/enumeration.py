@@ -24,6 +24,10 @@ from .poset import FinitePoset, PosetError, PosetMap, iter_bits
 
 DEFAULT_MAX_N = 6
 
+# The number of posets on n unlabeled points, n = 1..8 (OEIS A000112;
+# Brinkmann & McKay, "Posets on up to 16 points", Order 19, 2002)
+POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999}
+
 
 # -- canonical forms ----------------------------------------------------------
 
@@ -227,36 +231,55 @@ def bruteforce_poset_count(n: int) -> int:
 
 
 def enumerate_monotone_maps(p: FinitePoset, q: FinitePoset) -> list[PosetMap]:
-    """All monotone maps p -> q, by backtracking along a linear extension of p
-    with the candidate set for each element cut down to the common up-set of
-    the images of its predecessors."""
+    """All monotone maps p -> q, in the order of ``iter_monotone_maps``."""
     return [PosetMap(p, q, img) for img in monotone_map_images(p, q)]
+
+
+def iter_monotone_maps(p: FinitePoset, q: FinitePoset):
+    """Every monotone map p -> q as a tuple of images, lexicographic in the
+    images along ``p.linear_extension``.
+
+    Backtracking along that linear extension: the candidates for each element
+    are the common up-set of the images of its predecessors, tried in
+    increasing order.  The stack is explicit, one candidate mask per depth, so
+    nothing refers to itself and no garbage is left for the collector.
+    """
+    n = p.n
+    if n == 0:
+        yield ()
+        return
+    order = p.linear_extension
+    # preds[k]: the elements strictly below order[k], all earlier in the order
+    preds = [list(iter_bits(p.down_masks[e] & ~(1 << e))) for e in order]
+    up, full = q.up_masks, q.full_mask
+    last = n - 1
+    img = [0] * n
+    rest = [0] * n  # rest[k]: the candidates for order[k] not yet tried
+    rest[0] = full
+    k = 0
+    while k >= 0:
+        cand = rest[k]
+        if not cand:
+            k -= 1
+            continue
+        low = cand & -cand
+        rest[k] = cand ^ low
+        img[order[k]] = low.bit_length() - 1
+        if k == last:
+            yield tuple(img)
+            continue
+        k += 1
+        cand = full
+        for x in preds[k]:
+            cand &= up[img[x]]
+        rest[k] = cand
 
 
 @lru_cache(maxsize=None)
 def monotone_map_images(p: FinitePoset, q: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    n = p.n
-    order = p.linear_extension
-    strict_down = [p.down_masks[e] & ~(1 << e) for e in range(n)]
-    img = [-1] * n
-    out: list[tuple[int, ...]] = []
-
-    def rec(k: int):
-        if k == n:
-            out.append(tuple(img))
-            return
-        e = order[k]
-        cand = q.full_mask
-        for pred in iter_bits(strict_down[e]):
-            cand &= q.up_masks[img[pred]]
-        for v in iter_bits(cand):
-            img[e] = v
-            rec(k + 1)
-        img[e] = -1
-
-    rec(0)
-    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
-    return tuple(out)
+    """``iter_monotone_maps(p, q)``, kept for the checks that read the same
+    maps more than once."""
+    return tuple(iter_monotone_maps(p, q))
 
 
 # -- canonical form cache file -----------------------------------------------------
@@ -287,7 +310,8 @@ def _write_cache(cache_dir: Path, n: int, forms) -> None:
 def _read_cache(cache_dir: Path, n: int):
     """The cached forms of size ``n``, or None when the file is missing or is
     not exactly what ``_write_cache`` writes: a size that disagrees with its
-    header, another n, forms out of order or a form that is not canonical."""
+    header, another n, a class count other than ``POSET_COUNTS[n]``, forms
+    out of order or a form that is not canonical."""
     try:
         data = _cache_file(cache_dir, n).read_bytes()
     except FileNotFoundError:
@@ -295,6 +319,8 @@ def _read_cache(cache_dir: Path, n: int):
     size = 1 + (n * n + 7) // 8
     count, extra = divmod(len(data) - _HEADER.size, size)
     if extra or count < 0 or data[: _HEADER.size] != _HEADER.pack(n, count):
+        return None
+    if count != POSET_COUNTS.get(n, count):  # a cut file with a consistent header
         return None
     forms = tuple(data[k : k + size] for k in range(_HEADER.size, len(data), size))
     try:

@@ -5,14 +5,19 @@ nonempty Scott closed sets, of the consistent ones.  Membership can also be
 characterized by join-existence of images under monotone maps into partial
 join semilattices; this module provides both the canonical refutation witness
 for non-members and the bounded search that backs the characterization checks.
-"""
+The bounded search, ``first_refutations``, serves a batch of sets with one
+streamed sweep over the maps, skips semilattices in which every nonempty
+subset has a sup and joins only the images of maximal elements; none of this
+changes which witness it finds for a set.  ``refute_batch`` puts the
+canonical witness in front of it for a batch, ``refute_v_existing`` for one
+set."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .enumeration import enumerate_v_semilattices, monotone_map_images
+from .enumeration import enumerate_v_semilattices, iter_monotone_maps
 from .families import SetFamily, closure_in_family, gamma
 from .poset import (
     FinitePoset,
@@ -166,29 +171,84 @@ def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4):
 
     The powerdomain with its point-closure embedding is tried first: for a
     non-consistent closed set it always refutes, because any member bounding
-    the embedded image would be a consistent superset.  Failing that, all
-    semilattices up to ``max_size`` and all monotone maps are searched in
-    canonical order; exhaustion is reported with the bound.  The result
-    depends only on the poset, the set and the bound.
+    the embedded image would be a consistent superset.  Failing that,
+    ``first_refutations`` searches every semilattice of 1 to ``max_size``
+    elements and every monotone map in canonical order; exhaustion is
+    reported with the bound.  The result depends only on the poset, the set
+    and the bound.  This is ``refute_batch`` on one set.
     """
-    if not is_scott_closed(p, bits) or bits == 0:
+    (result,) = refute_batch(p, [bits], max_size)
+    return result
+
+
+def refute_batch(p: FinitePoset, sets, max_size: int = 4) -> list:
+    """``refute_v_existing`` of every set, with one bounded search for all the
+    sets that the canonical witness leaves standing."""
+    if max_size < 1:
+        raise PosetError(f"refutation needs a semilattice bound of at least 1, not {max_size}")
+    if any(a == 0 or not is_scott_closed(p, a) for a in sets):
         raise PosetError("refutation is defined for nonempty Scott closed sets")
     h = build_hc(p)
-    cert = sup_of_image(h.semilattice, h.j, bits)
-    if cert.verdict == "NO_SUP":
-        return cert
-    elems = list(iter_bits(bits))
-    for n_l in range(1, max_size + 1):
-        for l in enumerate_v_semilattices(n_l):
-            sup = l.sup_table
-            for img in monotone_map_images(p, l.poset):
+    certs = [sup_of_image(h.semilattice, h.j, a) for a in sets]
+    survivors = [a for a, cert in zip(sets, certs) if cert.verdict != "NO_SUP"]
+    # lazily, so a batch refuted early never enumerates the larger sizes
+    semilattices = (l for n in range(1, max_size + 1) for l in enumerate_v_semilattices(n))
+    searched = iter(first_refutations(p, survivors, semilattices))
+    return [
+        cert if cert.verdict == "NO_SUP" else next(searched) or NoWitnessFound(max_size)
+        for cert in certs
+    ]
+
+
+def first_refutations(p: FinitePoset, sets, semilattices) -> list:
+    """For each nonempty subset in ``sets``, the first (semilattice, monotone
+    map) in canonical order under which its image has no least upper bound,
+    as a ``WitnessCert``, or None when no map into ``semilattices`` refutes it.
+
+    Canonical order walks ``semilattices`` in the order given and, for each,
+    the maps of ``iter_monotone_maps``.  One sweep over the maps serves the
+    whole batch, and three reductions leave every set's first witness as it
+    is:
+
+    - a semilattice in which every nonempty subset has a sup is skipped: no
+      image of a nonempty set can lack one there;
+    - only the images of the maximal elements of a set are joined: every
+      element lies below a maximal one and the map is monotone, so both
+      images have the same upper bounds.  A set with one maximal element is
+      never refuted, since the image of that element is the sup;
+    - the maps are streamed, not cached, and a set leaves the batch once it
+      is refuted; the sweep ends when the batch is empty.
+    """
+    up = p.up_masks
+    found = [None] * len(sets)
+    # (index, maximal elements) of every set that some map could refute
+    pending = []
+    for i, a in enumerate(sets):
+        if not a:
+            raise PosetError("the refutation search is defined for nonempty sets")
+        tops = [x for x in iter_bits(a) if up[x] & a == 1 << x]
+        if len(tops) > 1:
+            pending.append((i, tops))
+    for l in semilattices:
+        if not pending:
+            break
+        sup = l.sup_table
+        if None not in sup[1:]:
+            continue
+        for img in iter_monotone_maps(p, l.poset):
+            hit = False
+            for i, tops in pending:
                 image = 0
-                for x in elems:
+                for x in tops:
                     image |= 1 << img[x]
                 if sup[image] is None:
-                    f = PosetMap(p, l.poset, img)
-                    return WitnessCert(l, f, bits, "NO_SUP", None)
-    return NoWitnessFound(max_size)
+                    found[i] = WitnessCert(l, PosetMap(p, l.poset, img), sets[i], "NO_SUP", None)
+                    hit = True
+            if hit:
+                pending = [entry for entry in pending if found[entry[0]] is None]
+                if not pending:
+                    break
+    return found
 
 
 # -- relatively consistent closed sets -----------------------------------------

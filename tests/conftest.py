@@ -69,6 +69,24 @@ def literal_fixpoint(p, bits, join=None):
         cur = nxt
 
 
+def literal_first_refutation(p, bits, semilattices):
+    """The bounded refutation search with no reduction: every semilattice in
+    the order given, every cached monotone map in its order, and the join of
+    the image of every element of the set, computed by ``sup_of_bits``.  The
+    first (semilattice, map image) under which that join does not exist, or
+    None.  The reference for the reductions of ``first_refutations``."""
+    from powerlab.enumeration import monotone_map_images
+
+    for l in semilattices:
+        for img in monotone_map_images(p, l.poset):
+            image = 0
+            for x in iter_bits(bits):
+                image |= 1 << img[x]
+            if l.sup_of_bits(image) is None:
+                return l, img
+    return None
+
+
 def literal_canonical_form(p):
     """The canonical form by the unpruned search: the same colours, refinement,
     target cell and packed leaf as ``canonical_form``, but every element of

@@ -105,6 +105,14 @@ class TestVexist:
         assert code == 2
         assert "Scott closed" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one_rejected(self, capsys, vee_file, bound):
+        # a search over no semilattice must not report NOT_FOUND as if exhausted
+        code, out, err = run_cli(capsys, "vexist", vee_file, "--set", "a,b", "--max-l", bound)
+        assert code == 2
+        assert out == ""
+        assert "bound of at least 1" in err
+
 
 class TestEnumerate:
     def test_counts(self, capsys):
@@ -337,6 +345,52 @@ class TestVerify:
                 group.pop("wall_ms")
             blobs.append(json.dumps(data, sort_keys=True))
         assert blobs[0] == blobs[1]
+
+
+class TestOutputFile:
+    """An --out that cannot be written is an input error found before the work."""
+
+    def test_verify_checks_out_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def sweep(config):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr("powerlab.cli.run_all", sweep)
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "sober", "--max-poset", "2", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"cannot write {target}" in err
+
+    def test_hoare_checks_out_before_building(self, capsys, tmp_path, vee_file, monkeypatch):
+        def build(p):
+            raise AssertionError("the powerdomain was built before --out was checked")
+
+        monkeypatch.setattr("powerlab.cli.build_hc", build)
+        code, out, err = run_cli(capsys, "hoare", vee_file, "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write {tmp_path}" in err
+
+    def test_written_output_matches_stdout(self, capsys, tmp_path, vee_file):
+        target = tmp_path / "h.json"
+        _, printed, _ = run_cli(capsys, "hoare", vee_file)
+        code, out, _ = run_cli(capsys, "hoare", vee_file, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() + "\n" == printed
+
+
+class TestUnexpectedError:
+    def test_own_exit_code_and_traceback(self, capsys, monkeypatch):
+        def sweep(config):
+            raise RuntimeError("sweep broke")
+
+        monkeypatch.setattr("powerlab.cli.run_all", sweep)
+        code, out, err = run_cli(capsys, "verify", "--suite", "sober", "--max-poset", "2")
+        assert code == 4
+        assert out == ""
+        assert "Traceback" in err and "RuntimeError: sweep broke" in err
 
 
 class TestPosetShape:

@@ -17,6 +17,7 @@ from powerlab import (
     unpack_canonical,
 )
 from powerlab import enumeration
+from powerlab.enumeration import iter_monotone_maps, monotone_map_images
 
 
 from conftest import small_posets
@@ -192,6 +193,8 @@ CORRUPTIONS = {
     "trailing-byte": lambda data: data + b"\x00",
     "wrong-n": corrupt_header(5, 16),
     "wrong-count": corrupt_header(4, 15),
+    # header and size agree, but n = 4 has 16 classes, not 15
+    "cut": lambda data: corrupt_header(4, 15)(corrupt_records(lambda r: r[:-1])(data)),
     "unsorted": corrupt_records(lambda r: [r[1], r[0], *r[2:]]),
     "duplicate": corrupt_records(lambda r: [r[0], r[0], *r[2:]]),
     "not-a-poset": corrupt_records(lambda r: [*r[:-1], b"\x04\xff\xff"]),
@@ -277,3 +280,14 @@ class TestMonotoneMaps:
                 assert got == naive
                 for f in enumerate_monotone_maps(p, q):
                     assert f.is_monotone()
+
+    def test_lexicographic_along_the_linear_extension(self):
+        # the refutation search reports the first refuting map in this order
+        semilattices = [l for n in range(1, 5) for l in enumerate_v_semilattices(n)]
+        for p in small_posets(4):
+            order = p.linear_extension
+            for l in semilattices:
+                maps = monotone_map_images(p, l.poset)
+                keys = [tuple(img[e] for e in order) for img in maps]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                assert tuple(iter_monotone_maps(p, l.poset)) == maps

@@ -21,8 +21,17 @@ from powerlab import (
     refute_v_existing,
     sup_of_image,
 )
+from powerlab.enumeration import canonical_form, enumerate_v_semilattices
+from powerlab.hoare import first_refutations, refute_batch
 
-from conftest import small_posets
+from conftest import literal_first_refutation, small_posets
+
+SEMILATTICES = [l for n in range(1, 5) for l in enumerate_v_semilattices(n)]
+
+
+def as_pair(cert):
+    """A search result as the oracle's (semilattice, map image), or None."""
+    return None if cert is None else (cert.semilattice, cert.map.img)
 
 
 def members_as_labels(fam):
@@ -206,6 +215,49 @@ class TestRefuteVExisting:
                     assert isinstance(result, NoWitnessFound)
                 else:
                     assert isinstance(result, WitnessCert)
+
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_rejected(self, vee, bound):
+        with pytest.raises(PosetError, match="at least 1"):
+            refute_v_existing(vee, vee.subset_from_labels(["a", "b"]), max_size=bound)
+
+
+class TestFirstRefutations:
+    """The bounded search on its own, without the canonical witness in front,
+    against the unpruned literal search."""
+
+    @pytest.mark.parametrize("p", small_posets(4), ids=lambda p: canonical_form(p).hex())
+    def test_same_first_map_as_the_literal_search(self, p):
+        sets = gamma(p).members
+        for l in SEMILATTICES:
+            got = first_refutations(p, sets, [l])
+            for a, cert in zip(sets, got):
+                assert as_pair(cert) == literal_first_refutation(p, a, [l])
+                if cert is not None:
+                    assert cert.subset == a and cert.verdict == "NO_SUP"
+                    assert sup_of_image(cert.semilattice, cert.map, a).verdict == "NO_SUP"
+
+    @pytest.mark.parametrize("p", small_posets(4), ids=lambda p: canonical_form(p).hex())
+    def test_batch_equals_single_sets(self, p):
+        sets = gamma(p).members
+        batch = first_refutations(p, sets, SEMILATTICES)
+        for a, cert in zip(sets, batch):
+            assert cert == first_refutations(p, [a], SEMILATTICES)[0]
+            assert as_pair(cert) == literal_first_refutation(p, a, SEMILATTICES)
+        # and with the canonical witness in front, as Thm3.9 runs it
+        assert refute_batch(p, sets, 4) == [refute_v_existing(p, a, 4) for a in sets]
+
+    def test_semilattice_with_a_least_element_refutes(self, a2, wedge):
+        # a bottom below two atoms: the two atoms have no upper bound, so the
+        # identity on the antichain refutes it although the wedge has a bottom
+        l = VSemilattice.from_poset(wedge)
+        (cert,) = first_refutations(a2, [a2.full_mask], [l])
+        assert cert is not None and sup_of_image(l, cert.map, a2.full_mask).verdict == "NO_SUP"
+
+    def test_empty_set_rejected(self, a2):
+        with pytest.raises(PosetError, match="nonempty"):
+            first_refutations(a2, [0], SEMILATTICES)
 
 
 class TestRelativelyConsistent:
