@@ -31,7 +31,6 @@ from .semilattice import (
     FClosureSystem,
     VSemilattice,
     cl_f,
-    disable_closure_step,
     enumerate_homomorphisms,
     gamma_f,
     is_f_scott_closed,
@@ -69,7 +68,6 @@ from .suite import (
     Config,
     Summary,
     VerificationReport,
-    mutation_failures,
     replay_failure,
     run_all,
     run_statement,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .enumeration import enumerate_v_semilattices, iter_monotone_maps
+from .enumeration import DEFAULT_MAX_N, enumerate_v_semilattices, iter_monotone_maps
 from .families import SetFamily, closure_in_family, gamma
 from .poset import (
     FinitePoset,
@@ -174,7 +174,8 @@ def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4):
     the embedded image would be a consistent superset.  Failing that,
     ``first_refutations`` searches every semilattice of 1 to ``max_size``
     elements and every monotone map in canonical order; exhaustion is
-    reported with the bound.  The result depends only on the poset, the set
+    reported with the bound.  A bound outside 1 to ``DEFAULT_MAX_N`` is
+    refused before any search.  The result depends only on the poset, the set
     and the bound.  This is ``refute_batch`` on one set.
     """
     (result,) = refute_batch(p, [bits], max_size)
@@ -186,6 +187,8 @@ def refute_batch(p: FinitePoset, sets, max_size: int = 4) -> list:
     sets that the canonical witness leaves standing."""
     if max_size < 1:
         raise PosetError(f"refutation needs a semilattice bound of at least 1, not {max_size}")
+    if max_size > DEFAULT_MAX_N:
+        raise PosetError(f"semilattice bound {max_size} exceeds the enumeration cap {DEFAULT_MAX_N}")
     if any(a == 0 or not is_scott_closed(p, a) for a in sets):
         raise PosetError("refutation is defined for nonempty Scott closed sets")
     h = build_hc(p)
@@ -296,8 +299,6 @@ def is_relatively_consistent(p: FinitePoset, bits: int) -> bool:
     return scott_closure(p, acc) == bits
 
 
-
-@lru_cache(maxsize=None)
 def r_gamma_c(p: FinitePoset) -> SetFamily:
     """All nonempty Scott closed relatively consistent subsets."""
     return SetFamily(p, [m for m in gamma(p) if is_relatively_consistent(p, m)])

@@ -6,17 +6,23 @@ validated once at construction.  F-Scott closed subsets are lower sets that
 also contain the join of each of their consistent finite subsets; ``cl_f``
 is the corresponding closure operator and ``gamma_f`` enumerates all closed
 sets with the lectic Next-Closure algorithm, so the work is proportional to
-the number of closed sets rather than to 2**n.
+the number of closed sets rather than to 2**n.  Homomorphisms are the
+monotone maps of ``iter_monotone_maps`` that preserve the join of every
+consistent incomparable pair.
+
+The module carries no test switch: mutation probes replace ``down_set`` or
+``_step_pair_join`` in this module's namespace from outside, and clear the
+``gamma_f`` cache, the one cache that holds a ``cl_f`` result.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .enumeration import iter_monotone_maps
 from .families import SetFamily
 from .poset import (
     FinitePoset,
@@ -32,39 +38,6 @@ from .poset import (
     scott_closure,
 )
 
-# "directed_sup" names the literal closure step that cl_f omits: a finite
-# directed set contains its sup, so the step never adds an element and
-# disabling it changes nothing.  The name stays accepted for the mutation probe,
-# where it is the equivalent mutant: criterion 8 checks that it agrees with the
-# literal closure on every trio subset and that no statement check fails.
-CLOSURE_STEPS = ("lower", "pair_join", "directed_sup")
-
-# Mutation hooks for the verification suite: closure steps listed here are
-# skipped by cl_f.  Test plumbing only; never set outside disable_closure_step.
-_DISABLED_STEPS: set[str] = set()
-
-
-@contextmanager
-def disable_closure_step(name: str):
-    """Temporarily drop one cl_f closure step ("lower" | "pair_join" | "directed_sup").
-
-    Dropping "directed_sup" is a no-op, because cl_f never runs that step:
-    it is the probe's equivalent mutant, which no statement check may flag.
-    """
-    if name not in CLOSURE_STEPS:
-        raise ValueError(f"unknown closure step {name!r}")
-    if name in _DISABLED_STEPS:
-        raise ValueError(f"closure step {name!r} already disabled")
-    _DISABLED_STEPS.add(name)
-    try:
-        yield
-    finally:
-        _DISABLED_STEPS.discard(name)
-
-
-def _disabled_key() -> frozenset:
-    return frozenset(_DISABLED_STEPS)
-
 
 class VSemilattice:
     """A finite poset with a partial join defined exactly on consistent pairs.
@@ -79,7 +52,6 @@ class VSemilattice:
         self.poset = poset
         self.join = tuple(tuple(row) for row in join)
         self._validate()
-        self._clf_memo: dict[tuple, int] = {}
 
     @property
     def n(self) -> int:
@@ -242,25 +214,16 @@ def cl_f(l: VSemilattice, bits: int) -> int:
     """Least F-Scott closed superset: fixpoint of the lower-closure and
     consistent-pair-join steps.
 
-    The literal definition also closes under directed sups; on a finite poset
-    that step adds nothing (see ``CLOSURE_STEPS``), which the test suite
-    checks against the literal fixpoint."""
-    key = (_disabled_key(), bits)
-    hit = l._clf_memo.get(key)
-    if hit is not None:
-        return hit
-    disabled = _DISABLED_STEPS
+    The literal definition also closes under directed sups.  On a finite poset
+    that step adds nothing: a finite directed set has a greatest element, so
+    its sup already belongs to it.  The test suite checks this against the
+    literal fixpoint."""
     cur = bits
     while True:
         prev = cur
-        if "lower" not in disabled:
-            cur = down_set(l.poset, cur)
-        if "pair_join" not in disabled:
-            cur = _step_pair_join(l, cur)
+        cur = _step_pair_join(l, down_set(l.poset, cur))
         if cur == prev:
-            break
-    l._clf_memo[key] = cur
-    return cur
+            return cur
 
 
 @dataclass(frozen=True)
@@ -277,11 +240,11 @@ class FClosureSystem:
 
 def gamma_f(l: VSemilattice) -> FClosureSystem:
     """Enumerate every F-Scott closed set by Next-Closure in lectic order."""
-    return _gamma_f_cached(l, _disabled_key())
+    return _gamma_f_cached(l)
 
 
 @lru_cache(maxsize=None)
-def _gamma_f_cached(l: VSemilattice, disabled_key) -> FClosureSystem:
+def _gamma_f_cached(l: VSemilattice) -> FClosureSystem:
     n = l.n
     members = []
     current = cl_f(l, 0)
@@ -367,48 +330,29 @@ def is_f_scott_continuous(f: PosetMap, l: VSemilattice, m: VSemilattice) -> bool
 
 
 def enumerate_homomorphisms(l: VSemilattice, m: VSemilattice) -> list[PosetMap]:
-    """All join-preserving monotone maps, by backtracking along a linear
-    extension with monotonicity and join-constraint propagation."""
+    """All join-preserving monotone maps, in the order of ``iter_monotone_maps``.
+
+    A monotone map already preserves the join of a comparable pair, so only
+    the consistent incomparable pairs are tested."""
     return [PosetMap(l.poset, m.poset, img) for img in _homomorphism_images(l, m)]
 
 
 @lru_cache(maxsize=None)
 def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[tuple[int, ...], ...]:
-    lp, mp = l.poset, m.poset
-    n = lp.n
-    order = lp.linear_extension
-    # pairs (x, y) strictly below z whose join is z: once x and y have images,
-    # the image of z is forced
-    forcing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            z = l.join[i][j]
-            if z != -1 and z != i and z != j:
-                forcing[z].append((i, j))
-    strict_down = [lp.down_masks[e] & ~(1 << e) for e in range(n)]
-    img = [-1] * n
-    out: list[tuple[int, ...]] = []
-
-    def rec(k: int):
-        if k == n:
-            out.append(tuple(img))
-            return
-        z = order[k]
-        cand = mp.full_mask
-        for p_ in iter_bits(strict_down[z]):
-            cand &= mp.up_masks[img[p_]]
-        for (x, y) in forcing[z]:
-            w = m.join[img[x]][img[y]]
-            if w == -1:
-                return
-            cand &= 1 << w
-        for v in iter_bits(cand):
-            img[z] = v
-            rec(k + 1)
-        img[z] = -1
-
-    rec(0)
-    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
+    pairs = [
+        (i, j, z)
+        for i in range(l.n)
+        for j in range(i + 1, l.n)
+        if (z := l.join[i][j]) not in (-1, i, j)
+    ]
+    jm = m.join
+    out = []
+    for img in iter_monotone_maps(l.poset, m.poset):
+        for i, j, z in pairs:
+            if jm[img[i]][img[j]] != img[z]:
+                break
+        else:
+            out.append(img)
     return tuple(out)
 
 

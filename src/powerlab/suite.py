@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import partial
 
-from .catalog import standard_trio
 from .enumeration import (
     bruteforce_canonical_forms,
     canonical_form,
@@ -53,7 +52,6 @@ from .semilattice import (
     _homomorphism_images,
     _img_is_homomorphism,
     cl_f,
-    disable_closure_step,
     gamma_f,
     is_f_scott_closed,
 )
@@ -754,19 +752,3 @@ def replay_failure(payload: dict) -> str:
         p = FinitePoset.from_json(payload["instance"]["poset"])
         return st.check(p, bounds.get("max_semilattice_n", 4)).verdict
     return st.check(**bounds).verdict
-
-
-# -- mutation sensitivity ---------------------------------------------------------
-
-
-def mutation_failures(step: str) -> list[dict]:
-    """Failures observed on the standard trio with one cl_f step disabled.
-
-    Empty for "directed_sup", which leaves cl_f unchanged on finite instances;
-    non-empty for "lower" and "pair_join", which change it on the trio."""
-    out = []
-    with disable_closure_step(step):
-        for p in standard_trio():
-            report = check_thm_3_10(p)
-            out.extend(report.failures)
-    return out

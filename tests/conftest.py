@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import pytest
 
 from powerlab import catalog, down_set
@@ -67,6 +69,38 @@ def literal_fixpoint(p, bits, join=None):
         if nxt == cur:
             return cur
         cur = nxt
+
+
+# the module global that cl_f calls for each step; cl_f never runs a
+# directed-sup step, so that mutant patches nothing
+_CLOSURE_STEP_FUNCTIONS = {"lower": "down_set", "pair_join": "_step_pair_join", "directed_sup": None}
+
+
+@contextmanager
+def closure_mutant(step):
+    """Run with one cl_f step ("lower", "pair_join" or "directed_sup")
+    replaced by the identity in ``powerlab.semilattice``.  The gamma_f cache,
+    the one cache holding a cl_f result, is cleared on entry and on exit, so
+    no result leaks into or out of the mutant."""
+    from powerlab import semilattice
+
+    name = _CLOSURE_STEP_FUNCTIONS[step]
+    semilattice._gamma_f_cached.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            if name is not None:
+                mp.setattr(semilattice, name, lambda _, bits: bits)
+            yield
+    finally:
+        semilattice._gamma_f_cached.cache_clear()
+
+
+def mutant_failures(step):
+    """Thm3.10's failures on the standard trio under ``closure_mutant(step)``."""
+    from powerlab.suite import check_thm_3_10
+
+    with closure_mutant(step):
+        return [f for p in catalog.standard_trio() for f in check_thm_3_10(p).failures]
 
 
 def literal_first_refutation(p, bits, semilattices):

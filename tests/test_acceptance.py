@@ -18,13 +18,11 @@ from powerlab import (
     bruteforce_poset_count,
     catalog,
     cl_f,
-    disable_closure_step,
     enumerate_posets,
-    mutation_failures,
     run_statement,
 )
 
-from conftest import literal_fixpoint
+from conftest import closure_mutant, literal_fixpoint, mutant_failures
 
 
 def _sweep(statement, max_poset_n, max_semilattice_n=4):
@@ -130,7 +128,7 @@ def _subsets_changed_by(step):
     counts = []
     for p in catalog.standard_trio():
         l = build_hc(p).semilattice
-        with disable_closure_step(step):
+        with closure_mutant(step):
             mutant = [cl_f(l, a) for a in range(1 << l.n)]
         counts.append(
             sum(c != literal_fixpoint(l.poset, a, l.join) for a, c in enumerate(mutant))
@@ -155,7 +153,7 @@ def test_criterion_8_mutation_sensitivity(step):
     fails on the real operator's twin is itself wrong.
     """
     changed = _subsets_changed_by(step)
-    failures = mutation_failures(step)
+    failures = mutant_failures(step)
     equivalent = step == "directed_sup"
     ok = any(changed) != equivalent and bool(failures) != equivalent
     line = "PASS" if ok else "FAIL"

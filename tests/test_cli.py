@@ -113,6 +113,20 @@ class TestVexist:
         assert out == ""
         assert "bound of at least 1" in err
 
+    @pytest.mark.parametrize("members", ["a,b", "a,b,t"])
+    def test_bound_above_cap_rejected(self, capsys, monkeypatch, vee_file, members):
+        # refused before any work, both for a set that the search would run
+        # on up to size 7 and for one it would drop as never refutable
+        def no_work(*args):
+            raise AssertionError("work started under a refused bound")
+
+        monkeypatch.setattr("powerlab.hoare.build_hc", no_work)
+        monkeypatch.setattr("powerlab.hoare.enumerate_v_semilattices", no_work)
+        code, out, err = run_cli(capsys, "vexist", vee_file, "--set", members, "--max-l", "7")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the enumeration cap 6" in err
+
 
 class TestEnumerate:
     def test_counts(self, capsys):

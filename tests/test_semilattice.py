@@ -11,7 +11,6 @@ from powerlab import (
     build_hc,
     catalog,
     cl_f,
-    disable_closure_step,
     enumerate_homomorphisms,
     enumerate_v_semilattices,
     gamma_f,
@@ -24,8 +23,9 @@ from powerlab import (
     sup_exists_transport_check,
 )
 from powerlab.semilattice import f_scott_continuity_violation
+from powerlab.suite import check_thm_3_10
 
-from conftest import small_posets
+from conftest import closure_mutant, small_posets
 
 
 def semis_upto(k):
@@ -164,14 +164,27 @@ class TestClF:
         l = build_hc(vee).semilattice
         pair = 0b0011
         assert cl_f(l, pair) == 0b0111
-        with disable_closure_step("pair_join"):
+        with closure_mutant("pair_join"):
             assert cl_f(l, pair) == 0b0011
         assert cl_f(l, pair) == 0b0111
 
-    def test_unknown_step_rejected(self):
-        with pytest.raises(ValueError):
-            with disable_closure_step("nope"):
-                pass
+    def test_mutant_leaves_no_result_behind(self):
+        # the mutant's closed sets must not be served from the gamma_f cache
+        # once it is gone, nor the real ones while it is active
+        trio = [(p, build_hc(p).semilattice) for p in catalog.standard_trio()]
+
+        def results():
+            return [
+                (gamma_f(l).members, [cl_f(l, a) for a in range(1 << l.n)], check_thm_3_10(p).verdict)
+                for p, l in trio
+            ]
+
+        clean = results()
+        assert all(verdict == "PASS" for _, _, verdict in clean)
+        with closure_mutant("pair_join"):
+            mutated = results()
+        assert [closed for closed, _, _ in mutated] != [closed for closed, _, _ in clean]
+        assert results() == clean
 
 
 class TestGammaF:
@@ -270,13 +283,18 @@ class TestEnumerateHomomorphisms:
     def test_matches_naive_filter(self):
         for l in semis_upto(3):
             for m in semis_upto(3):
-                naive = set()
-                for img in itertools.product(range(m.n), repeat=l.n):
-                    f = PosetMap(l.poset, m.poset, img)
+                # lexicographic in the images along the linear extension
+                order = l.poset.linear_extension
+                naive = []
+                for along in itertools.product(range(m.n), repeat=l.n):
+                    img = [0] * l.n
+                    for e, v in zip(order, along):
+                        img[e] = v
+                    f = PosetMap(l.poset, m.poset, tuple(img))
                     if f.is_monotone() and is_homomorphism(f, l, m):
-                        naive.add(img)
-                got = {f.img for f in enumerate_homomorphisms(l, m)}
-                assert got == naive
+                        naive.append(f.img)
+                got = tuple(f.img for f in enumerate_homomorphisms(l, m))
+                assert got == tuple(naive)
 
 
 class TestFScottContinuity:

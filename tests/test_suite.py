@@ -1,4 +1,4 @@
-"""The verification sweep: reports, determinism, replay, and mutation hooks."""
+"""The verification sweep: reports, determinism, replay, and closure mutants."""
 
 import copy
 import importlib.util
@@ -12,8 +12,6 @@ from powerlab import (
     Config,
     PosetError,
     catalog,
-    disable_closure_step,
-    mutation_failures,
     replay_failure,
     run_all,
     run_statement,
@@ -41,6 +39,8 @@ from powerlab.suite import (
     check_thm_3_10,
     exit_code_for,
 )
+
+from conftest import closure_mutant, mutant_failures
 
 
 def strip_timing(summary_json):
@@ -216,20 +216,20 @@ class TestRunAll:
 
 class TestMutation:
     def test_pair_join_mutant_fails_on_vee(self):
-        failures = mutation_failures("pair_join")
+        failures = mutant_failures("pair_join")
         assert failures
         posets = {f["instance"]["poset"]["labels"][-1] for f in failures}
         assert "t" in posets  # the vee instance is among the failures
 
     def test_lower_mutant_fails(self):
-        assert mutation_failures("lower")
+        assert mutant_failures("lower")
 
     def test_unmutated_trio_passes(self):
         for p in catalog.standard_trio():
             assert check_thm_3_10(p).verdict == "PASS"
 
     def test_failure_payload_replays_to_fail(self):
-        with disable_closure_step("pair_join"):
+        with closure_mutant("pair_join"):
             report = check_thm_3_10(catalog.vee())
             assert report.verdict == "FAIL"
             payload = json.loads(json.dumps(report.failures[0]))
@@ -255,13 +255,21 @@ class TestMutation:
 
 
 def test_traced_spans_cover_the_catalog():
-    # the benchmark's tracer names one span per statement id; a statement
-    # missing there would run untimed
+    # the benchmark's tracer names one span per statement id, and wraps library
+    # functions and reads their lru_caches by name; a statement missing there
+    # would run untimed, and a renamed function or cache would stop the tracer
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     assert spans.STATEMENTS == STATEMENT_ORDER
+    for modname, attr, _prefix, kinds in spans.FUNCTIONS:
+        mod = importlib.import_module("powerlab." + modname)
+        assert callable(getattr(mod, attr, None)), f"powerlab.{modname}.{attr}"
+        for kind in kinds:
+            if kind.startswith("misses:"):
+                cache = kind.split(":", 1)[1]
+                assert hasattr(getattr(mod, cache, None), "cache_info"), f"powerlab.{modname}.{cache}"
 
 
 class TestFreenessDetail:
