@@ -19,8 +19,7 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 
-from .families import _ideals
-from .poset import FinitePoset, PosetError, PosetMap, iter_bits
+from .poset import FinitePoset, PosetError, PosetMap, _ideals, iter_bits
 
 DEFAULT_MAX_N = 6
 

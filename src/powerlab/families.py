@@ -12,6 +12,7 @@ from functools import cached_property
 from .poset import (
     FinitePoset,
     PosetError,
+    _ideals,
     down_set,
     iter_bits,
 )
@@ -89,33 +90,6 @@ class SetFamily:
 
     def to_dot(self) -> str:
         return self.poset.to_dot()
-
-
-def _ideals(p: FinitePoset, include_empty: bool) -> list[int]:
-    """All lower sets, by include/exclude recursion along a linear extension.
-
-    An element may be included only once its whole strict down-set is in, so
-    every leaf of the recursion is an ideal and the work is proportional to
-    the number of ideals, not to 2**n.
-    """
-    order = p.linear_extension
-    strict_down = tuple(p.down_masks[e] & ~(1 << e) for e in range(p.n))
-    out: list[int] = []
-
-    def rec(k: int, mask: int):
-        if k == len(order):
-            out.append(mask)
-            return
-        e = order[k]
-        rec(k + 1, mask)
-        if strict_down[e] & ~mask == 0:
-            rec(k + 1, mask | (1 << e))
-
-    rec(0, 0)
-    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
-    if not include_empty:
-        out.remove(0)
-    return out
 
 
 def gamma(p: FinitePoset) -> SetFamily:

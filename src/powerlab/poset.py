@@ -491,15 +491,40 @@ def way_down_masks(p: FinitePoset) -> tuple[int, ...]:
     return cached
 
 
+def _ideals(p: FinitePoset, include_empty: bool) -> list[int]:
+    """All lower sets, by include/exclude recursion along a linear extension.
+
+    An element may be included only once its whole strict down-set is in, so
+    every leaf of the recursion is an ideal and the work is proportional to
+    the number of ideals, not to 2**n.
+    """
+    order = p.linear_extension
+    strict_down = tuple(p.down_masks[e] & ~(1 << e) for e in range(p.n))
+    out: list[int] = []
+
+    def rec(k: int, mask: int):
+        if k == len(order):
+            out.append(mask)
+            return
+        e = order[k]
+        rec(k + 1, mask)
+        if strict_down[e] & ~mask == 0:
+            rec(k + 1, mask | (1 << e))
+
+    rec(0, 0)
+    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
+    if not include_empty:
+        out.remove(0)
+    return out
+
+
 def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:
     """Whether the closed set is not a union of two proper closed subsets."""
     if not is_scott_closed(p, bits):
         raise PosetError("irreducibility is only defined for Scott closed sets")
     if bits == 0:
         return False
-    proper = [
-        c for c in _closed_subsets(p) if c & ~bits == 0 and c != bits
-    ]
+    proper = [c for c in _ideals(p, include_empty=True) if c & ~bits == 0 and c != bits]
     for i, c1 in enumerate(proper):
         for c2 in proper[i + 1 :]:
             if c1 | c2 == bits:
@@ -507,18 +532,10 @@ def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:
     return True
 
 
-def _closed_subsets(p: FinitePoset) -> list[int]:
-    cached = p.__dict__.get("_closed_subsets")
-    if cached is None:
-        cached = [b for b in range(1 << p.n) if is_lower_set(p, b)]
-        p.__dict__["_closed_subsets"] = cached
-    return cached
-
-
 def is_sober(p: FinitePoset) -> bool:
     """Every nonempty irreducible closed set is a point closure."""
-    for bits in _closed_subsets(p):
-        if bits and is_irreducible_closed(p, bits):
+    for bits in _ideals(p, include_empty=False):
+        if is_irreducible_closed(p, bits):
             if not any(bits == p.down_masks[x] for x in range(p.n)):
                 return False
     return True

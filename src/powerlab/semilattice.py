@@ -131,6 +131,19 @@ class VSemilattice:
         principal = {row: i for i, row in enumerate(up)}
         return tuple(principal.get(ub) for ub in bounds)
 
+    @cached_property
+    def join_triples(self) -> tuple:
+        """``(i, j, z)`` for each consistent incomparable pair ``i < j`` with
+        join ``z``: the joins a homomorphism test must check, since a
+        monotone map already preserves the join of a comparable pair."""
+        join = self.join
+        return tuple(
+            (i, j, z)
+            for i in range(self.n)
+            for j in range(i + 1, self.n)
+            if (z := join[i][j]) not in (-1, i, j)
+        )
+
     def join_table_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -282,17 +295,13 @@ def is_homomorphism(f: PosetMap, l: VSemilattice, m: VSemilattice) -> bool:
 
 
 def _img_is_homomorphism(img, l: VSemilattice, m: VSemilattice) -> bool:
-    jl, jm = l.join, m.join
-    n = l.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = jl[i][j]
-            if v == -1:
-                continue
-            w = jm[img[i]][img[j]]
-            if w == -1 or w != img[v]:
-                return False
-    return True
+    """Whether the map with images ``img`` preserves every consistent join.
+
+    The map must be monotone: only the pairs of ``l.join_triples`` are
+    tested, because a monotone map preserves the join of a comparable pair.
+    """
+    jm = m.join
+    return all(jm[img[i]][img[j]] == img[z] for i, j, z in l.join_triples)
 
 
 def preserves_directed_sups(f: PosetMap, l: VSemilattice, m: VSemilattice) -> bool:
@@ -333,22 +342,17 @@ def enumerate_homomorphisms(l: VSemilattice, m: VSemilattice) -> list[PosetMap]:
     """All join-preserving monotone maps, in the order of ``iter_monotone_maps``.
 
     A monotone map already preserves the join of a comparable pair, so only
-    the consistent incomparable pairs are tested."""
+    the pairs of ``l.join_triples`` are tested."""
     return [PosetMap(l.poset, m.poset, img) for img in _homomorphism_images(l, m)]
 
 
 @lru_cache(maxsize=None)
 def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[tuple[int, ...], ...]:
-    pairs = [
-        (i, j, z)
-        for i in range(l.n)
-        for j in range(i + 1, l.n)
-        if (z := l.join[i][j]) not in (-1, i, j)
-    ]
+    triples = l.join_triples
     jm = m.join
     out = []
     for img in iter_monotone_maps(l.poset, m.poset):
-        for i, j, z in pairs:
+        for i, j, z in triples:
             if jm[img[i]][img[j]] != img[z]:
                 break
         else:

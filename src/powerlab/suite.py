@@ -17,9 +17,9 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from functools import partial
 
 from .enumeration import (
+    DEFAULT_MAX_N,
     bruteforce_canonical_forms,
     canonical_form,
     enumerate_posets,
@@ -27,15 +27,7 @@ from .enumeration import (
     monotone_map_images,
 )
 from .families import gamma, gamma0
-from .hoare import (
-    WitnessCert,
-    build_hc,
-    partial_join,
-    r_gamma_c,
-    refute_batch,
-    refute_v_existing,
-    sup_of_image,
-)
+from .hoare import WitnessCert, build_hc, r_gamma_c, refute_batch
 from .poset import (
     FinitePoset,
     PosetError,
@@ -50,7 +42,6 @@ from .poset import (
 from .semilattice import (
     VSemilattice,
     _homomorphism_images,
-    _img_is_homomorphism,
     cl_f,
     gamma_f,
     is_f_scott_closed,
@@ -74,6 +65,10 @@ class Config:
                 raise PosetError(f"{name} must be an integer, not {value!r}")
         if self.max_poset_n < 1 or self.max_semilattice_n < 1:
             raise PosetError("size caps must be at least 1")
+        for name in ("max_poset_n", "max_semilattice_n"):
+            value = getattr(self, name)
+            if value > DEFAULT_MAX_N:
+                raise PosetError(f"{name}={value} exceeds the enumeration cap {DEFAULT_MAX_N}")
         if self.jobs < 1:
             raise PosetError("jobs must be at least 1")
         if not isinstance(self.strict, bool):
@@ -200,29 +195,37 @@ def _continuous_by_table(f: PosetMap, dom_closed: list, cod_closed_sets) -> bool
 
 
 def check_def_2_1(p: FinitePoset, semi_bound: int) -> VerificationReport:
-    """Partial-join laws of the powerdomain: commutative, associative in the
-    Kleene sense, idempotent, inflationary, and equal to union when defined."""
+    """Partial-join laws of the powerdomain, run over its join table of member
+    indices: commutative, associative in the Kleene sense, idempotent,
+    inflationary, and equal to union when defined."""
     ck = _Check.on_poset("Def2.1", p)
     h = build_hc(p)
     members = h.family.members
-    pj = partial(partial_join, h)
-    for a in members:
-        if pj(a, a) != a:
+    k = len(members)
+    # one extra row and column of -1, so that an undefined join (-1) joins
+    # with anything to -1
+    t = [row + (-1,) for row in h.semilattice.join]
+    t.append((-1,) * (k + 1))
+    for a in range(k):
+        ta = t[a]
+        if ta[a] != a:
             ck.fail("join not idempotent")
-        for b in members:
-            ab = pj(a, b)
-            if ab != pj(b, a):
+        for b in range(k):
+            ab, tb = ta[b], t[b]
+            if ab != tb[a]:
                 ck.fail("join not commutative")
-            if ab is not None and a & ~ab:
-                ck.fail("join not inflationary")
-            for c in members:
-                left = pj(ab, c) if ab is not None else None
-                bc = pj(b, c)
-                right = pj(a, bc) if bc is not None else None
-                if left != right:
+            if ab != -1:
+                if members[ab] != members[a] | members[b]:
+                    ck.fail("join is not the union")
+                if members[a] & ~members[ab]:
+                    ck.fail("join not inflationary")
+            left = t[ab]
+            for c in range(k):
+                if left[c] != ta[tb[c]]:
                     ck.fail(
                         "join not associative on "
-                        f"{p.subset_labels(a)}, {p.subset_labels(b)}, {p.subset_labels(c)}"
+                        f"{p.subset_labels(members[a])}, {p.subset_labels(members[b])}, "
+                        f"{p.subset_labels(members[c])}"
                     )
     return ck.report()
 
@@ -281,6 +284,7 @@ def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
     for l in _semilattices_upto(semi_bound):
         monos = monotone_map_images(p, l.poset)
         homs = _homomorphism_images(h.semilattice, l)
+        hom_set = set(homs)
         groups: dict = {}
         for g in homs:
             groups.setdefault(tuple(g[j_img[x]] for x in range(p.n)), []).append(g)
@@ -303,7 +307,7 @@ def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
                 ext_t = tuple(ext)
                 if any(not up[ext_t[i]] >> ext_t[j] & 1 for i, j in hc_pairs):
                     fail_map("extension not monotone")
-                elif not _img_is_homomorphism(ext_t, h.semilattice, l):
+                elif ext_t not in hom_set:
                     fail_map("extension does not preserve joins")
                 if tuple(ext_t[j_img[x]] for x in range(p.n)) != f_img:
                     fail_map("extension does not restrict to the map")
@@ -325,8 +329,6 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     refutable = [False] * (1 << p.n)
     for l in _semilattices_upto(semi_bound):
         for img in monotone_map_images(p, l.poset):
-            if not PosetMap(p, l.poset, img).is_monotone():
-                raise PosetError("transport check requires a monotone map")
             # sup_exists_transport_check(p, l, f, a) is sups[a] == sups[closures[a]]
             sups = _image_sups(l, img)
             for a in subsets:
@@ -378,37 +380,28 @@ def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
 def check_thm_3_9(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Powerdomain membership versus join-existence: the generic closure adds
     nothing to the consistent family, every non-member is refuted by the
-    canonical witness, and every member survives the bounded search.  The
-    members are searched as one batch."""
+    canonical witness, and every member survives the bounded search.  All
+    closed sets go to ``refute_batch`` as one batch; a non-member refuted
+    by a map other than the point-closure embedding escaped the canonical
+    witness."""
     ck = _Check.on_poset("Thm3.9", p, max_semilattice_n=semi_bound)
     h = build_hc(p)
     if not h.family_equals_gamma_c:
         ck.fail("closure of the consistent family added members")
-    members = h.family.members
-    witnesses = dict(zip(members, refute_batch(p, members, semi_bound)))
-    for a in gamma(p).members:
-        if a in witnesses:
-            witness = witnesses[a]
-            if isinstance(witness, WitnessCert):
+    closed = gamma(p).members
+    for a, cert in zip(closed, refute_batch(p, closed, semi_bound)):
+        refuted = isinstance(cert, WitnessCert)
+        if a in h.family:
+            if refuted:
                 ck.fail(
                     "powerdomain member refuted",
                     subset=p.subset_labels(a),
-                    witness=witness.to_json(),
+                    witness=cert.to_json(),
                 )
-        else:
-            cert = sup_of_image(h.semilattice, h.j, a)
-            if cert.verdict != "NO_SUP":
-                fallback = refute_v_existing(p, a, semi_bound)
-                if isinstance(fallback, WitnessCert):
-                    ck.fail(
-                        "canonical witness failed to refute a non-member",
-                        subset=p.subset_labels(a),
-                    )
-                else:
-                    ck.doubt(
-                        "non-member survived the bounded refutation search",
-                        subset=p.subset_labels(a),
-                    )
+        elif not refuted:
+            ck.doubt("non-member survived the bounded refutation search", subset=p.subset_labels(a))
+        elif cert.map is not h.j:
+            ck.fail("canonical witness failed to refute a non-member", subset=p.subset_labels(a))
     return ck.report()
 
 
@@ -462,18 +455,21 @@ def check_sober(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
 
 def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport:
     """Part 1: a map between semilattices preserves consistent joins exactly
-    when preimages of F-Scott closed sets are F-Scott closed.  Part 2: the
-    F-Scott closure of a consistent set is the down-set of its join."""
+    when preimages of F-Scott closed sets are F-Scott closed.  A monotone
+    map is a homomorphism when it is among ``_homomorphism_images`` of the
+    pair, whose cache Lem3.6 reads again.  Part 2: the F-Scott closure of a
+    consistent set is the down-set of its join."""
     ck = _Check.sweep("Prop3.4", pair_bound=pair_bound, consistent_bound=consistent_bound)
     pool = _semilattices_upto(pair_bound)
     for l in pool:
         l_closed = _f_closed_table(l)
         for m in pool:
             m_closed_sets = gamma_f(m).members
+            homs = set(_homomorphism_images(l, m))
             for img in monotone_map_images(l.poset, m.poset):
                 f = PosetMap(l.poset, m.poset, img)
-                # is_homomorphism and is_f_scott_continuous, by table lookup
-                hom = f.is_monotone() and _img_is_homomorphism(img, l, m)
+                # is_homomorphism and is_f_scott_continuous, by lookup
+                hom = img in homs
                 cont = _continuous_by_table(f, l_closed, m_closed_sets)
                 if hom != cont:
                     ck.fail(

@@ -235,6 +235,18 @@ class TestVerify:
         assert code == 2
         assert "exceeds the enumeration cap" in err
 
+    @pytest.mark.parametrize("suite", [[], ["--suite", "thm3.10"]], ids=["all", "thm3.10"])
+    def test_semilattice_bound_above_cap_rejected(self, capsys, monkeypatch, suite):
+        # refused when the config is built, before any statement runs
+        def no_work(*args):
+            raise AssertionError("sweep started under a refused bound")
+
+        monkeypatch.setattr("powerlab.cli.run_all", no_work)
+        code, out, err = run_cli(capsys, "verify", "--max-semilattice", "7", *suite)
+        assert code == 2
+        assert out == ""
+        assert "max_semilattice_n=7 exceeds the enumeration cap 6" in err
+
     def test_config_file_flags_win(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_poset_n": 2, "suites": ["sober"]}))

@@ -13,7 +13,7 @@ import pytest
 
 import powerlab
 from powerlab.enumeration import enumerate_posets, enumerate_v_semilattices, monotone_map_images
-from powerlab.families import _ideals
+from powerlab.poset import _ideals
 from powerlab.poset import enumerate_directed_subsets
 from powerlab.semilattice import _homomorphism_images
 

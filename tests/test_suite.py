@@ -1,6 +1,7 @@
 """The verification sweep: reports, determinism, replay, and closure mutants."""
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import os
@@ -18,9 +19,10 @@ from powerlab import (
 )
 from powerlab.enumeration import canonical_form, enumerate_posets, monotone_map_images
 from powerlab.families import gamma0
-from powerlab.hoare import build_hc
+from powerlab.hoare import WitnessCert, build_hc, partial_join
 from powerlab.poset import PosetMap, scott_closure
 from powerlab.semilattice import (
+    VSemilattice,
     gamma_f,
     is_f_scott_continuous,
     sup_exists_transport_check,
@@ -32,9 +34,9 @@ from powerlab.suite import (
     _image_sups,
     _semilattices_upto,
     check_cor_3_11,
+    check_def_2_1,
     check_enum,
     check_freeness,
-    check_prop_3_2,
     check_thm_3_9,
     check_thm_3_10,
     exit_code_for,
@@ -128,6 +130,55 @@ class TestChecks:
                 assert canonical_form(gamma0(p).poset) == canonical_form(
                     closure_system.family.poset
                 )
+
+    def test_def_2_1_join_table_matches_partial_join(self):
+        # Def2.1 runs its laws over the member-index join table
+        for n in range(1, 5):
+            for p in enumerate_posets(n):
+                h = build_hc(p)
+                members = h.family.members
+                for i, a in enumerate(members):
+                    for k, b in enumerate(members):
+                        v = h.semilattice.join[i][k]
+                        assert partial_join(h, a, b) == (None if v == -1 else members[v])
+
+    def test_def_2_1_reports_a_wrong_join_entry(self, monkeypatch, vee):
+        # one cell says {a} v {b} is the whole vee; the table skips validation
+        h = build_hc(vee)
+        index = h.family.index_of
+        a, b = index[vee.subset_from_labels(["a"])], index[vee.subset_from_labels(["b"])]
+        join = [list(row) for row in h.semilattice.join]
+        join[a][b] = index[vee.full_mask]
+        bad = VSemilattice.__new__(VSemilattice)
+        bad.poset, bad.join = h.poset, tuple(map(tuple, join))
+        monkeypatch.setattr(
+            "powerlab.suite.build_hc", lambda p: dataclasses.replace(h, semilattice=bad)
+        )
+        report = check_def_2_1(vee, 0)
+        assert report.verdict == "FAIL"
+        details = {f["detail"] for f in report.failures}
+        assert {"join is not the union", "join not commutative"} <= details
+
+    @pytest.mark.parametrize(
+        "bound, verdict, detail",
+        [
+            (4, "FAIL", "canonical witness failed to refute a non-member"),
+            (1, "INCONCLUSIVE", "non-member survived the bounded refutation search"),
+        ],
+    )
+    def test_thm_3_9_non_member_left_to_the_search(self, monkeypatch, bound, verdict, detail):
+        # the canonical witness never refutes, so the non-member {a, b} of the
+        # antichain falls to the bounded search: a map onto a two-element
+        # antichain refutes it at bound 4, and nothing can at bound 1
+        monkeypatch.setattr(
+            "powerlab.hoare.sup_of_image",
+            lambda l, f, bits: WitnessCert(l, f, bits, "SUP_EXISTS", 0),
+        )
+        p = catalog.antichain(2)
+        report = check_thm_3_9(p, bound)
+        assert report.verdict == verdict
+        findings = report.failures + report.inconclusive
+        assert [(x["detail"], x["subset"]) for x in findings] == [(detail, p.subset_labels(3))]
 
     def test_thm_3_9_zero_inconclusive(self, wedge):
         report = check_thm_3_9(wedge, 3)
@@ -295,14 +346,6 @@ class TestTabulatedVerdicts:
                             assert (sups[a] == sups[closures[a]]) == (
                                 sup_exists_transport_check(p, l, f, a)
                             )
-
-    def test_prop_3_2_rejects_a_non_monotone_map(self, monkeypatch):
-        # c2's top goes below its bottom once the codomain has two elements
-        monkeypatch.setattr(
-            "powerlab.suite.monotone_map_images", lambda p, q: ((q.n - 1, 0),)
-        )
-        with pytest.raises(PosetError, match="monotone"):
-            check_prop_3_2(catalog.chain(2), 2)
 
     def test_prop_3_4_matches_f_scott_continuity(self):
         pool = _semilattices_upto(3)
