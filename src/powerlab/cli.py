@@ -20,7 +20,7 @@ import traceback
 
 from .enumeration import enumerate_posets
 from .families import gamma
-from .hoare import NoWitnessFound, build_hc, refute_v_existing
+from .hoare import build_hc, refute_v_existing
 from .poset import FinitePoset, PosetError
 from .semilattice import VSemilattice, gamma_f
 from .suite import Config, run_all

@@ -349,17 +349,18 @@ def sup(p: FinitePoset, bits: int):
     return least_upper_bound(p.up_masks, p.full_mask, bits)
 
 
-def subset_images(img, n: int) -> list[int]:
-    """``out[a]`` is the image bitmask of subset ``a`` of ``0..n-1`` under ``img``.
+def subset_unions(masks) -> list[int]:
+    """``out[a]`` is the union of ``masks[i]`` over the elements ``i`` of subset
+    ``a`` of ``0..len(masks)-1``.
 
-    Covers all 2**n subsets with one OR each, by the recurrence
-    ``out[a] = out[a ^ top] | 1 << img[bit(top)]`` on the highest bit ``top``
-    of ``a``.
+    Covers all 2**len(masks) subsets with one OR each, by the recurrence
+    ``out[a] = out[a ^ top] | masks[bit(top)]`` on the highest bit ``top`` of
+    ``a``.  With ``masks[i] = 1 << img[i]`` it tabulates the image of every
+    subset under a map; with ``masks[v]`` the fibre of ``v``, the preimage.
     """
     out = [0]
-    for i in range(n):
-        bit = 1 << img[i]
-        out += [x | bit for x in out]
+    for m in masks:
+        out += [x | m for x in out]
     return out
 
 
@@ -533,11 +534,18 @@ def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:
 
 
 def is_sober(p: FinitePoset) -> bool:
-    """Every nonempty irreducible closed set is a point closure."""
-    for bits in _ideals(p, include_empty=False):
-        if is_irreducible_closed(p, bits):
-            if not any(bits == p.down_masks[x] for x in range(p.n)):
-                return False
+    """Every nonempty irreducible closed set is a point closure.
+
+    The closed sets are enumerated once and each non-principal one is tested
+    against that list; ``is_irreducible_closed`` is the per-set oracle."""
+    closed = _ideals(p, include_empty=True)
+    principal = set(p.down_masks)
+    for bits in closed:
+        if bits == 0 or bits in principal:
+            continue
+        proper = [c for c in closed if c & ~bits == 0 and c != bits]
+        if not any(c1 | c2 == bits for i, c1 in enumerate(proper) for c2 in proper[i + 1 :]):
+            return False
     return True
 
 

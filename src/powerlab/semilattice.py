@@ -132,6 +132,17 @@ class VSemilattice:
         return tuple(principal.get(ub) for ub in bounds)
 
     @cached_property
+    def sup_columns(self) -> tuple:
+        """``sup_columns[y]`` is column ``y`` of the join table padded with
+        ``y`` and ``-1``: ``(join[0][y], ..., join[n-1][y], y, -1)``.
+
+        Read at index ``s`` it is the sup of a set with sup ``s`` and ``y``
+        added; index ``n`` stands for the empty set and index ``-1`` for a set
+        with no sup, which stays without one.  ``suite._image_sups`` runs on
+        these columns."""
+        return tuple(tuple(row[y] for row in self.join) + (y, -1) for y in range(self.n))
+
+    @cached_property
     def join_triples(self) -> tuple:
         """``(i, j, z)`` for each consistent incomparable pair ``i < j`` with
         join ``z``: the joins a homomorphism test must check, since a

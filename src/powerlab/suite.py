@@ -31,12 +31,11 @@ from .hoare import WitnessCert, build_hc, r_gamma_c, refute_batch
 from .poset import (
     FinitePoset,
     PosetError,
-    PosetMap,
     is_consistent,
     is_sober,
     iter_bits,
     scott_closure,
-    subset_images,
+    subset_unions,
     way_down_masks,
 )
 from .semilattice import (
@@ -173,11 +172,28 @@ def _strict_pairs(p: FinitePoset) -> tuple:
     )
 
 
-def _image_sups(l: VSemilattice, img) -> list:
+def _image_sups(l: VSemilattice, img) -> list[int]:
     """``out[a]``: the least upper bound in ``l`` of the image of subset ``a``
-    of the domain under ``img``, or None; one entry per domain subset."""
-    sup = l.sup_table
-    return [sup[x] for x in subset_images(img, len(img))]
+    of the domain under ``img``, or -1 if it has none; one entry per domain
+    subset.
+
+    One pass over the domain, by the recurrence ``out[a | bit(y)] =
+    join(out[a], img[y])`` on the padded columns of ``l.sup_columns``, where
+    index ``n`` marks a still empty image and -1 a set with no sup.  This is
+    sound in a semilattice: for a nonempty S with sup s, sup(S ∪ {y}) exists
+    exactly when join(s, y) does, and then they are equal, since an upper
+    bound of S ∪ {y} bounds s and y; a nonempty S with no sup is unbounded,
+    because a bounded nonempty set has a sup, and so is S ∪ {y}.  The empty
+    image's sup is the bottom element, if there is one.
+    """
+    cols = l.sup_columns
+    out = [l.n]
+    for v in img:
+        col = cols[v]
+        out += [col[s] for s in out]
+    bottom = l.sup_table[0]
+    out[0] = -1 if bottom is None else bottom
+    return out
 
 
 def _f_closed_table(l: VSemilattice) -> list[bool]:
@@ -185,10 +201,20 @@ def _f_closed_table(l: VSemilattice) -> list[bool]:
     return [is_f_scott_closed(l, a) for a in range(1 << l.n)]
 
 
-def _continuous_by_table(f: PosetMap, dom_closed: list, cod_closed_sets) -> bool:
-    """F-Scott continuity of ``f``: the preimage of each closed set of the
-    codomain is closed, looked up in the domain's ``_f_closed_table``."""
-    return all(dom_closed[f.preimage_bits(c)] for c in cod_closed_sets)
+def _preimage_table(img, cod_n: int) -> list[int]:
+    """``out[c]``: the preimage under ``img`` of every subset ``c`` of a
+    codomain of ``cod_n`` elements, as the union of the fibres of ``c``."""
+    fibres = [0] * cod_n
+    for i, v in enumerate(img):
+        fibres[v] |= 1 << i
+    return subset_unions(fibres)
+
+
+def _continuous_by_table(img, dom_closed: list, cod_n: int, cod_closed_sets) -> bool:
+    """F-Scott continuity of the map ``img``: the preimage of each closed set
+    of the codomain is closed, looked up in the domain's ``_f_closed_table``."""
+    pre = _preimage_table(img, cod_n)
+    return all(dom_closed[pre[c]] for c in cod_closed_sets)
 
 
 # -- per-poset checks: check(p, semi_bound) ---------------------------------------
@@ -258,7 +284,7 @@ def check_lemma_2_3(p: FinitePoset, semi_bound: int) -> VerificationReport:
         for img in monotone_map_images(p, l.poset):
             sups = _image_sups(l, img)
             for m in members:
-                if sups[m] is None:
+                if sups[m] < 0:
                     ck.fail(
                         "member image has no least upper bound",
                         semilattice=l.poset.to_json(),
@@ -287,7 +313,7 @@ def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
         hom_set = set(homs)
         groups: dict = {}
         for g in homs:
-            groups.setdefault(tuple(g[j_img[x]] for x in range(p.n)), []).append(g)
+            groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
         if len(homs) != len(monos):
             ck.fail(
                 f"{len(homs)} powerdomain maps vs {len(monos)} monotone maps",
@@ -296,27 +322,23 @@ def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
         up = l.poset.up_masks
         for f_img in monos:
             sups = _image_sups(l, f_img)
-            ext = []
-            for m in members:
-                s = sups[m]
-                if s is None:
-                    fail_map("extension undefined on a member", member=p.subset_labels(m))
-                    break
-                ext.append(s)
-            else:
-                ext_t = tuple(ext)
-                if any(not up[ext_t[i]] >> ext_t[j] & 1 for i, j in hc_pairs):
-                    fail_map("extension not monotone")
-                elif ext_t not in hom_set:
-                    fail_map("extension does not preserve joins")
-                if tuple(ext_t[j_img[x]] for x in range(p.n)) != f_img:
-                    fail_map("extension does not restrict to the map")
-                matching = groups.get(f_img, [])
-                if len(matching) != 1 or matching[0] != ext_t:
-                    fail_map(
-                        f"{len(matching)} powerdomain maps restrict to this map, expected "
-                        "exactly the sup-of-image extension"
-                    )
+            ext = tuple([sups[m] for m in members])
+            if -1 in ext:
+                undefined = members[ext.index(-1)]
+                fail_map("extension undefined on a member", member=p.subset_labels(undefined))
+                continue
+            if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
+                fail_map("extension not monotone")
+            elif ext not in hom_set:
+                fail_map("extension does not preserve joins")
+            if tuple([ext[k] for k in j_img]) != f_img:
+                fail_map("extension does not restrict to the map")
+            matching = groups.get(f_img, [])
+            if len(matching) != 1 or matching[0] != ext:
+                fail_map(
+                    f"{len(matching)} powerdomain maps restrict to this map, expected "
+                    "exactly the sup-of-image extension"
+                )
     return ck.report()
 
 
@@ -339,7 +361,7 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
                         map=list(img),
                         subset=p.subset_labels(a),
                     )
-                if sups[a] is None:
+                if sups[a] < 0:
                     refutable[a] = True
     for a in subsets:
         if refutable[a] != refutable[closures[a]]:
@@ -353,20 +375,29 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
 def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """For each semilattice at the bound, the subsets refutable through
     monotone maps are exactly those whose embedded image is refutable through
-    powerdomain homomorphisms."""
+    powerdomain homomorphisms.
+
+    A homomorphism's restriction along the embedding is a monotone map, so
+    its refutable subsets are looked up among those the map side found for
+    the same semilattice; only a restriction missing there is evaluated.
+    The lookup lives for one semilattice."""
     ck = _Check.on_poset("Lem3.8", p, max_semilattice_n=semi_bound)
     h = build_hc(p)
     j_img = h.j.img
     subsets = range(1 << p.n)
+
+    def refutable(l, img):
+        sups = _image_sups(l, img)
+        return [a for a in subsets if sups[a] < 0]
+
     for l in _semilattices_upto(semi_bound):
-        refut_maps = set()
-        for img in monotone_map_images(p, l.poset):
-            sups = _image_sups(l, img)
-            refut_maps.update([a for a in subsets if sups[a] is None])
+        by_map = {img: refutable(l, img) for img in monotone_map_images(p, l.poset)}
+        refut_maps = {a for found in by_map.values() for a in found}
         refut_homs = set()
         for g in _homomorphism_images(h.semilattice, l):
-            sups = _image_sups(l, tuple(g[j_img[x]] for x in range(p.n)))
-            refut_homs.update([a for a in subsets if sups[a] is None])
+            img = tuple([g[k] for k in j_img])
+            found = by_map.get(img)
+            refut_homs.update(refutable(l, img) if found is None else found)
         if refut_maps != refut_homs:
             diff = refut_maps ^ refut_homs
             ck.fail(
@@ -457,7 +488,9 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     """Part 1: a map between semilattices preserves consistent joins exactly
     when preimages of F-Scott closed sets are F-Scott closed.  A monotone
     map is a homomorphism when it is among ``_homomorphism_images`` of the
-    pair, whose cache Lem3.6 reads again.  Part 2: the F-Scott closure of a
+    pair, whose cache Lem3.6 reads again; it is continuous when every closed
+    set's preimage, read from the map's preimage table, is closed in the
+    domain's ``_f_closed_table``.  Part 2: the F-Scott closure of a
     consistent set is the down-set of its join."""
     ck = _Check.sweep("Prop3.4", pair_bound=pair_bound, consistent_bound=consistent_bound)
     pool = _semilattices_upto(pair_bound)
@@ -467,10 +500,9 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
             m_closed_sets = gamma_f(m).members
             homs = set(_homomorphism_images(l, m))
             for img in monotone_map_images(l.poset, m.poset):
-                f = PosetMap(l.poset, m.poset, img)
                 # is_homomorphism and is_f_scott_continuous, by lookup
                 hom = img in homs
-                cont = _continuous_by_table(f, l_closed, m_closed_sets)
+                cont = _continuous_by_table(img, l_closed, m.n, m_closed_sets)
                 if hom != cont:
                     ck.fail(
                         f"homomorphism={hom} but continuity={cont}",
@@ -501,6 +533,8 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
         for m in _semilattices_upto(m_bound):
             for g in _homomorphism_images(l, m):
                 sups = _image_sups(m, g)
+                if [sups[c] for c in closures] == sups:
+                    continue
                 for a in range(1 << l.n):
                     if sups[a] != sups[closures[a]]:
                         ck.fail(

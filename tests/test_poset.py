@@ -25,7 +25,7 @@ from powerlab import (
     way_below,
 )
 from powerlab.enumeration import enumerate_v_semilattices, monotone_map_images
-from powerlab.poset import least_upper_bound, subset_images
+from powerlab.poset import _ideals, least_upper_bound, subset_unions
 
 from conftest import small_posets
 
@@ -398,6 +398,17 @@ class TestIrreducibleAndSober:
         for p in small_posets(5):
             assert is_sober(p)
 
+    def test_sober_matches_per_set_oracle(self):
+        # is_sober enumerates the closed sets once; the oracle asks
+        # is_irreducible_closed of each nonempty one
+        for p in small_posets(6):
+            principal = set(p.down_masks)
+            oracle = all(
+                a in principal or not is_irreducible_closed(p, a)
+                for a in _ideals(p, include_empty=False)
+            )
+            assert is_sober(p) == oracle
+
 
 class TestHasseAndExport:
     def test_examples(self, c2, vee, s1):
@@ -482,7 +493,7 @@ class TestPosetMap:
             for q in codomains:
                 for img in monotone_map_images(p, q):
                     f = PosetMap(p, q, img)
-                    table = subset_images(img, p.n)
+                    table = subset_unions([1 << v for v in img])
                     assert len(table) == 1 << p.n
                     assert all(table[a] == f.image_bits(a) for a in range(1 << p.n))
 

@@ -23,6 +23,7 @@ from powerlab.hoare import WitnessCert, build_hc, partial_join
 from powerlab.poset import PosetMap, scott_closure
 from powerlab.semilattice import (
     VSemilattice,
+    _homomorphism_images,
     gamma_f,
     is_f_scott_continuous,
     sup_exists_transport_check,
@@ -32,6 +33,7 @@ from powerlab.suite import (
     _continuous_by_table,
     _f_closed_table,
     _image_sups,
+    _preimage_table,
     _semilattices_upto,
     check_cor_3_11,
     check_def_2_1,
@@ -354,6 +356,43 @@ class TestTabulatedVerdicts:
             for m in pool:
                 for img in monotone_map_images(l.poset, m.poset):
                     f = PosetMap(l.poset, m.poset, img)
-                    assert _continuous_by_table(f, closed, gamma_f(m).members) == (
+                    assert _continuous_by_table(img, closed, m.n, gamma_f(m).members) == (
                         is_f_scott_continuous(f, l, m)
                     )
+
+    def test_preimage_table_matches_preimage_bits(self):
+        pool = _semilattices_upto(3)
+        for l in pool:
+            for m in pool:
+                for img in monotone_map_images(l.poset, m.poset):
+                    f = PosetMap(l.poset, m.poset, img)
+                    pre = _preimage_table(img, m.n)
+                    assert pre == [f.preimage_bits(c) for c in range(1 << m.n)]
+
+
+def _sup_oracle(f: PosetMap, l: VSemilattice) -> list:
+    # the literal sup of each subset's image, -1 where there is none
+    sups = [l.sup_of_bits(f.image_bits(a)) for a in range(1 << f.dom.n)]
+    return [-1 if s is None else s for s in sups]
+
+
+class TestImageSups:
+    """``_image_sups`` joins along the padded join columns; every entry must
+    be the literal sup of the subset's image."""
+
+    def test_monotone_maps_match_sup_of_bits(self):
+        for n in range(1, 5):
+            for p in enumerate_posets(n):
+                for l in _semilattices_upto(4):
+                    for img in monotone_map_images(p, l.poset):
+                        f = PosetMap(p, l.poset, img)
+                        assert _image_sups(l, img) == _sup_oracle(f, l)
+
+    def test_homomorphisms_match_sup_of_bits(self):
+        # Lem3.6's domain side: homomorphisms between semilattices
+        pool = _semilattices_upto(3)
+        for l in pool:
+            for m in pool:
+                for g in _homomorphism_images(l, m):
+                    f = PosetMap(l.poset, m.poset, g)
+                    assert _image_sups(m, g) == _sup_oracle(f, m)
