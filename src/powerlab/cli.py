@@ -179,16 +179,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def poset_cmd(name, help_):
+    def poset_cmd(name, help_, formats):
         c = sub.add_parser(name, help=help_)
         c.add_argument("poset", help="path to a poset JSON file")
-        c.add_argument("--format", choices=("json", "dot", "csv"), default="json")
+        c.add_argument("--format", choices=("json", *formats), default="json")
         c.add_argument("--out", help="write output to this file instead of stdout")
         return c
 
-    poset_cmd("gamma", "nonempty Scott closed subsets as a family")
-    poset_cmd("hoare", "the consistent Hoare powerdomain of the poset")
-    poset_cmd("gammaf", "the F-Scott closure system of the poset seen as a semilattice")
+    poset_cmd("gamma", "nonempty Scott closed subsets as a family", ("dot",))
+    poset_cmd("hoare", "the consistent Hoare powerdomain of the poset", ("dot",))
+    poset_cmd(
+        "gammaf", "the F-Scott closure system of the poset seen as a semilattice", ("csv",)
+    )
 
     vexist = sub.add_parser("vexist", help="search for a join-existence refutation")
     vexist.add_argument("poset", help="path to a poset JSON file")

@@ -12,11 +12,13 @@ row per statement with its suite aliases, its check and its bounds.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 
 from .enumeration import (
     DEFAULT_MAX_N,
@@ -24,7 +26,7 @@ from .enumeration import (
     canonical_form,
     enumerate_posets,
     enumerate_v_semilattices,
-    monotone_map_images,
+    iter_monotone_maps,
 )
 from .families import gamma, gamma0
 from .hoare import WitnessCert, build_hc, r_gamma_c, refute_batch
@@ -76,6 +78,8 @@ class Config:
             isinstance(name, str) for name in self.suites
         ):
             raise PosetError(f"suites must be a list of names, not {self.suites!r}")
+        if not self.suites:
+            raise PosetError("suites must name at least one statement")
         self.suites = tuple(self.suites)
         resolved = set()
         for name in self.suites:
@@ -217,6 +221,109 @@ def _continuous_by_table(img, dom_closed: list, cod_n: int, cod_closed_sets) -> 
     return all(dom_closed[pre[c]] for c in cod_closed_sets)
 
 
+@lru_cache(maxsize=None)
+def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
+    """Lem2.3's, Freeness's and Lem3.8's findings on ``p``, keyed by statement
+    id, each a list of (detail, extras), from one pass over the monotone maps
+    into every semilattice at the bound.
+
+    Each map's ``_image_sups`` table is computed once and read three ways.
+    Its entries at the powerdomain members are the map's sup-of-image
+    extension, which must be defined (Lem2.3) and be the one homomorphism
+    that restricts to the map (Freeness).  Its -1 entries are the subsets
+    the map refutes (Lem3.8).  A homomorphism refutes, through the
+    embedding, exactly the subsets its restriction refutes, so Lem3.8's
+    homomorphism side gathers the maps that Freeness finds among the
+    restrictions.  The maps are streamed; only findings are kept."""
+    h = build_hc(p)
+    members = h.family.members
+    j_img = h.j.img
+    hc_pairs = _strict_pairs(h.poset)
+    found = {"Lem2.3": [], "Freeness": [], "Lem3.8": []}
+    for l in _semilattices_upto(semi_bound):
+        homs = _homomorphism_images(h.semilattice, l)
+        hom_set = set(homs)
+        groups: dict = {}
+        for g in homs:
+            groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
+        up = l.poset.up_masks
+        per_map = []  # Freeness's findings after its count line
+        refut_maps, refut_homs, restrictions_met = set(), set(), set()
+        count = 0
+
+        def on_map(detail, **extra):
+            return detail, {"semilattice": l.poset.to_json(), "map": list(f_img), **extra}
+
+        for f_img in iter_monotone_maps(p, l.poset):
+            count += 1
+            sups = _image_sups(l, f_img)
+            matching = groups.get(f_img, [])
+            if matching:
+                restrictions_met.add(f_img)
+            if -1 in sups:
+                refuted = [a for a, s in enumerate(sups) if s < 0]
+                refut_maps.update(refuted)
+                if matching:
+                    refut_homs.update(refuted)
+            ext = tuple([sups[m] for m in members])
+            if -1 in ext:
+                for m, s in zip(members, ext):
+                    if s < 0:
+                        detail = "member image has no least upper bound"
+                        found["Lem2.3"].append(on_map(detail, member=p.subset_labels(m)))
+                undefined = members[ext.index(-1)]
+                per_map.append(
+                    on_map("extension undefined on a member", member=p.subset_labels(undefined))
+                )
+                continue
+            # a cached homomorphism is monotone, so only an outsider is tested
+            if ext not in hom_set:
+                if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
+                    per_map.append(on_map("extension not monotone"))
+                else:
+                    per_map.append(on_map("extension does not preserve joins"))
+            if tuple([ext[k] for k in j_img]) != f_img:
+                per_map.append(on_map("extension does not restrict to the map"))
+            if len(matching) != 1 or matching[0] != ext:
+                per_map.append(
+                    on_map(
+                        f"{len(matching)} powerdomain maps restrict to this map, expected "
+                        "exactly the sup-of-image extension"
+                    )
+                )
+        if len(homs) != count:
+            found["Freeness"].append(
+                (
+                    f"{len(homs)} powerdomain maps vs {count} monotone maps",
+                    {"semilattice": l.poset.to_json()},
+                )
+            )
+        found["Freeness"] += per_map
+        for img in groups.keys() - restrictions_met:
+            refut_homs.update(a for a, s in enumerate(_image_sups(l, img)) if s < 0)
+        if refut_maps != refut_homs:
+            diff = refut_maps ^ refut_homs
+            found["Lem3.8"].append(
+                (
+                    "map-refutable and embedding-refutable subsets disagree",
+                    {
+                        "semilattice": l.poset.to_json(),
+                        "subsets": [p.subset_labels(a) for a in sorted(diff)],
+                    },
+                )
+            )
+    return found
+
+
+def _swept(statement: str, p: FinitePoset, semi_bound: int) -> VerificationReport:
+    """The report of the findings ``_map_sweep`` keeps for ``statement``,
+    copied so that no report shares an object with the cache."""
+    ck = _Check.on_poset(statement, p, max_semilattice_n=semi_bound)
+    for detail, extra in _map_sweep(p, semi_bound)[statement]:
+        ck.fail(detail, **copy.deepcopy(extra))
+    return ck.report()
+
+
 # -- per-poset checks: check(p, semi_bound) ---------------------------------------
 
 
@@ -278,68 +385,14 @@ def check_thm_2_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
 def check_lemma_2_3(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """The image of every powerdomain member under every monotone map into
     every semilattice at the bound has a least upper bound."""
-    ck = _Check.on_poset("Lem2.3", p, max_semilattice_n=semi_bound)
-    members = build_hc(p).family.members
-    for l in _semilattices_upto(semi_bound):
-        for img in monotone_map_images(p, l.poset):
-            sups = _image_sups(l, img)
-            for m in members:
-                if sups[m] < 0:
-                    ck.fail(
-                        "member image has no least upper bound",
-                        semilattice=l.poset.to_json(),
-                        map=list(img),
-                        member=p.subset_labels(m),
-                    )
-    return ck.report()
+    return _swept("Lem2.3", p, semi_bound)
 
 
 def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Every monotone map into a semilattice extends along the point-closure
     embedding to a unique join-preserving map on the powerdomain, and the
     extension is computed by taking sups of images."""
-    ck = _Check.on_poset("Freeness", p, max_semilattice_n=semi_bound)
-    h = build_hc(p)
-    members = h.family.members
-    j_img = h.j.img
-    hc_pairs = _strict_pairs(h.poset)
-
-    def fail_map(detail, **extra):
-        ck.fail(detail, semilattice=l.poset.to_json(), map=list(f_img), **extra)
-
-    for l in _semilattices_upto(semi_bound):
-        monos = monotone_map_images(p, l.poset)
-        homs = _homomorphism_images(h.semilattice, l)
-        hom_set = set(homs)
-        groups: dict = {}
-        for g in homs:
-            groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
-        if len(homs) != len(monos):
-            ck.fail(
-                f"{len(homs)} powerdomain maps vs {len(monos)} monotone maps",
-                semilattice=l.poset.to_json(),
-            )
-        up = l.poset.up_masks
-        for f_img in monos:
-            sups = _image_sups(l, f_img)
-            ext = tuple([sups[m] for m in members])
-            if -1 in ext:
-                undefined = members[ext.index(-1)]
-                fail_map("extension undefined on a member", member=p.subset_labels(undefined))
-                continue
-            if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
-                fail_map("extension not monotone")
-            elif ext not in hom_set:
-                fail_map("extension does not preserve joins")
-            if tuple([ext[k] for k in j_img]) != f_img:
-                fail_map("extension does not restrict to the map")
-            matching = groups.get(f_img, [])
-            if len(matching) != 1 or matching[0] != ext:
-                fail_map(
-                    f"{len(matching)} powerdomain maps restrict to this map, expected "
-                    "exactly the sup-of-image extension"
-                )
-    return ck.report()
+    return _swept("Freeness", p, semi_bound)
 
 
 def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
@@ -350,7 +403,7 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     closures = [scott_closure(p, a) for a in subsets]
     refutable = [False] * (1 << p.n)
     for l in _semilattices_upto(semi_bound):
-        for img in monotone_map_images(p, l.poset):
+        for img in iter_monotone_maps(p, l.poset):
             # sup_exists_transport_check(p, l, f, a) is sups[a] == sups[closures[a]]
             sups = _image_sups(l, img)
             for a in subsets:
@@ -378,34 +431,9 @@ def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
     powerdomain homomorphisms.
 
     A homomorphism's restriction along the embedding is a monotone map, so
-    its refutable subsets are looked up among those the map side found for
-    the same semilattice; only a restriction missing there is evaluated.
-    The lookup lives for one semilattice."""
-    ck = _Check.on_poset("Lem3.8", p, max_semilattice_n=semi_bound)
-    h = build_hc(p)
-    j_img = h.j.img
-    subsets = range(1 << p.n)
-
-    def refutable(l, img):
-        sups = _image_sups(l, img)
-        return [a for a in subsets if sups[a] < 0]
-
-    for l in _semilattices_upto(semi_bound):
-        by_map = {img: refutable(l, img) for img in monotone_map_images(p, l.poset)}
-        refut_maps = {a for found in by_map.values() for a in found}
-        refut_homs = set()
-        for g in _homomorphism_images(h.semilattice, l):
-            img = tuple([g[k] for k in j_img])
-            found = by_map.get(img)
-            refut_homs.update(refutable(l, img) if found is None else found)
-        if refut_maps != refut_homs:
-            diff = refut_maps ^ refut_homs
-            ck.fail(
-                "map-refutable and embedding-refutable subsets disagree",
-                semilattice=l.poset.to_json(),
-                subsets=[p.subset_labels(a) for a in sorted(diff)],
-            )
-    return ck.report()
+    its refutable subsets are those the map sweep found for that map; only a
+    restriction the sweep never met is evaluated."""
+    return _swept("Lem3.8", p, semi_bound)
 
 
 def check_thm_3_9(p: FinitePoset, semi_bound: int) -> VerificationReport:
@@ -499,7 +527,7 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
         for m in pool:
             m_closed_sets = gamma_f(m).members
             homs = set(_homomorphism_images(l, m))
-            for img in monotone_map_images(l.poset, m.poset):
+            for img in iter_monotone_maps(l.poset, m.poset):
                 # is_homomorphism and is_f_scott_continuous, by lookup
                 hom = img in homs
                 cont = _continuous_by_table(img, l_closed, m.n, m_closed_sets)

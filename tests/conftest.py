@@ -103,6 +103,138 @@ def mutant_failures(step):
         return [f for p in catalog.standard_trio() for f in check_thm_3_10(p).failures]
 
 
+def literal_lemma_2_3(p, semi_bound):
+    """Lem2.3's failures by its own loop: every cached monotone map into every
+    semilattice at the bound, with one ``_image_sups`` table per map.  The
+    functions are read from ``powerlab.suite`` at call time, so a mutant
+    patched there reaches this loop and the check alike.  The reference for
+    the Lem2.3 slice of ``_map_sweep``."""
+    from powerlab import suite
+    from powerlab.enumeration import monotone_map_images
+
+    ck = suite._Check.on_poset("Lem2.3", p, max_semilattice_n=semi_bound)
+    members = suite.build_hc(p).family.members
+    for l in suite._semilattices_upto(semi_bound):
+        for img in monotone_map_images(p, l.poset):
+            sups = suite._image_sups(l, img)
+            for m in members:
+                if sups[m] < 0:
+                    ck.fail(
+                        "member image has no least upper bound",
+                        semilattice=l.poset.to_json(),
+                        map=list(img),
+                        member=p.subset_labels(m),
+                    )
+    return ck.report().failures
+
+
+def literal_freeness(p, semi_bound):
+    """Freeness's failures by its own loop: the map count per semilattice,
+    then every cached monotone map's sup-of-image extension tested for
+    definedness, monotonicity, join preservation, restriction and
+    uniqueness, in that order.  The reference for the Freeness slice of
+    ``_map_sweep``."""
+    from powerlab import suite
+    from powerlab.enumeration import monotone_map_images
+
+    ck = suite._Check.on_poset("Freeness", p, max_semilattice_n=semi_bound)
+    h = suite.build_hc(p)
+    members = h.family.members
+    j_img = h.j.img
+    hc_pairs = suite._strict_pairs(h.poset)
+
+    def fail_map(detail, **extra):
+        ck.fail(detail, semilattice=l.poset.to_json(), map=list(f_img), **extra)
+
+    for l in suite._semilattices_upto(semi_bound):
+        monos = monotone_map_images(p, l.poset)
+        homs = suite._homomorphism_images(h.semilattice, l)
+        hom_set = set(homs)
+        groups = {}
+        for g in homs:
+            groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
+        if len(homs) != len(monos):
+            ck.fail(
+                f"{len(homs)} powerdomain maps vs {len(monos)} monotone maps",
+                semilattice=l.poset.to_json(),
+            )
+        up = l.poset.up_masks
+        for f_img in monos:
+            sups = suite._image_sups(l, f_img)
+            ext = tuple([sups[m] for m in members])
+            if -1 in ext:
+                undefined = members[ext.index(-1)]
+                fail_map("extension undefined on a member", member=p.subset_labels(undefined))
+                continue
+            if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
+                fail_map("extension not monotone")
+            elif ext not in hom_set:
+                fail_map("extension does not preserve joins")
+            if tuple([ext[k] for k in j_img]) != f_img:
+                fail_map("extension does not restrict to the map")
+            matching = groups.get(f_img, [])
+            if len(matching) != 1 or matching[0] != ext:
+                fail_map(
+                    f"{len(matching)} powerdomain maps restrict to this map, expected "
+                    "exactly the sup-of-image extension"
+                )
+    return ck.report().failures
+
+
+def literal_lemma_3_8(p, semi_bound):
+    """Lem3.8's failures by its own loop: per semilattice, the subsets refuted
+    by some cached monotone map against those refuted by the restriction of
+    some powerdomain homomorphism, each evaluated by ``_image_sups``.  The
+    reference for the Lem3.8 slice of ``_map_sweep``."""
+    from powerlab import suite
+    from powerlab.enumeration import monotone_map_images
+
+    ck = suite._Check.on_poset("Lem3.8", p, max_semilattice_n=semi_bound)
+    h = suite.build_hc(p)
+    j_img = h.j.img
+    subsets = range(1 << p.n)
+
+    def refutable(l, img):
+        sups = suite._image_sups(l, img)
+        return [a for a in subsets if sups[a] < 0]
+
+    for l in suite._semilattices_upto(semi_bound):
+        refut_maps = {a for img in monotone_map_images(p, l.poset) for a in refutable(l, img)}
+        refut_homs = set()
+        for g in suite._homomorphism_images(h.semilattice, l):
+            refut_homs.update(refutable(l, tuple([g[k] for k in j_img])))
+        if refut_maps != refut_homs:
+            diff = refut_maps ^ refut_homs
+            ck.fail(
+                "map-refutable and embedding-refutable subsets disagree",
+                semilattice=l.poset.to_json(),
+                subsets=[p.subset_labels(a) for a in sorted(diff)],
+            )
+    return ck.report().failures
+
+
+@contextmanager
+def sweep_mutant(name, replacement):
+    """Run with ``powerlab.suite.<name>`` replaced by ``replacement``, a
+    mutant of a function the map sweep reads.  The ``_map_sweep`` and
+    ``_homomorphism_images`` caches, the ones that could hold a mutant's
+    result, are cleared on entry and on exit, so no result leaks into or out
+    of the mutant."""
+    from powerlab import semilattice, suite
+
+    def clear():
+        suite._map_sweep.cache_clear()
+        semilattice._homomorphism_images.cache_clear()
+
+    clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(suite, name, replacement)
+            yield
+    finally:
+        clear()
+
+
 def literal_first_refutation(p, bits, semilattices):
     """The bounded refutation search with no reduction: every semilattice in
     the order given, every cached monotone map in its order, and the join of

@@ -41,6 +41,12 @@ class TestGamma:
         assert code == 0
         assert out.startswith("digraph")
 
+    def test_unsupported_format_rejected(self, capsys, vee_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", vee_file, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
 
 class TestHoare:
     def test_vee(self, capsys, vee_file):
@@ -55,6 +61,12 @@ class TestHoare:
         assert code == 0
         assert '"{a}" -> "{a,b}";' in out
 
+    def test_unsupported_format_rejected(self, capsys, vee_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["hoare", vee_file, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
 
 class TestGammaF:
     def test_vee_as_semilattice(self, capsys, vee_file):
@@ -67,6 +79,12 @@ class TestGammaF:
         code, out, _ = run_cli(capsys, "gammaf", vee_file, "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == ",a,b,t"
+
+    def test_unsupported_format_rejected(self, capsys, vee_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["gammaf", vee_file, "--format", "dot"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dot'" in capsys.readouterr().err
 
     def test_non_semilattice_rejected(self, capsys, tmp_path):
         path = tmp_path / "bowtie.json"
@@ -474,6 +492,15 @@ class TestConfigTypes:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_empty_suite_list_rejected(self, capsys, tmp_path):
+        # no statement would run, and the report would claim all_pass
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suites": [], "max_poset_n": 2}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "suites must name at least one statement" in err
 
     def test_cache_dir_is_an_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
