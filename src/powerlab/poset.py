@@ -349,21 +349,6 @@ def sup(p: FinitePoset, bits: int):
     return least_upper_bound(p.up_masks, p.full_mask, bits)
 
 
-def subset_unions(masks) -> list[int]:
-    """``out[a]`` is the union of ``masks[i]`` over the elements ``i`` of subset
-    ``a`` of ``0..len(masks)-1``.
-
-    Covers all 2**len(masks) subsets with one OR each, by the recurrence
-    ``out[a] = out[a ^ top] | masks[bit(top)]`` on the highest bit ``top`` of
-    ``a``.  With ``masks[i] = 1 << img[i]`` it tabulates the image of every
-    subset under a map; with ``masks[v]`` the fibre of ``v``, the preimage.
-    """
-    out = [0]
-    for m in masks:
-        out += [x | m for x in out]
-    return out
-
-
 def is_lower_set(p: FinitePoset, bits: int) -> bool:
     return down_set(p, bits) == bits
 

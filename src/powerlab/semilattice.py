@@ -12,7 +12,9 @@ consistent incomparable pair.
 
 The module carries no test switch: mutation probes replace ``down_set`` or
 ``_step_pair_join`` in this module's namespace from outside, and clear the
-``gamma_f`` cache, the one cache that holds a ``cl_f`` result.
+caches that hold a ``cl_f`` result: ``gamma_f``'s, whose closure systems
+carry their ``closures``, and ``suite._map_sweep``, which keeps Lem3.6's
+findings.
 """
 
 from __future__ import annotations
@@ -252,7 +254,11 @@ def cl_f(l: VSemilattice, bits: int) -> int:
 
 @dataclass(frozen=True)
 class FClosureSystem:
-    """All F-Scott closed subsets of a semilattice, the empty set included."""
+    """All F-Scott closed subsets of a semilattice, the empty set included.
+
+    The closed sets are closed under intersection, the full set being the
+    empty intersection, so the closure of a set is the intersection of the
+    closed sets containing it."""
 
     base: VSemilattice
     family: SetFamily
@@ -260,6 +266,38 @@ class FClosureSystem:
     @property
     def members(self) -> tuple[int, ...]:
         return self.family.members
+
+    @cached_property
+    def closures(self) -> tuple[int, ...]:
+        """``closures[a]`` is ``cl_f`` of subset ``a``, for every subset: the
+        intersection of the members containing it, taken by walking the
+        subsets of each member once."""
+        out = [self.base.poset.full_mask] * (1 << self.base.n)
+        for c in self.members:
+            sub = c
+            while True:
+                out[sub] &= c
+                if not sub:
+                    break
+                sub = (sub - 1) & c
+        return tuple(out)
+
+    def meet_irreducibles(self) -> tuple[int, ...]:
+        """The members, in member order, that are not the intersection of the
+        members strictly containing them.  The full set is the empty
+        intersection and is never one; every member is the intersection of
+        the irreducibles containing it (Davey & Priestley, *Introduction to
+        Lattices and Order*, 2nd ed., ch. 7)."""
+        members = self.members
+        out = []
+        for c in members:
+            above = self.base.poset.full_mask
+            for d in members:
+                if d != c and not c & ~d:
+                    above &= d
+            if above != c:
+                out.append(c)
+        return tuple(out)
 
 
 def gamma_f(l: VSemilattice) -> FClosureSystem:

@@ -19,6 +19,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
+from types import MappingProxyType
 
 from .enumeration import (
     DEFAULT_MAX_N,
@@ -29,15 +30,15 @@ from .enumeration import (
     iter_monotone_maps,
 )
 from .families import gamma, gamma0
-from .hoare import WitnessCert, build_hc, r_gamma_c, refute_batch
+from .hoare import WitnessCert, build_hc, first_refutations, r_gamma_c, refute_batch
 from .poset import (
     FinitePoset,
+    InvariantError,
     PosetError,
     is_consistent,
     is_sober,
     iter_bits,
     scott_closure,
-    subset_unions,
     way_down_masks,
 )
 from .semilattice import (
@@ -205,100 +206,165 @@ def _f_closed_table(l: VSemilattice) -> list[bool]:
     return [is_f_scott_closed(l, a) for a in range(1 << l.n)]
 
 
-def _preimage_table(img, cod_n: int) -> list[int]:
-    """``out[c]``: the preimage under ``img`` of every subset ``c`` of a
-    codomain of ``cod_n`` elements, as the union of the fibres of ``c``."""
-    fibres = [0] * cod_n
+def _fibres(img, cod_n: int) -> list[int]:
+    """``out[v]``: the preimage under ``img`` of element ``v`` of a codomain
+    of ``cod_n`` elements.  A subset's preimage is the union of the fibres of
+    its elements."""
+    out = [0] * cod_n
     for i, v in enumerate(img):
-        fibres[v] |= 1 << i
-    return subset_unions(fibres)
+        out[v] |= 1 << i
+    return out
 
 
-def _continuous_by_table(img, dom_closed: list, cod_n: int, cod_closed_sets) -> bool:
-    """F-Scott continuity of the map ``img``: the preimage of each closed set
-    of the codomain is closed, looked up in the domain's ``_f_closed_table``."""
-    pre = _preimage_table(img, cod_n)
-    return all(dom_closed[pre[c]] for c in cod_closed_sets)
+def _continuous_by_table(img, dom_closed: list, cod_n: int, cod_sets) -> bool:
+    """Whether the preimage under ``img`` of each codomain set in
+    ``cod_sets``, each given as a tuple of its elements, is closed, looked up
+    in the domain's ``_f_closed_table``.  Each preimage is the union of the
+    set's fibres, and the test stops at the first preimage that is not
+    closed."""
+    fibres = _fibres(img, cod_n)
+    for c in cod_sets:
+        pre = 0
+        for v in c:
+            pre |= fibres[v]
+        if not dom_closed[pre]:
+            return False
+    return True
+
+
+_NO_FINDINGS = MappingProxyType({})
 
 
 @lru_cache(maxsize=None)
-def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
-    """Lem2.3's, Freeness's and Lem3.8's findings on ``p``, keyed by statement
-    id, each a list of (detail, extras), from one pass over the monotone maps
-    into every semilattice at the bound.
+def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
+    """Lem2.3's, Freeness's, Lem3.8's and Lem3.6's findings on the monotone
+    maps from ``p`` into ``l``, keyed by statement id, each a list of
+    (detail, extras), from one pass over the maps.  A statement with no
+    finding has no key, and every pair with no finding at all shares one
+    empty read-only mapping, so that clean pairs cost the cache no more
+    than their keys.
 
-    Each map's ``_image_sups`` table is computed once and read three ways.
+    Each map's ``_image_sups`` table is computed once and read four ways.
     Its entries at the powerdomain members are the map's sup-of-image
     extension, which must be defined (Lem2.3) and be the one homomorphism
     that restricts to the map (Freeness).  Its -1 entries are the subsets
-    the map refutes (Lem3.8).  A homomorphism refutes, through the
-    embedding, exactly the subsets its restriction refutes, so Lem3.8's
-    homomorphism side gathers the maps that Freeness finds among the
-    restrictions.  The maps are streamed; only findings are kept."""
+    the map refutes (Lem3.8).  When ``p`` is the poset of an enumerated
+    semilattice ``d``, found by structural equality so that the entry does
+    not depend on which statement fills it first, a map that is a
+    homomorphism of ``d`` must give every subset and its F-Scott closure the
+    same sup (Lem3.6); Lem3.6's entry is None when ``p`` carries no
+    semilattice.
+
+    A map whose restriction group, the powerdomain homomorphisms restricting
+    to it, is exactly its extension has nothing to report to Lem2.3 or
+    Freeness: a homomorphism has no -1 entry, is among the homomorphisms and
+    restricts to the map.  Its other tests are skipped.
+
+    Lem3.8 compares the subsets refuted by some map with those refuted by
+    the restriction of some homomorphism; a homomorphism refutes, through
+    the embedding, exactly what its restriction refutes.  When every map
+    that refutes a subset has a restriction group and every group's
+    restriction is among the maps, both sides are the union of the same
+    maps' refuted subsets and agree by construction.  Only otherwise are
+    the two unions built, by streaming the maps again and evaluating each
+    restriction the stream never met, so that a failure names the subsets
+    that differ.  The maps are streamed; only findings are kept."""
     h = build_hc(p)
     members = h.family.members
     j_img = h.j.img
     hc_pairs = _strict_pairs(h.poset)
-    found = {"Lem2.3": [], "Freeness": [], "Lem3.8": []}
-    for l in _semilattices_upto(semi_bound):
-        homs = _homomorphism_images(h.semilattice, l)
-        hom_set = set(homs)
-        groups: dict = {}
-        for g in homs:
-            groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
-        up = l.poset.up_masks
-        per_map = []  # Freeness's findings after its count line
-        refut_maps, refut_homs, restrictions_met = set(), set(), set()
-        count = 0
+    homs = _homomorphism_images(h.semilattice, l)
+    hom_set = set(homs)
+    groups: dict = {}
+    for g in homs:
+        groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
+    d = next((d for d in enumerate_v_semilattices(p.n) if d.poset == p), None)
+    closures = None if d is None else gamma_f(d).closures
+    # the homomorphisms of d are the maps preserving these joins, tested as
+    # _homomorphism_images tests them, without filling its cache for pairs
+    # that Lem3.6's bounds never reach
+    triples = () if d is None else d.join_triples
+    jl = l.join
+    up = l.poset.up_masks
+    found = {"Lem2.3": [], "Freeness": [], "Lem3.8": [], "Lem3.6": None if d is None else []}
+    per_map = []  # Freeness's findings after its count line
+    count = met = 0
+    outsider_refutes = False  # a map with no restriction group refutes a subset
 
-        def on_map(detail, **extra):
-            return detail, {"semilattice": l.poset.to_json(), "map": list(f_img), **extra}
+    def on_map(detail, **extra):
+        return detail, {"semilattice": l.poset.to_json(), "map": list(f_img), **extra}
 
-        for f_img in iter_monotone_maps(p, l.poset):
-            count += 1
-            sups = _image_sups(l, f_img)
-            matching = groups.get(f_img, [])
-            if matching:
-                restrictions_met.add(f_img)
-            if -1 in sups:
-                refuted = [a for a, s in enumerate(sups) if s < 0]
-                refut_maps.update(refuted)
-                if matching:
-                    refut_homs.update(refuted)
-            ext = tuple([sups[m] for m in members])
-            if -1 in ext:
-                for m, s in zip(members, ext):
-                    if s < 0:
-                        detail = "member image has no least upper bound"
-                        found["Lem2.3"].append(on_map(detail, member=p.subset_labels(m)))
-                undefined = members[ext.index(-1)]
-                per_map.append(
-                    on_map("extension undefined on a member", member=p.subset_labels(undefined))
-                )
-                continue
-            # a cached homomorphism is monotone, so only an outsider is tested
-            if ext not in hom_set:
-                if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
-                    per_map.append(on_map("extension not monotone"))
-                else:
-                    per_map.append(on_map("extension does not preserve joins"))
-            if tuple([ext[k] for k in j_img]) != f_img:
-                per_map.append(on_map("extension does not restrict to the map"))
-            if len(matching) != 1 or matching[0] != ext:
-                per_map.append(
-                    on_map(
-                        f"{len(matching)} powerdomain maps restrict to this map, expected "
-                        "exactly the sup-of-image extension"
+    for f_img in iter_monotone_maps(p, l.poset):
+        count += 1
+        sups = _image_sups(l, f_img)
+        hom = closures is not None
+        for i, j, z in triples:
+            if jl[f_img[i]][f_img[j]] != f_img[z]:
+                hom = False
+                break
+        if hom and [sups[c] for c in closures] != sups:
+            for a, c in enumerate(closures):
+                if sups[a] != sups[c]:
+                    found["Lem3.6"].append(
+                        (
+                            "join-existence does not transport across the closure",
+                            {
+                                "dom": p.to_json(),
+                                "cod": l.poset.to_json(),
+                                "map": list(f_img),
+                                "subset": p.subset_labels(a),
+                            },
+                        )
                     )
-                )
-        if len(homs) != count:
-            found["Freeness"].append(
-                (
-                    f"{len(homs)} powerdomain maps vs {count} monotone maps",
-                    {"semilattice": l.poset.to_json()},
+        ext = tuple([sups[m] for m in members])
+        matching = groups.get(f_img, [])
+        if matching:
+            met += 1
+            if matching == [ext]:
+                continue
+        elif -1 in sups:
+            outsider_refutes = True
+        if -1 in ext:
+            for m, s in zip(members, ext):
+                if s < 0:
+                    detail = "member image has no least upper bound"
+                    found["Lem2.3"].append(on_map(detail, member=p.subset_labels(m)))
+            undefined = members[ext.index(-1)]
+            per_map.append(
+                on_map("extension undefined on a member", member=p.subset_labels(undefined))
+            )
+            continue
+        # a cached homomorphism is monotone, so only an outsider is tested
+        if ext not in hom_set:
+            if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
+                per_map.append(on_map("extension not monotone"))
+            else:
+                per_map.append(on_map("extension does not preserve joins"))
+        if tuple([ext[k] for k in j_img]) != f_img:
+            per_map.append(on_map("extension does not restrict to the map"))
+        if len(matching) != 1 or matching[0] != ext:
+            per_map.append(
+                on_map(
+                    f"{len(matching)} powerdomain maps restrict to this map, expected "
+                    "exactly the sup-of-image extension"
                 )
             )
-        found["Freeness"] += per_map
+    if len(homs) != count:
+        found["Freeness"].append(
+            (
+                f"{len(homs)} powerdomain maps vs {count} monotone maps",
+                {"semilattice": l.poset.to_json()},
+            )
+        )
+    found["Freeness"] += per_map
+    if outsider_refutes or met < len(groups):
+        refut_maps, refut_homs, restrictions_met = set(), set(), set()
+        for f_img in iter_monotone_maps(p, l.poset):
+            refuted = [a for a, s in enumerate(_image_sups(l, f_img)) if s < 0]
+            refut_maps.update(refuted)
+            if f_img in groups:
+                restrictions_met.add(f_img)
+                refut_homs.update(refuted)
         for img in groups.keys() - restrictions_met:
             refut_homs.update(a for a, s in enumerate(_image_sups(l, img)) if s < 0)
         if refut_maps != refut_homs:
@@ -312,15 +378,17 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
                     },
                 )
             )
-    return found
+    return {k: v for k, v in found.items() if v != []} or _NO_FINDINGS
 
 
 def _swept(statement: str, p: FinitePoset, semi_bound: int) -> VerificationReport:
-    """The report of the findings ``_map_sweep`` keeps for ``statement``,
-    copied so that no report shares an object with the cache."""
+    """The report of the findings ``_map_sweep`` keeps for ``statement`` over
+    every semilattice at the bound, copied so that no report shares an
+    object with the cache."""
     ck = _Check.on_poset(statement, p, max_semilattice_n=semi_bound)
-    for detail, extra in _map_sweep(p, semi_bound)[statement]:
-        ck.fail(detail, **copy.deepcopy(extra))
+    for l in _semilattices_upto(semi_bound):
+        for detail, extra in _map_sweep(p, l).get(statement, ()):
+            ck.fail(detail, **copy.deepcopy(extra))
     return ck.report()
 
 
@@ -397,7 +465,11 @@ def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
 
 def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Closure transport: a set's image and its closure's image have a least
-    upper bound together (and then the same one), for every monotone map."""
+    upper bound together (and then the same one), for every monotone map.
+
+    The sups come from ``_image_sups``; which closed sets some map refutes
+    is checked against ``first_refutations``, which reads the semilattices'
+    ``sup_table`` instead, so a table that invents or drops sups fails."""
     ck = _Check.on_poset("Prop3.2", p, max_semilattice_n=semi_bound)
     subsets = range(1 << p.n)
     closures = [scott_closure(p, a) for a in subsets]
@@ -420,6 +492,13 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
         if refutable[a] != refutable[closures[a]]:
             ck.fail(
                 "a set and its closure differ in refutability at the bound",
+                subset=p.subset_labels(a),
+            )
+    closed = gamma(p).members
+    for a, cert in zip(closed, first_refutations(p, closed, _semilattices_upto(semi_bound))):
+        if refutable[a] != (cert is not None):
+            ck.fail(
+                "the sup tables and the refutation search disagree on refutability",
                 subset=p.subset_labels(a),
             )
     return ck.report()
@@ -516,21 +595,27 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     """Part 1: a map between semilattices preserves consistent joins exactly
     when preimages of F-Scott closed sets are F-Scott closed.  A monotone
     map is a homomorphism when it is among ``_homomorphism_images`` of the
-    pair, whose cache Lem3.6 reads again; it is continuous when every closed
-    set's preimage, read from the map's preimage table, is closed in the
-    domain's ``_f_closed_table``.  Part 2: the F-Scott closure of a
+    pair.  It is continuous when the preimage of every meet-irreducible
+    closed set of the codomain is closed in the domain's
+    ``_f_closed_table``: every closed set is the intersection of the
+    irreducibles containing it (the full set being the empty intersection),
+    the preimage of an intersection is the intersection of the preimages,
+    and the domain's closed sets are closed under intersection, so then
+    every closed set's preimage is closed.  Part 2: the F-Scott closure of a
     consistent set is the down-set of its join."""
     ck = _Check.sweep("Prop3.4", pair_bound=pair_bound, consistent_bound=consistent_bound)
     pool = _semilattices_upto(pair_bound)
+    irreducibles = [
+        [tuple(iter_bits(c)) for c in gamma_f(m).meet_irreducibles()] for m in pool
+    ]
     for l in pool:
         l_closed = _f_closed_table(l)
-        for m in pool:
-            m_closed_sets = gamma_f(m).members
+        for m, m_irreducibles in zip(pool, irreducibles):
             homs = set(_homomorphism_images(l, m))
             for img in iter_monotone_maps(l.poset, m.poset):
                 # is_homomorphism and is_f_scott_continuous, by lookup
                 hom = img in homs
-                cont = _continuous_by_table(img, l_closed, m.n, m_closed_sets)
+                cont = _continuous_by_table(img, l_closed, m.n, m_irreducibles)
                 if hom != cont:
                     ck.fail(
                         f"homomorphism={hom} but continuity={cont}",
@@ -554,24 +639,21 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
 
 def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     """A subset and its F-Scott closure are refuted by exactly the same
-    homomorphisms, so join-existence transports across the closure."""
+    homomorphisms, so join-existence transports across the closure.
+
+    A homomorphism from ``l`` into ``m`` is a monotone map from ``l.poset``,
+    so ``_map_sweep(l.poset, m)`` tests it on the sup table it builds for
+    Lem2.3, Freeness and Lem3.8, and this check reads its findings.  A sweep
+    that found no semilattice on ``l.poset`` tested nothing, and is an
+    error rather than a pass."""
     ck = _Check.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
     for l in _semilattices_upto(l_bound):
-        closures = [cl_f(l, a) for a in range(1 << l.n)]
         for m in _semilattices_upto(m_bound):
-            for g in _homomorphism_images(l, m):
-                sups = _image_sups(m, g)
-                if [sups[c] for c in closures] == sups:
-                    continue
-                for a in range(1 << l.n):
-                    if sups[a] != sups[closures[a]]:
-                        ck.fail(
-                            "join-existence does not transport across the closure",
-                            dom=l.poset.to_json(),
-                            cod=m.poset.to_json(),
-                            map=list(g),
-                            subset=l.poset.subset_labels(a),
-                        )
+            found = _map_sweep(l.poset, m).get("Lem3.6", ())
+            if found is None:
+                raise InvariantError(f"the map sweep found no semilattice on {l.poset.to_json()}")
+            for detail, extra in found:
+                ck.fail(detail, **copy.deepcopy(extra))
     return ck.report()
 
 

@@ -79,20 +79,25 @@ _CLOSURE_STEP_FUNCTIONS = {"lower": "down_set", "pair_join": "_step_pair_join", 
 @contextmanager
 def closure_mutant(step):
     """Run with one cl_f step ("lower", "pair_join" or "directed_sup")
-    replaced by the identity in ``powerlab.semilattice``.  The gamma_f cache,
-    the one cache holding a cl_f result, is cleared on entry and on exit, so
-    no result leaks into or out of the mutant."""
-    from powerlab import semilattice
+    replaced by the identity in ``powerlab.semilattice``.  The caches holding
+    a cl_f result, gamma_f's and the map sweep's (Lem3.6's findings), are
+    cleared on entry and on exit, so no result leaks into or out of the
+    mutant."""
+    from powerlab import semilattice, suite
+
+    def clear():
+        semilattice._gamma_f_cached.cache_clear()
+        suite._map_sweep.cache_clear()
 
     name = _CLOSURE_STEP_FUNCTIONS[step]
-    semilattice._gamma_f_cached.cache_clear()
+    clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
             if name is not None:
                 mp.setattr(semilattice, name, lambda _, bits: bits)
             yield
     finally:
-        semilattice._gamma_f_cached.cache_clear()
+        clear()
 
 
 def mutant_failures(step):
@@ -210,6 +215,35 @@ def literal_lemma_3_8(p, semi_bound):
                 semilattice=l.poset.to_json(),
                 subsets=[p.subset_labels(a) for a in sorted(diff)],
             )
+    return ck.report().failures
+
+
+def literal_lemma_3_6(l_bound, m_bound):
+    """Lem3.6's failures by its own loop: every cached homomorphism between
+    semilattices at the bounds, with one ``_image_sups`` table each, compared
+    at every subset and at its ``cl_f`` closure.  The functions are read at
+    call time, so a mutant patched in ``powerlab.suite`` or
+    ``powerlab.semilattice`` reaches this loop and the check alike.  The
+    reference for the Lem3.6 entries of ``_map_sweep``."""
+    from powerlab import suite
+
+    ck = suite._Check.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
+    for l in suite._semilattices_upto(l_bound):
+        closures = [suite.cl_f(l, a) for a in range(1 << l.n)]
+        for m in suite._semilattices_upto(m_bound):
+            for g in suite._homomorphism_images(l, m):
+                sups = suite._image_sups(m, g)
+                if [sups[c] for c in closures] == sups:
+                    continue
+                for a in range(1 << l.n):
+                    if sups[a] != sups[closures[a]]:
+                        ck.fail(
+                            "join-existence does not transport across the closure",
+                            dom=l.poset.to_json(),
+                            cod=m.poset.to_json(),
+                            map=list(g),
+                            subset=l.poset.subset_labels(a),
+                        )
     return ck.report().failures
 
 

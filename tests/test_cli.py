@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -240,6 +241,29 @@ class TestVerify:
             "wall_ms",
         }
         assert group["instances"] == 8
+
+    def test_default_report_is_pinned(self, capsys, tmp_path):
+        # the default report with its wall_ms fields stripped, digested as the
+        # benchmark digests it: a change of any byte of it fails here
+        def strip(obj):
+            if isinstance(obj, dict):
+                return {k: strip(v) for k, v in obj.items() if k != "wall_ms"}
+            if isinstance(obj, list):
+                return [strip(v) for v in obj]
+            return obj
+
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "verify", "--out", str(out_path))
+        assert code == 0
+        report = strip(json.loads(out_path.read_text()))
+        text = json.dumps(
+            {k: report[k] for k in ("config", "statements", "all_pass")},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "94e9741f90a06135b009657e8af6ab9144d15d6eb5b3a4868ff5f13681a3fd39"
+        )
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")

@@ -1,26 +1,30 @@
-"""The one map sweep behind Lem2.3, Freeness and Lem3.8: failure parity with
-each statement's own loop, mutants that reach every failure detail, cache
-hygiene, and one ``_image_sups`` table per map."""
+"""The one map sweep behind Lem2.3, Freeness, Lem3.8 and Lem3.6: failure
+parity with each statement's own loop, mutants that reach every failure
+detail, cache hygiene and sharing, and one ``_image_sups`` table per map."""
 
 import json
 
 import pytest
 
-from powerlab import catalog
+from powerlab import catalog, suite
 from powerlab.enumeration import monotone_map_images
-from powerlab.poset import iter_bits
+from powerlab.poset import InvariantError, iter_bits
 from powerlab.semilattice import _homomorphism_images
 from powerlab.suite import (
     _image_sups,
+    _map_sweep,
     _semilattices_upto,
     check_freeness,
     check_lemma_2_3,
+    check_lemma_3_6,
     check_lemma_3_8,
 )
 
 from conftest import (
+    closure_mutant,
     literal_freeness,
     literal_lemma_2_3,
+    literal_lemma_3_6,
     literal_lemma_3_8,
     small_posets,
     sweep_mutant,
@@ -186,3 +190,53 @@ def test_one_sup_table_per_map():
             for check, _ in CHECKS:
                 assert check(p, 4).verdict == "PASS"
     assert len(calls) == maps == 18526
+
+
+# -- Lem3.6, read from the same sweep ------------------------------------------
+
+LEMMA_3_6_BOUNDS = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+
+
+def test_lemma_3_6_matches_its_loop():
+    for bounds in LEMMA_3_6_BOUNDS + [(4, 4)]:
+        assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))
+
+
+def test_lemma_3_6_matches_its_loop_under_the_pair_join_mutant():
+    with closure_mutant("pair_join"):
+        for bounds in LEMMA_3_6_BOUNDS:
+            assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))
+
+
+def test_lemma_3_6_matches_its_loop_under_a_sup_mutant():
+    name, replacement, _ = MUTANTS["shifted_sup"]
+    with sweep_mutant(name, replacement):
+        assert check_lemma_3_6(3, 3).failures
+        for bounds in LEMMA_3_6_BOUNDS:
+            assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))
+
+
+def test_lemma_3_6_report_does_not_depend_on_which_statement_sweeps_first():
+    name, replacement, _ = MUTANTS["shifted_sup"]
+    with sweep_mutant(name, replacement):
+        lemma_3_6_first = check_lemma_3_6(3, 3).failures
+        _map_sweep.cache_clear()
+        for p in small_posets(3):
+            check_lemma_2_3(p, 3)
+        misses = _map_sweep.cache_info().misses
+        lemma_2_3_first = check_lemma_3_6(3, 3).failures
+        # every pair Lem3.6 reads was swept for Lem2.3 already
+        assert _map_sweep.cache_info().misses == misses
+    assert lemma_3_6_first
+    assert _dump(lemma_3_6_first) == _dump(lemma_2_3_first)
+
+
+def test_lemma_3_6_refuses_a_sweep_that_found_no_semilattice():
+    # the sweep looks up the semilattice on its poset among the enumerated
+    # ones; with none found it tests no homomorphism, which must not pass
+    pool = _semilattices_upto(2)
+    with sweep_mutant("enumerate_v_semilattices", lambda n, max_n=None: ()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(suite, "_semilattices_upto", lambda k: pool)
+            with pytest.raises(InvariantError, match="found no semilattice"):
+                check_lemma_3_6(2, 2)

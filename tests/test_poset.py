@@ -25,7 +25,8 @@ from powerlab import (
     way_below,
 )
 from powerlab.enumeration import enumerate_v_semilattices, monotone_map_images
-from powerlab.poset import _ideals, least_upper_bound, subset_unions
+from powerlab.poset import _ideals, least_upper_bound
+from powerlab.suite import _fibres
 
 from conftest import small_posets
 
@@ -493,9 +494,12 @@ class TestPosetMap:
             for q in codomains:
                 for img in monotone_map_images(p, q):
                     f = PosetMap(p, q, img)
-                    table = subset_unions([1 << v for v in img])
-                    assert len(table) == 1 << p.n
-                    assert all(table[a] == f.image_bits(a) for a in range(1 << p.n))
+                    # v is in the image of a exactly when its fibre meets a
+                    fibres = _fibres(img, q.n)
+                    assert len(fibres) == q.n
+                    for a in range(1 << p.n):
+                        image = sum(1 << v for v, fibre in enumerate(fibres) if fibre & a)
+                        assert image == f.image_bits(a)
 
     def test_monotone_iff_scott_continuous_on_finite(self):
         # all functions, not only the monotone ones, at tiny sizes

@@ -220,6 +220,43 @@ class TestGammaF:
             assert list(gamma_f(l).members) == naive
 
 
+def _closure_systems(semilattice_n, powerdomain_base_n):
+    """The F-Scott closure systems of the semilattices up to the first size
+    and of the powerdomains of the posets up to the second."""
+    lattices = semis_upto(semilattice_n)
+    lattices += [build_hc(p).semilattice for p in small_posets(powerdomain_base_n)]
+    return [gamma_f(l) for l in lattices]
+
+
+class TestClosureSystem:
+    def test_every_closed_set_meets_its_irreducibles(self):
+        for fc in _closure_systems(5, 4):
+            irreducibles = fc.meet_irreducibles()
+            assert set(irreducibles) <= set(fc.members)
+            for c in fc.members:
+                meet = fc.base.poset.full_mask
+                for i in irreducibles:
+                    if not c & ~i:
+                        meet &= i
+                assert meet == c
+            # and none is the meet of the other irreducibles containing it
+            for k, i in enumerate(irreducibles):
+                meet = fc.base.poset.full_mask
+                for j in irreducibles[:k] + irreducibles[k + 1 :]:
+                    if not i & ~j:
+                        meet &= j
+                assert meet != i
+
+    def test_irreducible_count(self):
+        systems = [gamma_f(l) for l in semis_upto(4)]
+        assert sum(len(fc.members) for fc in systems) == 152
+        assert sum(len(fc.meet_irreducibles()) for fc in systems) == 73
+
+    def test_closures_match_cl_f(self):
+        for fc in _closure_systems(5, 3):
+            assert list(fc.closures) == [cl_f(fc.base, a) for a in range(1 << fc.base.n)]
+
+
 class TestHomomorphisms:
     def test_identity(self, vee):
         l = VSemilattice.from_poset(vee)

@@ -20,8 +20,9 @@ from powerlab import (
 from powerlab.enumeration import canonical_form, enumerate_posets, monotone_map_images
 from powerlab.families import gamma0
 from powerlab.hoare import WitnessCert, build_hc, partial_join
-from powerlab.poset import PosetMap, scott_closure
+from powerlab.poset import PosetMap, iter_bits, scott_closure
 from powerlab.semilattice import (
+    FClosureSystem,
     VSemilattice,
     _homomorphism_images,
     gamma_f,
@@ -32,19 +33,21 @@ from powerlab.suite import (
     STATEMENT_ORDER,
     _continuous_by_table,
     _f_closed_table,
+    _fibres,
     _image_sups,
-    _preimage_table,
     _semilattices_upto,
     check_cor_3_11,
     check_def_2_1,
     check_enum,
     check_freeness,
+    check_prop_3_2,
+    check_prop_3_4,
     check_thm_3_9,
     check_thm_3_10,
     exit_code_for,
 )
 
-from conftest import closure_mutant, mutant_failures
+from conftest import closure_mutant, mutant_failures, small_posets, sweep_mutant
 
 
 def strip_timing(summary_json):
@@ -354,20 +357,63 @@ class TestTabulatedVerdicts:
         for l in pool:
             closed = _f_closed_table(l)
             for m in pool:
+                closed_sets = [tuple(iter_bits(c)) for c in gamma_f(m).members]
                 for img in monotone_map_images(l.poset, m.poset):
                     f = PosetMap(l.poset, m.poset, img)
-                    assert _continuous_by_table(img, closed, m.n, gamma_f(m).members) == (
+                    assert _continuous_by_table(img, closed, m.n, closed_sets) == (
+                        is_f_scott_continuous(f, l, m)
+                    )
+
+    def test_prop_3_4_irreducibles_match_f_scott_continuity(self):
+        # Prop3.4 tests each map on the meet-irreducible closed sets only
+        pool = _semilattices_upto(4)
+        for l in pool:
+            closed = _f_closed_table(l)
+            for m in pool:
+                irreducibles = [tuple(iter_bits(c)) for c in gamma_f(m).meet_irreducibles()]
+                for img in monotone_map_images(l.poset, m.poset):
+                    f = PosetMap(l.poset, m.poset, img)
+                    assert _continuous_by_table(img, closed, m.n, irreducibles) == (
                         is_f_scott_continuous(f, l, m)
                     )
 
     def test_preimage_table_matches_preimage_bits(self):
+        # a subset's preimage is the union of its elements' fibres
         pool = _semilattices_upto(3)
         for l in pool:
             for m in pool:
                 for img in monotone_map_images(l.poset, m.poset):
                     f = PosetMap(l.poset, m.poset, img)
-                    pre = _preimage_table(img, m.n)
-                    assert pre == [f.preimage_bits(c) for c in range(1 << m.n)]
+                    fibres = _fibres(img, m.n)
+                    for c in range(1 << m.n):
+                        pre = 0
+                        for v in iter_bits(c):
+                            pre |= fibres[v]
+                        assert pre == f.preimage_bits(c)
+
+
+class TestTableMutants:
+    """A mutant of a table the map statements read must make one of them fail."""
+
+    def test_prop_3_2_catches_invented_sups(self):
+        # every subset whose image has no sup is given the first image's element
+        def inventing(l, img):
+            return [img[0] if s < 0 else s for s in _image_sups(l, img)]
+
+        posets = small_posets(3)
+        with sweep_mutant("_image_sups", inventing):
+            reports = [check_prop_3_2(p, 3) for p in posets]
+        details = {f["detail"] for r in reports for f in r.failures}
+        assert details == {"the sup tables and the refutation search disagree on refutability"}
+        assert [check_prop_3_2(p, 3).verdict for p in posets] == ["PASS"] * len(posets)
+
+    def test_prop_3_4_needs_every_irreducible(self, monkeypatch):
+        assert check_prop_3_4(3, 1).verdict == "PASS"
+        irreducibles = FClosureSystem.meet_irreducibles
+        monkeypatch.setattr(FClosureSystem, "meet_irreducibles", lambda fc: irreducibles(fc)[1:])
+        report = check_prop_3_4(3, 1)
+        assert report.verdict == "FAIL"
+        assert report.failures[0]["detail"] == "homomorphism=False but continuity=True"
 
 
 def _sup_oracle(f: PosetMap, l: VSemilattice) -> list:
