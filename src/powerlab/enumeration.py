@@ -7,9 +7,23 @@ equal byte strings mean isomorphic posets.  The search skips the branches of
 twins, elements with the same strict up-set and down-set: swapping two twins
 is an automorphism, so their branches reach leaves with the same packed
 bytes and dropping all but one leaves the minimum unchanged
-(``canonical_form`` spells out the argument).  Poset generation
-grows instances one maximal element at a time and rejects duplicates by
-canonical form, which avoids ever materializing the 2**(n*n) relation space.
+(``canonical_form`` spells out the argument).
+
+Poset generation grows instances one maximal element at a time, which avoids
+ever materializing the 2**(n*n) relation space: each canonical parent on
+n - 1 elements is extended by a new maximal element above each of its
+ideals.  Two isomorphism-invariant filters, the cheap half of canonical
+augmentation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26, 1998), skip most candidates before a poset is built.  The down-size
+filter keeps a candidate only when its new element is a maximal element of
+largest down-set size: every class arises from its canonical parent by
+adding such an element back, so no class is lost.  The twin filter keeps,
+within each class of the parent's twins, only ideals whose members come
+first in index order: permuting twins is an automorphism of the parent,
+which carries any ideal to such a one, gives an isomorphic child and keeps
+the down-size verdict.  The candidates that survive are then deduplicated
+by canonical form, and a class count that disagrees with A000112 raises
+(``_canonical_forms`` spells out the argument).
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 
-from .poset import FinitePoset, PosetError, PosetMap, _ideals, iter_bits
+from .poset import FinitePoset, InvariantError, PosetError, PosetMap, _ideals, iter_bits
 
 DEFAULT_MAX_N = 6
 
@@ -176,17 +190,62 @@ def enumerate_posets(n: int, max_n: int = DEFAULT_MAX_N, cache_dir=None):
 
 @lru_cache(maxsize=None)
 def _canonical_forms(n: int) -> tuple[bytes, ...]:
+    """The sorted canonical forms of the posets on ``n`` elements.
+
+    Every poset C is the one-point extension of C - x by a maximal x lying
+    above exactly the ideal ``↓x - x``, so extending each canonical parent
+    on n - 1 elements by every ideal reaches every class.  Two filters skip
+    candidates before any poset is built, and neither loses a class:
+
+    - Down-size.  Choose x among the maximal elements of C with the largest
+      down-set.  Down-set size is an isomorphism invariant, so the candidate
+      built from the canonical parent of C - x has its new element n - 1 in
+      that position too.  A candidate whose new element is not a maximal
+      element of largest down-set size is therefore skipped, and its class
+      still arrives through such a candidate.  The new element's down-set
+      has |ideal| + 1 elements; the child's other maximal elements are the
+      parent's maximal elements outside the ideal, with their down-sets
+      unchanged, so the test reads only the parent's masks.
+    - Twins.  Two elements of the parent with the same strict up-set and
+      strict down-set are twins, and swapping them is an automorphism of
+      the parent.  It maps an ideal to an ideal and extends, fixing n - 1,
+      to an isomorphism of the two children, which keeps every down-set
+      size, so the down-size filter gives both the same verdict.  Permuting
+      each twin class therefore brings any ideal to one whose members in
+      that class come first in index order, and only those are kept.
+
+    Which candidates survive changes no class, so ``seen`` and the sorted
+    result are what the unfiltered loop gives.  A result whose class count
+    differs from A000112 where that is known raises ``InvariantError``, so
+    a filter that did lose a class fails loudly at every size up to 8.
+    """
     if n == 1:
         return (canonical_form(FinitePoset.from_up_masks([1])),)
     seen: set[bytes] = set()
     top = 1 << (n - 1)
     for prev in _canonical_forms(n - 1):
         p = unpack_canonical(prev)
+        up, down = p.up_masks, p.down_masks
+        # (element, down-set size) of the parent's maximal elements
+        maximal = [(i, down[i].bit_count()) for i in range(n - 1) if up[i] == 1 << i]
+        # (a, b) with b the next twin after a in index order: keep b only with a
+        classes: dict = {}
+        for i in range(n - 1):
+            classes.setdefault((up[i] & ~(1 << i), down[i] & ~(1 << i)), []).append(i)
+        twins = [(c[k], c[k + 1]) for c in classes.values() for k in range(len(c) - 1)]
         # the new element n - 1 is maximal and lies above exactly the ideal
         for ideal in _ideals(p, include_empty=True):
-            up = [row | top if ideal >> i & 1 else row for i, row in enumerate(p.up_masks)]
-            up.append(top)
-            seen.add(canonical_form(FinitePoset.from_up_masks(up)))
+            size = ideal.bit_count() + 1
+            if any(d > size for i, d in maximal if not ideal >> i & 1):
+                continue
+            if any(ideal >> b & 1 and not ideal >> a & 1 for a, b in twins):
+                continue
+            child = [row | top if ideal >> i & 1 else row for i, row in enumerate(up)]
+            child.append(top)
+            seen.add(canonical_form(FinitePoset.from_up_masks(child)))
+    expected = POSET_COUNTS.get(n, len(seen))
+    if len(seen) != expected:
+        raise InvariantError(f"generated {len(seen)} posets of size {n}, A000112 has {expected}")
     return tuple(sorted(seen))
 
 

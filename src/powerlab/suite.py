@@ -234,6 +234,10 @@ def _continuous_by_table(img, dom_closed: list, cod_n: int, cod_sets) -> bool:
 
 _NO_FINDINGS = MappingProxyType({})
 
+# Lem3.6's bound on both semilattices of a pair, and the largest pair the map
+# sweep tests it on
+LEMMA_3_6_CAP = 4
+
 
 @lru_cache(maxsize=None)
 def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
@@ -252,8 +256,9 @@ def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
     semilattice ``d``, found by structural equality so that the entry does
     not depend on which statement fills it first, a map that is a
     homomorphism of ``d`` must give every subset and its F-Scott closure the
-    same sup (Lem3.6); Lem3.6's entry is None when ``p`` carries no
-    semilattice.
+    same sup (Lem3.6).  Lem3.6 is tested only on pairs within
+    ``LEMMA_3_6_CAP``, the only ones it reads; its entry is None when ``p``
+    carries no semilattice or the pair is above the cap.
 
     A map whose restriction group, the powerdomain homomorphisms restricting
     to it, is exactly its extension has nothing to report to Lem2.3 or
@@ -278,7 +283,9 @@ def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
     groups: dict = {}
     for g in homs:
         groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
-    d = next((d for d in enumerate_v_semilattices(p.n) if d.poset == p), None)
+    d = None
+    if max(p.n, l.n) <= LEMMA_3_6_CAP:
+        d = next((d for d in enumerate_v_semilattices(p.n) if d.poset == p), None)
     closures = None if d is None else gamma_f(d).closures
     # the homomorphisms of d are the maps preserving these joins, tested as
     # _homomorphism_images tests them, without filling its cache for pairs
@@ -644,11 +651,14 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     A homomorphism from ``l`` into ``m`` is a monotone map from ``l.poset``,
     so ``_map_sweep(l.poset, m)`` tests it on the sup table it builds for
     Lem2.3, Freeness and Lem3.8, and this check reads its findings.  A sweep
-    that found no semilattice on ``l.poset`` tested nothing, and is an
-    error rather than a pass."""
+    that found no semilattice on ``l.poset`` tested nothing, and neither
+    does one of a pair above ``LEMMA_3_6_CAP``; reading either is an error
+    rather than a pass."""
     ck = _Check.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
     for l in _semilattices_upto(l_bound):
         for m in _semilattices_upto(m_bound):
+            if max(l.n, m.n) > LEMMA_3_6_CAP:
+                raise InvariantError(f"Lem3.6 is not swept above size {LEMMA_3_6_CAP}")
             found = _map_sweep(l.poset, m).get("Lem3.6", ())
             if found is None:
                 raise InvariantError(f"the map sweep found no semilattice on {l.poset.to_json()}")
@@ -768,7 +778,7 @@ STATEMENTS = (
         "Lem3.6",
         ("lemma3.6",),
         check_lemma_3_6,
-        lambda c: dict.fromkeys(("l_bound", "m_bound"), min(4, c.max_semilattice_n)),
+        lambda c: dict.fromkeys(("l_bound", "m_bound"), min(LEMMA_3_6_CAP, c.max_semilattice_n)),
     ),
     Statement(
         "Lem3.7",

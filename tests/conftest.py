@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from functools import lru_cache
 
 import pytest
 
@@ -346,3 +347,25 @@ def literal_canonical_form(p):
     ranking = {s: r for r, s in enumerate(sorted(set(initial)))}
     search(refine(tuple(ranking[s] for s in initial)))
     return min(leaves)
+
+
+@lru_cache(maxsize=None)
+def literal_canonical_forms(n):
+    """The sorted canonical forms on ``n`` elements by the unfiltered
+    generation loop: every canonical parent on n - 1 elements, extended by a
+    new maximal element above each of its ideals, deduplicated by canonical
+    form.  The reference for the filters of ``_canonical_forms``."""
+    from powerlab import FinitePoset, canonical_form, unpack_canonical
+    from powerlab.poset import _ideals
+
+    if n == 1:
+        return (canonical_form(FinitePoset.from_up_masks([1])),)
+    seen = set()
+    top = 1 << (n - 1)
+    for prev in literal_canonical_forms(n - 1):
+        p = unpack_canonical(prev)
+        for ideal in _ideals(p, include_empty=True):
+            up = [row | top if ideal >> i & 1 else row for i, row in enumerate(p.up_masks)]
+            up.append(top)
+            seen.add(canonical_form(FinitePoset.from_up_masks(up)))
+    return tuple(sorted(seen))

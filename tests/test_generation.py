@@ -1,0 +1,95 @@
+"""The filtered poset generator against the unfiltered loop: the same forms,
+fewer candidates built, pinned bytes, and a class-count guard that catches a
+filter losing a class at every size A000112 covers."""
+
+import hashlib
+from contextlib import contextmanager
+
+import pytest
+
+from powerlab import Config, FinitePoset, enumerate_posets, run_all
+from powerlab import enumeration
+from powerlab.enumeration import POSET_COUNTS, _canonical_forms
+from powerlab.poset import InvariantError, _ideals
+
+from conftest import literal_canonical_forms
+
+# the candidates the filters let through at each size, every one of them
+# built as a poset; the unfiltered loop builds 1, 2, 7, 28, 135, 766, 5439
+FILTERED_CANDIDATES = {1: 1, 2: 2, 3: 5, 4: 16, 5: 68, 6: 350, 7: 2333}
+
+FORMS_DIGEST = "fd2eb824a2ead515603ae182e42bf32143ddb34e01706510912260c9c74b68cf"
+
+
+@contextmanager
+def generation_mutant(ideals):
+    """Run with ``enumeration._ideals`` replaced by ``ideals``, the generator
+    recomputing every size; no form generated under it outlives it."""
+    _canonical_forms.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "_ideals", ideals)
+            yield
+    finally:
+        _canonical_forms.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_forms_match_the_unfiltered_loop(n):
+    assert _canonical_forms(n) == literal_canonical_forms(n)
+    assert len(_canonical_forms(n)) == POSET_COUNTS[n]
+
+
+def test_forms_are_pinned():
+    data = b"".join(f for n in range(1, 8) for f in _canonical_forms(n))
+    assert hashlib.sha256(data).hexdigest() == FORMS_DIGEST
+
+
+def test_filters_build_fewer_candidates(monkeypatch):
+    built = 0
+    from_up_masks = FinitePoset.from_up_masks.__func__
+
+    def counted(cls, up_masks, labels=None):
+        nonlocal built
+        built += 1
+        return from_up_masks(cls, up_masks, labels)
+
+    monkeypatch.setattr(FinitePoset, "from_up_masks", classmethod(counted))
+    _canonical_forms.cache_clear()
+    try:
+        candidates = {}
+        for n in range(1, 8):
+            before = built
+            _canonical_forms(n)
+            # each parent is unpacked once; every other poset is a candidate
+            parents = len(_canonical_forms(n - 1)) if n > 1 else 0
+            candidates[n] = built - before - parents
+    finally:
+        _canonical_forms.cache_clear()
+    assert candidates == FILTERED_CANDIDATES
+
+
+def _without_ideals_containing_0(p, include_empty):
+    # not invariant under isomorphism: it loses the chain already at n = 2
+    return [i for i in _ideals(p, include_empty) if not i & 1]
+
+
+def _without_the_empty_ideal_of_a_six(p, include_empty):
+    # loses only the antichain on 7, past the brute-force oracle's reach
+    out = _ideals(p, include_empty)
+    return [i for i in out if i] if p.n == 6 else out
+
+
+def test_a_lost_class_raises():
+    with generation_mutant(_without_ideals_containing_0):
+        with pytest.raises(InvariantError, match="A000112"):
+            enumerate_posets(5)
+        with pytest.raises(InvariantError, match="A000112"):
+            run_all(Config(suites=("enum",)))
+
+
+def test_a_class_lost_past_the_oracle_raises():
+    with generation_mutant(_without_the_empty_ideal_of_a_six):
+        assert len(enumerate_posets(6)) == POSET_COUNTS[6]
+        with pytest.raises(InvariantError, match="generated 2044 posets of size 7"):
+            enumerate_posets(7, max_n=7)

@@ -3,6 +3,7 @@ parity with each statement's own loop, mutants that reach every failure
 detail, cache hygiene and sharing, and one ``_image_sups`` table per map."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from powerlab.enumeration import monotone_map_images
 from powerlab.poset import InvariantError, iter_bits
 from powerlab.semilattice import _homomorphism_images
 from powerlab.suite import (
+    LEMMA_3_6_CAP,
     _image_sups,
     _map_sweep,
     _semilattices_upto,
@@ -240,3 +242,26 @@ def test_lemma_3_6_refuses_a_sweep_that_found_no_semilattice():
             mp.setattr(suite, "_semilattices_upto", lambda k: pool)
             with pytest.raises(InvariantError, match="found no semilattice"):
                 check_lemma_3_6(2, 2)
+
+
+def _closures_to_the_empty_set(l):
+    # every subset's F-Scott closure read as the empty set: a homomorphism
+    # into a semilattice of two or more elements, such as a constant map at a
+    # non-bottom, then gives some subset and its closure different sups
+    return SimpleNamespace(closures=[0] * (1 << l.n))
+
+
+def test_lemma_3_6_is_swept_only_within_its_cap():
+    # the sweep finds the semilattice on its poset among the enumerated ones
+    d = next(l.poset for l in _semilattices_upto(2) if l.n == 2)
+    with sweep_mutant("gamma_f", _closures_to_the_empty_set):
+        for m in _semilattices_upto(LEMMA_3_6_CAP + 1):
+            found = _map_sweep(d, m).get("Lem3.6")
+            assert bool(found) == (2 <= m.n <= LEMMA_3_6_CAP)
+        assert check_lemma_3_6(2, 2).failures
+
+
+@pytest.mark.parametrize("bounds", [(LEMMA_3_6_CAP + 1, 2), (2, LEMMA_3_6_CAP + 1)])
+def test_lemma_3_6_refuses_a_pair_above_its_cap(bounds):
+    with pytest.raises(InvariantError, match="not swept above"):
+        check_lemma_3_6(*bounds)
