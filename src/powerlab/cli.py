@@ -147,8 +147,6 @@ def cmd_verify(args) -> int:
         settings["max_semilattice_n"] = args.max_semilattice
     if args.suite is not None:
         settings["suites"] = [args.suite]
-    if args.jobs is not None:
-        settings["jobs"] = args.jobs
     if args.strict:
         settings["strict"] = True
     known = {f for f in Config.__dataclass_fields__}
@@ -208,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default=None, help="all, thm3.9, thm3.10, cor3.11, freeness, ...")
     verify.add_argument("--max-poset", type=int, default=None)
     verify.add_argument("--max-semilattice", type=int, default=None)
-    verify.add_argument("--jobs", type=int, default=None)
     verify.add_argument("--strict", action="store_true")
     verify.add_argument("--config", help="JSON config file; flags win")
     verify.add_argument("--out", help="write the report JSON here")

@@ -250,11 +250,11 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_v_semilattices(n: int, max_n: int = DEFAULT_MAX_N) -> tuple:
+def enumerate_v_semilattices(n: int) -> tuple:
     """The posets of size ``n`` on which every consistent pair has a least join."""
     from .semilattice import VSemilattice
 
-    candidates = (VSemilattice.from_poset(p) for p in enumerate_posets(n, max_n=max_n))
+    candidates = (VSemilattice.from_poset(p) for p in enumerate_posets(n))
     return tuple(l for l in candidates if l is not None)
 
 

@@ -237,7 +237,7 @@ def test_lemma_3_6_refuses_a_sweep_that_found_no_semilattice():
     # the sweep looks up the semilattice on its poset among the enumerated
     # ones; with none found it tests no homomorphism, which must not pass
     pool = _semilattices_upto(2)
-    with sweep_mutant("enumerate_v_semilattices", lambda n, max_n=None: ()):
+    with sweep_mutant("enumerate_v_semilattices", lambda n: ()):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(suite, "_semilattices_upto", lambda k: pool)
             with pytest.raises(InvariantError, match="found no semilattice"):

@@ -49,11 +49,12 @@ before = set(sys.modules)
 import powerlab.cli
 for name in sorted(set(sys.modules) - before):
     if sys.modules[name] is not sys.modules["__main__"]:
-        print(name.partition(".")[0])
+        print(name)
 """
 
 
-def test_cli_import_loads_only_the_standard_library():
+def _modules_loaded_by_cli_import() -> set:
+    """The full names of the modules a fresh interpreter loads for ``import powerlab.cli``."""
     src = str(Path(powerlab.__file__).resolve().parents[1])
     run = subprocess.run(
         [sys.executable, "-c", PROBE],
@@ -63,9 +64,21 @@ def test_cli_import_loads_only_the_standard_library():
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    loaded = set(run.stdout.split())
+    return set(run.stdout.split())
+
+
+def test_cli_import_loads_only_the_standard_library():
+    loaded = {name.partition(".")[0] for name in _modules_loaded_by_cli_import()}
     assert "powerlab" in loaded
     assert loaded - {"powerlab"} <= set(sys.stdlib_module_names)
+
+
+def test_cli_import_loads_no_process_pool():
+    # verification runs in one process; the pool machinery is 32 modules
+    # that every powerlab process would otherwise pay for at import
+    loaded = _modules_loaded_by_cli_import()
+    assert "powerlab.cli" in loaded
+    assert not {"multiprocessing", "concurrent.futures.process"} & loaded
 
 
 def test_no_runtime_dependency_declared():
