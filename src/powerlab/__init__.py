@@ -21,12 +21,11 @@ from .poset import (
     iter_bits,
     scott_closure,
     sup,
-    up_set,
     upper_bounds,
     way_below,
     way_down_masks,
 )
-from .families import SetFamily, as_poset, closure_in_family, gamma, gamma0
+from .families import SetFamily, closure_in_family, gamma, gamma0
 from .semilattice import (
     FClosureSystem,
     VSemilattice,

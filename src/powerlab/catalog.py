@@ -38,13 +38,6 @@ def bowtie() -> FinitePoset:
     )
 
 
-def diamond() -> FinitePoset:
-    return FinitePoset.from_covers(
-        ("m", "a", "b", "t"),
-        (("m", "a"), ("m", "b"), ("a", "t"), ("b", "t")),
-    )
-
-
 def standard_trio() -> tuple[FinitePoset, FinitePoset, FinitePoset]:
     """The two-antichain, the vee and the wedge: the fixed instance set for
     mutation-sensitivity runs."""

@@ -102,11 +102,6 @@ def gamma0(p: FinitePoset) -> SetFamily:
     return SetFamily(p, _ideals(p, include_empty=True))
 
 
-def as_poset(family: SetFamily) -> FinitePoset:
-    """The inclusion order on the family's members."""
-    return family.poset
-
-
 def closure_in_family(family: SetFamily, subfamily) -> SetFamily:
     """Least subfamily containing ``subfamily`` that is Scott closed in the
     family's inclusion order: its down-set there.

@@ -26,7 +26,7 @@ from .poset import (
     PosetMap,
     down_set,
     is_consistent,
-    is_scott_closed,
+    is_lower_set,
     iter_bits,
     scott_closure,
     way_down_masks,
@@ -59,19 +59,25 @@ class ConsistentHoare:
 @lru_cache(maxsize=None)
 def build_hc(p: FinitePoset) -> ConsistentHoare:
     """Close the consistent family inside the full Scott closed family and
-    verify every structural invariant of the result."""
+    verify every structural invariant of the result.
+
+    A member is tested as a nonempty lower set: on a finite poset the lower
+    sets are the Scott closed sets (see ``scott_closure``).  The join of two
+    members is their union when that is a member, and undefined otherwise;
+    ``VSemilattice`` validates the table, so a union that is not the least
+    upper bound of a consistent pair is an error."""
     if p.n == 0:
         raise PosetError("powerdomain construction needs a nonempty poset")
     gc = gamma_c(p)
     family = closure_in_family(gamma(p), gc)
     equals = family.members == gc.members
     fp = family.poset
-    for m in family.members:
-        if m == 0 or not is_scott_closed(p, m):
-            raise InvariantError("powerdomain member is not a nonempty Scott closed set")
+    members, index_of = family.members, family.index_of
+    if any(m == 0 or not is_lower_set(p, m) for m in members):
+        raise InvariantError("powerdomain member is not a nonempty Scott closed set")
     j_img = []
     for x in range(p.n):
-        idx = family.index_of.get(p.down_masks[x])
+        idx = index_of.get(p.down_masks[x])
         if idx is None:
             raise InvariantError("point closure missing from the powerdomain")
         j_img.append(idx)
@@ -80,22 +86,18 @@ def build_hc(p: FinitePoset) -> ConsistentHoare:
         for y in range(p.n):
             if p.leq(x, y) != fp.leq(j_img[x], j_img[y]):
                 raise InvariantError("point-closure embedding does not reflect the order")
-    semilattice = VSemilattice.from_poset(fp)
-    if semilattice is None:
-        raise InvariantError("powerdomain order is not a consistent-join semilattice")
-    for i, a in enumerate(family.members):
-        for k, b in enumerate(family.members):
-            v = semilattice.join[i][k]
-            if v != -1 and family.members[v] != a | b:
-                raise InvariantError("consistent join in the powerdomain is not the union")
+    join = [[index_of.get(a | b, -1) for b in members] for a in members]
+    try:
+        semilattice = VSemilattice(fp, join)
+    except PosetError as e:
+        raise InvariantError(f"powerdomain union table is not its consistent join: {e}") from None
     return ConsistentHoare(p, family, fp, semilattice, j, equals)
 
 
 def partial_join(h: ConsistentHoare, a_bits: int, b_bits: int):
-    """Least upper bound of two members when they are consistent, else None.
-
-    The result is asserted to be the plain union of the two sets.
-    """
+    """Least upper bound of two members when they are consistent, else None:
+    their union, which ``build_hc`` puts in the join table exactly when it
+    is a member."""
     ia = h.family.index_of.get(a_bits)
     ib = h.family.index_of.get(b_bits)
     if ia is None or ib is None:
@@ -103,10 +105,7 @@ def partial_join(h: ConsistentHoare, a_bits: int, b_bits: int):
     v = h.semilattice.join[ia][ib]
     if v == -1:
         return None
-    result = h.family.members[v]
-    if result != a_bits | b_bits:
-        raise InvariantError("consistent join is not the union")
-    return result
+    return h.family.members[v]
 
 
 # -- join-existence certificates ----------------------------------------------
@@ -189,7 +188,7 @@ def refute_batch(p: FinitePoset, sets, max_size: int = 4) -> list:
         raise PosetError(f"refutation needs a semilattice bound of at least 1, not {max_size}")
     if max_size > DEFAULT_MAX_N:
         raise PosetError(f"semilattice bound {max_size} exceeds the enumeration cap {DEFAULT_MAX_N}")
-    if any(a == 0 or not is_scott_closed(p, a) for a in sets):
+    if any(a == 0 or not is_lower_set(p, a) for a in sets):
         raise PosetError("refutation is defined for nonempty Scott closed sets")
     h = build_hc(p)
     certs = [sup_of_image(h.semilattice, h.j, a) for a in sets]
@@ -281,7 +280,7 @@ def is_relatively_consistent(p: FinitePoset, bits: int) -> bool:
     Directedness of the collected down-sets is checked pairwise; a collection
     that is not directed disqualifies the set outright.
     """
-    if not is_scott_closed(p, bits):
+    if not is_lower_set(p, bits):
         raise PosetError("relative consistency is defined for Scott closed sets")
     if bits == 0:
         return False

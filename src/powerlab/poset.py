@@ -263,12 +263,6 @@ class PosetMap:
                 out |= 1 << i
         return out
 
-    def compose(self, inner: "PosetMap") -> "PosetMap":
-        """Return ``self`` after ``inner`` (so the result maps inner.dom to self.cod)."""
-        if inner.cod is not self.dom and inner.cod != self.dom:
-            raise PosetError("composition mismatch")
-        return PosetMap(inner.dom, self.cod, tuple(self.img[v] for v in inner.img))
-
     def is_scott_continuous(self) -> bool:
         """Literal check: every directed subset's sup is mapped to the sup of its image."""
         for dbits, s in directed_subsets_with_sups(self.dom):
@@ -293,13 +287,6 @@ def down_set(p: FinitePoset, bits: int) -> int:
     out = 0
     for i in iter_bits(bits):
         out |= p.down_masks[i]
-    return out
-
-
-def up_set(p: FinitePoset, bits: int) -> int:
-    out = 0
-    for i in iter_bits(bits):
-        out |= p.up_masks[i]
     return out
 
 

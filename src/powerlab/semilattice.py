@@ -11,10 +11,8 @@ monotone maps of ``iter_monotone_maps`` that preserve the join of every
 consistent incomparable pair.
 
 The module carries no test switch: mutation probes replace ``down_set`` or
-``_step_pair_join`` in this module's namespace from outside, and clear the
-caches that hold a ``cl_f`` result: ``gamma_f``'s, whose closure systems
-carry their ``closures``, and ``suite._map_sweep``, which keeps Lem3.6's
-findings.
+``_step_pair_join`` in this module's namespace from outside, and clear
+``gamma_f``'s cache, the one that holds ``cl_f`` results.
 """
 
 from __future__ import annotations
@@ -266,21 +264,6 @@ class FClosureSystem:
     @property
     def members(self) -> tuple[int, ...]:
         return self.family.members
-
-    @cached_property
-    def closures(self) -> tuple[int, ...]:
-        """``closures[a]`` is ``cl_f`` of subset ``a``, for every subset: the
-        intersection of the members containing it, taken by walking the
-        subsets of each member once."""
-        out = [self.base.poset.full_mask] * (1 << self.base.n)
-        for c in self.members:
-            sub = c
-            while True:
-                out[sub] &= c
-                if not sub:
-                    break
-                sub = (sub - 1) & c
-        return tuple(out)
 
     def meet_irreducibles(self) -> tuple[int, ...]:
         """The members, in member order, that are not the intersection of the

@@ -80,25 +80,20 @@ _CLOSURE_STEP_FUNCTIONS = {"lower": "down_set", "pair_join": "_step_pair_join", 
 @contextmanager
 def closure_mutant(step):
     """Run with one cl_f step ("lower", "pair_join" or "directed_sup")
-    replaced by the identity in ``powerlab.semilattice``.  The caches holding
-    a cl_f result, gamma_f's and the map sweep's (Lem3.6's findings), are
-    cleared on entry and on exit, so no result leaks into or out of the
-    mutant."""
-    from powerlab import semilattice, suite
-
-    def clear():
-        semilattice._gamma_f_cached.cache_clear()
-        suite._map_sweep.cache_clear()
+    replaced by the identity in ``powerlab.semilattice``.  gamma_f's cache,
+    the one holding cl_f results, is cleared on entry and on exit, so no
+    result leaks into or out of the mutant."""
+    from powerlab import semilattice
 
     name = _CLOSURE_STEP_FUNCTIONS[step]
-    clear()
+    semilattice._gamma_f_cached.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
             if name is not None:
                 mp.setattr(semilattice, name, lambda _, bits: bits)
             yield
     finally:
-        clear()
+        semilattice._gamma_f_cached.cache_clear()
 
 
 def mutant_failures(step):
@@ -225,7 +220,7 @@ def literal_lemma_3_6(l_bound, m_bound):
     at every subset and at its ``cl_f`` closure.  The functions are read at
     call time, so a mutant patched in ``powerlab.suite`` or
     ``powerlab.semilattice`` reaches this loop and the check alike.  The
-    reference for the Lem3.6 entries of ``_map_sweep``."""
+    reference for ``check_lemma_3_6``."""
     from powerlab import suite
 
     ck = suite._Check.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
@@ -251,8 +246,8 @@ def literal_lemma_3_6(l_bound, m_bound):
 @contextmanager
 def sweep_mutant(name, replacement):
     """Run with ``powerlab.suite.<name>`` replaced by ``replacement``, a
-    mutant of a function the map sweep reads.  The ``_map_sweep`` and
-    ``_homomorphism_images`` caches, the ones that could hold a mutant's
+    mutant of a function the map sweep or Lem3.6 reads.  The ``_map_sweep``
+    and ``_homomorphism_images`` caches, the ones that could hold a mutant's
     result, are cleared on entry and on exit, so no result leaks into or out
     of the mutant."""
     from powerlab import semilattice, suite

@@ -7,7 +7,6 @@ import pytest
 from powerlab import (
     PosetError,
     SetFamily,
-    as_poset,
     catalog,
     closure_in_family,
     gamma,
@@ -83,17 +82,17 @@ class TestSetFamily:
 
 class TestAsPoset:
     def test_gamma_a2_is_vee_shaped(self, a2):
-        fp = as_poset(gamma(a2))
+        fp = gamma(a2).poset
         assert fp.n == 3
         assert fp.labels == ("{a}", "{b}", "{a,b}")
         assert fp.leq(0, 2) and fp.leq(1, 2) and not fp.leq(0, 1)
 
     def test_gamma_c2_is_chain(self, c2):
-        fp = as_poset(gamma(c2))
+        fp = gamma(c2).poset
         assert fp.n == 2 and fp.leq(0, 1)
 
     def test_single_member_family(self, s1):
-        fp = as_poset(SetFamily(s1, [1]))
+        fp = SetFamily(s1, [1]).poset
         assert fp.n == 1
 
     def test_preserves_and_reflects_inclusion(self):

@@ -5,12 +5,16 @@ import json
 import pytest
 
 from powerlab import (
+    InvariantError,
     NoWitnessFound,
     PosetError,
     PosetMap,
+    SetFamily,
     VSemilattice,
     WitnessCert,
     build_hc,
+    catalog,
+    closure_in_family,
     f_c,
     gamma,
     gamma_c,
@@ -23,6 +27,7 @@ from powerlab import (
 )
 from powerlab.enumeration import canonical_form, enumerate_v_semilattices
 from powerlab.hoare import first_refutations, refute_batch
+from powerlab.suite import check_def_2_1, check_sober, check_thm_3_9, check_thm_3_10
 
 from conftest import literal_first_refutation, small_posets
 
@@ -99,6 +104,27 @@ class TestBuildHc:
 
         with pytest.raises(PosetError):
             build_hc(FinitePoset([]))
+
+    def test_builds_past_the_directed_subset_cap(self):
+        # members are tested as lower sets, so the exhaustive directed-subset
+        # enumeration, capped at 16 elements, is never reached
+        p = catalog.chain(24)
+        assert len(build_hc(p).family.members) == 24
+        checks = (check_def_2_1, check_thm_3_9, check_thm_3_10, check_sober)
+        assert [check(p, 2).verdict for check in checks] == ["PASS"] * 4
+
+    def test_union_table_is_validated(self, monkeypatch, vee):
+        # without the member {a, b}, {a} and {b} have no union in the family
+        # but a common upper bound, the whole vee
+        pair = vee.subset_from_labels(["a", "b"])
+
+        def without_pair(family, subfamily):
+            closed = closure_in_family(family, subfamily)
+            return SetFamily(closed.base, [m for m in closed.members if m != pair])
+
+        monkeypatch.setattr("powerlab.hoare.closure_in_family", without_pair)
+        with pytest.raises(InvariantError, match="not its consistent join"):
+            build_hc.__wrapped__(vee)
 
 
 class TestPartialJoin:

@@ -1,18 +1,19 @@
-"""The one map sweep behind Lem2.3, Freeness, Lem3.8 and Lem3.6: failure
-parity with each statement's own loop, mutants that reach every failure
-detail, cache hygiene and sharing, and one ``_image_sups`` table per map."""
+"""The one map sweep behind Lem2.3, Freeness and Lem3.8: failure parity
+with each statement's own loop, mutants that reach every failure detail,
+cache hygiene and sharing, and one ``_image_sups`` table per map.  Lem3.6,
+which has its own loop over pairs of semilattices, is held to the same
+parity and runs no map sweep."""
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from powerlab import catalog, suite
+from powerlab import catalog
 from powerlab.enumeration import monotone_map_images
-from powerlab.poset import InvariantError, iter_bits
+from powerlab.poset import iter_bits
 from powerlab.semilattice import _homomorphism_images
 from powerlab.suite import (
-    LEMMA_3_6_CAP,
+    Config,
     _image_sups,
     _map_sweep,
     _semilattices_upto,
@@ -20,6 +21,7 @@ from powerlab.suite import (
     check_lemma_2_3,
     check_lemma_3_6,
     check_lemma_3_8,
+    run_all,
 )
 
 from conftest import (
@@ -194,7 +196,7 @@ def test_one_sup_table_per_map():
     assert len(calls) == maps == 18526
 
 
-# -- Lem3.6, read from the same sweep ------------------------------------------
+# -- Lem3.6, by its own loop -----------------------------------------------------
 
 LEMMA_3_6_BOUNDS = [(a, b) for a in range(1, 4) for b in range(1, 4)]
 
@@ -218,50 +220,11 @@ def test_lemma_3_6_matches_its_loop_under_a_sup_mutant():
             assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))
 
 
-def test_lemma_3_6_report_does_not_depend_on_which_statement_sweeps_first():
-    name, replacement, _ = MUTANTS["shifted_sup"]
-    with sweep_mutant(name, replacement):
-        lemma_3_6_first = check_lemma_3_6(3, 3).failures
-        _map_sweep.cache_clear()
-        for p in small_posets(3):
-            check_lemma_2_3(p, 3)
-        misses = _map_sweep.cache_info().misses
-        lemma_2_3_first = check_lemma_3_6(3, 3).failures
-        # every pair Lem3.6 reads was swept for Lem2.3 already
-        assert _map_sweep.cache_info().misses == misses
-    assert lemma_3_6_first
-    assert _dump(lemma_3_6_first) == _dump(lemma_2_3_first)
-
-
-def test_lemma_3_6_refuses_a_sweep_that_found_no_semilattice():
-    # the sweep looks up the semilattice on its poset among the enumerated
-    # ones; with none found it tests no homomorphism, which must not pass
-    pool = _semilattices_upto(2)
-    with sweep_mutant("enumerate_v_semilattices", lambda n: ()):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(suite, "_semilattices_upto", lambda k: pool)
-            with pytest.raises(InvariantError, match="found no semilattice"):
-                check_lemma_3_6(2, 2)
-
-
-def _closures_to_the_empty_set(l):
-    # every subset's F-Scott closure read as the empty set: a homomorphism
-    # into a semilattice of two or more elements, such as a constant map at a
-    # non-bottom, then gives some subset and its closure different sups
-    return SimpleNamespace(closures=[0] * (1 << l.n))
-
-
-def test_lemma_3_6_is_swept_only_within_its_cap():
-    # the sweep finds the semilattice on its poset among the enumerated ones
-    d = next(l.poset for l in _semilattices_upto(2) if l.n == 2)
-    with sweep_mutant("gamma_f", _closures_to_the_empty_set):
-        for m in _semilattices_upto(LEMMA_3_6_CAP + 1):
-            found = _map_sweep(d, m).get("Lem3.6")
-            assert bool(found) == (2 <= m.n <= LEMMA_3_6_CAP)
-        assert check_lemma_3_6(2, 2).failures
-
-
-@pytest.mark.parametrize("bounds", [(LEMMA_3_6_CAP + 1, 2), (2, LEMMA_3_6_CAP + 1)])
-def test_lemma_3_6_refuses_a_pair_above_its_cap(bounds):
-    with pytest.raises(InvariantError, match="not swept above"):
-        check_lemma_3_6(*bounds)
+def test_lemma_3_6_runs_no_map_sweep():
+    # Lem3.6 quantifies over pairs of semilattices and has its own loop, so a
+    # run of it alone fills no entry of the per-poset map sweep
+    _map_sweep.cache_clear()
+    summary = run_all(Config(suites=("lem3.6",)))
+    assert not summary.any_fail and not summary.any_inconclusive
+    assert summary.groups[0]["instances"] == 1
+    assert _map_sweep.cache_info().misses == 0

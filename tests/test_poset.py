@@ -470,11 +470,6 @@ class TestPosetMap:
         assert f.image_bits(bits(vee, "a", "b")) == 1
         assert f.preimage_bits(1) == bits(vee, "a", "b")
 
-    def test_compose(self, c2, c3):
-        f = PosetMap(c2, c3, (0, 2))
-        g = PosetMap(c3, c2, (0, 0, 1))
-        assert g.compose(f).img == (0, 1)
-
     def test_monotone_matches_relation_matrix(self):
         # all functions, against the order read from the boolean matrices
         for p in small_posets(3):

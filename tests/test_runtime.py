@@ -1,6 +1,6 @@
 """What importing and running powerlab leaves behind: only standard-library
-modules, no declared runtime dependency, no reads of the environment, and no
-reference cycles from the recursive enumerators."""
+modules, no declared runtime dependency, no reads of the environment, no
+unused imports, and no reference cycles from the recursive enumerators."""
 
 import ast
 import gc
@@ -106,3 +106,24 @@ def test_no_module_reads_the_environment():
                 names = ENVIRONMENT_READERS & {alias.name for alias in node.names}
                 found.extend(f"{path.name}:{node.lineno} from os import {n}" for n in names)
     assert found == []
+
+
+def test_every_module_import_is_used():
+    # a deletion must take the imports only it used along with it; the
+    # package __init__ imports to re-export, and __future__ imports are
+    # compiler switches
+    unused = []
+    for path in sorted((ROOT / "src" / "powerlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -252,10 +252,6 @@ class TestClosureSystem:
         assert sum(len(fc.members) for fc in systems) == 152
         assert sum(len(fc.meet_irreducibles()) for fc in systems) == 73
 
-    def test_closures_match_cl_f(self):
-        for fc in _closure_systems(5, 3):
-            assert list(fc.closures) == [cl_f(fc.base, a) for a in range(1 << fc.base.n)]
-
 
 class TestHomomorphisms:
     def test_identity(self, vee):

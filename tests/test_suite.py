@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,8 +40,11 @@ from powerlab.suite import (
     check_def_2_1,
     check_enum,
     check_freeness,
+    check_lemma_3_7,
     check_prop_3_2,
     check_prop_3_4,
+    check_sober,
+    check_thm_2_2,
     check_thm_3_9,
     check_thm_3_10,
     exit_code_for,
@@ -374,6 +378,42 @@ class TestTableMutants:
         report = check_prop_3_4(3, 1)
         assert report.verdict == "FAIL"
         assert report.failures[0]["detail"] == "homomorphism=False but continuity=True"
+
+
+class TestStatementMutants:
+    """A mutant of what a check reads makes it FAIL; unmutated it passes."""
+
+    def test_thm_2_2_catches_an_empty_way_below(self, monkeypatch, vee):
+        assert check_thm_2_2(vee, 0).verdict == "PASS"
+        monkeypatch.setattr("powerlab.suite.way_down_masks", lambda p: (0,) * p.n)
+        report = check_thm_2_2(vee, 0)
+        assert report.verdict == "FAIL"
+        assert [f["detail"] for f in report.failures] == [
+            f"way-below of {x} differs from its down-set" for x in vee.labels
+        ]
+
+    def test_lemma_3_7_catches_a_non_principal_closed_set(self, monkeypatch):
+        # each singleton above a minimal element has that element as its
+        # join but is not a down-set
+        def with_singletons(l):
+            down = l.poset.down_masks
+            extra = tuple(1 << x for x in range(l.n) if down[x] != 1 << x)
+            return SimpleNamespace(members=gamma_f(l).members + extra)
+
+        assert check_lemma_3_7(2, 1).verdict == "PASS"
+        monkeypatch.setattr("powerlab.suite.gamma_f", with_singletons)
+        report = check_lemma_3_7(2, 1)
+        assert report.verdict == "FAIL"
+        assert {f["detail"] for f in report.failures} == {
+            "closed set with a join is not a principal down-set"
+        }
+
+    def test_sober_catches_a_false_verdict(self, monkeypatch, vee):
+        assert check_sober(vee).verdict == "PASS"
+        monkeypatch.setattr("powerlab.suite.is_sober", lambda p: False)
+        report = check_sober(vee)
+        assert report.verdict == "FAIL"
+        assert [f["detail"] for f in report.failures] == ["poset is not sober"]
 
 
 def _sup_oracle(f: PosetMap, l: VSemilattice) -> list:
