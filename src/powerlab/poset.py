@@ -340,6 +340,10 @@ def is_lower_set(p: FinitePoset, bits: int) -> bool:
     return down_set(p, bits) == bits
 
 
+# the largest poset whose directed subsets the literal definitions enumerate
+DIRECTED_SUBSET_CAP = 16
+
+
 def directed_subsets_with_sups(p: FinitePoset, domain_bits: int | None = None):
     """All nonempty directed subsets of ``domain_bits`` with their sups.
 
@@ -354,8 +358,10 @@ def directed_subsets_with_sups(p: FinitePoset, domain_bits: int | None = None):
 def _directed_cache(p: FinitePoset):
     cached = p.__dict__.get("_directed_subsets")
     if cached is None:
-        if p.n > 16:
-            raise PosetError("exhaustive directed-subset enumeration capped at 16 elements")
+        if p.n > DIRECTED_SUBSET_CAP:
+            raise PosetError(
+                f"exhaustive directed-subset enumeration capped at {DIRECTED_SUBSET_CAP} elements"
+            )
         cached = [
             (d, sup(p, d))
             for d in enumerate_directed_subsets(p.up_masks, p.full_mask)

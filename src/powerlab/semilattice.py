@@ -2,13 +2,14 @@
 
 A ``VSemilattice`` is a finite poset in which every consistent pair has a
 least upper bound; the join table is defined exactly on consistent pairs and
-validated once at construction.  F-Scott closed subsets are lower sets that
-also contain the join of each of their consistent finite subsets; ``cl_f``
-is the corresponding closure operator and ``gamma_f`` enumerates all closed
-sets with the lectic Next-Closure algorithm, so the work is proportional to
-the number of closed sets rather than to 2**n.  Homomorphisms are the
-monotone maps of ``iter_monotone_maps`` that preserve the join of every
-consistent incomparable pair.
+validated once at construction, in O(n**2) with no associativity loop
+(``VSemilattice`` proves it redundant).  F-Scott closed subsets are lower
+sets that also contain the join of each of their consistent finite subsets;
+``cl_f`` is the corresponding closure operator and ``gamma_f`` enumerates
+all closed sets with the lectic Next-Closure algorithm, so the work is
+proportional to the number of closed sets rather than to 2**n.
+Homomorphisms are the monotone maps of ``iter_monotone_maps`` that preserve
+the join of every consistent incomparable pair.
 
 The module carries no test switch: mutation probes replace ``down_set`` or
 ``_step_pair_join`` in this module's namespace from outside, and clear
@@ -42,10 +43,14 @@ from .poset import (
 class VSemilattice:
     """A finite poset with a partial join defined exactly on consistent pairs.
 
-    The table is validated at construction: defined iff the pair is bounded,
-    each defined entry is the least upper bound, and the partial operation is
-    commutative, idempotent, inflationary and associative wherever the
-    relevant entries are defined.
+    The table is validated at construction: each entry is an element index
+    or -1, it is defined iff its pair is bounded, and each defined entry is
+    the least upper bound of its pair; idempotence and commutativity are
+    checked by name.  Kleene associativity then holds and is not checked.
+    If (i v j) v k is defined it is an upper bound u of {i, j, k}, so j v k
+    exists below u and i v (j v k) exists; both sides are the least upper
+    bound of {i, j, k}.  If either side is undefined, {i, j, k} has no upper
+    bound, so the other side is undefined too.
     """
 
     def __init__(self, poset: FinitePoset, join):
@@ -78,32 +83,25 @@ class VSemilattice:
         p, join, n = self.poset, self.join, self.poset.n
         if len(join) != n or any(len(row) != n for row in join):
             raise PosetError("join table has wrong shape")
+        up = p.up_masks
         for i in range(n):
             if join[i][i] != i:
                 raise PosetError("join table is not idempotent")
             for j in range(n):
                 v = join[i][j]
-                bounded = p.up_masks[i] & p.up_masks[j] != 0
-                if (v != -1) != bounded:
+                if not isinstance(v, int) or not -1 <= v < n:
+                    raise PosetError(f"join entry {v!r} is neither an element index nor -1")
+                ub = up[i] & up[j]
+                if (v != -1) != (ub != 0):
                     raise PosetError("join defined iff pair is consistent; table disagrees")
                 if v == -1:
                     continue
                 if join[j][i] != v:
                     raise PosetError("join table is not commutative")
-                if not (p.leq(i, v) and p.leq(j, v)):
+                if not ub >> v & 1:
                     raise PosetError("join entry is not an upper bound")
-                ub = p.up_masks[i] & p.up_masks[j]
-                if ub & ~p.up_masks[v]:
+                if ub & ~up[v]:
                     raise PosetError("join entry is not the least upper bound")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = join[i][j]
-                    left = join[left][k] if left != -1 else -1
-                    right = join[j][k]
-                    right = join[i][right] if right != -1 else -1
-                    if left != right:
-                        raise PosetError("join table is not associative where defined")
 
     def defined(self, i: int, j: int) -> bool:
         return self.join[i][j] != -1

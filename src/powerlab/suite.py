@@ -30,7 +30,9 @@ from .enumeration import (
 from .families import gamma, gamma0
 from .hoare import WitnessCert, build_hc, first_refutations, r_gamma_c, refute_batch
 from .poset import (
+    DIRECTED_SUBSET_CAP,
     FinitePoset,
+    InvariantError,
     PosetError,
     is_consistent,
     is_sober,
@@ -354,38 +356,15 @@ def _swept(statement: str, p: FinitePoset, semi_bound: int) -> VerificationRepor
 
 
 def check_def_2_1(p: FinitePoset, semi_bound: int) -> VerificationReport:
-    """Partial-join laws of the powerdomain, run over its join table of member
-    indices: commutative, associative in the Kleene sense, idempotent,
-    inflationary, and equal to union when defined."""
+    """Partial-join laws of the powerdomain, as ``build_hc`` validates them:
+    its join table holds each union that is a member, and ``VSemilattice``
+    checks that it is the consistent join, hence idempotent, commutative,
+    inflationary and Kleene-associative.  A failure is reported, not raised."""
     ck = _Check.on_poset("Def2.1", p)
-    h = build_hc(p)
-    members = h.family.members
-    k = len(members)
-    # one extra row and column of -1, so that an undefined join (-1) joins
-    # with anything to -1
-    t = [row + (-1,) for row in h.semilattice.join]
-    t.append((-1,) * (k + 1))
-    for a in range(k):
-        ta = t[a]
-        if ta[a] != a:
-            ck.fail("join not idempotent")
-        for b in range(k):
-            ab, tb = ta[b], t[b]
-            if ab != tb[a]:
-                ck.fail("join not commutative")
-            if ab != -1:
-                if members[ab] != members[a] | members[b]:
-                    ck.fail("join is not the union")
-                if members[a] & ~members[ab]:
-                    ck.fail("join not inflationary")
-            left = t[ab]
-            for c in range(k):
-                if left[c] != ta[tb[c]]:
-                    ck.fail(
-                        "join not associative on "
-                        f"{p.subset_labels(members[a])}, {p.subset_labels(members[b])}, "
-                        f"{p.subset_labels(members[c])}"
-                    )
+    try:
+        build_hc(p)
+    except InvariantError as e:
+        ck.fail(str(e))
     return ck.report()
 
 
@@ -393,6 +372,9 @@ def check_thm_2_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """The relatively consistent closed sets are exactly the powerdomain
     members, with the way-below relation recomputed by brute force."""
     ck = _Check.on_poset("Thm2.2", p)
+    if p.n > DIRECTED_SUBSET_CAP:
+        ck.doubt(f"way-below is brute-forced only up to {DIRECTED_SUBSET_CAP} elements")
+        return ck.report()
     wd = way_down_masks(p)
     for x in range(p.n):
         if wd[x] != p.down_masks[x]:

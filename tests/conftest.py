@@ -52,6 +52,50 @@ def small_posets(max_n=4):
     return out
 
 
+def without_pair(family, subfamily):
+    """``closure_in_family`` with the vee's member {a, b} dropped: {a} and {b}
+    then have no union in the family but a common upper bound, the whole
+    vee, so the powerdomain's join table misses a consistent pair.  Patched
+    in as ``powerlab.hoare.closure_in_family``."""
+    from powerlab.families import SetFamily, closure_in_family
+
+    pair = catalog.vee().subset_from_labels(["a", "b"])
+    closed = closure_in_family(family, subfamily)
+    return SetFamily(closed.base, [m for m in closed.members if m != pair])
+
+
+def literal_join_laws(h):
+    """The partial-join laws of the powerdomain ``h``, each read literally off
+    its join table of member indices: idempotent, commutative, equal to union
+    and inflationary where defined, and associative in the Kleene sense (an
+    undefined join, -1, joins with anything to -1).  The violated laws, in
+    the order found; the reference for what ``build_hc``'s validation
+    implies."""
+    members = h.family.members
+    k = len(members)
+    t = [row + (-1,) for row in h.semilattice.join]
+    t.append((-1,) * (k + 1))
+    found = []
+    for a in range(k):
+        ta = t[a]
+        if ta[a] != a:
+            found.append("join not idempotent")
+        for b in range(k):
+            ab, tb = ta[b], t[b]
+            if ab != tb[a]:
+                found.append("join not commutative")
+            if ab != -1:
+                if members[ab] != members[a] | members[b]:
+                    found.append("join is not the union")
+                if members[a] & ~members[ab]:
+                    found.append("join not inflationary")
+            left = t[ab]
+            for c in range(k):
+                if left[c] != ta[tb[c]]:
+                    found.append("join not associative")
+    return found
+
+
 def literal_fixpoint(p, bits, join=None):
     """The literal closures, directed-sup step included: down-closure, then
     the consistent-pair joins of ``join`` when given, then the sups of all

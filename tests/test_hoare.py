@@ -9,12 +9,10 @@ from powerlab import (
     NoWitnessFound,
     PosetError,
     PosetMap,
-    SetFamily,
     VSemilattice,
     WitnessCert,
     build_hc,
     catalog,
-    closure_in_family,
     f_c,
     gamma,
     gamma_c,
@@ -27,9 +25,15 @@ from powerlab import (
 )
 from powerlab.enumeration import canonical_form, enumerate_v_semilattices
 from powerlab.hoare import first_refutations, refute_batch
-from powerlab.suite import check_def_2_1, check_sober, check_thm_3_9, check_thm_3_10
+from powerlab.suite import (
+    check_def_2_1,
+    check_sober,
+    check_thm_2_2,
+    check_thm_3_9,
+    check_thm_3_10,
+)
 
-from conftest import literal_first_refutation, small_posets
+from conftest import literal_first_refutation, literal_join_laws, small_posets, without_pair
 
 SEMILATTICES = [l for n in range(1, 5) for l in enumerate_v_semilattices(n)]
 
@@ -107,21 +111,15 @@ class TestBuildHc:
 
     def test_builds_past_the_directed_subset_cap(self):
         # members are tested as lower sets, so the exhaustive directed-subset
-        # enumeration, capped at 16 elements, is never reached
+        # enumeration, capped at 16 elements, is never reached; Thm2.2, whose
+        # way-below is that enumeration, reports the cap instead of raising
         p = catalog.chain(24)
         assert len(build_hc(p).family.members) == 24
         checks = (check_def_2_1, check_thm_3_9, check_thm_3_10, check_sober)
         assert [check(p, 2).verdict for check in checks] == ["PASS"] * 4
+        assert check_thm_2_2(p, 2).verdict == "INCONCLUSIVE"
 
     def test_union_table_is_validated(self, monkeypatch, vee):
-        # without the member {a, b}, {a} and {b} have no union in the family
-        # but a common upper bound, the whole vee
-        pair = vee.subset_from_labels(["a", "b"])
-
-        def without_pair(family, subfamily):
-            closed = closure_in_family(family, subfamily)
-            return SetFamily(closed.base, [m for m in closed.members if m != pair])
-
         monkeypatch.setattr("powerlab.hoare.closure_in_family", without_pair)
         with pytest.raises(InvariantError, match="not its consistent join"):
             build_hc.__wrapped__(vee)
@@ -164,6 +162,11 @@ class TestPartialJoin:
                         bc = partial_join(h, b, c)
                         right = partial_join(h, a, bc) if bc is not None else None
                         assert left == right
+
+    def test_literal_join_laws_hold(self):
+        # the laws build_hc's validation implies, read literally off its table
+        for p in small_posets(5):
+            assert literal_join_laws(build_hc(p)) == []
 
 
 class TestSupOfImage:

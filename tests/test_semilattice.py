@@ -69,6 +69,33 @@ class TestVSemilattice:
         rows[0][0] = 2
         with pytest.raises(PosetError, match="idempotent"):
             VSemilattice(vee, rows)
+        for bad in (-2, 1.0):  # not an element index nor -1
+            with pytest.raises(PosetError, match="neither"):
+                VSemilattice(catalog.chain(2), [[0, bad], [bad, 1]])
+
+    def test_validation_pins_the_table(self):
+        # the O(n**2) validation leaves exactly one table per poset, the
+        # consistent join, and that table is associative in the Kleene sense
+        # (an undefined join, -1, joins with anything to -1) although no
+        # associativity loop runs
+        tables = semis_upto(5) + [build_hc(p).semilattice for p in small_posets(4)]
+        for l in tables:
+            n, join = l.n, l.join
+            t = [row + (-1,) for row in join] + [(-1,) * (n + 1)]
+            for i, j, k in itertools.product(range(n), repeat=3):
+                assert t[t[i][j]][k] == t[i][t[j][k]]
+            for i, j in itertools.product(range(n), repeat=2):
+                for v in range(-1, n):
+                    if v == join[i][j]:
+                        continue
+                    # one changed entry, then the same change made symmetric,
+                    # which the commutativity check cannot see
+                    for cells in ({(i, j)}, {(i, j), (j, i)}):
+                        rows = [list(r) for r in join]
+                        for a, b in cells:
+                            rows[a][b] = v
+                        with pytest.raises(PosetError):
+                            VSemilattice(l.poset, rows)
 
     def test_defined_iff_bounded(self):
         for l in semis_upto(4):

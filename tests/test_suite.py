@@ -50,7 +50,13 @@ from powerlab.suite import (
     exit_code_for,
 )
 
-from conftest import closure_mutant, mutant_failures, small_posets, sweep_mutant
+from conftest import (
+    closure_mutant,
+    mutant_failures,
+    small_posets,
+    sweep_mutant,
+    without_pair,
+)
 
 
 def strip_timing(summary_json):
@@ -135,7 +141,7 @@ class TestChecks:
                 )
 
     def test_def_2_1_join_table_matches_partial_join(self):
-        # Def2.1 runs its laws over the member-index join table
+        # partial_join reads the member-index join table that Def2.1 validates
         for n in range(1, 5):
             for p in enumerate_posets(n):
                 h = build_hc(p)
@@ -146,21 +152,14 @@ class TestChecks:
                         assert partial_join(h, a, b) == (None if v == -1 else members[v])
 
     def test_def_2_1_reports_a_wrong_join_entry(self, monkeypatch, vee):
-        # one cell says {a} v {b} is the whole vee; the table skips validation
-        h = build_hc(vee)
-        index = h.family.index_of
-        a, b = index[vee.subset_from_labels(["a"])], index[vee.subset_from_labels(["b"])]
-        join = [list(row) for row in h.semilattice.join]
-        join[a][b] = index[vee.full_mask]
-        bad = VSemilattice.__new__(VSemilattice)
-        bad.poset, bad.join = h.poset, tuple(map(tuple, join))
-        monkeypatch.setattr(
-            "powerlab.suite.build_hc", lambda p: dataclasses.replace(h, semilattice=bad)
-        )
+        # the powerdomain loses {a, b}, so its join table leaves the
+        # consistent pair {a}, {b} undefined; Def2.1 reports build_hc's
+        # validation error instead of raising it
+        monkeypatch.setattr("powerlab.hoare.closure_in_family", without_pair)
+        monkeypatch.setattr("powerlab.suite.build_hc", build_hc.__wrapped__)
         report = check_def_2_1(vee, 0)
         assert report.verdict == "FAIL"
-        details = {f["detail"] for f in report.failures}
-        assert {"join is not the union", "join not commutative"} <= details
+        assert ["not its consistent join" in f["detail"] for f in report.failures] == [True]
 
     @pytest.mark.parametrize(
         "bound, verdict, detail",
@@ -272,6 +271,14 @@ class TestMutation:
         if "poset" in report.instance:
             payload["instance"] = report.instance
         assert replay_failure(json.loads(json.dumps(payload))) == "PASS"
+
+
+def test_readme_catalog_has_one_row_per_statement():
+    # the README's statement table lists each catalog id once, in run order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| id | checked claim | default bound |\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[1:]  # past the | --- | row
+    assert tuple(row.split("|")[1].strip().strip("`") for row in rows) == STATEMENT_ORDER
 
 
 def test_traced_spans_cover_the_catalog():
