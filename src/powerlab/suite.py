@@ -21,6 +21,7 @@ from types import MappingProxyType
 
 from .enumeration import (
     DEFAULT_MAX_N,
+    POSET_COUNTS,
     bruteforce_canonical_forms,
     canonical_form,
     enumerate_posets,
@@ -85,45 +86,34 @@ class Config:
         self.statements = tuple(s for s in STATEMENT_ORDER if s in resolved)
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one statement check on one instance."""
-
-    statement: str
-    instance: dict
-    verdict: str
-    failures: list = field(default_factory=list)
-    inconclusive: list = field(default_factory=list)
-    wall_ms: float = 0.0
-
-
 def _poset_instance(p: FinitePoset) -> dict:
     return {"poset": p.to_json(), "n": p.n, "canonical": canonical_form(p).hex()}
 
 
-class _Check:
-    """One check's findings on one instance, and the clock that times it.
-
+@dataclass
+class VerificationReport:
+    """One check's findings on one instance; the verdict is read off them.
     Each finding is a replayable payload of the statement, the bounds, the
     instance and a detail line; ``instance=`` in the extras overrides the
-    check's own instance for that one payload.
-    """
+    report's own instance for that one payload."""
 
-    def __init__(self, statement: str, bounds: dict, instance: dict | None = None):
-        self.t0 = time.perf_counter()
-        self.statement = statement
-        self.bounds = bounds
-        self.instance = instance
-        self.failures = []
-        self.inconclusive = []
+    statement: str
+    bounds: dict
+    instance: dict | None = None
+    failures: list = field(default_factory=list)
+    inconclusive: list = field(default_factory=list)
 
     @classmethod
-    def on_poset(cls, statement: str, p: FinitePoset, **bounds) -> _Check:
+    def on_poset(cls, statement: str, p: FinitePoset, **bounds) -> VerificationReport:
         return cls(statement, {"max_poset_n": p.n, **bounds}, _poset_instance(p))
 
     @classmethod
-    def sweep(cls, statement: str, **bounds) -> _Check:
+    def sweep(cls, statement: str, **bounds) -> VerificationReport:
         return cls(statement, bounds, {"kind": "semilattice sweep", **bounds})
+
+    @property
+    def verdict(self) -> str:
+        return "FAIL" if self.failures else ("INCONCLUSIVE" if self.inconclusive else "PASS")
 
     def _payload(self, detail: str, extra: dict) -> dict:
         return {
@@ -140,21 +130,15 @@ class _Check:
     def doubt(self, detail: str, **extra) -> None:
         self.inconclusive.append(self._payload(detail, extra))
 
-    def report(self) -> VerificationReport:
-        verdict = "FAIL" if self.failures else ("INCONCLUSIVE" if self.inconclusive else "PASS")
-        return VerificationReport(
-            statement=self.statement,
-            instance=self.instance,
-            verdict=verdict,
-            failures=self.failures,
-            inconclusive=self.inconclusive,
-            wall_ms=(time.perf_counter() - self.t0) * 1000.0,
-        )
-
 
 def _posets_upto(k: int) -> list:
-    """Every poset of 1 to ``k`` elements, one per isomorphism class."""
-    return [p for n in range(1, k + 1) for p in enumerate_posets(n)]
+    """Every poset of 1 to ``k`` elements, one per isomorphism class; a list
+    off the A000112 total raises ``InvariantError`` instead of a short sweep."""
+    posets = [p for n in range(1, k + 1) for p in enumerate_posets(n)]
+    expected = sum(POSET_COUNTS[n] for n in range(1, k + 1))
+    if len(posets) != expected:
+        raise InvariantError(f"{len(posets)} posets of 1 to {k} elements, A000112 has {expected}")
+    return posets
 
 
 def _semilattices_upto(k: int) -> tuple:
@@ -248,13 +232,13 @@ def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
 
     Lem3.8 compares the subsets refuted by some map with those refuted by
     the restriction of some homomorphism; a homomorphism refutes, through
-    the embedding, exactly what its restriction refutes.  When every map
-    that refutes a subset has a restriction group and every group's
-    restriction is among the maps, both sides are the union of the same
-    maps' refuted subsets and agree by construction.  Only otherwise are
-    the two unions built, by streaming the maps again and evaluating each
-    restriction the stream never met, so that a failure names the subsets
-    that differ.  The maps are streamed; only findings are kept."""
+    the embedding, exactly what its restriction refutes.  When Freeness
+    finds nothing, restriction is a bijection from the homomorphisms onto
+    the maps and the extension is its inverse, so both sides are the union
+    of the same maps' refuted subsets and agree by construction.  Only when
+    Freeness has a finding are the two unions built, by streaming the maps
+    again and evaluating every restriction, so that a failure names the
+    subsets that differ.  The maps are streamed; only findings are kept."""
     h = build_hc(p)
     members = h.family.members
     j_img = h.j.img
@@ -267,8 +251,7 @@ def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
     up = l.poset.up_masks
     found = {"Lem2.3": [], "Freeness": [], "Lem3.8": []}
     per_map = []  # Freeness's findings after its count line
-    count = met = 0
-    outsider_refutes = False  # a map with no restriction group refutes a subset
+    count = 0
 
     def on_map(detail, **extra):
         return detail, {"semilattice": l.poset.to_json(), "map": list(f_img), **extra}
@@ -278,12 +261,8 @@ def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
         sups = _image_sups(l, f_img)
         ext = tuple([sups[m] for m in members])
         matching = groups.get(f_img, [])
-        if matching:
-            met += 1
-            if matching == [ext]:
-                continue
-        elif -1 in sups:
-            outsider_refutes = True
+        if matching == [ext]:
+            continue
         if -1 in ext:
             for m, s in zip(members, ext):
                 if s < 0:
@@ -317,16 +296,11 @@ def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
             )
         )
     found["Freeness"] += per_map
-    if outsider_refutes or met < len(groups):
-        refut_maps, refut_homs, restrictions_met = set(), set(), set()
-        for f_img in iter_monotone_maps(p, l.poset):
-            refuted = [a for a, s in enumerate(_image_sups(l, f_img)) if s < 0]
-            refut_maps.update(refuted)
-            if f_img in groups:
-                restrictions_met.add(f_img)
-                refut_homs.update(refuted)
-        for img in groups.keys() - restrictions_met:
-            refut_homs.update(a for a, s in enumerate(_image_sups(l, img)) if s < 0)
+    if found["Freeness"]:
+        refut_maps, refut_homs = (
+            {a for img in images for a, s in enumerate(_image_sups(l, img)) if s < 0}
+            for images in (iter_monotone_maps(p, l.poset), groups)
+        )
         if refut_maps != refut_homs:
             diff = refut_maps ^ refut_homs
             found["Lem3.8"].append(
@@ -345,36 +319,32 @@ def _swept(statement: str, p: FinitePoset, semi_bound: int) -> VerificationRepor
     """The report of the findings ``_map_sweep`` keeps for ``statement`` over
     every semilattice at the bound, copied so that no report shares an
     object with the cache."""
-    ck = _Check.on_poset(statement, p, max_semilattice_n=semi_bound)
+    ck = VerificationReport.on_poset(statement, p, max_semilattice_n=semi_bound)
     for l in _semilattices_upto(semi_bound):
         for detail, extra in _map_sweep(p, l).get(statement, ()):
             ck.fail(detail, **copy.deepcopy(extra))
-    return ck.report()
+    return ck
 
 
 # -- per-poset checks: check(p, semi_bound) ---------------------------------------
 
 
 def check_def_2_1(p: FinitePoset, semi_bound: int) -> VerificationReport:
-    """Partial-join laws of the powerdomain, as ``build_hc`` validates them:
-    its join table holds each union that is a member, and ``VSemilattice``
-    checks that it is the consistent join, hence idempotent, commutative,
-    inflationary and Kleene-associative.  A failure is reported, not raised."""
-    ck = _Check.on_poset("Def2.1", p)
-    try:
-        build_hc(p)
-    except InvariantError as e:
-        ck.fail(str(e))
-    return ck.report()
+    """Partial-join laws of the powerdomain: ``build_hc`` returns, so
+    ``VSemilattice`` has validated its table of member unions as the
+    consistent join, hence idempotent, commutative, inflationary and
+    Kleene-associative; ``_run_check`` reports its ``InvariantError``."""
+    build_hc(p)
+    return VerificationReport.on_poset("Def2.1", p)
 
 
 def check_thm_2_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """The relatively consistent closed sets are exactly the powerdomain
     members, with the way-below relation recomputed by brute force."""
-    ck = _Check.on_poset("Thm2.2", p)
+    ck = VerificationReport.on_poset("Thm2.2", p)
     if p.n > DIRECTED_SUBSET_CAP:
         ck.doubt(f"way-below is brute-forced only up to {DIRECTED_SUBSET_CAP} elements")
-        return ck.report()
+        return ck
     wd = way_down_masks(p)
     for x in range(p.n):
         if wd[x] != p.down_masks[x]:
@@ -387,7 +357,7 @@ def check_thm_2_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
             relative=[p.subset_labels(m) for m in rel.members],
             powerdomain=[p.subset_labels(m) for m in h.family.members],
         )
-    return ck.report()
+    return ck
 
 
 def check_lemma_2_3(p: FinitePoset, semi_bound: int) -> VerificationReport:
@@ -410,7 +380,7 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     The sups come from ``_image_sups``; which closed sets some map refutes
     is checked against ``first_refutations``, which reads the semilattices'
     ``sup_table`` instead, so a table that invents or drops sups fails."""
-    ck = _Check.on_poset("Prop3.2", p, max_semilattice_n=semi_bound)
+    ck = VerificationReport.on_poset("Prop3.2", p, max_semilattice_n=semi_bound)
     subsets = range(1 << p.n)
     closures = [scott_closure(p, a) for a in subsets]
     refutable = [False] * (1 << p.n)
@@ -441,7 +411,7 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
                 "the sup tables and the refutation search disagree on refutability",
                 subset=p.subset_labels(a),
             )
-    return ck.report()
+    return ck
 
 
 def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
@@ -462,7 +432,7 @@ def check_thm_3_9(p: FinitePoset, semi_bound: int) -> VerificationReport:
     closed sets go to ``refute_batch`` as one batch; a non-member refuted
     by a map other than the point-closure embedding escaped the canonical
     witness."""
-    ck = _Check.on_poset("Thm3.9", p, max_semilattice_n=semi_bound)
+    ck = VerificationReport.on_poset("Thm3.9", p, max_semilattice_n=semi_bound)
     h = build_hc(p)
     if not h.family_equals_gamma_c:
         ck.fail("closure of the consistent family added members")
@@ -480,7 +450,7 @@ def check_thm_3_9(p: FinitePoset, semi_bound: int) -> VerificationReport:
             ck.doubt("non-member survived the bounded refutation search", subset=p.subset_labels(a))
         elif cert.map is not h.j:
             ck.fail("canonical witness failed to refute a non-member", subset=p.subset_labels(a))
-    return ck.report()
+    return ck
 
 
 def check_thm_3_10(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
@@ -489,7 +459,7 @@ def check_thm_3_10(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
     F-Scott closure system of the powerdomain.  Both families are ordered by
     inclusion, so the order test is that the map preserves and reflects
     inclusion."""
-    ck = _Check.on_poset("Thm3.10", p)
+    ck = VerificationReport.on_poset("Thm3.10", p)
     h = build_hc(p)
     l = h.semilattice
     g0 = gamma0(p)
@@ -512,15 +482,15 @@ def check_thm_3_10(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
                     "map does not preserve and reflect inclusion",
                     pair=[p.subset_labels(a), p.subset_labels(b)],
                 )
-    return ck.report()
+    return ck
 
 
 def check_sober(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
     """Every nonempty irreducible closed set is a point closure."""
-    ck = _Check.on_poset("Sober", p)
+    ck = VerificationReport.on_poset("Sober", p)
     if not is_sober(p):
         ck.fail("poset is not sober")
-    return ck.report()
+    return ck
 
 
 # -- global checks: check(**bounds) -----------------------------------------------
@@ -538,7 +508,9 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     and the domain's closed sets are closed under intersection, so then
     every closed set's preimage is closed.  Part 2: the F-Scott closure of a
     consistent set is the down-set of its join."""
-    ck = _Check.sweep("Prop3.4", pair_bound=pair_bound, consistent_bound=consistent_bound)
+    ck = VerificationReport.sweep(
+        "Prop3.4", pair_bound=pair_bound, consistent_bound=consistent_bound
+    )
     pool = _semilattices_upto(pair_bound)
     irreducibles = [
         [tuple(iter_bits(c)) for c in gamma_f(m).meet_irreducibles()] for m in pool
@@ -569,7 +541,7 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
                     semilattice=l.poset.to_json(),
                     subset=l.poset.subset_labels(a),
                 )
-    return ck.report()
+    return ck
 
 
 def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
@@ -577,7 +549,7 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     homomorphisms, so join-existence transports across the closure: each
     homomorphism's ``_image_sups`` table must agree at every subset and at
     that subset's ``cl_f`` closure."""
-    ck = _Check.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
+    ck = VerificationReport.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
     for l in _semilattices_upto(l_bound):
         closures = [cl_f(l, a) for a in range(1 << l.n)]
         for m in _semilattices_upto(m_bound):
@@ -594,7 +566,7 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
                             map=list(g),
                             subset=l.poset.subset_labels(a),
                         )
-    return ck.report()
+    return ck
 
 
 def check_lemma_3_7(semi_bound: int, hc_base_bound: int) -> VerificationReport:
@@ -603,7 +575,7 @@ def check_lemma_3_7(semi_bound: int, hc_base_bound: int) -> VerificationReport:
     The empty set is excluded: its join being a bottom element never makes it
     principal, and it is never join-existing once bottomless codomains exist.
     """
-    ck = _Check.sweep("Lem3.7", semi_bound=semi_bound, hc_base_bound=hc_base_bound)
+    ck = VerificationReport.sweep("Lem3.7", semi_bound=semi_bound, hc_base_bound=hc_base_bound)
     lattices = list(_semilattices_upto(semi_bound))
     lattices += [build_hc(p).semilattice for p in _posets_upto(hc_base_bound)]
     for l in lattices:
@@ -617,13 +589,13 @@ def check_lemma_3_7(semi_bound: int, hc_base_bound: int) -> VerificationReport:
                     semilattice=l.poset.to_json(),
                     subset=l.poset.subset_labels(a),
                 )
-    return ck.report()
+    return ck
 
 
 def check_cor_3_11(max_poset_n: int) -> VerificationReport:
     """Powerdomains are isomorphic exactly when the posets are, over every
     pair of instances at the cap; sobriety of each instance is verified first."""
-    ck = _Check("Cor3.11", {"max_poset_n": max_poset_n})
+    ck = VerificationReport("Cor3.11", {"max_poset_n": max_poset_n})
     posets = _posets_upto(max_poset_n)
     for p in posets:
         if not is_sober(p):
@@ -640,13 +612,13 @@ def check_cor_3_11(max_poset_n: int) -> VerificationReport:
                     instance={"pair": [posets[i].to_json(), posets[k].to_json()]},
                 )
     ck.instance = {"kind": "pair sweep", "pairs": pairs, **ck.bounds}
-    return ck.report()
+    return ck
 
 
 def check_enum(max_poset_n: int) -> VerificationReport:
     """Enumeration self-test: the generated posets match the brute-force
     oracle exactly, class by class, for every size up to the cap."""
-    ck = _Check("Enum", {"max_poset_n": max_poset_n})
+    ck = VerificationReport("Enum", {"max_poset_n": max_poset_n})
     counts = {}
     for n in range(1, max_poset_n + 1):
         emitted = enumerate_posets(n)
@@ -661,7 +633,7 @@ def check_enum(max_poset_n: int) -> VerificationReport:
             )
         counts[n] = len(forms)
     ck.instance = {"kind": "enumeration", "counts": counts, **ck.bounds}
-    return ck.report()
+    return ck
 
 
 # -- registry and orchestration ------------------------------------------------
@@ -737,14 +709,30 @@ def _statement(name: str) -> Statement:
         raise PosetError(f"unknown suite name {name!r}") from None
 
 
+def _run_check(st: Statement, bounds: dict, p: FinitePoset | None = None) -> VerificationReport:
+    """``st``'s report on the poset ``p``, or on ``bounds`` for a global
+    statement.  An ``InvariantError`` raised inside the check is the
+    instance's one failure, with the error as its detail; a ``PosetError``
+    is raised.  The semilattice bound is 4 in a replayed payload without one."""
+    semi_bound = bounds.get("max_semilattice_n", 4)
+    try:
+        return st.check(**bounds) if p is None else st.check(p, semi_bound)
+    except InvariantError as e:
+        if p is None:
+            report = VerificationReport(st.id, bounds, dict(bounds))
+        else:
+            report = VerificationReport.on_poset(st.id, p, max_semilattice_n=semi_bound)
+        report.fail(str(e))
+        return report
+
+
 def run_statement(statement: str, config: Config) -> list[VerificationReport]:
     """All instance reports for one statement at the configured bounds."""
     st = _statement(statement)
-    bound = st.bounds(config)
+    bounds = st.bounds(config)
     if not st.per_poset:
-        return [st.check(**bound)]
-    semi_bound = bound["max_semilattice_n"]
-    return [st.check(p, semi_bound) for p in _posets_upto(bound["max_poset_n"])]
+        return [_run_check(st, bounds)]
+    return [_run_check(st, bounds, p) for p in _posets_upto(bounds["max_poset_n"])]
 
 
 @dataclass
@@ -813,11 +801,8 @@ def replay_failure(payload: dict) -> str:
 
     Payloads carry the statement, the bounds it ran at, and the instance
     descriptor, which is all the replay needs: a per-poset check runs on the
-    payload's poset, a global check on the payload's bounds.
+    payload's poset, a global check on the payload's bounds, by ``_run_check``.
     """
     st = _statement(payload["statement"])
-    bounds = payload["bounds"]
-    if st.per_poset:
-        p = FinitePoset.from_json(payload["instance"]["poset"])
-        return st.check(p, bounds.get("max_semilattice_n", 4)).verdict
-    return st.check(**bounds).verdict
+    p = FinitePoset.from_json(payload["instance"]["poset"]) if st.per_poset else None
+    return _run_check(st, payload["bounds"], p).verdict

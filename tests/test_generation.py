@@ -84,8 +84,11 @@ def test_a_lost_class_raises():
     with generation_mutant(_without_ideals_containing_0):
         with pytest.raises(InvariantError, match="A000112"):
             enumerate_posets(5)
-        with pytest.raises(InvariantError, match="A000112"):
-            run_all(Config(suites=("enum",)))
+        # inside a check the broken invariant is that check's failure
+        summary = run_all(Config(suites=("enum",)))
+        (group,) = summary.groups
+        assert [("A000112" in f["detail"]) for f in group["failures"]] == [True]
+        assert summary.exit_code() == 1
 
 
 def test_a_class_lost_past_the_oracle_raises():

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,12 +12,15 @@ import pytest
 
 from powerlab import (
     Config,
+    InvariantError,
     PosetError,
     catalog,
     replay_failure,
     run_all,
     run_statement,
+    suite,
 )
+from powerlab.cli import main
 from powerlab.enumeration import canonical_form, enumerate_posets, monotone_map_images
 from powerlab.families import gamma0
 from powerlab.hoare import WitnessCert, build_hc, partial_join
@@ -37,7 +41,6 @@ from powerlab.suite import (
     _image_sups,
     _semilattices_upto,
     check_cor_3_11,
-    check_def_2_1,
     check_enum,
     check_freeness,
     check_lemma_3_7,
@@ -127,7 +130,6 @@ class TestChecks:
         assert report.statement == "Thm3.10"
         assert report.verdict == "PASS"
         assert report.instance["n"] == 3
-        assert report.wall_ms >= 0
         assert json.dumps(dataclasses.asdict(report))  # JSON serializable
 
     def test_thm_3_10_family_posets_share_a_canonical_form(self):
@@ -152,13 +154,14 @@ class TestChecks:
                         assert partial_join(h, a, b) == (None if v == -1 else members[v])
 
     def test_def_2_1_reports_a_wrong_join_entry(self, monkeypatch, vee):
-        # the powerdomain loses {a, b}, so its join table leaves the
-        # consistent pair {a}, {b} undefined; Def2.1 reports build_hc's
-        # validation error instead of raising it
+        # the vee's powerdomain loses the union of its two minimal points, so
+        # its join table leaves that consistent pair undefined; the run path
+        # reports build_hc's validation error as Def2.1's failure on the vee
         monkeypatch.setattr("powerlab.hoare.closure_in_family", without_pair)
         monkeypatch.setattr("powerlab.suite.build_hc", build_hc.__wrapped__)
-        report = check_def_2_1(vee, 0)
-        assert report.verdict == "FAIL"
+        reports = run_statement("def2.1", Config(max_poset_n=3))
+        (report,) = [r for r in reports if r.verdict == "FAIL"]
+        assert report.instance["canonical"] == canonical_form(vee).hex()
         assert ["not its consistent join" in f["detail"] for f in report.failures] == [True]
 
     @pytest.mark.parametrize(
@@ -271,6 +274,60 @@ class TestMutation:
         if "poset" in report.instance:
             payload["instance"] = report.instance
         assert replay_failure(json.loads(json.dumps(payload))) == "PASS"
+
+
+@contextmanager
+def broken_vee_powerdomain():
+    """Run with ``without_pair`` as ``powerlab.hoare.closure_in_family``, so
+    that ``build_hc`` of every poset isomorphic to the vee raises its
+    ``InvariantError``.  The ``build_hc`` and ``_map_sweep`` caches, which
+    hold powerdomains and results read from them, are cleared on entry and
+    on exit."""
+
+    def clear():
+        build_hc.cache_clear()
+        suite._map_sweep.cache_clear()
+
+    clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("powerlab.hoare.closure_in_family", without_pair)
+            yield
+    finally:
+        clear()
+
+
+class TestErrorPath:
+    # the statements that read no powerdomain at posets <= 3
+    NO_POWERDOMAIN = {"Prop3.2", "Prop3.4", "Lem3.6", "Sober", "Enum"}
+
+    def test_broken_powerdomain_is_each_checks_failure(self, tmp_path):
+        # build_hc's InvariantError inside a check is that check's FAIL: the
+        # run goes on, writes its report and exits 1
+        out = tmp_path / "R.json"
+        with broken_vee_powerdomain():
+            code = main(["verify", "--max-poset", "3", "--out", str(out)])
+            groups = json.loads(out.read_text())["statements"]
+            failed = {g["statement"] for g in groups if g["failures"]}
+            details = {f["detail"] for g in groups for f in g["failures"]}
+            payload = groups[STATEMENT_ORDER.index("Thm3.9")]["failures"][0]
+            assert replay_failure(payload) == "FAIL"
+        assert code == 1
+        assert failed == set(STATEMENT_ORDER) - self.NO_POWERDOMAIN
+        assert all("not its consistent join" in d for d in details)
+        assert not any(g["inconclusive"] for g in groups)
+        assert payload["instance"]["canonical"] == canonical_form(catalog.vee()).hex()
+        assert replay_failure(payload) == "PASS"
+
+    def test_a_short_poset_list_raises(self, monkeypatch):
+        # a sweep over fewer posets than A000112 counts is refused, not passed
+        def short(n):
+            out = enumerate_posets(n)
+            return out[:-1] if n == 3 else out
+
+        monkeypatch.setattr(suite, "enumerate_posets", short)
+        with pytest.raises(InvariantError, match="7 posets of 1 to 3 elements, A000112 has 8"):
+            run_statement("sober", Config(max_poset_n=3))
 
 
 def test_readme_catalog_has_one_row_per_statement():
