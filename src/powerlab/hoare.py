@@ -8,7 +8,11 @@ for non-members and the bounded search that backs the characterization checks.
 The bounded search, ``first_refutations``, serves a batch of sets with one
 streamed sweep over the maps, skips semilattices in which every nonempty
 subset has a sup and joins only the images of maximal elements; none of this
-changes which witness it finds for a set.  ``refute_batch`` puts the
+changes which witness it finds for a set.  Only a set with no upper bound
+enters the sweep: a set bounded by u in the poset has its image bounded by
+the image of u, and a bounded nonempty finite set in a semilattice has a sup,
+its pairwise join, so no map refutes it.  The search checks that premise on
+the ``sup_table`` of each semilattice it reads.  ``refute_batch`` puts the
 canonical witness in front of it for a batch, ``refute_v_existing`` for one
 set."""
 
@@ -209,32 +213,45 @@ def first_refutations(p: FinitePoset, sets, semilattices) -> list:
 
     Canonical order walks ``semilattices`` in the order given and, for each,
     the maps of ``iter_monotone_maps``.  One sweep over the maps serves the
-    whole batch, and three reductions leave every set's first witness as it
+    whole batch, and four reductions leave every set's first witness as it
     is:
 
+    - a set with an upper bound in ``p`` is never refuted, so it never enters
+      the sweep.  In a semilattice a nonempty finite set with an upper bound
+      u has a sup: join it pairwise, each partial join being defined because
+      its pair lies below u, and staying below u.  A monotone map f sends a
+      set bounded by u to one bounded by f(u), whose sup exists.  This
+      premise is checked, not assumed: in every semilattice the search
+      reads, each nonempty subset with a common upper bound must have a
+      ``sup_table`` entry, or ``InvariantError`` is raised;
     - a semilattice in which every nonempty subset has a sup is skipped: no
       image of a nonempty set can lack one there;
     - only the images of the maximal elements of a set are joined: every
       element lies below a maximal one and the map is monotone, so both
-      images have the same upper bounds.  A set with one maximal element is
-      never refuted, since the image of that element is the sup;
+      images have the same upper bounds;
     - the maps are streamed, not cached, and a set leaves the batch once it
       is refuted; the sweep ends when the batch is empty.
     """
     up = p.up_masks
     found = [None] * len(sets)
-    # (index, maximal elements) of every set that some map could refute
+    # (index, maximal elements) of every set with no upper bound
     pending = []
     for i, a in enumerate(sets):
         if not a:
             raise PosetError("the refutation search is defined for nonempty sets")
-        tops = [x for x in iter_bits(a) if up[x] & a == 1 << x]
-        if len(tops) > 1:
-            pending.append((i, tops))
+        if not is_consistent(p, a):
+            pending.append((i, [x for x in iter_bits(a) if up[x] & a == 1 << x]))
     for l in semilattices:
         if not pending:
             break
         sup = l.sup_table
+        # the premise, on upper bounds computed apart from sup_table: every
+        # nonempty subset with a common upper bound has a sup
+        bounds = [l.poset.full_mask]
+        for row in l.poset.up_masks:
+            bounds += [ub & row for ub in bounds]
+        if any(s is None and ub for s, ub in zip(sup[1:], bounds[1:])):
+            raise InvariantError(f"{l!r} has a bounded subset with no sup in its sup_table")
         if None not in sup[1:]:
             continue
         for img in iter_monotone_maps(p, l.poset):

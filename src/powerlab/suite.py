@@ -574,10 +574,16 @@ def check_lemma_3_7(semi_bound: int, hc_base_bound: int) -> VerificationReport:
 
     The empty set is excluded: its join being a bottom element never makes it
     principal, and it is never join-existing once bottomless codomains exist.
+    A base poset whose powerdomain ``build_hc`` refuses is a failure on that
+    poset, and the other semilattices are still checked.
     """
     ck = VerificationReport.sweep("Lem3.7", semi_bound=semi_bound, hc_base_bound=hc_base_bound)
     lattices = list(_semilattices_upto(semi_bound))
-    lattices += [build_hc(p).semilattice for p in _posets_upto(hc_base_bound)]
+    for p in _posets_upto(hc_base_bound):
+        try:
+            lattices.append(build_hc(p).semilattice)
+        except InvariantError as e:
+            ck.fail(str(e), instance=_poset_instance(p))
     for l in lattices:
         for a in gamma_f(l).members:
             if a == 0:
@@ -594,22 +600,28 @@ def check_lemma_3_7(semi_bound: int, hc_base_bound: int) -> VerificationReport:
 
 def check_cor_3_11(max_poset_n: int) -> VerificationReport:
     """Powerdomains are isomorphic exactly when the posets are, over every
-    pair of instances at the cap; sobriety of each instance is verified first."""
+    pair of instances at the cap; sobriety of each instance is verified first.
+    A poset whose powerdomain ``build_hc`` refuses is a failure on that poset,
+    and every pair without it is still compared."""
     ck = VerificationReport("Cor3.11", {"max_poset_n": max_poset_n})
     posets = _posets_upto(max_poset_n)
     for p in posets:
         if not is_sober(p):
             ck.fail("instance is not sober", instance=_poset_instance(p))
-    forms = [canonical_form(p) for p in posets]
-    hforms = [canonical_form(build_hc(p).poset) for p in posets]
+    built = []  # (poset, its canonical form, its powerdomain's) when build_hc returns
+    for p in posets:
+        try:
+            built.append((p, canonical_form(p), canonical_form(build_hc(p).poset)))
+        except InvariantError as e:
+            ck.fail(str(e), instance=_poset_instance(p))
     pairs = 0
-    for i in range(len(posets)):
-        for k in range(i, len(posets)):
+    for i, (p, form, hform) in enumerate(built):
+        for q, qform, qhform in built[i:]:
             pairs += 1
-            if (forms[i] == forms[k]) != (hforms[i] == hforms[k]):
+            if (form == qform) != (hform == qhform):
                 ck.fail(
                     "powerdomain isomorphism disagrees with poset isomorphism",
-                    instance={"pair": [posets[i].to_json(), posets[k].to_json()]},
+                    instance={"pair": [p.to_json(), q.to_json()]},
                 )
     ck.instance = {"kind": "pair sweep", "pairs": pairs, **ck.bounds}
     return ck

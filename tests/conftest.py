@@ -333,6 +333,49 @@ def literal_first_refutation(p, bits, semilattices):
     return None
 
 
+def literal_first_refutations(p, sets, semilattices):
+    """The batch refutation search with every set whose maximal elements share
+    an upper bound still in the sweep: only a set with one maximal element is
+    dropped, the semilattices in which every nonempty subset has a sup are
+    skipped, and the images of the maximal elements are joined through
+    ``sup_table``.  Each set's first ``WitnessCert`` in canonical order, or
+    None.  The reference for the bounded-set reduction of
+    ``first_refutations``."""
+    from powerlab.enumeration import iter_monotone_maps
+    from powerlab.hoare import WitnessCert
+    from powerlab.poset import PosetError, PosetMap
+
+    up = p.up_masks
+    found = [None] * len(sets)
+    pending = []
+    for i, a in enumerate(sets):
+        if not a:
+            raise PosetError("the refutation search is defined for nonempty sets")
+        tops = [x for x in iter_bits(a) if up[x] & a == 1 << x]
+        if len(tops) > 1:
+            pending.append((i, tops))
+    for l in semilattices:
+        if not pending:
+            break
+        sup = l.sup_table
+        if None not in sup[1:]:
+            continue
+        for img in iter_monotone_maps(p, l.poset):
+            hit = False
+            for i, tops in pending:
+                image = 0
+                for x in tops:
+                    image |= 1 << img[x]
+                if sup[image] is None:
+                    found[i] = WitnessCert(l, PosetMap(p, l.poset, img), sets[i], "NO_SUP", None)
+                    hit = True
+            if hit:
+                pending = [entry for entry in pending if found[entry[0]] is None]
+                if not pending:
+                    break
+    return found
+
+
 def literal_canonical_form(p):
     """The canonical form by the unpruned search: the same colours, refinement,
     target cell and packed leaf as ``canonical_form``, but every element of

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from powerlab import (
+    FinitePoset,
     InvariantError,
     NoWitnessFound,
     PosetError,
@@ -23,8 +24,10 @@ from powerlab import (
     refute_v_existing,
     sup_of_image,
 )
-from powerlab.enumeration import canonical_form, enumerate_v_semilattices
+from powerlab import hoare
+from powerlab.enumeration import canonical_form, enumerate_v_semilattices, iter_monotone_maps
 from powerlab.hoare import first_refutations, refute_batch
+from powerlab.poset import upper_bounds
 from powerlab.suite import (
     check_def_2_1,
     check_sober,
@@ -33,7 +36,13 @@ from powerlab.suite import (
     check_thm_3_10,
 )
 
-from conftest import literal_first_refutation, literal_join_laws, small_posets, without_pair
+from conftest import (
+    literal_first_refutation,
+    literal_first_refutations,
+    literal_join_laws,
+    small_posets,
+    without_pair,
+)
 
 SEMILATTICES = [l for n in range(1, 5) for l in enumerate_v_semilattices(n)]
 
@@ -41,6 +50,11 @@ SEMILATTICES = [l for n in range(1, 5) for l in enumerate_v_semilattices(n)]
 def as_pair(cert):
     """A search result as the oracle's (semilattice, map image), or None."""
     return None if cert is None else (cert.semilattice, cert.map.img)
+
+
+def witness(cert):
+    """A search result as (semilattice, map image, subset), or None."""
+    return None if cert is None else (cert.semilattice, cert.map.img, cert.subset)
 
 
 def members_as_labels(fam):
@@ -287,6 +301,67 @@ class TestFirstRefutations:
     def test_empty_set_rejected(self, a2):
         with pytest.raises(PosetError, match="nonempty"):
             first_refutations(a2, [0], SEMILATTICES)
+
+    @pytest.mark.parametrize("max_n, bound", [(6, 1), (6, 2), (6, 3), (6, 4), (4, 5)])
+    def test_same_first_witness_as_the_unbounded_search(self, max_n, bound):
+        # dropping every set with an upper bound changes no set's first witness
+        semilattices = [l for n in range(1, bound + 1) for l in enumerate_v_semilattices(n)]
+        for p in small_posets(max_n):
+            sets = gamma(p).members
+            got = first_refutations(p, sets, semilattices)
+            want = literal_first_refutations(p, sets, semilattices)
+            assert [witness(c) for c in got] == [witness(c) for c in want]
+
+    def test_pairwise_bounds_are_not_enough(self):
+        # three points with an upper bound for each pair but none for all
+        # three: only a semilattice of 6 elements refutes them, so the search
+        # must keep them although every pair of them is bounded
+        p = FinitePoset.from_covers(
+            ["a", "b", "c", "ab", "bc", "ac"],
+            [("a", "ab"), ("b", "ab"), ("b", "bc"), ("c", "bc"), ("a", "ac"), ("c", "ac")],
+        )
+        semilattices = [l for n in range(1, 7) for l in enumerate_v_semilattices(n)]
+        sets = gamma(p).members
+        got = first_refutations(p, sets, semilattices)
+        want = literal_first_refutations(p, sets, semilattices)
+        assert [witness(c) for c in got] == [witness(c) for c in want]
+        assert got[sets.index(p.subset_from_labels(["a", "b", "c"]))].semilattice.n == 6
+
+    def test_a_bounded_subset_without_a_sup_entry_raises(self, a2):
+        # the chain 0 < 1 with the sup of {0, 1} struck from its sup_table:
+        # the bounded-set reduction would no longer match the table it reads
+        l = VSemilattice.from_poset(catalog.chain(2))
+        assert first_refutations(a2, [a2.full_mask], [l]) == [None]
+        l.__dict__["sup_table"] = l.sup_table[:3] + (None,)
+        with pytest.raises(InvariantError, match="bounded subset with no sup"):
+            first_refutations(a2, [a2.full_mask], [l])
+
+    def test_every_bounded_subset_has_a_sup_entry(self):
+        # the premise of the bounded-set reduction, on the enumerated
+        # semilattices and on the powerdomains
+        lattices = [l for n in range(1, 6) for l in enumerate_v_semilattices(n)]
+        lattices += [build_hc(p).semilattice for p in small_posets(5)]
+        for l in lattices:
+            sup = l.sup_table
+            for b in range(1, 1 << l.n):
+                assert (upper_bounds(l.poset, b) != 0) == (sup[b] is not None)
+
+    def test_no_member_reaches_the_map_sweep(self, monkeypatch, a2):
+        # every member is bounded, so the search walks no monotone map for it
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return iter_monotone_maps(p, q)
+
+        monkeypatch.setattr(hoare, "iter_monotone_maps", counting)
+        for p in small_posets(5):
+            members = build_hc(p).family.members
+            assert all(isinstance(r, NoWitnessFound) for r in refute_batch(p, members, 4))
+        assert calls == []
+        # an unbounded set does reach it
+        first_refutations(a2, [a2.full_mask], SEMILATTICES)
+        assert calls
 
 
 class TestRelativelyConsistent:

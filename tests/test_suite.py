@@ -319,6 +319,18 @@ class TestErrorPath:
         assert payload["instance"]["canonical"] == canonical_form(catalog.vee()).hex()
         assert replay_failure(payload) == "PASS"
 
+    def test_global_checks_name_the_broken_poset(self):
+        # Lem3.7 and Cor3.11 fail on the vee alone, and Cor3.11 still compares
+        # the 7 * 8 / 2 pairs of the other seven posets of at most 3 elements
+        vee = canonical_form(catalog.vee()).hex()
+        with broken_vee_powerdomain():
+            reports = [check_lemma_3_7(4, 3), check_cor_3_11(3)]
+        for report in reports:
+            assert [f["instance"]["canonical"] for f in report.failures] == [vee]
+            assert "not its consistent join" in report.failures[0]["detail"]
+        assert reports[1].instance["pairs"] == 28
+        assert check_cor_3_11(3).instance["pairs"] == 36
+
     def test_a_short_poset_list_raises(self, monkeypatch):
         # a sweep over fewer posets than A000112 counts is refused, not passed
         def short(n):
@@ -433,6 +445,25 @@ class TestTableMutants:
             reports = [check_prop_3_2(p, 3) for p in posets]
         details = {f["detail"] for r in reports for f in r.failures}
         assert details == {"the sup tables and the refutation search disagree on refutability"}
+        assert [check_prop_3_2(p, 3).verdict for p in posets] == ["PASS"] * len(posets)
+
+    def test_prop_3_2_catches_dropped_sups(self):
+        # on a poset with a top, every subset holding the top is bounded and
+        # is said to have no sup; those subsets are unions of closure classes,
+        # so closure transport holds and only the refutation search disagrees
+        posets = [p for p in small_posets(3) if p.full_mask in p.down_masks]
+        reports = []
+        for p in posets:
+            top = p.down_masks.index(p.full_mask)
+
+            def dropping(l, img, top=top):
+                return [-1 if a >> top & 1 else s for a, s in enumerate(_image_sups(l, img))]
+
+            with sweep_mutant("_image_sups", dropping):
+                reports.append(check_prop_3_2(p, 3))
+        details = {f["detail"] for r in reports for f in r.failures}
+        assert details == {"the sup tables and the refutation search disagree on refutability"}
+        assert [r.verdict for r in reports] == ["FAIL"] * len(posets)
         assert [check_prop_3_2(p, 3).verdict for p in posets] == ["PASS"] * len(posets)
 
     def test_prop_3_4_needs_every_irreducible(self, monkeypatch):
