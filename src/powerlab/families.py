@@ -2,20 +2,15 @@
 
 The two standard families are the nonempty lower (= Scott closed) sets and
 the same family with the empty set added.  A family is itself a finite poset
-under inclusion, which is how closures *inside* a family are computed.
+under inclusion; a closure *inside* a family is a down-set in that order,
+read off the member bitmasks without building the poset.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .poset import (
-    FinitePoset,
-    PosetError,
-    _ideals,
-    down_set,
-    iter_bits,
-)
+from .poset import FinitePoset, PosetError, _ideals
 
 
 def _canonical_member_order(members) -> tuple[int, ...]:
@@ -78,10 +73,6 @@ class SetFamily:
         )
         return FinitePoset.from_up_masks(up, labels)
 
-    def member_bits(self, indices_mask: int) -> list[int]:
-        """Members selected by a bitmask over member indices."""
-        return [self.members[i] for i in iter_bits(indices_mask)]
-
     def to_json(self) -> dict:
         return {
             "poset": self.base.to_json(),
@@ -104,16 +95,15 @@ def gamma0(p: FinitePoset) -> SetFamily:
 
 def closure_in_family(family: SetFamily, subfamily) -> SetFamily:
     """Least subfamily containing ``subfamily`` that is Scott closed in the
-    family's inclusion order: its down-set there.
+    family's inclusion order: its down-set there, the members of ``family``
+    that lie inside some member of ``subfamily``.  The inclusion test reads
+    the member bitmasks, so the family's ``poset`` is not built.
 
     The family is finite, so every directed subfamily contains its sup and
     the directed-sup step of the literal closure adds nothing; the test suite
     checks this against the literal fixpoint.
     """
-    sigma = 0
-    for m in subfamily:
-        idx = family.index_of.get(m)
-        if idx is None:
-            raise PosetError("subfamily member does not belong to the family")
-        sigma |= 1 << idx
-    return SetFamily(family.base, family.member_bits(down_set(family.poset, sigma)))
+    tops = list(subfamily)
+    if any(m not in family.index_of for m in tops):
+        raise PosetError("subfamily member does not belong to the family")
+    return SetFamily(family.base, [a for a in family.members if any(not a & ~m for m in tops)])

@@ -72,9 +72,10 @@ def build_hc(p: FinitePoset) -> ConsistentHoare:
     upper bound of a consistent pair is an error."""
     if p.n == 0:
         raise PosetError("powerdomain construction needs a nonempty poset")
-    gc = gamma_c(p)
-    family = closure_in_family(gamma(p), gc)
-    equals = family.members == gc.members
+    closed = gamma(p)
+    consistent = tuple(m for m in closed if is_consistent(p, m))
+    family = closure_in_family(closed, consistent)
+    equals = family.members == consistent
     fp = family.poset
     members, index_of = family.members, family.index_of
     if any(m == 0 or not is_lower_set(p, m) for m in members):
@@ -154,6 +155,12 @@ class NoWitnessFound:
 
 def sup_of_image(l: VSemilattice, f: PosetMap, bits: int) -> WitnessCert:
     """Decide whether the image of ``bits`` under ``f`` has a least upper bound."""
+    return _image_cert(_checked_codomain(l, f), f, bits)
+
+
+def _checked_codomain(l: VSemilattice, f: PosetMap) -> VSemilattice:
+    """``l`` as a ``VSemilattice``, once ``f`` is checked to be a monotone map
+    into it."""
     if not isinstance(l, VSemilattice):
         l = VSemilattice.from_poset(l)
         if l is None:
@@ -162,6 +169,11 @@ def sup_of_image(l: VSemilattice, f: PosetMap, bits: int) -> WitnessCert:
         raise PosetError("map codomain does not match the semilattice")
     if not f.is_monotone():
         raise PosetError("sup_of_image requires a monotone map")
+    return l
+
+
+def _image_cert(l: VSemilattice, f: PosetMap, bits: int) -> WitnessCert:
+    """``sup_of_image`` for a map already checked by ``_checked_codomain``."""
     s = l.sup_of_bits(f.image_bits(bits))
     if s is None:
         return WitnessCert(l, f, bits, "NO_SUP", None)
@@ -195,7 +207,8 @@ def refute_batch(p: FinitePoset, sets, max_size: int = 4) -> list:
     if any(a == 0 or not is_lower_set(p, a) for a in sets):
         raise PosetError("refutation is defined for nonempty Scott closed sets")
     h = build_hc(p)
-    certs = [sup_of_image(h.semilattice, h.j, a) for a in sets]
+    l = _checked_codomain(h.semilattice, h.j)
+    certs = [_image_cert(l, h.j, a) for a in sets]
     survivors = [a for a, cert in zip(sets, certs) if cert.verdict != "NO_SUP"]
     # lazily, so a batch refuted early never enumerates the larger sizes
     semilattices = (l for n in range(1, max_size + 1) for l in enumerate_v_semilattices(n))
@@ -301,20 +314,46 @@ def is_relatively_consistent(p: FinitePoset, bits: int) -> bool:
         raise PosetError("relative consistency is defined for Scott closed sets")
     if bits == 0:
         return False
-    downs = sorted({down_set(p, f) for f in f_c(p, bits)})
+    return _is_directed_closure(p, bits, {down_set(p, f) for f in f_c(p, bits)})
+
+
+def _is_directed_closure(p: FinitePoset, bits: int, downs: set) -> bool:
+    """Whether the set of down-sets ``downs`` is nonempty and directed under
+    inclusion, tested pairwise (some member contains the union of each
+    pair; a union that is itself a member needs no scan), and the Scott
+    closure of its union is ``bits``."""
     if not downs:
         return False
-    for i, d1 in enumerate(downs):
-        for d2 in downs[i + 1 :]:
+    ordered = sorted(downs)
+    for i, d1 in enumerate(ordered):
+        for d2 in ordered[i + 1 :]:
             union = d1 | d2
-            if not any(union & ~d3 == 0 for d3 in downs):
+            if union not in downs and not any(union & ~d3 == 0 for d3 in ordered):
                 return False
     acc = 0
-    for d in downs:
+    for d in ordered:
         acc |= d
     return scott_closure(p, acc) == bits
 
 
 def r_gamma_c(p: FinitePoset) -> SetFamily:
-    """All nonempty Scott closed relatively consistent subsets."""
-    return SetFamily(p, [m for m in gamma(p) if is_relatively_consistent(p, m)])
+    """All nonempty Scott closed relatively consistent subsets.
+
+    ``is_relatively_consistent`` of every closed set, from one table per
+    call: every consistent nonempty subset of ``p`` with its down-set, found
+    with one ``is_consistent`` test per subset.  The consistent subsets way
+    below a closed set, its ``f_c``, are the table's entries inside the union
+    of its elements' way-down sets, so each closed set filters the table
+    instead of testing every subset of its scope again.  The directedness
+    test and the ``scott_closure`` comparison are those of
+    ``is_relatively_consistent``, which stays the oracle."""
+    table = [(f, down_set(p, f)) for f in range(1, 1 << p.n) if is_consistent(p, f)]
+    wd = way_down_masks(p)
+    out = []
+    for m in gamma(p):
+        scope = 0
+        for a in iter_bits(m):
+            scope |= wd[a]
+        if _is_directed_closure(p, m, {d for f, d in table if not f & ~scope}):
+            out.append(m)
+    return SetFamily(p, out)

@@ -5,15 +5,19 @@ least upper bound; the join table is defined exactly on consistent pairs and
 validated once at construction, in O(n**2) with no associativity loop
 (``VSemilattice`` proves it redundant).  F-Scott closed subsets are lower
 sets that also contain the join of each of their consistent finite subsets;
-``cl_f`` is the corresponding closure operator and ``gamma_f`` enumerates
+``cl_f`` is the corresponding closure operator, a down-set followed by a
+semi-naive worklist that joins every pair once, and ``gamma_f`` enumerates
 all closed sets with the lectic Next-Closure algorithm, so the work is
 proportional to the number of closed sets rather than to 2**n.
 Homomorphisms are the monotone maps of ``iter_monotone_maps`` that preserve
 the join of every consistent incomparable pair.
 
-The module carries no test switch: mutation probes replace ``down_set`` or
-``_step_pair_join`` in this module's namespace from outside, and clear
-``gamma_f``'s cache, the one that holds ``cl_f`` results.
+The module carries no test switch: mutation probes replace a ``cl_f`` step
+in this module's namespace from outside, and clear ``gamma_f``'s cache, the
+one that holds ``cl_f`` results.  Replacing ``down_set``, which ``cl_f``
+calls on its argument and ``_step_pair_join`` on each new join, leaves the
+closure under pair joins alone; replacing ``_step_pair_join``, the worklist,
+leaves the bare down-set.
 """
 
 from __future__ import annotations
@@ -221,31 +225,50 @@ def is_f_scott_closed_literal(l: VSemilattice, bits: int) -> bool:
 
 
 def _step_pair_join(l: VSemilattice, bits: int) -> int:
-    found = 0
-    elems = list(iter_bits(bits))
-    join = l.join
-    for a in range(len(elems)):
-        for b in range(a + 1, len(elems)):
-            v = join[elems[a]][elems[b]]
+    """Close the lower set ``bits`` under the joins of its consistent pairs,
+    adding the down-set of each join, by semi-naive evaluation.
+
+    Each element of the result is queued once, when it enters, and on being
+    processed it is joined with the elements processed before it, not with
+    the whole set.  A pair of the result is thus joined exactly once, when
+    the later of its two elements is processed; no round re-joins old pairs.
+    """
+    p, join = l.poset, l.join
+    done = []
+    queue = list(iter_bits(bits))
+    while queue:
+        x = queue.pop()
+        row = join[x]
+        found = 0
+        for y in done:
+            v = row[y]
             if v != -1:
                 found |= 1 << v
-    return bits | found
+        done.append(x)
+        new = found & ~bits
+        if new:
+            new = down_set(p, new) & ~bits
+            bits |= new
+            queue.extend(iter_bits(new))
+    return bits
 
 
 def cl_f(l: VSemilattice, bits: int) -> int:
-    """Least F-Scott closed superset: fixpoint of the lower-closure and
-    consistent-pair-join steps.
+    """Least F-Scott closed superset: the down-set of ``bits``, closed under
+    consistent pair joins by ``_step_pair_join``.
+
+    The result is a lower set (the start is one, and each join enters with
+    its down-set) holding the join of each of its consistent pairs, hence of
+    each of its consistent finite subsets; everything added lies in every
+    F-Scott closed superset.  The semi-naive worklist joins every pair once
+    (Bancilhon & Ramakrishnan, SIGMOD 1986), where iterating both steps to a
+    fixpoint re-joined every pair on every round.
 
     The literal definition also closes under directed sups.  On a finite poset
     that step adds nothing: a finite directed set has a greatest element, so
     its sup already belongs to it.  The test suite checks this against the
     literal fixpoint."""
-    cur = bits
-    while True:
-        prev = cur
-        cur = _step_pair_join(l, down_set(l.poset, cur))
-        if cur == prev:
-            return cur
+    return _step_pair_join(l, down_set(l.poset, bits))
 
 
 @dataclass(frozen=True)

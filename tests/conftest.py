@@ -102,11 +102,18 @@ def literal_join_laws(h):
     return found
 
 
-def literal_fixpoint(p, bits, join=None):
+def literal_fixpoint(p, bits, join=None, directed_sups=True):
     """The literal closures, directed-sup step included: down-closure, then
     the consistent-pair joins of ``join`` when given, then the sups of all
     directed subsets, repeated until nothing changes.  The reference that the
-    production closures and the criterion-8 mutants are compared with."""
+    production closures and the criterion-8 mutants are compared with.
+
+    The directed-sup step enumerates every directed subset of the current
+    set, which is out of reach past a few hundred subsets per instance (the
+    enumeration is capped at 22 elements).  ``directed_sups=False`` drops
+    it, leaving the round-by-round fixpoint that re-joins every pair on every
+    round: the reference for the larger instances, whose directed subsets
+    ``tests/test_collapse.py`` does not enumerate."""
     cur = bits
     while True:
         nxt = down_set(p, cur)
@@ -116,14 +123,19 @@ def literal_fixpoint(p, bits, join=None):
                 for b in elems:
                     if join[a][b] != -1:
                         nxt |= 1 << join[a][b]
-        nxt |= directed_sup_closure_step(p.up_masks, p.full_mask, nxt)
+        if directed_sups:
+            nxt |= directed_sup_closure_step(p.up_masks, p.full_mask, nxt)
         if nxt == cur:
             return cur
         cur = nxt
 
 
-# the module global that cl_f calls for each step; cl_f never runs a
-# directed-sup step, so that mutant patches nothing
+# the module global of powerlab.semilattice that runs each cl_f step.
+# "lower": down_set, called by cl_f on its argument and by _step_pair_join on
+# each new join, so the mutant closes under pair joins alone.  "pair_join":
+# _step_pair_join, the semi-naive worklist, so the mutant is the bare
+# down-set.  cl_f never runs a directed-sup step, so that mutant patches
+# nothing.
 _CLOSURE_STEP_FUNCTIONS = {"lower": "down_set", "pair_join": "_step_pair_join", "directed_sup": None}
 
 

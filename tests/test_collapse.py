@@ -5,8 +5,11 @@ directed-sup step of the literal Scott and F-Scott closures never adds an
 element.  ``scott_closure``, ``closure_in_family`` and ``cl_f`` therefore omit
 that step.  These tests keep the omission a checked fact: the literal
 directed-subset search still runs here, and the closures are compared with
-the old fixpoints that included it.
+the old fixpoints that included it.  On instances past that search's reach
+the closures are compared with the same fixpoints without the step.
 """
+
+import random
 
 from powerlab import (
     build_hc,
@@ -66,11 +69,38 @@ class TestClosuresMatchLiteralFixpoint:
                 assert got == literal_fixpoint(fp, family_indices(fam, sub))
 
     def test_cl_f(self):
-        lattices = [l for n in range(1, 5) for l in enumerate_v_semilattices(n)]
-        lattices += [build_hc(p).semilattice for p in small_posets(3)]
+        lattices = [l for n in range(1, 6) for l in enumerate_v_semilattices(n)]
+        lattices += [build_hc(p).semilattice for p in small_posets(4)]
         for l in lattices:
             for a in range(1 << l.n):
                 assert cl_f(l, a) == literal_fixpoint(l.poset, a, l.join)
+
+
+class TestClosuresMatchRoundByRoundFixpoint:
+    """The larger instances, against the literal fixpoint without its
+    exhaustive directed-sup step (which the classes above keep on the small
+    ones): ``cl_f``'s semi-naive worklist against re-joining every pair on
+    every round, and ``closure_in_family``'s member-inclusion test against
+    the down-set in the family's inclusion poset."""
+
+    def test_cl_f_on_seeded_powerdomain_subsets(self):
+        # every size of subset equally likely, so sparse starts that grow over
+        # many rounds are drawn as often as dense ones
+        rng = random.Random(0)
+        for p in small_posets(6):
+            l = build_hc(p).semilattice
+            for _ in range(200):
+                a = sum(1 << x for x in rng.sample(range(l.n), rng.randint(0, l.n)))
+                assert cl_f(l, a) == literal_fixpoint(l.poset, a, l.join, directed_sups=False)
+
+    def test_closure_in_family(self):
+        for p in small_posets(5):
+            fam = gamma(p)
+            fp = fam.poset
+            subfamilies = [gamma_c(p).members] + [[m] for m in fam.members]
+            for sub in subfamilies:
+                got = family_indices(fam, closure_in_family(fam, sub).members)
+                assert got == literal_fixpoint(fp, family_indices(fam, sub), directed_sups=False)
 
 
 def test_scott_closure_is_least_literally_closed_superset():

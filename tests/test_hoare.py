@@ -10,6 +10,7 @@ from powerlab import (
     NoWitnessFound,
     PosetError,
     PosetMap,
+    SetFamily,
     VSemilattice,
     WitnessCert,
     build_hc,
@@ -137,6 +138,22 @@ class TestBuildHc:
         monkeypatch.setattr("powerlab.hoare.closure_in_family", without_pair)
         with pytest.raises(InvariantError, match="not its consistent join"):
             build_hc.__wrapped__(vee)
+
+    def test_builds_one_inclusion_poset(self, monkeypatch):
+        # the closure inside gamma(p) reads member bitmasks, so the only
+        # inclusion order built is the powerdomain's own
+        built = []
+        inclusion = SetFamily.poset.func
+
+        def counting(family):
+            built.append(family)
+            return inclusion(family)
+
+        monkeypatch.setattr(SetFamily, "poset", property(counting))
+        for p in small_posets(5):
+            built.clear()
+            h = build_hc.__wrapped__(p)
+            assert len(built) == 1 and built[0] is h.family
 
 
 class TestPartialJoin:
@@ -389,3 +406,27 @@ class TestRelativelyConsistent:
     def test_agreement_with_powerdomain(self):
         for p in small_posets(4):
             assert r_gamma_c(p).members == build_hc(p).family.members
+
+    def test_table_matches_the_per_set_oracle(self):
+        for p in small_posets(6):
+            oracle = SetFamily(p, [m for m in gamma(p) if is_relatively_consistent(p, m)])
+            assert r_gamma_c(p) == oracle
+
+    def test_one_consistency_test_per_subset(self, monkeypatch):
+        # r_gamma_c tests each nonempty subset once, for its one table, and
+        # never walks a closed set's subsets again through f_c
+        calls = []
+
+        def counting(p, bits):
+            calls.append(bits)
+            return is_consistent(p, bits)
+
+        def no_f_c(p, bits):
+            raise AssertionError("r_gamma_c called f_c")
+
+        monkeypatch.setattr(hoare, "is_consistent", counting)
+        monkeypatch.setattr(hoare, "f_c", no_f_c)
+        for p in small_posets(5):
+            calls.clear()
+            r_gamma_c(p)
+            assert len(calls) <= (1 << p.n) - 1

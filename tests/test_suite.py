@@ -176,7 +176,7 @@ class TestChecks:
         # antichain falls to the bounded search: a map onto a two-element
         # antichain refutes it at bound 4, and nothing can at bound 1
         monkeypatch.setattr(
-            "powerlab.hoare.sup_of_image",
+            "powerlab.hoare._image_cert",
             lambda l, f, bits: WitnessCert(l, f, bits, "SUP_EXISTS", 0),
         )
         p = catalog.antichain(2)
