@@ -1,5 +1,5 @@
-"""Generation of all finite posets up to isomorphism, canonical forms, and
-monotone map enumeration.
+"""Generation of all finite posets up to isomorphism, canonical forms, the
+semilattices among them, and cached lists of ``poset.iter_monotone_maps``.
 
 Canonical labeling uses colour refinement plus individualization search and
 returns the least packed relation matrix over the leaves of the search, so
@@ -33,7 +33,16 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 
-from .poset import FinitePoset, InvariantError, PosetError, PosetMap, _ideals, iter_bits
+from .poset import (
+    FinitePoset,
+    InvariantError,
+    PosetError,
+    PosetMap,
+    _ideals,
+    iter_bits,
+    iter_monotone_maps,
+)
+from .semilattice import VSemilattice
 
 DEFAULT_MAX_N = 6
 
@@ -252,8 +261,6 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
 @lru_cache(maxsize=None)
 def enumerate_v_semilattices(n: int) -> tuple:
     """The posets of size ``n`` on which every consistent pair has a least join."""
-    from .semilattice import VSemilattice
-
     candidates = (VSemilattice.from_poset(p) for p in enumerate_posets(n))
     return tuple(l for l in candidates if l is not None)
 
@@ -291,46 +298,6 @@ def bruteforce_poset_count(n: int) -> int:
 def enumerate_monotone_maps(p: FinitePoset, q: FinitePoset) -> list[PosetMap]:
     """All monotone maps p -> q, in the order of ``iter_monotone_maps``."""
     return [PosetMap(p, q, img) for img in monotone_map_images(p, q)]
-
-
-def iter_monotone_maps(p: FinitePoset, q: FinitePoset):
-    """Every monotone map p -> q as a tuple of images, lexicographic in the
-    images along ``p.linear_extension``.
-
-    Backtracking along that linear extension: the candidates for each element
-    are the common up-set of the images of its predecessors, tried in
-    increasing order.  The stack is explicit, one candidate mask per depth, so
-    nothing refers to itself and no garbage is left for the collector.
-    """
-    n = p.n
-    if n == 0:
-        yield ()
-        return
-    order = p.linear_extension
-    # preds[k]: the elements strictly below order[k], all earlier in the order
-    preds = [list(iter_bits(p.down_masks[e] & ~(1 << e))) for e in order]
-    up, full = q.up_masks, q.full_mask
-    last = n - 1
-    img = [0] * n
-    rest = [0] * n  # rest[k]: the candidates for order[k] not yet tried
-    rest[0] = full
-    k = 0
-    while k >= 0:
-        cand = rest[k]
-        if not cand:
-            k -= 1
-            continue
-        low = cand & -cand
-        rest[k] = cand ^ low
-        img[order[k]] = low.bit_length() - 1
-        if k == last:
-            yield tuple(img)
-            continue
-        k += 1
-        cand = full
-        for x in preds[k]:
-            cand &= up[img[x]]
-        rest[k] = cand
 
 
 @lru_cache(maxsize=None)

@@ -12,16 +12,16 @@ changes which witness it finds for a set.  Only a set with no upper bound
 enters the sweep: a set bounded by u in the poset has its image bounded by
 the image of u, and a bounded nonempty finite set in a semilattice has a sup,
 its pairwise join, so no map refutes it.  The search checks that premise on
-the ``sup_table`` of each semilattice it reads.  ``refute_batch`` puts the
-canonical witness in front of it for a batch, ``refute_v_existing`` for one
-set."""
+the ``bound_masks`` and ``sup_table`` of each semilattice it reads.
+``refute_batch`` puts the canonical witness in front of it for a batch,
+``refute_v_existing`` for one set."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .enumeration import DEFAULT_MAX_N, enumerate_v_semilattices, iter_monotone_maps
+from .enumeration import DEFAULT_MAX_N, enumerate_v_semilattices
 from .families import SetFamily, closure_in_family, gamma
 from .poset import (
     FinitePoset,
@@ -32,6 +32,7 @@ from .poset import (
     is_consistent,
     is_lower_set,
     iter_bits,
+    iter_monotone_maps,
     scott_closure,
     way_down_masks,
 )
@@ -189,8 +190,9 @@ def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4):
     the embedded image would be a consistent superset.  Failing that,
     ``first_refutations`` searches every semilattice of 1 to ``max_size``
     elements and every monotone map in canonical order; exhaustion is
-    reported with the bound.  A bound outside 1 to ``DEFAULT_MAX_N`` is
-    refused before any search.  The result depends only on the poset, the set
+    reported with the bound.  A bound outside 1 to ``DEFAULT_MAX_N``, or a
+    set that is not a nonempty Scott closed subset of the poset, is refused
+    before any search.  The result depends only on the poset, the set
     and the bound.  This is ``refute_batch`` on one set.
     """
     (result,) = refute_batch(p, [bits], max_size)
@@ -204,8 +206,8 @@ def refute_batch(p: FinitePoset, sets, max_size: int = 4) -> list:
         raise PosetError(f"refutation needs a semilattice bound of at least 1, not {max_size}")
     if max_size > DEFAULT_MAX_N:
         raise PosetError(f"semilattice bound {max_size} exceeds the enumeration cap {DEFAULT_MAX_N}")
-    if any(a == 0 or not is_lower_set(p, a) for a in sets):
-        raise PosetError("refutation is defined for nonempty Scott closed sets")
+    if any(a <= 0 or a >> p.n or not is_lower_set(p, a) for a in sets):
+        raise PosetError("refutation is defined for nonempty Scott closed subsets of the poset")
     h = build_hc(p)
     l = _checked_codomain(h.semilattice, h.j)
     certs = [_image_cert(l, h.j, a) for a in sets]
@@ -235,8 +237,8 @@ def first_refutations(p: FinitePoset, sets, semilattices) -> list:
       its pair lies below u, and staying below u.  A monotone map f sends a
       set bounded by u to one bounded by f(u), whose sup exists.  This
       premise is checked, not assumed: in every semilattice the search
-      reads, each nonempty subset with a common upper bound must have a
-      ``sup_table`` entry, or ``InvariantError`` is raised;
+      reads, each nonempty subset with a nonzero ``bound_masks`` entry must
+      have a ``sup_table`` entry, or ``InvariantError`` is raised;
     - a semilattice in which every nonempty subset has a sup is skipped: no
       image of a nonempty set can lack one there;
     - only the images of the maximal elements of a set are joined: every
@@ -258,12 +260,8 @@ def first_refutations(p: FinitePoset, sets, semilattices) -> list:
         if not pending:
             break
         sup = l.sup_table
-        # the premise, on upper bounds computed apart from sup_table: every
-        # nonempty subset with a common upper bound has a sup
-        bounds = [l.poset.full_mask]
-        for row in l.poset.up_masks:
-            bounds += [ub & row for ub in bounds]
-        if any(s is None and ub for s, ub in zip(sup[1:], bounds[1:])):
+        # the premise: every nonempty subset with a common upper bound has a sup
+        if any(s is None and ub for s, ub in zip(sup[1:], l.bound_masks[1:])):
             raise InvariantError(f"{l!r} has a bounded subset with no sup in its sup_table")
         if None not in sup[1:]:
             continue

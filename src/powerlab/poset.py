@@ -279,6 +279,46 @@ class PosetMap:
         }
 
 
+def iter_monotone_maps(p: FinitePoset, q: FinitePoset):
+    """Every monotone map p -> q as a tuple of images, lexicographic in the
+    images along ``p.linear_extension``.
+
+    Backtracking along that linear extension: the candidates for each element
+    are the common up-set of the images of its predecessors, tried in
+    increasing order.  The stack is explicit, one candidate mask per depth, so
+    nothing refers to itself and no garbage is left for the collector.
+    """
+    n = p.n
+    if n == 0:
+        yield ()
+        return
+    order = p.linear_extension
+    # preds[k]: the elements strictly below order[k], all earlier in the order
+    preds = [list(iter_bits(p.down_masks[e] & ~(1 << e))) for e in order]
+    up, full = q.up_masks, q.full_mask
+    last = n - 1
+    img = [0] * n
+    rest = [0] * n  # rest[k]: the candidates for order[k] not yet tried
+    rest[0] = full
+    k = 0
+    while k >= 0:
+        cand = rest[k]
+        if not cand:
+            k -= 1
+            continue
+        low = cand & -cand
+        rest[k] = cand ^ low
+        img[order[k]] = low.bit_length() - 1
+        if k == last:
+            yield tuple(img)
+            continue
+        k += 1
+        cand = full
+        for x in preds[k]:
+            cand &= up[img[x]]
+        rest[k] = cand
+
+
 # -- elementary operations on subsets ---------------------------------------
 
 
@@ -471,30 +511,19 @@ def way_down_masks(p: FinitePoset) -> tuple[int, ...]:
 
 
 def _ideals(p: FinitePoset, include_empty: bool) -> list[int]:
-    """All lower sets, by include/exclude recursion along a linear extension.
+    """All lower sets, grown along a linear extension.
 
-    An element may be included only once its whole strict down-set is in, so
-    every leaf of the recursion is an ideal and the work is proportional to
-    the number of ideals, not to 2**n.
+    Each element, in turn, is added to every ideal found so far that already
+    holds its strict down-set; those are exactly the ideals it may join, as
+    every element below it came earlier.  The work is proportional to the
+    number of ideals, not to 2**n.  The empty set comes first.
     """
-    order = p.linear_extension
-    strict_down = tuple(p.down_masks[e] & ~(1 << e) for e in range(p.n))
-    out: list[int] = []
-
-    def rec(k: int, mask: int):
-        if k == len(order):
-            out.append(mask)
-            return
-        e = order[k]
-        rec(k + 1, mask)
-        if strict_down[e] & ~mask == 0:
-            rec(k + 1, mask | (1 << e))
-
-    rec(0, 0)
-    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
-    if not include_empty:
-        out.remove(0)
-    return out
+    out = [0]
+    for e in p.linear_extension:
+        bit = 1 << e
+        below = p.down_masks[e] & ~bit
+        out += [m | bit for m in out if not below & ~m]
+    return out if include_empty else out[1:]
 
 
 def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:

@@ -10,7 +10,8 @@ semi-naive worklist that joins every pair once, and ``gamma_f`` enumerates
 all closed sets with the lectic Next-Closure algorithm, so the work is
 proportional to the number of closed sets rather than to 2**n.
 Homomorphisms are the monotone maps of ``iter_monotone_maps`` that preserve
-the join of every consistent incomparable pair.
+the join of every consistent incomparable pair.  ``_image_sups`` reads a
+semilattice's tables to give the sup of every subset's image under a map.
 
 The module carries no test switch: mutation probes replace a ``cl_f`` step
 in this module's namespace from outside, and clear ``gamma_f``'s cache, the
@@ -27,18 +28,19 @@ import io
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .enumeration import iter_monotone_maps
 from .families import SetFamily
 from .poset import (
     FinitePoset,
     InvariantError,
     PosetError,
     PosetMap,
+    directed_subsets_with_sups,
     down_set,
     is_consistent,
     is_lower_set,
     is_scott_closed,
     iter_bits,
+    iter_monotone_maps,
     least_upper_bound,
     scott_closure,
 )
@@ -118,20 +120,27 @@ class VSemilattice:
         return least_upper_bound(self.poset.up_masks, self.poset.full_mask, bits)
 
     @cached_property
+    def bound_masks(self) -> tuple:
+        """``bound_masks[b]``: the common upper bounds of subset ``b``, the
+        whole universe for the empty set.  Dense over all 2**n subsets, one
+        AND each: the subsets holding element ``k`` are those without it,
+        each bound by ``k``'s up-set."""
+        bounds = [self.poset.full_mask]
+        for row in self.poset.up_masks:
+            bounds += [ub & row for ub in bounds]
+        return tuple(bounds)
+
+    @cached_property
     def sup_table(self) -> tuple:
         """``sup_table[b]`` is ``sup_of_bits(b)`` for every subset ``b``.
 
-        Dense over all 2**n subsets, so build it only for small semilattices.
-        The common upper bounds of each subset come from one AND per subset;
-        the sup exists exactly when they form the principal up-set of an
-        element, and up-sets of distinct elements differ.
+        The sup exists exactly when the common upper bounds form the
+        principal up-set of an element (Davey & Priestley, *Introduction to
+        Lattices and Order*, 2nd ed., ch. 2), and up-sets of distinct
+        elements differ, so each entry is one lookup of ``bound_masks``.
         """
-        up = self.poset.up_masks
-        bounds = [self.poset.full_mask]
-        for row in up:
-            bounds += [ub & row for ub in bounds]
-        principal = {row: i for i, row in enumerate(up)}
-        return tuple(principal.get(ub) for ub in bounds)
+        principal = {row: i for i, row in enumerate(self.poset.up_masks)}
+        return tuple(principal.get(ub) for ub in self.bound_masks)
 
     @cached_property
     def sup_columns(self) -> tuple:
@@ -140,8 +149,8 @@ class VSemilattice:
 
         Read at index ``s`` it is the sup of a set with sup ``s`` and ``y``
         added; index ``n`` stands for the empty set and index ``-1`` for a set
-        with no sup, which stays without one.  ``suite._image_sups`` runs on
-        these columns."""
+        with no sup, which stays without one.  ``_image_sups`` runs on these
+        columns."""
         return tuple(tuple(row[y] for row in self.join) + (y, -1) for y in range(self.n))
 
     @cached_property
@@ -182,6 +191,30 @@ class VSemilattice:
 
 def is_v_semilattice(p: FinitePoset) -> bool:
     return VSemilattice.from_poset(p) is not None
+
+
+def _image_sups(l: VSemilattice, img) -> list[int]:
+    """``out[a]``: the least upper bound in ``l`` of the image of subset ``a``
+    of the domain under ``img``, or -1 if it has none; one entry per domain
+    subset.
+
+    One pass over the domain, by the recurrence ``out[a | bit(y)] =
+    join(out[a], img[y])`` on the padded columns of ``l.sup_columns``, where
+    index ``n`` marks a still empty image and -1 a set with no sup.  This is
+    sound in a semilattice: for a nonempty S with sup s, sup(S ∪ {y}) exists
+    exactly when join(s, y) does, and then they are equal, since an upper
+    bound of S ∪ {y} bounds s and y; a nonempty S with no sup is unbounded,
+    because a bounded nonempty set has a sup, and so is S ∪ {y}.  The empty
+    image's sup is the bottom element, if there is one.
+    """
+    cols = l.sup_columns
+    out = [l.n]
+    for v in img:
+        col = cols[v]
+        out += [col[s] for s in out]
+    bottom = l.sup_table[0]
+    out[0] = -1 if bottom is None else bottom
+    return out
 
 
 # -- F-Scott closed sets ------------------------------------------------------
@@ -360,8 +393,6 @@ def _img_is_homomorphism(img, l: VSemilattice, m: VSemilattice) -> bool:
 def preserves_directed_sups(f: PosetMap, l: VSemilattice, m: VSemilattice) -> bool:
     """Literal check over all directed subsets; test oracle for the finite reduction."""
     _check_map(f, l, m)
-    from .poset import directed_subsets_with_sups
-
     for dbits, s in directed_subsets_with_sups(l.poset):
         t = m.sup_of_bits(f.image_bits(dbits))
         if s is None:

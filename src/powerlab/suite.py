@@ -17,7 +17,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 from .enumeration import (
     DEFAULT_MAX_N,
@@ -26,7 +25,6 @@ from .enumeration import (
     canonical_form,
     enumerate_posets,
     enumerate_v_semilattices,
-    iter_monotone_maps,
 )
 from .families import gamma, gamma0
 from .hoare import WitnessCert, build_hc, first_refutations, r_gamma_c, refute_batch
@@ -38,12 +36,14 @@ from .poset import (
     is_consistent,
     is_sober,
     iter_bits,
+    iter_monotone_maps,
     scott_closure,
     way_down_masks,
 )
 from .semilattice import (
     VSemilattice,
     _homomorphism_images,
+    _image_sups,
     cl_f,
     gamma_f,
     is_f_scott_closed,
@@ -152,30 +152,6 @@ def _strict_pairs(p: FinitePoset) -> tuple:
     )
 
 
-def _image_sups(l: VSemilattice, img) -> list[int]:
-    """``out[a]``: the least upper bound in ``l`` of the image of subset ``a``
-    of the domain under ``img``, or -1 if it has none; one entry per domain
-    subset.
-
-    One pass over the domain, by the recurrence ``out[a | bit(y)] =
-    join(out[a], img[y])`` on the padded columns of ``l.sup_columns``, where
-    index ``n`` marks a still empty image and -1 a set with no sup.  This is
-    sound in a semilattice: for a nonempty S with sup s, sup(S ∪ {y}) exists
-    exactly when join(s, y) does, and then they are equal, since an upper
-    bound of S ∪ {y} bounds s and y; a nonempty S with no sup is unbounded,
-    because a bounded nonempty set has a sup, and so is S ∪ {y}.  The empty
-    image's sup is the bottom element, if there is one.
-    """
-    cols = l.sup_columns
-    out = [l.n]
-    for v in img:
-        col = cols[v]
-        out += [col[s] for s in out]
-    bottom = l.sup_table[0]
-    out[0] = -1 if bottom is None else bottom
-    return out
-
-
 def _f_closed_table(l: VSemilattice) -> list[bool]:
     """``is_f_scott_closed`` of every subset of ``l``, indexed by bitmask."""
     return [is_f_scott_closed(l, a) for a in range(1 << l.n)]
@@ -207,17 +183,13 @@ def _continuous_by_table(img, dom_closed: list, cod_n: int, cod_sets) -> bool:
     return True
 
 
-_NO_FINDINGS = MappingProxyType({})
-
-
 @lru_cache(maxsize=None)
-def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
+def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     """Lem2.3's, Freeness's and Lem3.8's findings on the monotone maps from
-    ``p`` into ``l``, keyed by statement id, each a list of (detail,
-    extras), from one pass over the maps.  A statement with no finding has
-    no key, and every pair with no finding at all shares one empty
-    read-only mapping, so that clean pairs cost the cache no more than their
-    keys.
+    ``p`` into every semilattice at the bound, keyed by statement id, each a
+    list of (detail, extras), from one pass over the maps.  Per semilattice,
+    in ``_semilattices_upto`` order, Freeness reports its count line before
+    its per-map findings.
 
     Each map's ``_image_sups`` table is computed once and read three ways.
     Its entries at the powerdomain members are the map's sup-of-image
@@ -233,96 +205,86 @@ def _map_sweep(p: FinitePoset, l: VSemilattice) -> dict:
     Lem3.8 compares the subsets refuted by some map with those refuted by
     the restriction of some homomorphism; a homomorphism refutes, through
     the embedding, exactly what its restriction refutes.  When Freeness
-    finds nothing, restriction is a bijection from the homomorphisms onto
-    the maps and the extension is its inverse, so both sides are the union
-    of the same maps' refuted subsets and agree by construction.  Only when
-    Freeness has a finding are the two unions built, by streaming the maps
-    again and evaluating every restriction, so that a failure names the
-    subsets that differ.  The maps are streamed; only findings are kept."""
+    finds nothing on a semilattice, restriction is a bijection from the
+    homomorphisms onto the maps and the extension is its inverse, so both
+    sides are the union of the same maps' refuted subsets and agree by
+    construction.  Only when Freeness has a finding there are the two unions
+    built, by streaming the maps again and evaluating every restriction, so
+    that a failure names the subsets that differ.  The maps are streamed;
+    only findings are kept."""
     h = build_hc(p)
     members = h.family.members
     j_img = h.j.img
     hc_pairs = _strict_pairs(h.poset)
-    homs = _homomorphism_images(h.semilattice, l)
-    hom_set = set(homs)
-    groups: dict = {}
-    for g in homs:
-        groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
-    up = l.poset.up_masks
     found = {"Lem2.3": [], "Freeness": [], "Lem3.8": []}
-    per_map = []  # Freeness's findings after its count line
-    count = 0
 
     def on_map(detail, **extra):
         return detail, {"semilattice": l.poset.to_json(), "map": list(f_img), **extra}
 
-    for f_img in iter_monotone_maps(p, l.poset):
-        count += 1
-        sups = _image_sups(l, f_img)
-        ext = tuple([sups[m] for m in members])
-        matching = groups.get(f_img, [])
-        if matching == [ext]:
-            continue
-        if -1 in ext:
-            for m, s in zip(members, ext):
-                if s < 0:
-                    detail = "member image has no least upper bound"
-                    found["Lem2.3"].append(on_map(detail, member=p.subset_labels(m)))
-            undefined = members[ext.index(-1)]
-            per_map.append(
-                on_map("extension undefined on a member", member=p.subset_labels(undefined))
-            )
-            continue
-        # a cached homomorphism is monotone, so only an outsider is tested
-        if ext not in hom_set:
-            if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
-                per_map.append(on_map("extension not monotone"))
-            else:
-                per_map.append(on_map("extension does not preserve joins"))
-        if tuple([ext[k] for k in j_img]) != f_img:
-            per_map.append(on_map("extension does not restrict to the map"))
-        if len(matching) != 1 or matching[0] != ext:
-            per_map.append(
-                on_map(
-                    f"{len(matching)} powerdomain maps restrict to this map, expected "
-                    "exactly the sup-of-image extension"
+    for l in _semilattices_upto(semi_bound):
+        homs = _homomorphism_images(h.semilattice, l)
+        hom_set = set(homs)
+        groups: dict = {}
+        for g in homs:
+            groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
+        up = l.poset.up_masks
+        per_map = []  # Freeness's findings after its count line
+        count = 0
+        for f_img in iter_monotone_maps(p, l.poset):
+            count += 1
+            sups = _image_sups(l, f_img)
+            ext = tuple([sups[m] for m in members])
+            matching = groups.get(f_img, [])
+            if matching == [ext]:
+                continue
+            if -1 in ext:
+                for m, s in zip(members, ext):
+                    if s < 0:
+                        detail = "member image has no least upper bound"
+                        found["Lem2.3"].append(on_map(detail, member=p.subset_labels(m)))
+                undefined = members[ext.index(-1)]
+                per_map.append(
+                    on_map("extension undefined on a member", member=p.subset_labels(undefined))
                 )
-            )
-    if len(homs) != count:
-        found["Freeness"].append(
-            (
-                f"{len(homs)} powerdomain maps vs {count} monotone maps",
-                {"semilattice": l.poset.to_json()},
-            )
-        )
-    found["Freeness"] += per_map
-    if found["Freeness"]:
+                continue
+            # a cached homomorphism is monotone, so only an outsider is tested
+            if ext not in hom_set:
+                if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
+                    per_map.append(on_map("extension not monotone"))
+                else:
+                    per_map.append(on_map("extension does not preserve joins"))
+            if tuple([ext[k] for k in j_img]) != f_img:
+                per_map.append(on_map("extension does not restrict to the map"))
+            if len(matching) != 1 or matching[0] != ext:
+                per_map.append(
+                    on_map(
+                        f"{len(matching)} powerdomain maps restrict to this map, expected "
+                        "exactly the sup-of-image extension"
+                    )
+                )
+        if len(homs) != count:
+            detail = f"{len(homs)} powerdomain maps vs {count} monotone maps"
+            per_map.insert(0, (detail, {"semilattice": l.poset.to_json()}))
+        if not per_map:
+            continue
+        found["Freeness"] += per_map
         refut_maps, refut_homs = (
             {a for img in images for a, s in enumerate(_image_sups(l, img)) if s < 0}
             for images in (iter_monotone_maps(p, l.poset), groups)
         )
         if refut_maps != refut_homs:
-            diff = refut_maps ^ refut_homs
-            found["Lem3.8"].append(
-                (
-                    "map-refutable and embedding-refutable subsets disagree",
-                    {
-                        "semilattice": l.poset.to_json(),
-                        "subsets": [p.subset_labels(a) for a in sorted(diff)],
-                    },
-                )
-            )
-    return {k: v for k, v in found.items() if v} or _NO_FINDINGS
+            detail = "map-refutable and embedding-refutable subsets disagree"
+            subsets = [p.subset_labels(a) for a in sorted(refut_maps ^ refut_homs)]
+            found["Lem3.8"].append((detail, {"semilattice": l.poset.to_json(), "subsets": subsets}))
+    return found
 
 
 def _swept(statement: str, p: FinitePoset, semi_bound: int) -> VerificationReport:
-    """The report of the findings ``_map_sweep`` keeps for ``statement`` over
-    every semilattice at the bound, copied so that no report shares an
-    object with the cache."""
+    """The report of the findings ``_map_sweep`` keeps for ``statement``,
+    copied so that no report shares an object with the cache."""
     ck = VerificationReport.on_poset(statement, p, max_semilattice_n=semi_bound)
-    for l in _semilattices_upto(semi_bound):
-        for detail, extra in _map_sweep(p, l).get(statement, ()):
-            ck.fail(detail, **copy.deepcopy(extra))
+    for detail, extra in _map_sweep(p, semi_bound)[statement]:
+        ck.fail(detail, **copy.deepcopy(extra))
     return ck
 
 

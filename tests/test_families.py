@@ -13,6 +13,7 @@ from powerlab import (
     gamma0,
     is_lower_set,
 )
+from powerlab.poset import _ideals
 
 from conftest import small_posets
 
@@ -48,13 +49,19 @@ class TestGamma:
             assert 0 in g0 and 0 not in g
 
     def test_matches_naive_filter(self):
-        # the recursion never touches most of 2**n; the filter is the oracle
-        for p in small_posets(4):
+        # the ideals loop never touches most of 2**n; the filter is the oracle,
+        # for the family and for the raw list, which must hold no duplicate
+        # and the empty set exactly when asked for
+        for p in small_posets(6) + [catalog.chain(12), catalog.antichain(10)]:
             naive = sorted(
                 (a for a in range(1, 1 << p.n) if is_lower_set(p, a)),
                 key=lambda b: (b.bit_count(), b),
             )
             assert list(gamma(p).members) == naive
+            for include_empty in (False, True):
+                raw = _ideals(p, include_empty)
+                assert len(raw) == len(set(raw))
+                assert sorted(raw) == sorted(naive + [0] * include_empty)
 
     def test_singleton(self, s1):
         assert members_as_labels(gamma0(s1)) == [(), ("x",)]

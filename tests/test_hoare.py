@@ -266,6 +266,15 @@ class TestRefuteVExisting:
         with pytest.raises(PosetError):
             refute_v_existing(vee, 0)
 
+    @pytest.mark.parametrize("bits", [1 << 5, -1])
+    def test_rejects_sets_outside_the_poset(self, vee, bits):
+        # a bit past the last element, or a negative int, is no subset of
+        # the poset: refused as input, not an IndexError from the search
+        with pytest.raises(PosetError, match="subsets of the poset"):
+            refute_v_existing(vee, bits)
+        with pytest.raises(PosetError, match="subsets of the poset"):
+            refute_batch(vee, [vee.full_mask, bits])
+
     def test_members_survive_nonmembers_refuted(self):
         for p in small_posets(3):
             members = set(build_hc(p).family.members)

@@ -220,6 +220,15 @@ def test_lemma_3_6_matches_its_loop_under_a_sup_mutant():
             assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))
 
 
+def test_one_map_sweep_entry_per_poset():
+    # the sweep loops over the semilattices itself, so its cache holds one
+    # entry per poset at the bound: the 24 posets of 1 to 4 elements
+    _map_sweep.cache_clear()
+    summary = run_all(Config(suites=("lem2.3", "freeness", "lem3.8")))
+    assert not summary.any_fail and not summary.any_inconclusive
+    assert _map_sweep.cache_info().currsize == 24
+
+
 def test_lemma_3_6_runs_no_map_sweep():
     # Lem3.6 quantifies over pairs of semilattices and has its own loop, so a
     # run of it alone fills no entry of the per-poset map sweep

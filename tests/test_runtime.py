@@ -108,6 +108,28 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+def test_no_function_imports_a_powerlab_module():
+    # the layers import each other at module level, in one order (poset,
+    # families, semilattice, enumeration, hoare, suite, cli); an import
+    # inside a function body is how a cycle between them hides
+    found = []
+    for path in sorted((ROOT / "src" / "powerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").partition(".")[0] == "powerlab"
+                ):
+                    found.append(f"{path.name}:{node.lineno} {func.name}")
+                elif isinstance(node, ast.Import) and any(
+                    alias.name.partition(".")[0] == "powerlab" for alias in node.names
+                ):
+                    found.append(f"{path.name}:{node.lineno} {func.name}")
+    assert found == []
+
+
 def test_every_module_import_is_used():
     # a deletion must take the imports only it used along with it; the
     # package __init__ imports to re-export, and __future__ imports are

@@ -112,12 +112,13 @@ class TestVSemilattice:
                 assert l.sup_of_bits(a) == sup(l.poset, a)
 
     def test_sup_table_matches_least_upper_bound(self):
-        from powerlab.poset import least_upper_bound
+        from powerlab.poset import least_upper_bound, upper_bounds
 
         for l in semis_upto(5):
             up, full = l.poset.up_masks, l.poset.full_mask
             assert len(l.sup_table) == 1 << l.n
             for b in range(1 << l.n):
+                assert l.bound_masks[b] == upper_bounds(l.poset, b)
                 assert l.sup_table[b] == least_upper_bound(up, full, b)
 
     def test_join_csv(self, vee):
