@@ -227,13 +227,15 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
     result are what the unfiltered loop gives.  A result whose class count
     differs from A000112 where that is known raises ``InvariantError``, so
     a filter that did lose a class fails loudly at every size up to 8.
+    Generation starts from the empty poset, and each parent is the shared
+    ``_poset_from_form`` instance that ``enumerate_posets`` also returns.
     """
-    if n == 1:
-        return (canonical_form(FinitePoset.from_up_masks([1])),)
+    if n == 0:
+        return (bytes([0]),)
     seen: set[bytes] = set()
     top = 1 << (n - 1)
     for prev in _canonical_forms(n - 1):
-        p = unpack_canonical(prev)
+        p = _poset_from_form(prev)
         up, down = p.up_masks, p.down_masks
         # (element, down-set size) of the parent's maximal elements
         maximal = [(i, down[i].bit_count()) for i in range(n - 1) if up[i] == 1 << i]
@@ -302,8 +304,8 @@ def enumerate_monotone_maps(p: FinitePoset, q: FinitePoset) -> list[PosetMap]:
 
 @lru_cache(maxsize=None)
 def monotone_map_images(p: FinitePoset, q: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    """``iter_monotone_maps(p, q)``, kept for the checks that read the same
-    maps more than once."""
+    """``iter_monotone_maps(p, q)``, cached; the checks stream the maps
+    instead, so only the tests and the benchmark's tracer read it."""
     return tuple(iter_monotone_maps(p, q))
 
 
@@ -336,7 +338,7 @@ def _read_cache(cache_dir: Path, n: int):
     """The cached forms of size ``n``, or None when the file is missing or is
     not exactly what ``_write_cache`` writes: a size that disagrees with its
     header, another n, a class count other than ``POSET_COUNTS[n]``, forms
-    out of order or a form that is not canonical."""
+    out of order or a form that is not canonical (on its shared instance)."""
     try:
         data = _cache_file(cache_dir, n).read_bytes()
     except FileNotFoundError:
@@ -350,7 +352,7 @@ def _read_cache(cache_dir: Path, n: int):
     forms = tuple(data[k : k + size] for k in range(_HEADER.size, len(data), size))
     try:
         if any(a >= b for a, b in zip(forms, forms[1:])) or any(
-            f[0] != n or canonical_form(unpack_canonical(f)) != f for f in forms
+            f[0] != n or canonical_form(_poset_from_form(f)) != f for f in forms
         ):
             return None
     except PosetError:  # some form's bits are not a partial order

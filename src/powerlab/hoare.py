@@ -155,13 +155,10 @@ class NoWitnessFound:
 
 
 def sup_of_image(l: VSemilattice, f: PosetMap, bits: int) -> WitnessCert:
-    """Decide whether the image of ``bits`` under ``f`` has a least upper bound."""
-    return _image_cert(_checked_codomain(l, f), f, bits)
-
-
-def _checked_codomain(l: VSemilattice, f: PosetMap) -> VSemilattice:
-    """``l`` as a ``VSemilattice``, once ``f`` is checked to be a monotone map
-    into it."""
+    """Decide whether the image of ``bits`` under ``f`` has a least upper
+    bound; a set outside the domain or a map unfit for ``l`` is a ``PosetError``."""
+    if bits < 0 or bits >> f.dom.n:
+        raise PosetError(f"{bits} is not a subset of the map's domain")
     if not isinstance(l, VSemilattice):
         l = VSemilattice.from_poset(l)
         if l is None:
@@ -170,11 +167,11 @@ def _checked_codomain(l: VSemilattice, f: PosetMap) -> VSemilattice:
         raise PosetError("map codomain does not match the semilattice")
     if not f.is_monotone():
         raise PosetError("sup_of_image requires a monotone map")
-    return l
+    return _image_cert(l, f, bits)
 
 
 def _image_cert(l: VSemilattice, f: PosetMap, bits: int) -> WitnessCert:
-    """``sup_of_image`` for a map already checked by ``_checked_codomain``."""
+    """``sup_of_image`` for a subset of the domain of a monotone map into ``l``."""
     s = l.sup_of_bits(f.image_bits(bits))
     if s is None:
         return WitnessCert(l, f, bits, "NO_SUP", None)
@@ -208,9 +205,9 @@ def refute_batch(p: FinitePoset, sets, max_size: int = 4) -> list:
         raise PosetError(f"semilattice bound {max_size} exceeds the enumeration cap {DEFAULT_MAX_N}")
     if any(a <= 0 or a >> p.n or not is_lower_set(p, a) for a in sets):
         raise PosetError("refutation is defined for nonempty Scott closed subsets of the poset")
+    # build_hc proves that h.j preserves and reflects the order into its semilattice
     h = build_hc(p)
-    l = _checked_codomain(h.semilattice, h.j)
-    certs = [_image_cert(l, h.j, a) for a in sets]
+    certs = [_image_cert(h.semilattice, h.j, a) for a in sets]
     survivors = [a for a, cert in zip(sets, certs) if cert.verdict != "NO_SUP"]
     # lazily, so a batch refuted early never enumerates the larger sizes
     semilattices = (l for n in range(1, max_size + 1) for l in enumerate_v_semilattices(n))
@@ -224,7 +221,8 @@ def refute_batch(p: FinitePoset, sets, max_size: int = 4) -> list:
 def first_refutations(p: FinitePoset, sets, semilattices) -> list:
     """For each nonempty subset in ``sets``, the first (semilattice, monotone
     map) in canonical order under which its image has no least upper bound,
-    as a ``WitnessCert``, or None when no map into ``semilattices`` refutes it.
+    as a ``WitnessCert``, or None when no map into ``semilattices`` refutes it;
+    any other set is a ``PosetError`` before the sweep.
 
     Canonical order walks ``semilattices`` in the order given and, for each,
     the maps of ``iter_monotone_maps``.  One sweep over the maps serves the
@@ -252,8 +250,8 @@ def first_refutations(p: FinitePoset, sets, semilattices) -> list:
     # (index, maximal elements) of every set with no upper bound
     pending = []
     for i, a in enumerate(sets):
-        if not a:
-            raise PosetError("the refutation search is defined for nonempty sets")
+        if a <= 0 or a >> p.n:
+            raise PosetError("the refutation search is defined for nonempty subsets of the poset")
         if not is_consistent(p, a):
             pending.append((i, [x for x in iter_bits(a) if up[x] & a == 1 << x]))
     for l in semilattices:

@@ -173,6 +173,11 @@ class FinitePoset:
         return (1 << self.n) - 1
 
     @cached_property
+    def principal(self) -> dict:
+        """Each element's up-set mask mapped to the element, read by ``sup``."""
+        return {row: i for i, row in enumerate(self.up_masks)}
+
+    @cached_property
     def label_index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -266,7 +271,7 @@ class PosetMap:
     def is_scott_continuous(self) -> bool:
         """Literal check: every directed subset's sup is mapped to the sup of its image."""
         for dbits, s in directed_subsets_with_sups(self.dom):
-            t = least_upper_bound(self.cod.up_masks, self.cod.full_mask, self.image_bits(dbits))
+            t = sup(self.cod, self.image_bits(dbits))
             if t is None or t != self.img[s]:
                 return False
         return True
@@ -359,7 +364,8 @@ def is_directed(p: FinitePoset, bits: int) -> bool:
 
 
 def least_upper_bound(up_masks, full_mask: int, bits: int):
-    """Least common upper bound of ``bits`` given per-element up-masks, or None."""
+    """Least common upper bound of ``bits`` given per-element up-masks, or None,
+    by a literal scan: the reference that ``sup`` is tested against."""
     ub = full_mask
     for i in iter_bits(bits):
         ub &= up_masks[i]
@@ -372,8 +378,10 @@ def least_upper_bound(up_masks, full_mask: int, bits: int):
 
 
 def sup(p: FinitePoset, bits: int):
-    """Least upper bound of the subset if it exists, else None."""
-    return least_upper_bound(p.up_masks, p.full_mask, bits)
+    """Least upper bound of the subset, else None: the element whose up-set is
+    the common upper bounds (Davey & Priestley, *Introduction to Lattices and
+    Order*, 2nd ed., ch. 2), one lookup since distinct up-sets differ."""
+    return p.principal.get(upper_bounds(p, bits))
 
 
 def is_lower_set(p: FinitePoset, bits: int) -> bool:

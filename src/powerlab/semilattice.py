@@ -41,8 +41,8 @@ from .poset import (
     is_scott_closed,
     iter_bits,
     iter_monotone_maps,
-    least_upper_bound,
     scott_closure,
+    sup,
 )
 
 
@@ -70,19 +70,12 @@ class VSemilattice:
 
     @classmethod
     def from_poset(cls, p: FinitePoset):
-        """Populate the join table, or return None if some consistent pair
-        has no least upper bound."""
-        n = p.n
-        join = [[-1] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                ub = p.up_masks[i] & p.up_masks[j]
-                if ub == 0:
-                    continue
-                least = least_upper_bound(p.up_masks, p.full_mask, (1 << i) | (1 << j))
-                if least is None:
-                    return None
-                join[i][j] = join[j][i] = least
+        """Populate the join table by ``sup``'s rule, or return None if some
+        consistent pair has no least upper bound."""
+        up, principal = p.up_masks, p.principal
+        join = [[principal.get(a & b, -1) for b in up] for a in up]
+        if any(v == -1 and a & b for a, row in zip(up, join) for b, v in zip(up, row)):
+            return None
         return cls(p, join)
 
     def _validate(self):
@@ -113,11 +106,8 @@ class VSemilattice:
         return self.join[i][j] != -1
 
     def sup_of_bits(self, bits: int):
-        """Least upper bound of an arbitrary subset in the underlying poset, or None.
-
-        Computed on each call; sweeps over many subsets index ``sup_table``.
-        """
-        return least_upper_bound(self.poset.up_masks, self.poset.full_mask, bits)
+        """``sup`` of an arbitrary subset; sweeps over many subsets index ``sup_table``."""
+        return sup(self.poset, bits)
 
     @cached_property
     def bound_masks(self) -> tuple:
@@ -132,14 +122,9 @@ class VSemilattice:
 
     @cached_property
     def sup_table(self) -> tuple:
-        """``sup_table[b]`` is ``sup_of_bits(b)`` for every subset ``b``.
-
-        The sup exists exactly when the common upper bounds form the
-        principal up-set of an element (Davey & Priestley, *Introduction to
-        Lattices and Order*, 2nd ed., ch. 2), and up-sets of distinct
-        elements differ, so each entry is one lookup of ``bound_masks``.
-        """
-        principal = {row: i for i, row in enumerate(self.poset.up_masks)}
+        """``sup_table[b]`` is ``sup_of_bits(b)`` for every subset ``b``: the
+        ``poset.principal`` lookup of ``bound_masks[b]``."""
+        principal = self.poset.principal
         return tuple(principal.get(ub) for ub in self.bound_masks)
 
     @cached_property

@@ -274,6 +274,12 @@ class TestVerify:
             "f4f1db8addbd5c0b9310a9f1213749785c88c2949b52c79ed4700df2fe33deb4"
         )
 
+    def test_max_semilattice_5_report_is_pinned(self, capsys, tmp_path):
+        # from_poset runs over the whole size-5 pool at this bound
+        assert self._report_digest(capsys, tmp_path, "--max-semilattice", "5") == (
+            "fc732ac2cad4361f240dd517e589e8a9684ebd36a29349263d813700fd15b435"
+        )
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2

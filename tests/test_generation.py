@@ -45,28 +45,49 @@ def test_forms_are_pinned():
     assert hashlib.sha256(data).hexdigest() == FORMS_DIGEST
 
 
-def test_filters_build_fewer_candidates(monkeypatch):
-    built = 0
+def _counting_builds(monkeypatch) -> list:
+    """The sizes of the posets ``FinitePoset.from_up_masks`` builds from now
+    on, in build order."""
+    sizes = []
     from_up_masks = FinitePoset.from_up_masks.__func__
 
     def counted(cls, up_masks, labels=None):
-        nonlocal built
-        built += 1
-        return from_up_masks(cls, up_masks, labels)
+        p = from_up_masks(cls, up_masks, labels)
+        sizes.append(p.n)
+        return p
 
     monkeypatch.setattr(FinitePoset, "from_up_masks", classmethod(counted))
+    return sizes
+
+
+def test_filters_build_fewer_candidates(monkeypatch):
+    # every parent's shared instance exists before the count starts
+    for n in range(1, 8):
+        _canonical_forms(n)
+    sizes = _counting_builds(monkeypatch)
     _canonical_forms.cache_clear()
     try:
         candidates = {}
         for n in range(1, 8):
-            before = built
+            before = len(sizes)
             _canonical_forms(n)
-            # each parent is unpacked once; every other poset is a candidate
-            parents = len(_canonical_forms(n - 1)) if n > 1 else 0
-            candidates[n] = built - before - parents
+            built = sizes[before:]
+            # the parents are the shared instances: none is built again
+            assert built.count(n - 1) == 0
+            candidates[n] = built.count(n)
     finally:
         _canonical_forms.cache_clear()
     assert candidates == FILTERED_CANDIDATES
+
+
+def test_a_valid_cache_file_builds_each_poset_once(monkeypatch, tmp_path):
+    n = 5
+    enumerate_posets(n, cache_dir=tmp_path)
+    sizes = _counting_builds(monkeypatch)
+    enumeration._poset_from_form.cache_clear()
+    posets = enumerate_posets(n, cache_dir=tmp_path)
+    assert sizes == [n] * POSET_COUNTS[n]
+    assert all(a is b for a, b in zip(enumerate_posets(n), posets))
 
 
 def _without_ideals_containing_0(p, include_empty):

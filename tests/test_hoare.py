@@ -230,6 +230,12 @@ class TestSupOfImage:
             g = PosetMap(bowtie, bowtie, tuple(range(4)))
             sup_of_image(bowtie, g, 0b11)
 
+    @pytest.mark.parametrize("bits", [1 << 5, -1])
+    def test_rejects_sets_outside_the_domain(self, vee, bits):
+        h = build_hc(vee)
+        with pytest.raises(PosetError, match="not a subset of the map's domain"):
+            sup_of_image(h.semilattice, h.j, bits)
+
     def test_cert_json_recomputable(self, a2):
         h = build_hc(a2)
         cert = sup_of_image(h.semilattice, h.j, a2.full_mask)
@@ -327,6 +333,14 @@ class TestFirstRefutations:
     def test_empty_set_rejected(self, a2):
         with pytest.raises(PosetError, match="nonempty"):
             first_refutations(a2, [0], SEMILATTICES)
+
+    @pytest.mark.parametrize("bits", [1 << 5, -1])
+    def test_rejects_sets_outside_the_poset(self, vee, bits):
+        # refused as input before the sweep, not an IndexError from it
+        with pytest.raises(PosetError, match="subsets of the poset"):
+            first_refutations(vee, [bits], SEMILATTICES)
+        with pytest.raises(PosetError, match="subsets of the poset"):
+            first_refutations(vee, [vee.full_mask, bits], SEMILATTICES)
 
     @pytest.mark.parametrize("max_n, bound", [(6, 1), (6, 2), (6, 3), (6, 4), (4, 5)])
     def test_same_first_witness_as_the_unbounded_search(self, max_n, bound):

@@ -290,7 +290,7 @@ class TestDirectedAndSup:
                     assert s is not None and a >> s & 1
 
     def test_sup_is_least_upper_bound_by_naive_search(self):
-        for p in small_posets(4):
+        for p in small_posets(5):
             for a in range(1 << p.n):
                 ubs = [
                     u

@@ -149,3 +149,27 @@ def test_every_module_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+
+def _calls_least_upper_bound(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "least_upper_bound"
+        or getattr(node.func, "attr", None) == "least_upper_bound"
+    )
+
+
+def test_least_upper_bound_is_called_only_by_the_directed_step():
+    # the library's sup rule is the principal up-set lookup; the literal
+    # scan is left only to directed_sup_closure_step, the tests' reference
+    per_file, in_step = {}, 0
+    for path in sorted((ROOT / "src" / "powerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        calls = sum(map(_calls_least_upper_bound, ast.walk(tree)))
+        if calls:
+            per_file[path.name] = calls
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name == "directed_sup_closure_step":
+                in_step += sum(map(_calls_least_upper_bound, ast.walk(func)))
+    assert per_file == {"poset.py": 1}
+    assert in_step == 1

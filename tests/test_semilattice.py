@@ -120,6 +120,25 @@ class TestVSemilattice:
             for b in range(1 << l.n):
                 assert l.bound_masks[b] == upper_bounds(l.poset, b)
                 assert l.sup_table[b] == least_upper_bound(up, full, b)
+                assert l.sup_of_bits(b) == l.sup_table[b]
+
+    def test_from_poset_matches_the_per_pair_scan(self):
+        # the join table of the literal scan on every pair, or None when
+        # some bounded pair has no least upper bound
+        from powerlab.poset import least_upper_bound
+
+        for p in small_posets(6):
+            up, full = p.up_masks, p.full_mask
+            join = [
+                [-1 if not up[i] & up[j] else least_upper_bound(up, full, (1 << i) | (1 << j))
+                 for j in range(p.n)]
+                for i in range(p.n)
+            ]
+            l = VSemilattice.from_poset(p)
+            if any(None in row for row in join):
+                assert l is None
+            else:
+                assert l is not None and [list(row) for row in l.join] == join
 
     def test_join_csv(self, vee):
         l = VSemilattice.from_poset(vee)

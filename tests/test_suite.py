@@ -466,6 +466,22 @@ class TestTableMutants:
         assert [r.verdict for r in reports] == ["FAIL"] * len(posets)
         assert [check_prop_3_2(p, 3).verdict for p in posets] == ["PASS"] * len(posets)
 
+    def test_prop_3_2_catches_an_undefined_sup(self):
+        # test_map_sweep's undefined_sup mutant takes the full set's sup
+        # away; on a poset with a non-maximal element the set of maximal
+        # elements has the full set as closure and keeps its sup under a
+        # constant map, so closure transport breaks there
+        from test_map_sweep import MUTANTS
+
+        name, mutant, _ = MUTANTS["undefined_sup"]
+        posets = [p for p in small_posets(3) if any(row != 1 << i for i, row in enumerate(p.up_masks))]
+        with sweep_mutant(name, mutant):
+            reports = [check_prop_3_2(p, 3) for p in posets]
+        assert [r.verdict for r in reports] == ["FAIL"] * len(posets)
+        for r in reports:
+            assert "closure transport broke" in {f["detail"] for f in r.failures}
+        assert [check_prop_3_2(p, 3).verdict for p in posets] == ["PASS"] * len(posets)
+
     def test_prop_3_4_needs_every_irreducible(self, monkeypatch):
         assert check_prop_3_4(3, 1).verdict == "PASS"
         irreducibles = FClosureSystem.meet_irreducibles
