@@ -15,8 +15,7 @@ def chain(n: int) -> FinitePoset:
 
 
 def antichain(n: int) -> FinitePoset:
-    labels = tuple("abcdefghij"[i] for i in range(n))
-    return FinitePoset.from_covers(labels, ())
+    return FinitePoset.from_up_masks([1 << i for i in range(n)])
 
 
 def vee() -> FinitePoset:

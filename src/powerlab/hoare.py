@@ -6,13 +6,12 @@ characterized by join-existence of images under monotone maps into partial
 join semilattices; this module provides both the canonical refutation witness
 for non-members and the bounded search that backs the characterization checks.
 The bounded search, ``first_refutations``, serves a batch of sets with one
-streamed sweep over the maps, skips semilattices in which every nonempty
-subset has a sup and joins only the images of maximal elements; none of this
-changes which witness it finds for a set.  Only a set with no upper bound
-enters the sweep: a set bounded by u in the poset has its image bounded by
-the image of u, and a bounded nonempty finite set in a semilattice has a sup,
-its pairwise join, so no map refutes it.  The search checks that premise on
-the ``bound_masks`` and ``sup_table`` of each semilattice it reads.
+streamed sweep over the maps; this does not change which witness it finds
+for a set.  Only a set with no upper bound enters the sweep: a set bounded
+by u in the poset has its image bounded by the image of u, and a bounded
+nonempty finite set in a semilattice has a sup, its pairwise join, so no map
+refutes it.  The search checks that premise on the ``bound_masks`` and
+``sup_table`` of each semilattice it reads.
 ``refute_batch`` puts the canonical witness in front of it for a batch,
 ``refute_v_existing`` for one set."""
 
@@ -226,7 +225,7 @@ def first_refutations(p: FinitePoset, sets, semilattices) -> list:
 
     Canonical order walks ``semilattices`` in the order given and, for each,
     the maps of ``iter_monotone_maps``.  One sweep over the maps serves the
-    whole batch, and four reductions leave every set's first witness as it
+    whole batch, and two reductions leave every set's first witness as it
     is:
 
     - a set with an upper bound in ``p`` is never refuted, so it never enters
@@ -237,23 +236,17 @@ def first_refutations(p: FinitePoset, sets, semilattices) -> list:
       premise is checked, not assumed: in every semilattice the search
       reads, each nonempty subset with a nonzero ``bound_masks`` entry must
       have a ``sup_table`` entry, or ``InvariantError`` is raised;
-    - a semilattice in which every nonempty subset has a sup is skipped: no
-      image of a nonempty set can lack one there;
-    - only the images of the maximal elements of a set are joined: every
-      element lies below a maximal one and the map is monotone, so both
-      images have the same upper bounds;
     - the maps are streamed, not cached, and a set leaves the batch once it
       is refuted; the sweep ends when the batch is empty.
     """
-    up = p.up_masks
     found = [None] * len(sets)
-    # (index, maximal elements) of every set with no upper bound
+    # (index, elements) of every set with no upper bound
     pending = []
     for i, a in enumerate(sets):
         if a <= 0 or a >> p.n:
             raise PosetError("the refutation search is defined for nonempty subsets of the poset")
         if not is_consistent(p, a):
-            pending.append((i, [x for x in iter_bits(a) if up[x] & a == 1 << x]))
+            pending.append((i, list(iter_bits(a))))
     for l in semilattices:
         if not pending:
             break
@@ -261,13 +254,11 @@ def first_refutations(p: FinitePoset, sets, semilattices) -> list:
         # the premise: every nonempty subset with a common upper bound has a sup
         if any(s is None and ub for s, ub in zip(sup[1:], l.bound_masks[1:])):
             raise InvariantError(f"{l!r} has a bounded subset with no sup in its sup_table")
-        if None not in sup[1:]:
-            continue
         for img in iter_monotone_maps(p, l.poset):
             hit = False
-            for i, tops in pending:
+            for i, elems in pending:
                 image = 0
-                for x in tops:
+                for x in elems:
                     image |= 1 << img[x]
                 if sup[image] is None:
                     found[i] = WitnessCert(l, PosetMap(p, l.poset, img), sets[i], "NO_SUP", None)

@@ -508,12 +508,21 @@ def way_below(p: FinitePoset, x: int, y: int) -> bool:
 
 
 def way_down_masks(p: FinitePoset) -> tuple[int, ...]:
-    """``out[i]`` holds every element way below ``i``; cached on the poset."""
+    """``out[y]`` holds every element way below ``y``; cached on the poset.
+
+    ``way_below``'s quantifier read in one pass over the directed subsets:
+    each directed D with sup s removes the elements outside the down-set of
+    D from ``out[y]`` for every y below s.  ``way_below`` is the per-pair
+    oracle."""
     cached = p.__dict__.get("_way_down_masks")
     if cached is None:
-        cached = tuple(
-            sum(1 << x for x in range(p.n) if way_below(p, x, y)) for y in range(p.n)
-        )
+        out = [p.full_mask] * p.n
+        for dbits, s in directed_subsets_with_sups(p):
+            if s is not None:
+                below = down_set(p, dbits)
+                for y in iter_bits(p.down_masks[s]):
+                    out[y] &= below
+        cached = tuple(out)
         p.__dict__["_way_down_masks"] = cached
     return cached
 
@@ -551,17 +560,21 @@ def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:
 def is_sober(p: FinitePoset) -> bool:
     """Every nonempty irreducible closed set is a point closure.
 
-    The closed sets are enumerated once and each non-principal one is tested
-    against that list; ``is_irreducible_closed`` is the per-set oracle."""
+    A closed set is the union of two proper closed subsets exactly when it
+    is the union of two incomparable closed sets: two proper subsets with
+    that union are incomparable, and each of two incomparable sets is a
+    proper subset of their union.  Those unions are collected in one pass
+    over the pairs of closed sets; ``is_irreducible_closed`` is the per-set
+    oracle."""
     closed = _ideals(p, include_empty=True)
+    reducible = {
+        c1 | c2
+        for i, c1 in enumerate(closed)
+        for c2 in closed[i + 1 :]
+        if c1 & ~c2 and c2 & ~c1
+    }
     principal = set(p.down_masks)
-    for bits in closed:
-        if bits == 0 or bits in principal:
-            continue
-        proper = [c for c in closed if c & ~bits == 0 and c != bits]
-        if not any(c1 | c2 == bits for i, c1 in enumerate(proper) for c2 in proper[i + 1 :]):
-            return False
-    return True
+    return all(c in reducible or c in principal for c in closed if c)
 
 
 def hasse(p: FinitePoset) -> tuple[tuple[int, int], ...]:

@@ -33,6 +33,7 @@ from .poset import (
     FinitePoset,
     InvariantError,
     PosetError,
+    PosetMap,
     is_consistent,
     is_sober,
     iter_bits,
@@ -146,12 +147,6 @@ def _semilattices_upto(k: int) -> tuple:
     return tuple(l for n in range(1, k + 1) for l in enumerate_v_semilattices(n))
 
 
-def _strict_pairs(p: FinitePoset) -> tuple:
-    return tuple(
-        (i, j) for i, row in enumerate(p.up_masks) for j in iter_bits(row & ~(1 << i))
-    )
-
-
 def _f_closed_table(l: VSemilattice) -> list[bool]:
     """``is_f_scott_closed`` of every subset of ``l``, indexed by bitmask."""
     return [is_f_scott_closed(l, a) for a in range(1 << l.n)]
@@ -215,7 +210,6 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     h = build_hc(p)
     members = h.family.members
     j_img = h.j.img
-    hc_pairs = _strict_pairs(h.poset)
     found = {"Lem2.3": [], "Freeness": [], "Lem3.8": []}
 
     def on_map(detail, **extra):
@@ -223,11 +217,9 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
 
     for l in _semilattices_upto(semi_bound):
         homs = _homomorphism_images(h.semilattice, l)
-        hom_set = set(homs)
         groups: dict = {}
         for g in homs:
             groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
-        up = l.poset.up_masks
         per_map = []  # Freeness's findings after its count line
         count = 0
         for f_img in iter_monotone_maps(p, l.poset):
@@ -248,8 +240,8 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
                 )
                 continue
             # a cached homomorphism is monotone, so only an outsider is tested
-            if ext not in hom_set:
-                if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
+            if ext not in homs:
+                if not PosetMap(h.poset, l.poset, ext).is_monotone():
                     per_map.append(on_map("extension not monotone"))
                 else:
                     per_map.append(on_map("extension does not preserve joins"))
@@ -681,8 +673,9 @@ def _run_check(st: Statement, bounds: dict, p: FinitePoset | None = None) -> Ver
     """``st``'s report on the poset ``p``, or on ``bounds`` for a global
     statement.  An ``InvariantError`` raised inside the check is the
     instance's one failure, with the error as its detail; a ``PosetError``
-    is raised.  The semilattice bound is 4 in a replayed payload without one."""
-    semi_bound = bounds.get("max_semilattice_n", 4)
+    is raised.  A replayed payload without a semilattice bound gets
+    ``Config``'s default."""
+    semi_bound = bounds.get("max_semilattice_n", Config.max_semilattice_n)
     try:
         return st.check(**bounds) if p is None else st.check(p, semi_bound)
     except InvariantError as e:

@@ -10,6 +10,7 @@ from powerlab import (
     FinitePoset,
     PosetError,
     PosetMap,
+    catalog,
     down_set,
     hasse,
     is_consistent,
@@ -23,9 +24,10 @@ from powerlab import (
     sup,
     upper_bounds,
     way_below,
+    way_down_masks,
 )
 from powerlab.enumeration import enumerate_v_semilattices, monotone_map_images
-from powerlab.poset import _ideals, least_upper_bound
+from powerlab.poset import _ideals, directed_subsets_with_sups, least_upper_bound
 from powerlab.suite import _fibres
 
 from conftest import small_posets
@@ -354,6 +356,25 @@ class TestWayBelow:
                 for y in range(p.n):
                     assert way_below(p, x, y) == bool(p.le[x][y])
 
+    def test_masks_match_the_per_pair_oracle(self):
+        for p in small_posets(6):
+            masks = way_down_masks(p)
+            for y in range(p.n):
+                assert masks[y] == sum(1 << x for x in range(p.n) if way_below(p, x, y))
+
+    def test_masks_read_the_directed_subsets_once(self, monkeypatch):
+        # one pass over the directed subsets, not one per pair (x, y)
+        calls = []
+
+        def counting(p, domain_bits=None):
+            calls.append(p)
+            return directed_subsets_with_sups(p, domain_bits)
+
+        monkeypatch.setattr("powerlab.poset.directed_subsets_with_sups", counting)
+        fresh = FinitePoset.from_up_masks(catalog.bowtie().up_masks)
+        assert way_down_masks(fresh) == fresh.down_masks
+        assert len(calls) == 1
+
 
 class TestDirectedEnumeration:
     def test_matches_naive_filter(self):
@@ -409,6 +430,28 @@ class TestIrreducibleAndSober:
                 for a in _ideals(p, include_empty=False)
             )
             assert is_sober(p) == oracle
+
+    def test_a_non_principal_set_that_is_no_union_is_not_sober(self, monkeypatch, a2):
+        # with {b} dropped from the closed sets of the two-antichain, {a, b}
+        # is no point closure, and its only other closed sets, the empty set
+        # and {a}, are both below it: no union of an incomparable pair gives it
+        b = a2.subset_from_labels(["b"])
+
+        def without_b(p, include_empty):
+            return [c for c in _ideals(p, include_empty) if c != b]
+
+        assert is_sober(a2)
+        monkeypatch.setattr("powerlab.poset._ideals", without_b)
+        assert not is_sober(a2)
+
+
+class TestCatalog:
+    def test_antichain_past_ten_elements(self):
+        # the default labels, the same letters as before up to ten elements
+        p = catalog.antichain(30)
+        assert p.n == 30 and len(set(p.labels)) == 30
+        assert p.up_masks == tuple(1 << i for i in range(30))
+        assert catalog.antichain(10).labels == tuple("abcdefghij")
 
 
 class TestHasseAndExport:
