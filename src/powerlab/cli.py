@@ -5,7 +5,8 @@ F-Scott closure system, join-existence witnesses, isomorphism-free poset
 enumeration, and the verification sweep.  Exit codes: 0 all pass, 1 any
 failure, 2 usage or input error (every ``PosetError`` a subcommand raises,
 and an ``--out`` file that cannot be opened), 3 inconclusive results under
---strict, 4 an unexpected error, whose traceback goes to stderr.
+--strict, 4 an unexpected error, whose traceback goes to stderr, 141 (the
+shell's status for a tool ended by SIGPIPE) a stdout closed by its reader.
 
 ``--out`` is opened before any work starts, as a shell redirection would be.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import traceback
 
@@ -27,6 +29,7 @@ from .suite import Config, run_all
 
 USAGE_ERROR = 2
 UNEXPECTED_ERROR = 4
+BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -94,10 +97,10 @@ def cmd_gammaf(args) -> int:
             f"input poset in {args.poset} is not a consistent-join semilattice "
             "(some bounded pair has no least upper bound)"
         )
-    system = gamma_f(l)
     if args.format == "csv":
         _emit(l.join_table_csv(), args.out)
         return 0
+    system = gamma_f(l)
     data = system.family.to_json()
     data["member_count"] = len(system.members)
     _emit(json.dumps(data, indent=2), args.out)
@@ -228,10 +231,18 @@ def main(argv=None) -> int:
     try:
         with _open_out(args.out) as out:
             args.out = out  # the open file, or None for stdout
-            return COMMANDS[args.command](args)
+            code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (CliError, PosetError) as exc:
         print(f"powerlab: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # what stdout still buffers goes to the null device, not the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except Exception:
         traceback.print_exc()
         return UNEXPECTED_ERROR

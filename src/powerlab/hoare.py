@@ -5,15 +5,9 @@ nonempty Scott closed sets, of the consistent ones.  Membership can also be
 characterized by join-existence of images under monotone maps into partial
 join semilattices; this module provides both the canonical refutation witness
 for non-members and the bounded search that backs the characterization checks.
-The bounded search, ``first_refutations``, serves a batch of sets with one
-streamed sweep over the maps; this does not change which witness it finds
-for a set.  Only a set with no upper bound enters the sweep: a set bounded
-by u in the poset has its image bounded by the image of u, and a bounded
-nonempty finite set in a semilattice has a sup, its pairwise join, so no map
-refutes it.  The search checks that premise on the ``bound_masks`` and
-``sup_table`` of each semilattice it reads.
-``refute_batch`` puts the canonical witness in front of it for a batch,
-``refute_v_existing`` for one set."""
+``refute_v_existing`` tries the canonical witness on one set and hands a set
+it leaves standing to the bounded search, ``first_refutation``, which only
+searches a set with no upper bound; its docstring gives the argument."""
 
 from __future__ import annotations
 
@@ -184,90 +178,63 @@ def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4):
     The powerdomain with its point-closure embedding is tried first: for a
     non-consistent closed set it always refutes, because any member bounding
     the embedded image would be a consistent superset.  Failing that,
-    ``first_refutations`` searches every semilattice of 1 to ``max_size``
+    ``first_refutation`` searches every semilattice of 1 to ``max_size``
     elements and every monotone map in canonical order; exhaustion is
     reported with the bound.  A bound outside 1 to ``DEFAULT_MAX_N``, or a
     set that is not a nonempty Scott closed subset of the poset, is refused
     before any search.  The result depends only on the poset, the set
-    and the bound.  This is ``refute_batch`` on one set.
+    and the bound.
     """
-    (result,) = refute_batch(p, [bits], max_size)
-    return result
-
-
-def refute_batch(p: FinitePoset, sets, max_size: int = 4) -> list:
-    """``refute_v_existing`` of every set, with one bounded search for all the
-    sets that the canonical witness leaves standing."""
     if max_size < 1:
         raise PosetError(f"refutation needs a semilattice bound of at least 1, not {max_size}")
     if max_size > DEFAULT_MAX_N:
         raise PosetError(f"semilattice bound {max_size} exceeds the enumeration cap {DEFAULT_MAX_N}")
-    if any(a <= 0 or a >> p.n or not is_lower_set(p, a) for a in sets):
+    if bits <= 0 or bits >> p.n or not is_lower_set(p, bits):
         raise PosetError("refutation is defined for nonempty Scott closed subsets of the poset")
     # build_hc proves that h.j preserves and reflects the order into its semilattice
     h = build_hc(p)
-    certs = [_image_cert(h.semilattice, h.j, a) for a in sets]
-    survivors = [a for a, cert in zip(sets, certs) if cert.verdict != "NO_SUP"]
-    # lazily, so a batch refuted early never enumerates the larger sizes
+    cert = _image_cert(h.semilattice, h.j, bits)
+    if cert.verdict == "NO_SUP":
+        return cert
+    # lazily, so a set refuted early never enumerates the larger sizes
     semilattices = (l for n in range(1, max_size + 1) for l in enumerate_v_semilattices(n))
-    searched = iter(first_refutations(p, survivors, semilattices))
-    return [
-        cert if cert.verdict == "NO_SUP" else next(searched) or NoWitnessFound(max_size)
-        for cert in certs
-    ]
+    return first_refutation(p, bits, semilattices) or NoWitnessFound(max_size)
 
 
-def first_refutations(p: FinitePoset, sets, semilattices) -> list:
-    """For each nonempty subset in ``sets``, the first (semilattice, monotone
-    map) in canonical order under which its image has no least upper bound,
-    as a ``WitnessCert``, or None when no map into ``semilattices`` refutes it;
-    any other set is a ``PosetError`` before the sweep.
+def first_refutation(p: FinitePoset, bits: int, semilattices) -> WitnessCert | None:
+    """The first (semilattice, monotone map) in canonical order under which
+    the image of the nonempty subset ``bits`` has no least upper bound, as a
+    ``WitnessCert``, or None when no map into ``semilattices`` refutes it;
+    any other set is a ``PosetError``.
 
     Canonical order walks ``semilattices`` in the order given and, for each,
-    the maps of ``iter_monotone_maps``.  One sweep over the maps serves the
-    whole batch, and two reductions leave every set's first witness as it
-    is:
-
-    - a set with an upper bound in ``p`` is never refuted, so it never enters
-      the sweep.  In a semilattice a nonempty finite set with an upper bound
-      u has a sup: join it pairwise, each partial join being defined because
-      its pair lies below u, and staying below u.  A monotone map f sends a
-      set bounded by u to one bounded by f(u), whose sup exists.  This
-      premise is checked, not assumed: in every semilattice the search
-      reads, each nonempty subset with a nonzero ``bound_masks`` entry must
-      have a ``sup_table`` entry, or ``InvariantError`` is raised;
-    - the maps are streamed, not cached, and a set leaves the batch once it
-      is refuted; the sweep ends when the batch is empty.
+    the maps of ``iter_monotone_maps``, streamed rather than cached.  A set
+    with an upper bound in ``p`` is never refuted, so it returns None before
+    any semilattice is read.  In a semilattice a nonempty finite set with an
+    upper bound u has a sup: join it pairwise, each partial join being
+    defined because its pair lies below u, and staying below u.  A monotone
+    map f sends a set bounded by u to one bounded by f(u), whose sup exists.
+    This premise is checked, not assumed: in every semilattice the search
+    reads, each nonempty subset with a nonzero ``bound_masks`` entry must
+    have a ``sup_table`` entry, or ``InvariantError`` is raised.
     """
-    found = [None] * len(sets)
-    # (index, elements) of every set with no upper bound
-    pending = []
-    for i, a in enumerate(sets):
-        if a <= 0 or a >> p.n:
-            raise PosetError("the refutation search is defined for nonempty subsets of the poset")
-        if not is_consistent(p, a):
-            pending.append((i, list(iter_bits(a))))
+    if bits <= 0 or bits >> p.n:
+        raise PosetError("the refutation search is defined for nonempty subsets of the poset")
+    if is_consistent(p, bits):
+        return None
+    elems = list(iter_bits(bits))
     for l in semilattices:
-        if not pending:
-            break
         sup = l.sup_table
         # the premise: every nonempty subset with a common upper bound has a sup
         if any(s is None and ub for s, ub in zip(sup[1:], l.bound_masks[1:])):
             raise InvariantError(f"{l!r} has a bounded subset with no sup in its sup_table")
         for img in iter_monotone_maps(p, l.poset):
-            hit = False
-            for i, elems in pending:
-                image = 0
-                for x in elems:
-                    image |= 1 << img[x]
-                if sup[image] is None:
-                    found[i] = WitnessCert(l, PosetMap(p, l.poset, img), sets[i], "NO_SUP", None)
-                    hit = True
-            if hit:
-                pending = [entry for entry in pending if found[entry[0]] is None]
-                if not pending:
-                    break
-    return found
+            image = 0
+            for x in elems:
+                image |= 1 << img[x]
+            if sup[image] is None:
+                return WitnessCert(l, PosetMap(p, l.poset, img), bits, "NO_SUP", None)
+    return None
 
 
 # -- relatively consistent closed sets -----------------------------------------

@@ -27,7 +27,7 @@ from .enumeration import (
     enumerate_v_semilattices,
 )
 from .families import gamma, gamma0
-from .hoare import WitnessCert, build_hc, first_refutations, r_gamma_c, refute_batch
+from .hoare import WitnessCert, build_hc, first_refutation, r_gamma_c, refute_v_existing
 from .poset import (
     DIRECTED_SUBSET_CAP,
     FinitePoset,
@@ -332,15 +332,16 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     upper bound together (and then the same one), for every monotone map.
 
     The sups come from ``_image_sups``; which closed sets some map refutes
-    is checked against ``first_refutations``, which reads the semilattices'
-    ``sup_table`` instead, so a table that invents or drops sups fails.  When
-    every table agrees at a set and its closure, so does refutability, which
-    therefore has no test of its own."""
+    is checked, one closed set at a time, against ``first_refutation``,
+    which reads the semilattices' ``sup_table`` instead, so a table that
+    invents or drops sups fails.  When every table agrees at a set and its
+    closure, so does refutability, which therefore has no test of its own."""
     ck = VerificationReport.on_poset("Prop3.2", p, max_semilattice_n=semi_bound)
     subsets = range(1 << p.n)
     closures = [scott_closure(p, a) for a in subsets]
     refutable = [False] * (1 << p.n)
-    for l in _semilattices_upto(semi_bound):
+    pool = _semilattices_upto(semi_bound)
+    for l in pool:
         for img in iter_monotone_maps(p, l.poset):
             # sup_exists_transport_check(p, l, f, a) is sups[a] == sups[closures[a]]
             sups = _image_sups(l, img)
@@ -354,9 +355,8 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
                     )
                 if sups[a] < 0:
                     refutable[a] = True
-    closed = gamma(p).members
-    for a, cert in zip(closed, first_refutations(p, closed, _semilattices_upto(semi_bound))):
-        if refutable[a] != (cert is not None):
+    for a in gamma(p).members:
+        if refutable[a] != (first_refutation(p, a, pool) is not None):
             ck.fail(
                 "the sup tables and the refutation search disagree on refutability",
                 subset=p.subset_labels(a),
@@ -378,16 +378,16 @@ def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
 def check_thm_3_9(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Powerdomain membership versus join-existence: the generic closure adds
     nothing to the consistent family, every non-member is refuted by the
-    canonical witness, and every member survives the bounded search.  All
-    closed sets go to ``refute_batch`` as one batch; a non-member refuted
+    canonical witness, and every member survives the bounded search.  Each
+    closed set goes to ``refute_v_existing`` on its own; a non-member refuted
     by a map other than the point-closure embedding escaped the canonical
     witness."""
     ck = VerificationReport.on_poset("Thm3.9", p, max_semilattice_n=semi_bound)
     h = build_hc(p)
     if not h.family_equals_gamma_c:
         ck.fail("closure of the consistent family added members")
-    closed = gamma(p).members
-    for a, cert in zip(closed, refute_batch(p, closed, semi_bound)):
+    for a in gamma(p).members:
+        cert = refute_v_existing(p, a, semi_bound)
         refuted = isinstance(cert, WitnessCert)
         if a in h.family:
             if refuted:

@@ -332,7 +332,7 @@ def literal_first_refutation(p, bits, semilattices):
     the order given, every cached monotone map in its order, and the join of
     the image of every element of the set, computed by ``sup_of_bits``.  The
     first (semilattice, map image) under which that join does not exist, or
-    None.  The reference for the reductions of ``first_refutations``."""
+    None.  The reference for the reductions of ``first_refutation``."""
     from powerlab.enumeration import monotone_map_images
 
     for l in semilattices:
@@ -352,7 +352,7 @@ def literal_first_refutations(p, sets, semilattices):
     skipped, and the images of the maximal elements are joined through
     ``sup_table``.  Each set's first ``WitnessCert`` in canonical order, or
     None.  The reference for the bounded-set reduction of
-    ``first_refutations``."""
+    ``first_refutation``, which takes one set at a time."""
     from powerlab.enumeration import iter_monotone_maps
     from powerlab.hoare import WitnessCert
     from powerlab.poset import PosetError, PosetMap

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powerlab
 from powerlab.cli import main
 
 
@@ -77,6 +82,16 @@ class TestGammaF:
         assert data["member_count"] == 4  # empty, {a}, {b}, everything
 
     def test_join_table_csv(self, capsys, vee_file):
+        code, out, _ = run_cli(capsys, "gammaf", vee_file, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == ",a,b,t"
+
+    def test_csv_builds_no_closure_system(self, capsys, monkeypatch, vee_file):
+        # the join table is all that csv prints, so gamma_f is never called
+        def no_gamma_f(l):
+            raise AssertionError("gammaf --format csv built the closure system")
+
+        monkeypatch.setattr("powerlab.cli.gamma_f", no_gamma_f)
         code, out, _ = run_cli(capsys, "gammaf", vee_file, "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == ",a,b,t"
@@ -473,6 +488,33 @@ class TestUnexpectedError:
         assert code == 4
         assert out == ""
         assert "Traceback" in err and "RuntimeError: sweep broke" in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv", [["enumerate", "--n", "5"], ["vexist", "{a3}", "--set", "a,b,c"]]
+    )
+    def test_ends_quietly_with_the_sigpipe_status(self, tmp_path, argv):
+        # the read end of stdout's pipe is closed before the child starts, so
+        # its first write fails, as under `powerlab enumerate --n 5 | head -1`
+        a3 = tmp_path / "A3.json"
+        a3.write_text(json.dumps({"labels": ["a", "b", "c"], "covers": []}))
+        argv = [arg.format(a3=a3) for arg in argv]
+        src = str(Path(powerlab.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from powerlab.cli import main; sys.exit(main())", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert run.returncode == 141
+        assert run.stderr == b""
 
 
 class TestPosetShape:

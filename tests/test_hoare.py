@@ -27,7 +27,7 @@ from powerlab import (
 )
 from powerlab import hoare
 from powerlab.enumeration import canonical_form, enumerate_v_semilattices, iter_monotone_maps
-from powerlab.hoare import first_refutations, refute_batch
+from powerlab.hoare import first_refutation
 from powerlab.poset import upper_bounds
 from powerlab.suite import (
     check_def_2_1,
@@ -278,8 +278,6 @@ class TestRefuteVExisting:
         # the poset: refused as input, not an IndexError from the search
         with pytest.raises(PosetError, match="subsets of the poset"):
             refute_v_existing(vee, bits)
-        with pytest.raises(PosetError, match="subsets of the poset"):
-            refute_batch(vee, [vee.full_mask, bits])
 
     def test_members_survive_nonmembers_refuted(self):
         for p in small_posets(3):
@@ -304,10 +302,9 @@ class TestFirstRefutations:
 
     @pytest.mark.parametrize("p", small_posets(4), ids=lambda p: canonical_form(p).hex())
     def test_same_first_map_as_the_literal_search(self, p):
-        sets = gamma(p).members
-        for l in SEMILATTICES:
-            got = first_refutations(p, sets, [l])
-            for a, cert in zip(sets, got):
+        for a in gamma(p).members:
+            for l in SEMILATTICES:
+                cert = first_refutation(p, a, [l])
                 assert as_pair(cert) == literal_first_refutation(p, a, [l])
                 if cert is not None:
                     assert cert.subset == a and cert.verdict == "NO_SUP"
@@ -315,32 +312,35 @@ class TestFirstRefutations:
 
     @pytest.mark.parametrize("p", small_posets(4), ids=lambda p: canonical_form(p).hex())
     def test_batch_equals_single_sets(self, p):
+        # the batch oracle, one sweep for all the closed sets, finds for each
+        # set the witness that the single-set search and the literal search find
         sets = gamma(p).members
-        batch = first_refutations(p, sets, SEMILATTICES)
-        for a, cert in zip(sets, batch):
-            assert cert == first_refutations(p, [a], SEMILATTICES)[0]
+        h = build_hc(p)
+        for a, want in zip(sets, literal_first_refutations(p, sets, SEMILATTICES)):
+            cert = first_refutation(p, a, SEMILATTICES)
+            assert witness(cert) == witness(want)
             assert as_pair(cert) == literal_first_refutation(p, a, SEMILATTICES)
-        # and with the canonical witness in front, as Thm3.9 runs it
-        assert refute_batch(p, sets, 4) == [refute_v_existing(p, a, 4) for a in sets]
+            # and with the canonical witness in front, as Thm3.9 runs it
+            canonical = sup_of_image(h.semilattice, h.j, a)
+            expected = canonical if canonical.verdict == "NO_SUP" else cert or NoWitnessFound(4)
+            assert refute_v_existing(p, a, 4) == expected
 
     def test_semilattice_with_a_least_element_refutes(self, a2, wedge):
         # a bottom below two atoms: the two atoms have no upper bound, so the
         # identity on the antichain refutes it although the wedge has a bottom
         l = VSemilattice.from_poset(wedge)
-        (cert,) = first_refutations(a2, [a2.full_mask], [l])
+        cert = first_refutation(a2, a2.full_mask, [l])
         assert cert is not None and sup_of_image(l, cert.map, a2.full_mask).verdict == "NO_SUP"
 
     def test_empty_set_rejected(self, a2):
         with pytest.raises(PosetError, match="nonempty"):
-            first_refutations(a2, [0], SEMILATTICES)
+            first_refutation(a2, 0, SEMILATTICES)
 
     @pytest.mark.parametrize("bits", [1 << 5, -1])
     def test_rejects_sets_outside_the_poset(self, vee, bits):
         # refused as input before the sweep, not an IndexError from it
         with pytest.raises(PosetError, match="subsets of the poset"):
-            first_refutations(vee, [bits], SEMILATTICES)
-        with pytest.raises(PosetError, match="subsets of the poset"):
-            first_refutations(vee, [vee.full_mask, bits], SEMILATTICES)
+            first_refutation(vee, bits, SEMILATTICES)
 
     @pytest.mark.parametrize("max_n, bound", [(6, 1), (6, 2), (6, 3), (6, 4), (4, 5)])
     def test_same_first_witness_as_the_unbounded_search(self, max_n, bound):
@@ -348,7 +348,7 @@ class TestFirstRefutations:
         semilattices = [l for n in range(1, bound + 1) for l in enumerate_v_semilattices(n)]
         for p in small_posets(max_n):
             sets = gamma(p).members
-            got = first_refutations(p, sets, semilattices)
+            got = [first_refutation(p, a, semilattices) for a in sets]
             want = literal_first_refutations(p, sets, semilattices)
             assert [witness(c) for c in got] == [witness(c) for c in want]
 
@@ -362,7 +362,7 @@ class TestFirstRefutations:
         )
         semilattices = [l for n in range(1, 7) for l in enumerate_v_semilattices(n)]
         sets = gamma(p).members
-        got = first_refutations(p, sets, semilattices)
+        got = [first_refutation(p, a, semilattices) for a in sets]
         want = literal_first_refutations(p, sets, semilattices)
         assert [witness(c) for c in got] == [witness(c) for c in want]
         assert got[sets.index(p.subset_from_labels(["a", "b", "c"]))].semilattice.n == 6
@@ -371,10 +371,10 @@ class TestFirstRefutations:
         # the chain 0 < 1 with the sup of {0, 1} struck from its sup_table:
         # the bounded-set reduction would no longer match the table it reads
         l = VSemilattice.from_poset(catalog.chain(2))
-        assert first_refutations(a2, [a2.full_mask], [l]) == [None]
+        assert first_refutation(a2, a2.full_mask, [l]) is None
         l.__dict__["sup_table"] = l.sup_table[:3] + (None,)
         with pytest.raises(InvariantError, match="bounded subset with no sup"):
-            first_refutations(a2, [a2.full_mask], [l])
+            first_refutation(a2, a2.full_mask, [l])
 
     def test_every_bounded_subset_has_a_sup_entry(self):
         # the premise of the bounded-set reduction, on the enumerated
@@ -397,10 +397,10 @@ class TestFirstRefutations:
         monkeypatch.setattr(hoare, "iter_monotone_maps", counting)
         for p in small_posets(5):
             members = build_hc(p).family.members
-            assert all(isinstance(r, NoWitnessFound) for r in refute_batch(p, members, 4))
+            assert all(isinstance(refute_v_existing(p, a, 4), NoWitnessFound) for a in members)
         assert calls == []
         # an unbounded set does reach it
-        first_refutations(a2, [a2.full_mask], SEMILATTICES)
+        first_refutation(a2, a2.full_mask, SEMILATTICES)
         assert calls
 
 

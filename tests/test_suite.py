@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,7 +24,7 @@ from powerlab import (
 )
 from powerlab.cli import main
 from powerlab.enumeration import canonical_form, enumerate_posets, monotone_map_images
-from powerlab.families import gamma0
+from powerlab.families import gamma, gamma0
 from powerlab.hoare import WitnessCert, build_hc, partial_join
 from powerlab.poset import PosetMap, iter_bits, scott_closure
 from powerlab.semilattice import (
@@ -184,6 +186,39 @@ class TestChecks:
         assert report.verdict == verdict
         findings = report.failures + report.inconclusive
         assert [(x["detail"], x["subset"]) for x in findings] == [(detail, p.subset_labels(3))]
+
+    def test_thm_3_9_member_refuted(self, monkeypatch, wedge):
+        # the canonical witness refutes everything, so every member fails with
+        # its witness, and each payload replays to FAIL only under the patch
+        monkeypatch.setattr(
+            "powerlab.hoare._image_cert",
+            lambda l, f, bits: WitnessCert(l, f, bits, "NO_SUP", None),
+        )
+        h = build_hc(wedge)
+        members = [wedge.subset_labels(a) for a in gamma(wedge).members if a in h.family]
+        report = check_thm_3_9(wedge, 4)
+        assert report.verdict == "FAIL" and len(members) == 3
+        assert [(x["detail"], x["subset"]) for x in report.failures] == [
+            ("powerdomain member refuted", m) for m in members
+        ]
+        payloads = json.loads(json.dumps(report.failures))
+        for payload in payloads:
+            assert payload["witness"]["verdict"] == "NO_SUP"
+            assert payload["witness"]["subset"] == payload["subset"]
+            assert replay_failure(payload) == "FAIL"
+        monkeypatch.undo()
+        assert [replay_failure(payload) for payload in payloads] == ["PASS"] * 3
+
+    def test_thm_3_9_closure_added_members(self, monkeypatch, vee):
+        monkeypatch.setattr(
+            "powerlab.suite.build_hc",
+            lambda p: dataclasses.replace(build_hc(p), family_equals_gamma_c=False),
+        )
+        report = check_thm_3_9(vee, 4)
+        assert report.verdict == "FAIL"
+        assert [x["detail"] for x in report.failures] == [
+            "closure of the consistent family added members"
+        ]
 
     def test_thm_3_9_zero_inconclusive(self, wedge):
         report = check_thm_3_9(wedge, 3)
@@ -350,14 +385,20 @@ def test_readme_catalog_has_one_row_per_statement():
     assert tuple(row.split("|")[1].strip().strip("`") for row in rows) == STATEMENT_ORDER
 
 
-def test_traced_spans_cover_the_catalog():
-    # the benchmark's tracer names one span per statement id, and wraps library
-    # functions and reads their lru_caches by name; a statement missing there
-    # would run untimed, and a renamed function or cache would stop the tracer
+def _bench_spans():
+    """``bench/spans.py``, loaded from its file without importing the bench."""
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_spans_cover_the_catalog():
+    # the benchmark's tracer names one span per statement id, and wraps library
+    # functions and reads their lru_caches by name; a statement missing there
+    # would run untimed, and a renamed function or cache would stop the tracer
+    spans = _bench_spans()
     assert spans.STATEMENTS == STATEMENT_ORDER
     for modname, attr, _prefix, kinds in spans.FUNCTIONS:
         mod = importlib.import_module("powerlab." + modname)
@@ -366,6 +407,50 @@ def test_traced_spans_cover_the_catalog():
             if kind.startswith("misses:"):
                 cache = kind.split(":", 1)[1]
                 assert hasattr(getattr(mod, cache, None), "cache_info"), f"powerlab.{modname}.{cache}"
+
+
+# tracer counters that read 0 on a default verify run because no statement
+# reaches the function they wrap
+DEAD_SPANS = {
+    "poset.directed_sup_closure_step",
+    "hoare.sup_of_image",
+    "semilattice.is_f_scott_continuous",
+    "enumeration.monotone_map_images",
+}
+
+TRACED_VERIFY = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import powerlab.cli
+import spans
+tracer = spans.Tracer()
+caches = spans.install(tracer)
+code = powerlab.cli.main(["verify", "--out", sys.argv[3]])
+_, counts = spans.collect(tracer, caches)
+print(json.dumps({"code": code, "counts": counts}))
+"""
+
+
+def test_traced_spans_carry_traffic(tmp_path):
+    # the benchmark's own tracer, installed in a fresh interpreter, around a
+    # default verify run: every wrapped function is called, apart from the
+    # named dead ones, so no new counter reads 0 by construction
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_VERIFY,
+         str(root / "src"), str(root / "bench"), str(tmp_path / "R.json")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    counts = result["counts"]
+    dead = {prefix for _m, _a, prefix, _k in _bench_spans().FUNCTIONS if not counts.get(prefix + ".calls")}
+    assert dead == DEAD_SPANS
+    assert counts["hoare.refute_v_existing.calls"] == 851
+    assert counts["hoare.refute_v_existing.not_found"] == 513
 
 
 class TestFreenessDetail:
