@@ -17,6 +17,13 @@ def _canonical_member_order(members) -> tuple[int, ...]:
     return tuple(sorted(members, key=lambda b: (b.bit_count(), b)))
 
 
+def _set_label(p: FinitePoset, bits: int) -> str:
+    """``{a,b}`` for a subset, with ``\\`` and ``,`` escaped inside each
+    element label, so that distinct subsets get distinct labels."""
+    labels = (lab.replace("\\", "\\\\").replace(",", "\\,") for lab in p.subset_labels(bits))
+    return "{" + ",".join(labels) + "}"
+
+
 class SetFamily:
     """A collection of distinct subsets of one poset, kept in canonical order.
 
@@ -52,10 +59,8 @@ class SetFamily:
         return hash((self.base, self.members))
 
     def __repr__(self):
-        sets = [
-            "{" + ",".join(self.base.subset_labels(m)) + "}" for m in self.members
-        ]
-        return f"SetFamily({', '.join(sets)})"
+        sets = ", ".join(_set_label(self.base, m) for m in self.members)
+        return f"SetFamily({sets})"
 
     @cached_property
     def index_of(self) -> dict:
@@ -68,9 +73,7 @@ class SetFamily:
             sum(1 << j for j, b in enumerate(self.members) if a & ~b == 0)
             for a in self.members
         ]
-        labels = tuple(
-            "{" + ",".join(self.base.subset_labels(m)) + "}" for m in self.members
-        )
+        labels = tuple(_set_label(self.base, m) for m in self.members)
         return FinitePoset.from_up_masks(up, labels)
 
     def to_json(self) -> dict:

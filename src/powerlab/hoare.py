@@ -3,11 +3,12 @@
 The powerdomain is computed as the closure, inside the inclusion order on all
 nonempty Scott closed sets, of the consistent ones.  Membership can also be
 characterized by join-existence of images under monotone maps into partial
-join semilattices; this module provides both the canonical refutation witness
-for non-members and the bounded search that backs the characterization checks.
-``refute_v_existing`` tries the canonical witness on one set and hands a set
-it leaves standing to the bounded search, ``first_refutation``, which only
-searches a set with no upper bound; its docstring gives the argument."""
+join semilattices: ``refute_v_existing`` tries the canonical witness on one
+set and hands a set it leaves standing to the bounded search,
+``first_refutation``, which only searches a set with no upper bound; its
+docstring gives the argument.  Relative consistency (Thm 2.2) is decided by
+``r_gamma_c`` with one consistency test per closed set; its docstring proves
+that collapse of the literal definition, ``is_relatively_consistent``."""
 
 from __future__ import annotations
 
@@ -261,21 +262,14 @@ def is_relatively_consistent(p: FinitePoset, bits: int) -> bool:
     """Whether the closed set is the closure of the directed union of the
     down-sets of its way-below consistent finite subsets.
 
-    Directedness of the collected down-sets is checked pairwise; a collection
-    that is not directed disqualifies the set outright.
+    The literal definition, and the oracle of ``r_gamma_c``: the down-sets
+    must form a nonempty family, directed under inclusion as tested pairwise
+    (some member contains the union of each pair; a union that is itself a
+    member needs no scan), and the Scott closure of its union must be the set.
     """
     if not is_lower_set(p, bits):
         raise PosetError("relative consistency is defined for Scott closed sets")
-    if bits == 0:
-        return False
-    return _is_directed_closure(p, bits, {down_set(p, f) for f in f_c(p, bits)})
-
-
-def _is_directed_closure(p: FinitePoset, bits: int, downs: set) -> bool:
-    """Whether the set of down-sets ``downs`` is nonempty and directed under
-    inclusion, tested pairwise (some member contains the union of each
-    pair; a union that is itself a member needs no scan), and the Scott
-    closure of its union is ``bits``."""
+    downs = {down_set(p, f) for f in f_c(p, bits)}
     if not downs:
         return False
     ordered = sorted(downs)
@@ -293,21 +287,23 @@ def _is_directed_closure(p: FinitePoset, bits: int, downs: set) -> bool:
 def r_gamma_c(p: FinitePoset) -> SetFamily:
     """All nonempty Scott closed relatively consistent subsets.
 
-    ``is_relatively_consistent`` of every closed set, from one table per
-    call: every consistent nonempty subset of ``p`` with its down-set, found
-    with one ``is_consistent`` test per subset.  The consistent subsets way
-    below a closed set, its ``f_c``, are the table's entries inside the union
-    of its elements' way-down sets, so each closed set filters the table
-    instead of testing every subset of its scope again.  The directedness
-    test and the ``scott_closure`` comparison are those of
-    ``is_relatively_consistent``, which stays the oracle."""
-    table = [(f, down_set(p, f)) for f in range(1, 1 << p.n) if is_consistent(p, f)]
+    A closed set m is a member exactly when its scope, the union of its
+    elements' ``way_down_masks`` entries, is consistent with down-set m.
+    The argument holds for any way-below table.  Let D be the down-sets of
+    the nonempty consistent subsets of the scope, ``f_c(m)``:
+    - singletons are consistent, so the union of D is ↓scope;
+    - a finite family is directed exactly when it contains its union, so D
+      is directed exactly when ↓scope = ↓F for a consistent F ⊆ scope;
+    - that holds exactly when the scope is consistent: take F = scope, and
+      an upper bound of F bounds ↓F ⊇ scope (an empty scope fails ↓scope = m);
+    - the Scott closure of ↓scope is ↓scope, which must equal m.
+    ``is_relatively_consistent`` runs the definition literally: the oracle."""
     wd = way_down_masks(p)
     out = []
     for m in gamma(p):
         scope = 0
         for a in iter_bits(m):
             scope |= wd[a]
-        if _is_directed_closure(p, m, {d for f, d in table if not f & ~scope}):
+        if is_consistent(p, scope) and down_set(p, scope) == m:
             out.append(m)
     return SetFamily(p, out)

@@ -209,13 +209,11 @@ class FinitePoset:
         return {"labels": list(self.labels), "covers": covers}
 
     def to_dot(self) -> str:
-        lines = ["digraph hasse {", "  rankdir=BT;"]
-        for lab in self.labels:
-            lines.append(f'  "{lab}";')
-        for i, j in hasse(self):
-            lines.append(f'  "{self.labels[i]}" -> "{self.labels[j]}";')
-        lines.append("}")
-        return "\n".join(lines)
+        # each label is a quoted DOT ID, with backslash and quote escaped
+        ids = ['"' + lab.replace("\\", "\\\\").replace('"', '\\"') + '"' for lab in self.labels]
+        lines = ["digraph hasse {", "  rankdir=BT;", *(f"  {v};" for v in ids)]
+        lines += [f"  {ids[i]} -> {ids[j]};" for i, j in hasse(self)]
+        return "\n".join(lines + ["}"])
 
     def __repr__(self):
         return f"FinitePoset({self.n}, labels={self.labels!r})"

@@ -74,6 +74,45 @@ class TestHoare:
         assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
+class TestSetLabels:
+    @pytest.fixture
+    def comma_file(self, tmp_path):
+        # the singleton {"a,b"} and the pair {a, b} are both closed sets
+        path = tmp_path / "comma.json"
+        path.write_text(
+            json.dumps({"labels": ["a", "b", "a,b", "t"], "covers": [["a", "t"], ["b", "t"]]})
+        )
+        return str(path)
+
+    def test_comma_in_a_label_keeps_set_labels_distinct(self, capsys, comma_file):
+        p = powerlab.FinitePoset.from_json(Path(comma_file).read_text())
+        assert "{a\\,b}" in powerlab.build_hc(p).poset.labels
+        code, out, _ = run_cli(capsys, "hoare", comma_file, "--format", "dot")
+        assert code == 0
+        assert '"{a,b}" -> "{a,b,t}";' in out
+        assert '"{a\\\\,b}";' in out
+        code, out, _ = run_cli(capsys, "vexist", comma_file, "--set", "a")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "NOT_FOUND"
+
+    def test_gamma_dot_escapes_labels(self, capsys, tmp_path):
+        path = tmp_path / "quote.json"
+        path.write_text(json.dumps({"labels": ['a"b', "c\\"], "covers": [['a"b', "c\\"]]}))
+        code, out, _ = run_cli(capsys, "gamma", str(path), "--format", "dot")
+        assert code == 0
+        assert out == "\n".join(
+            [
+                "digraph hasse {",
+                "  rankdir=BT;",
+                r'  "{a\"b}";',
+                r'  "{a\"b,c\\\\}";',
+                r'  "{a\"b}" -> "{a\"b,c\\\\}";',
+                "}",
+                "",
+            ]
+        )
+
+
 class TestGammaF:
     def test_vee_as_semilattice(self, capsys, vee_file):
         code, out, _ = run_cli(capsys, "gammaf", vee_file)

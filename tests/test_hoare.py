@@ -435,21 +435,41 @@ class TestRelativelyConsistent:
             oracle = SetFamily(p, [m for m in gamma(p) if is_relatively_consistent(p, m)])
             assert r_gamma_c(p) == oracle
 
-    def test_one_consistency_test_per_subset(self, monkeypatch):
-        # r_gamma_c tests each nonempty subset once, for its one table, and
-        # never walks a closed set's subsets again through f_c
+    def test_one_consistency_test_per_closed_set(self, monkeypatch):
+        # r_gamma_c tests each closed set's way-below scope once, and never
+        # runs the literal definition's f_c or closure comparison
         calls = []
 
         def counting(p, bits):
             calls.append(bits)
             return is_consistent(p, bits)
 
-        def no_f_c(p, bits):
-            raise AssertionError("r_gamma_c called f_c")
+        def refused(*args):
+            raise AssertionError("r_gamma_c ran the literal definition")
 
         monkeypatch.setattr(hoare, "is_consistent", counting)
-        monkeypatch.setattr(hoare, "f_c", no_f_c)
+        monkeypatch.setattr(hoare, "f_c", refused)
+        monkeypatch.setattr(hoare, "scott_closure", refused)
         for p in small_posets(5):
             calls.clear()
             r_gamma_c(p)
-            assert len(calls) <= (1 << p.n) - 1
+            assert len(calls) == len(gamma(p))
+
+    # way-below tables other than the order: the collapse reads nothing of the
+    # table, so r_gamma_c must agree with the literal definition on each
+    WAY_BELOW_TABLES = {
+        "up-set": lambda p: p.up_masks,
+        "full": lambda p: (p.full_mask,) * p.n,
+        "strict down-set": lambda p: tuple(d & ~(1 << x) for x, d in enumerate(p.down_masks)),
+    }
+
+    @pytest.mark.parametrize("table", sorted(WAY_BELOW_TABLES))
+    def test_collapse_holds_for_any_way_below_table(self, monkeypatch, table):
+        monkeypatch.setattr(hoare, "way_down_masks", self.WAY_BELOW_TABLES[table])
+        kept = 0
+        for p in small_posets(5):
+            oracle = SetFamily(p, [m for m in gamma(p) if is_relatively_consistent(p, m)])
+            assert r_gamma_c(p) == oracle
+            kept += len(oracle) > 0
+        # not vacuous: the up-set and full tables keep members on some posets
+        assert kept == {"up-set": 53, "full": 25, "strict down-set": 0}[table]

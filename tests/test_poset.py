@@ -496,6 +496,19 @@ class TestHasseAndExport:
         assert '"b" -> "t";' in dot
         assert '"a" -> "b"' not in dot
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        p = FinitePoset.from_covers(['a"b', "c\\"], [('a"b', "c\\")])
+        assert p.to_dot() == "\n".join(
+            [
+                "digraph hasse {",
+                "  rankdir=BT;",
+                r'  "a\"b";',
+                r'  "c\\";',
+                r'  "a\"b" -> "c\\";',
+                "}",
+            ]
+        )
+
 
 class TestPosetMap:
     def test_validation(self, c2, a2):

@@ -453,6 +453,64 @@ def test_traced_spans_carry_traffic(tmp_path):
     assert counts["hoare.refute_v_existing.not_found"] == 513
 
 
+# the literal definitions, kept as oracles for the tests: a default run must
+# reach none of them.  Thm2.2's brute-force way-below (``way_down_masks`` over
+# ``enumerate_directed_subsets``) and Enum's ``bruteforce_canonical_forms``
+# are what those statements check, so they are not listed.
+ORACLES = (
+    "is_scott_closed", "directed_sup_closure_step", "least_upper_bound",
+    "is_f_scott_closed_literal", "preserves_directed_sups",
+    "f_scott_continuity_violation", "is_f_scott_continuous",
+    "sup_exists_transport_check", "partial_join", "enumerate_homomorphisms",
+    "enumerate_monotone_maps", "monotone_map_images", "f_c",
+    "is_relatively_consistent", "way_below", "is_irreducible_closed",
+)
+
+ORACLE_GUARDED_VERIFY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import powerlab
+from powerlab import poset, suite
+
+def refusing(name):
+    def oracle(*args, **kwargs):
+        raise AssertionError("a default run called the oracle " + name)
+    return oracle
+
+modules = [m for name, m in sys.modules.items() if name == "powerlab" or name.startswith("powerlab.")]
+rebound = {}
+for name in sys.argv[2:]:
+    orig = next(vars(m)[name] for m in modules if name in vars(m))
+    rebound[name] = 0
+    for m in modules:
+        for attr, value in list(vars(m).items()):
+            if value is orig:
+                setattr(m, attr, refusing(name))
+                rebound[name] += 1
+poset.PosetMap.is_scott_continuous = refusing("PosetMap.is_scott_continuous")
+summary = suite.run_all(suite.Config())
+print(json.dumps({"rebound": rebound, "verdicts": {
+    g["statement"]: [len(g["failures"]), len(g["inconclusive"])] for g in summary.groups}}))
+"""
+
+
+def test_default_run_reaches_no_oracle():
+    # every literal oracle, rebound in every powerlab namespace that holds it
+    # to a function that raises, in a fresh interpreter: the default run
+    # still passes every statement, so no hot path reaches an oracle
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", ORACLE_GUARDED_VERIFY, str(root / "src"), *ORACLES],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert all(result["rebound"][name] for name in ORACLES)
+    assert result["verdicts"] == {statement: [0, 0] for statement in STATEMENT_ORDER}
+
+
 class TestFreenessDetail:
     def test_extension_counts_match(self, vee):
         # one powerdomain map restricts to each monotone map, bijectively
