@@ -27,7 +27,6 @@ from .poset import (
 )
 from .families import SetFamily, closure_in_family, gamma, gamma0
 from .semilattice import (
-    FClosureSystem,
     VSemilattice,
     cl_f,
     enumerate_homomorphisms,

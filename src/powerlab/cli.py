@@ -101,8 +101,8 @@ def cmd_gammaf(args) -> int:
         _emit(l.join_table_csv(), args.out)
         return 0
     system = gamma_f(l)
-    data = system.family.to_json()
-    data["member_count"] = len(system.members)
+    data = system.to_json()
+    data["member_count"] = len(system)
     _emit(json.dumps(data, indent=2), args.out)
     return 0
 

@@ -19,7 +19,8 @@ def _canonical_member_order(members) -> tuple[int, ...]:
 
 def _set_label(p: FinitePoset, bits: int) -> str:
     """``{a,b}`` for a subset, with ``\\`` and ``,`` escaped inside each
-    element label, so that distinct subsets get distinct labels."""
+    element label, so that distinct subsets get distinct labels; no element
+    label is empty, so only the empty set is ``{}``."""
     labels = (lab.replace("\\", "\\\\").replace(",", "\\,") for lab in p.subset_labels(bits))
     return "{" + ",".join(labels) + "}"
 

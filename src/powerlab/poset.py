@@ -60,7 +60,12 @@ class FinitePoset:
 
     def _set_relation(self, up: tuple[int, ...], labels) -> None:
         n = len(up)
-        labels = tuple(labels) if labels is not None else _default_labels(n)
+        if labels is None:
+            labels = _default_labels(n)
+        else:
+            labels = tuple(labels)
+            if "" in labels:
+                raise PosetError("empty label")
         if len(labels) != n:
             raise PosetError(f"expected {n} labels, got {len(labels)}")
         if len(set(labels)) != n:
@@ -404,57 +409,34 @@ def directed_subsets_with_sups(p: FinitePoset, domain_bits: int | None = None):
 def _directed_cache(p: FinitePoset):
     cached = p.__dict__.get("_directed_subsets")
     if cached is None:
-        if p.n > DIRECTED_SUBSET_CAP:
-            raise PosetError(
-                f"exhaustive directed-subset enumeration capped at {DIRECTED_SUBSET_CAP} elements"
-            )
-        cached = [
-            (d, sup(p, d))
-            for d in enumerate_directed_subsets(p.up_masks, p.full_mask)
-        ]
+        cached = [(d, sup(p, d)) for d in enumerate_directed_subsets(p.up_masks, p.full_mask)]
         p.__dict__["_directed_subsets"] = cached
     return cached
 
 
 def enumerate_directed_subsets(up_masks, domain_bits: int) -> list[int]:
-    """Nonempty subsets of ``domain_bits`` whose every pair is bounded inside the subset.
+    """Nonempty subsets of ``domain_bits`` whose every pair is bounded inside
+    the subset, grown like the ideals in ``_ideals``.
 
-    Plain include/exclude recursion over the elements.  A pair that is not yet
-    bounded is remembered as the mask of its potential bounds; a branch dies
-    as soon as some remembered pair can no longer be bounded by any remaining
-    candidate.
+    The elements are visited by ascending up-set size, a reverse linear
+    extension: a strictly larger element has a strictly smaller up-set.  A
+    bound of two members of a directed D lies at or above both, so it comes
+    no later than either; every prefix of D is therefore directed, and adding
+    an element to a directed set only needs its new pairs tested.  That
+    element ``x`` is never above an earlier one, so only the members outside
+    ``x``'s up-set need a bound with ``x`` inside the set.  A domain of more
+    than ``DIRECTED_SUBSET_CAP`` elements is refused.
     """
-    elems = list(iter_bits(domain_bits))
-    m = len(elems)
-    if m > 22:
-        raise PosetError("directed-subset enumeration capped at 22 elements")
-    rest = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        rest[k] = rest[k + 1] | (1 << elems[k])
-    out: list[int] = []
-
-    def rec(k: int, dmask: int, chosen: tuple[int, ...], needs: tuple[int, ...]):
-        for nm in needs:
-            if nm & (dmask | rest[k]) == 0:
-                return
-        if k == m:
-            if dmask and not needs:
-                out.append(dmask)
-            return
-        rec(k + 1, dmask, chosen, needs)
-        x = elems[k]
-        nd = dmask | (1 << x)
-        new_needs = [nm for nm in needs if nm & nd == 0]
+    elems = [x for _, x in sorted((up_masks[x].bit_count(), x) for x in iter_bits(domain_bits))]
+    if len(elems) > DIRECTED_SUBSET_CAP:
+        raise PosetError(
+            f"exhaustive directed-subset enumeration capped at {DIRECTED_SUBSET_CAP} elements"
+        )
+    out = [0]
+    for x in elems:
         ux = up_masks[x]
-        for y in chosen:
-            c = up_masks[y] & ux
-            if c & nd == 0:
-                new_needs.append(c)
-        rec(k + 1, nd, chosen + (x,), tuple(new_needs))
-
-    rec(0, 0, (), ())
-    del rec  # the closure refers to itself; drop the cycle now, not at the next gc
-    return out
+        out += [d | 1 << x for d in out if all(ux & up_masks[y] & d for y in iter_bits(d & ~ux))]
+    return out[1:]
 
 
 def directed_sup_closure_step(up_masks, full_mask: int, bits: int) -> int:

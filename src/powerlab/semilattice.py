@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .families import SetFamily
@@ -289,46 +288,32 @@ def cl_f(l: VSemilattice, bits: int) -> int:
     return _step_pair_join(l, down_set(l.poset, bits))
 
 
-@dataclass(frozen=True)
-class FClosureSystem:
-    """All F-Scott closed subsets of a semilattice, the empty set included.
-
-    The closed sets are closed under intersection, the full set being the
-    empty intersection, so the closure of a set is the intersection of the
-    closed sets containing it."""
-
-    base: VSemilattice
-    family: SetFamily
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self.family.members
-
-    def meet_irreducibles(self) -> tuple[int, ...]:
-        """The members, in member order, that are not the intersection of the
-        members strictly containing them.  The full set is the empty
-        intersection and is never one; every member is the intersection of
-        the irreducibles containing it (Davey & Priestley, *Introduction to
-        Lattices and Order*, 2nd ed., ch. 7)."""
-        members = self.members
-        out = []
-        for c in members:
-            above = self.base.poset.full_mask
-            for d in members:
-                if d != c and not c & ~d:
-                    above &= d
-            if above != c:
-                out.append(c)
-        return tuple(out)
+def meet_irreducibles(family: SetFamily) -> tuple[int, ...]:
+    """The members, in member order, that are not the intersection of the
+    members strictly containing them.  The full set is the empty
+    intersection and is never one; every member is the intersection of
+    the irreducibles containing it (Davey & Priestley, *Introduction to
+    Lattices and Order*, 2nd ed., ch. 7)."""
+    members = family.members
+    out = []
+    for c in members:
+        above = family.base.full_mask
+        for d in members:
+            if d != c and not c & ~d:
+                above &= d
+        if above != c:
+            out.append(c)
+    return tuple(out)
 
 
-def gamma_f(l: VSemilattice) -> FClosureSystem:
-    """Enumerate every F-Scott closed set by Next-Closure in lectic order."""
+def gamma_f(l: VSemilattice) -> SetFamily:
+    """Every F-Scott closed set, the empty set included, by Next-Closure in
+    lectic order."""
     return _gamma_f_cached(l)
 
 
 @lru_cache(maxsize=None)
-def _gamma_f_cached(l: VSemilattice) -> FClosureSystem:
+def _gamma_f_cached(l: VSemilattice) -> SetFamily:
     n = l.n
     members = []
     current = cl_f(l, 0)
@@ -346,7 +331,7 @@ def _gamma_f_cached(l: VSemilattice) -> FClosureSystem:
                 break
         else:
             raise InvariantError("lectic enumeration stalled before the top closure")
-    return FClosureSystem(l, SetFamily(l.poset, members))
+    return SetFamily(l.poset, members)
 
 
 # -- maps between semilattices ------------------------------------------------

@@ -48,6 +48,7 @@ from .semilattice import (
     cl_f,
     gamma_f,
     is_f_scott_closed,
+    meet_irreducibles,
 )
 
 
@@ -461,7 +462,7 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     )
     pool = _semilattices_upto(pair_bound)
     irreducibles = [
-        [tuple(iter_bits(c)) for c in gamma_f(m).meet_irreducibles()] for m in pool
+        [tuple(iter_bits(c)) for c in meet_irreducibles(gamma_f(m))] for m in pool
     ]
     for l in pool:
         l_closed = _f_closed_table(l)

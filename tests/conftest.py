@@ -110,7 +110,8 @@ def literal_fixpoint(p, bits, join=None, directed_sups=True):
 
     The directed-sup step enumerates every directed subset of the current
     set, which is out of reach past a few hundred subsets per instance (the
-    enumeration is capped at 22 elements).  ``directed_sups=False`` drops
+    enumeration refuses more than ``DIRECTED_SUBSET_CAP`` elements, the one
+    cap on directed subsets).  ``directed_sups=False`` drops
     it, leaving the round-by-round fixpoint that re-joins every pair on every
     round: the reference for the larger instances, whose directed subsets
     ``tests/test_collapse.py`` does not enumerate."""

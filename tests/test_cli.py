@@ -268,6 +268,15 @@ class TestInputErrors:
         assert "invalid poset" in err
 
 
+    @pytest.mark.parametrize("argv", [("gamma",), ("hoare",), ("gammaf",), ("vexist", "--set", "a")])
+    def test_empty_label(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"labels": ["", "a"], "covers": []}))
+        code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert "invalid poset" in err and "empty label" in err
+
+
 class TestVerify:
     def test_small_run_writes_report(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -126,8 +126,9 @@ class TestBuildHc:
 
     def test_builds_past_the_directed_subset_cap(self):
         # members are tested as lower sets, so the exhaustive directed-subset
-        # enumeration, capped at 16 elements, is never reached; Thm2.2, whose
-        # way-below is that enumeration, reports the cap instead of raising
+        # enumeration, which refuses more than DIRECTED_SUBSET_CAP = 16
+        # elements, is never reached; Thm2.2, whose way-below is that
+        # enumeration, reports the cap instead of raising
         p = catalog.chain(24)
         assert len(build_hc(p).family.members) == 24
         checks = (check_def_2_1, check_thm_3_9, check_thm_3_10, check_sober)

@@ -27,8 +27,15 @@ from powerlab import (
     way_down_masks,
 )
 from powerlab.enumeration import enumerate_v_semilattices, monotone_map_images
-from powerlab.poset import _ideals, directed_subsets_with_sups, least_upper_bound
-from powerlab.suite import _fibres
+from powerlab.poset import (
+    DIRECTED_SUBSET_CAP,
+    _ideals,
+    directed_subsets_with_sups,
+    directed_sup_closure_step,
+    enumerate_directed_subsets,
+    least_upper_bound,
+)
+from powerlab.suite import _fibres, check_thm_2_2
 
 from conftest import small_posets
 
@@ -77,6 +84,17 @@ class TestConstruction:
     def test_duplicate_label_rejected(self):
         with pytest.raises(PosetError, match="duplicate"):
             FinitePoset.from_covers(("a", "a"), ())
+
+    def test_empty_label_rejected(self):
+        # its set label would be "{}", the empty set's, so gamma0 would
+        # build a family poset with a duplicate label
+        for build in (
+            lambda: FinitePoset.from_covers(["", "a"], []),
+            lambda: FinitePoset.from_up_masks([1, 2], ["", "a"]),
+            lambda: FinitePoset([[True]], [""]),
+        ):
+            with pytest.raises(PosetError, match="empty label"):
+                build()
 
     def test_unknown_cover_label_rejected(self):
         with pytest.raises(PosetError):
@@ -376,25 +394,71 @@ class TestWayBelow:
         assert len(calls) == 1
 
 
-class TestDirectedEnumeration:
-    def test_matches_naive_filter(self):
-        # the pruned recursion must agree with filtering all subsets
-        from powerlab.poset import enumerate_directed_subsets
+def _naive_directed(p, domain):
+    """Every nonempty directed subset of ``domain``, ascending: the
+    ``is_directed`` filter over all subsets."""
+    return [a for a in range(1, 1 << p.n) if not a & ~domain and is_directed(p, a)]
 
+
+class TestDirectedEnumeration:
+    """``enumerate_directed_subsets`` against the ``is_directed`` filter; a
+    sorted list is compared, so a duplicate subset fails too."""
+
+    def test_matches_naive_filter(self):
+        # the growth order is read from the up-sets, not the element numbers,
+        # so each poset is also checked under a seeded random relabeling
+        rng = random.Random(26)
+        for p in small_posets(6):
+            perm = rng.sample(range(p.n), p.n)
+            up = [0] * p.n
+            for i, row in enumerate(p.up_masks):
+                up[perm[i]] = sum(1 << perm[j] for j in iter_bits(row))
+            for q in (p, FinitePoset.from_up_masks(up)):
+                got = enumerate_directed_subsets(q.up_masks, q.full_mask)
+                assert sorted(got) == _naive_directed(q, q.full_mask)
+
+    def test_every_domain_matches_naive_filter(self):
         for p in small_posets(4):
-            naive = {
-                a
-                for a in range(1, 1 << p.n)
-                if is_directed(p, a)
-            }
-            assert set(enumerate_directed_subsets(p.up_masks, p.full_mask)) == naive
+            for domain in range(1 << p.n):
+                got = enumerate_directed_subsets(p.up_masks, domain)
+                assert sorted(got) == _naive_directed(p, domain)
 
     def test_respects_domain_restriction(self, vee):
-        from powerlab.poset import enumerate_directed_subsets
-
         domain = bits(vee, "a", "b")
         got = set(enumerate_directed_subsets(vee.up_masks, domain))
         assert got == {bits(vee, "a"), bits(vee, "b")}
+
+    def test_totals_over_the_whole_poset(self):
+        # 1193 is the enumerated item count of a default verify run
+        totals = {5: 0, 6: 0}
+        for p in small_posets(6):
+            count = len(enumerate_directed_subsets(p.up_masks, p.full_mask))
+            for n in totals:
+                totals[n] += count if p.n <= n else 0
+        assert totals == {5: 1193, 6: 9961}
+
+    def test_sizes_at_the_cap(self):
+        # every nonempty subset of a chain is directed, and only the
+        # singletons of an antichain are
+        c, a = catalog.chain(DIRECTED_SUBSET_CAP), catalog.antichain(DIRECTED_SUBSET_CAP)
+        assert len(enumerate_directed_subsets(c.up_masks, c.full_mask)) == 65535
+        assert sorted(enumerate_directed_subsets(a.up_masks, a.full_mask)) == [
+            1 << i for i in range(DIRECTED_SUBSET_CAP)
+        ]
+
+    def test_one_cap_past_sixteen_elements(self):
+        # the enumeration refuses the domain itself, so every literal
+        # definition that quantifies over directed subsets stops at the cap
+        p = catalog.chain(DIRECTED_SUBSET_CAP + 1)
+        refusals = (
+            lambda: enumerate_directed_subsets(p.up_masks, p.full_mask),
+            lambda: way_below(p, 0, 1),
+            lambda: directed_sup_closure_step(p.up_masks, p.full_mask, p.full_mask),
+        )
+        for refusal in refusals:
+            with pytest.raises(PosetError, match=f"capped at {DIRECTED_SUBSET_CAP} elements"):
+                refusal()
+        assert check_thm_2_2(p, 4).verdict == "INCONCLUSIVE"
 
 
 class TestIrreducibleAndSober:

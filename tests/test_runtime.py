@@ -1,6 +1,7 @@
 """What importing and running powerlab leaves behind: only standard-library
 modules, no declared runtime dependency, no reads of the environment, no
-unused imports, and no reference cycles from the recursive enumerators."""
+unused imports, no reference cycles from the enumerators, and no nested
+function that calls itself."""
 
 import ast
 import gc
@@ -150,6 +151,27 @@ def test_every_module_import_is_used():
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
 
+
+def test_no_nested_function_refers_to_itself():
+    # a nested function that names itself sits in a reference cycle with its
+    # closure, left for the garbage collector; the enumerators loop instead
+    found = set()
+    for path in sorted((ROOT / "src" / "powerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if (
+                    inner is not outer
+                    and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(
+                        isinstance(node, ast.Name) and node.id == inner.name
+                        for node in ast.walk(inner)
+                    )
+                ):
+                    found.add(f"{path.name}:{inner.lineno} {inner.name}")
+    assert found == set()
 
 
 def _calls_least_upper_bound(node) -> bool:

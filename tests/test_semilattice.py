@@ -22,7 +22,7 @@ from powerlab import (
     preserves_directed_sups,
     sup_exists_transport_check,
 )
-from powerlab.semilattice import f_scott_continuity_violation
+from powerlab.semilattice import f_scott_continuity_violation, meet_irreducibles
 from powerlab.suite import check_thm_3_10
 
 from conftest import closure_mutant, small_posets
@@ -278,17 +278,17 @@ def _closure_systems(semilattice_n, powerdomain_base_n):
 class TestClosureSystem:
     def test_every_closed_set_meets_its_irreducibles(self):
         for fc in _closure_systems(5, 4):
-            irreducibles = fc.meet_irreducibles()
+            irreducibles = meet_irreducibles(fc)
             assert set(irreducibles) <= set(fc.members)
             for c in fc.members:
-                meet = fc.base.poset.full_mask
+                meet = fc.base.full_mask
                 for i in irreducibles:
                     if not c & ~i:
                         meet &= i
                 assert meet == c
             # and none is the meet of the other irreducibles containing it
             for k, i in enumerate(irreducibles):
-                meet = fc.base.poset.full_mask
+                meet = fc.base.full_mask
                 for j in irreducibles[:k] + irreducibles[k + 1 :]:
                     if not i & ~j:
                         meet &= j
@@ -297,7 +297,7 @@ class TestClosureSystem:
     def test_irreducible_count(self):
         systems = [gamma_f(l) for l in semis_upto(4)]
         assert sum(len(fc.members) for fc in systems) == 152
-        assert sum(len(fc.meet_irreducibles()) for fc in systems) == 73
+        assert sum(len(meet_irreducibles(fc)) for fc in systems) == 73
 
 
 class TestHomomorphisms:

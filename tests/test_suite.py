@@ -28,11 +28,11 @@ from powerlab.families import gamma, gamma0
 from powerlab.hoare import WitnessCert, build_hc, partial_join
 from powerlab.poset import PosetMap, iter_bits, scott_closure
 from powerlab.semilattice import (
-    FClosureSystem,
     VSemilattice,
     _homomorphism_images,
     gamma_f,
     is_f_scott_continuous,
+    meet_irreducibles,
     sup_exists_transport_check,
 )
 from powerlab.suite import (
@@ -140,9 +140,7 @@ class TestChecks:
         for n in range(1, 5):
             for p in enumerate_posets(n):
                 closure_system = gamma_f(build_hc(p).semilattice)
-                assert canonical_form(gamma0(p).poset) == canonical_form(
-                    closure_system.family.poset
-                )
+                assert canonical_form(gamma0(p).poset) == canonical_form(closure_system.poset)
 
     def test_def_2_1_join_table_matches_partial_join(self):
         # partial_join reads the member-index join table that Def2.1 validates
@@ -553,7 +551,7 @@ class TestTabulatedVerdicts:
         for l in pool:
             closed = _f_closed_table(l)
             for m in pool:
-                irreducibles = [tuple(iter_bits(c)) for c in gamma_f(m).meet_irreducibles()]
+                irreducibles = [tuple(iter_bits(c)) for c in meet_irreducibles(gamma_f(m))]
                 for img in monotone_map_images(l.poset, m.poset):
                     f = PosetMap(l.poset, m.poset, img)
                     assert _continuous_by_table(img, closed, m.n, irreducibles) == (
@@ -627,8 +625,9 @@ class TestTableMutants:
 
     def test_prop_3_4_needs_every_irreducible(self, monkeypatch):
         assert check_prop_3_4(3, 1).verdict == "PASS"
-        irreducibles = FClosureSystem.meet_irreducibles
-        monkeypatch.setattr(FClosureSystem, "meet_irreducibles", lambda fc: irreducibles(fc)[1:])
+        monkeypatch.setattr(
+            "powerlab.suite.meet_irreducibles", lambda family: meet_irreducibles(family)[1:]
+        )
         report = check_prop_3_4(3, 1)
         assert report.verdict == "FAIL"
         assert report.failures[0]["detail"] == "homomorphism=False but continuity=True"
