@@ -59,4 +59,4 @@ for a in gamma0(V).members:
             jbits |= 1 << h.j.img[x]
     eta[tuple(V.subset_labels(a))] = [labels[i] for i in range(l.n) if cl_f(l, jbits) >> i & 1]
 for src, dst in eta.items():
-    print(f"  {set(src) if src else '{}'} -> {dst}")
+    print(f"  {list(src)} -> {dst}")

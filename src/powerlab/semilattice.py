@@ -10,8 +10,12 @@ semi-naive worklist that joins every pair once, and ``gamma_f`` enumerates
 all closed sets with the lectic Next-Closure algorithm, so the work is
 proportional to the number of closed sets rather than to 2**n.
 Homomorphisms are the monotone maps of ``iter_monotone_maps`` that preserve
-the join of every consistent incomparable pair.  ``_image_sups`` reads a
-semilattice's tables to give the sup of every subset's image under a map.
+the join of every consistent incomparable pair; ``iter_homomorphisms``
+streams them.  Sups of images run on ``sup_translations``, one 256-byte
+``bytes.translate`` table per element: ``_image_sups`` gives the sup of
+every subset's image under a map as bytes, ``NO_SUP`` marking none, and
+``_member_sups`` the sups at given lower sets only, from their maximal
+elements.
 
 The module carries no test switch: mutation probes replace a ``cl_f`` step
 in this module's namespace from outside, and clear ``gamma_f``'s cache, the
@@ -43,6 +47,9 @@ from .poset import (
     scott_closure,
     sup,
 )
+
+# the byte that marks a set with no least upper bound in a sup table
+NO_SUP = 255
 
 
 class VSemilattice:
@@ -127,15 +134,29 @@ class VSemilattice:
         return tuple(principal.get(ub) for ub in self.bound_masks)
 
     @cached_property
-    def sup_columns(self) -> tuple:
-        """``sup_columns[y]`` is column ``y`` of the join table padded with
-        ``y`` and ``-1``: ``(join[0][y], ..., join[n-1][y], y, -1)``.
+    def sup_translations(self) -> tuple:
+        """``sup_translations[y]`` is a 256-byte ``bytes.translate`` table:
+        entry ``s`` is ``join[s][y]``, or ``NO_SUP`` where that is undefined,
+        entry ``n`` is ``y`` and every other entry is ``NO_SUP``.
 
-        Read at index ``s`` it is the sup of a set with sup ``s`` and ``y``
-        added; index ``n`` stands for the empty set and index ``-1`` for a set
-        with no sup, which stays without one.  ``_image_sups`` runs on these
-        columns."""
-        return tuple(tuple(row[y] for row in self.join) + (y, -1) for y in range(self.n))
+        Read at a set's sup ``s`` it gives the sup of that set with ``y``
+        added; entry ``n`` stands for the empty set, and a set with no sup
+        stays without one.  ``_image_sups`` and ``_member_sups`` run on these
+        tables, so they need ``n`` and ``NO_SUP`` to be distinct bytes: a
+        semilattice of ``NO_SUP`` or more elements is a ``PosetError``."""
+        n = self.n
+        if n >= NO_SUP:
+            raise PosetError(f"sup tables hold at most {NO_SUP - 1} elements, not {n}")
+        columns = ([NO_SUP if v == -1 else v for v in col] for col in zip(*self.join))
+        pad = bytes([NO_SUP]) * (255 - n)
+        return tuple(bytes(col) + bytes([y]) + pad for y, col in enumerate(columns))
+
+    @cached_property
+    def empty_sup(self) -> bytes:
+        """The sup of the empty set, the bottom ``sup_of_bits(0)``, as one byte
+        of a sup table: ``NO_SUP`` when there is no bottom."""
+        bottom = self.sup_of_bits(0)
+        return bytes([NO_SUP if bottom is None else bottom])
 
     @cached_property
     def join_triples(self) -> tuple:
@@ -177,28 +198,44 @@ def is_v_semilattice(p: FinitePoset) -> bool:
     return VSemilattice.from_poset(p) is not None
 
 
-def _image_sups(l: VSemilattice, img) -> list[int]:
+def _image_sups(l: VSemilattice, img) -> bytes:
     """``out[a]``: the least upper bound in ``l`` of the image of subset ``a``
-    of the domain under ``img``, or -1 if it has none; one entry per domain
-    subset.
+    of the domain under ``img``, or ``NO_SUP`` if it has none; one byte per
+    domain subset.
 
-    One pass over the domain, by the recurrence ``out[a | bit(y)] =
-    join(out[a], img[y])`` on the padded columns of ``l.sup_columns``, where
-    index ``n`` marks a still empty image and -1 a set with no sup.  This is
-    sound in a semilattice: for a nonempty S with sup s, sup(S ∪ {y}) exists
-    exactly when join(s, y) does, and then they are equal, since an upper
-    bound of S ∪ {y} bounds s and y; a nonempty S with no sup is unbounded,
-    because a bounded nonempty set has a sup, and so is S ∪ {y}.  The empty
-    image's sup is the bottom element, if there is one.
+    One ``translate`` per domain element, by the recurrence ``out[a | bit(y)]
+    = join(out[a], img[y])`` on ``l.sup_translations``, where byte ``n``
+    marks the empty image until its sup, ``l.empty_sup``, replaces it.  This
+    is sound in a semilattice: for a nonempty S with sup s, sup(S ∪ {y})
+    exists exactly when join(s, y) does, and then they are equal, since an
+    upper bound of S ∪ {y} bounds s and y; a nonempty S with no sup is
+    unbounded, because a bounded nonempty set has a sup, and so is S ∪ {y}.
     """
-    cols = l.sup_columns
-    out = [l.n]
+    tables = l.sup_translations
+    out = bytes([len(tables)])
     for v in img:
-        col = cols[v]
-        out += [col[s] for s in out]
-    bottom = l.sup_table[0]
-    out[0] = -1 if bottom is None else bottom
-    return out
+        out += out.translate(tables[v])
+    return l.empty_sup + out[1:]
+
+
+def _member_sups(l: VSemilattice, img, maxima) -> tuple:
+    """The sup in ``l`` of the image under the monotone ``img`` of each
+    nonempty lower set, or ``NO_SUP`` where it has none: the fold of
+    ``_image_sups`` over the set's maximal elements only, which ``maxima``
+    gives per set as the first one and a tuple of the others.
+
+    That is enough because ``img`` is monotone: each element of a lower set
+    m lies below a maximal one, so its image lies below that one's image, and
+    the images of m and of max m have the same upper bounds, hence the same
+    sup or none."""
+    tables = l.sup_translations
+    out = []
+    for first, rest in maxima:
+        s = img[first]
+        for x in rest:
+            s = tables[img[x]][s]
+        out.append(s)
+    return tuple(out)
 
 
 # -- F-Scott closed sets ------------------------------------------------------
@@ -393,25 +430,30 @@ def is_f_scott_continuous(f: PosetMap, l: VSemilattice, m: VSemilattice) -> bool
 
 
 def enumerate_homomorphisms(l: VSemilattice, m: VSemilattice) -> list[PosetMap]:
-    """All join-preserving monotone maps, in the order of ``iter_monotone_maps``.
-
-    A monotone map already preserves the join of a comparable pair, so only
-    the pairs of ``l.join_triples`` are tested."""
+    """All join-preserving monotone maps, in the order of ``iter_monotone_maps``."""
     return [PosetMap(l.poset, m.poset, img) for img in _homomorphism_images(l, m)]
 
 
-@lru_cache(maxsize=None)
-def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[tuple[int, ...], ...]:
+def iter_homomorphisms(l: VSemilattice, m: VSemilattice):
+    """The images of the homomorphisms ``l -> m``, streamed in the order of
+    ``iter_monotone_maps``: the monotone maps that preserve the join of each
+    pair of ``l.join_triples``, since a monotone map already preserves the
+    join of a comparable pair."""
     triples = l.join_triples
     jm = m.join
-    out = []
     for img in iter_monotone_maps(l.poset, m.poset):
         for i, j, z in triples:
             if jm[img[i]][img[j]] != img[z]:
                 break
         else:
-            out.append(img)
-    return tuple(out)
+            yield img
+
+
+@lru_cache(maxsize=None)
+def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[tuple[int, ...], ...]:
+    """``iter_homomorphisms(l, m)`` as a tuple, cached for the semilattice
+    pairs that Prop3.4 and Lem3.6 both read."""
+    return tuple(iter_homomorphisms(l, m))
 
 
 def sup_exists_transport_check(

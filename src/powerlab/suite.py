@@ -17,6 +17,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .enumeration import (
     DEFAULT_MAX_N,
@@ -42,12 +43,13 @@ from .poset import (
     way_down_masks,
 )
 from .semilattice import (
-    VSemilattice,
+    NO_SUP,
     _homomorphism_images,
     _image_sups,
+    _member_sups,
     cl_f,
     gamma_f,
-    is_f_scott_closed,
+    iter_homomorphisms,
     meet_irreducibles,
 )
 
@@ -148,35 +150,12 @@ def _semilattices_upto(k: int) -> tuple:
     return tuple(l for n in range(1, k + 1) for l in enumerate_v_semilattices(n))
 
 
-def _f_closed_table(l: VSemilattice) -> list[bool]:
-    """``is_f_scott_closed`` of every subset of ``l``, indexed by bitmask."""
-    return [is_f_scott_closed(l, a) for a in range(1 << l.n)]
-
-
-def _fibres(img, cod_n: int) -> list[int]:
-    """``out[v]``: the preimage under ``img`` of element ``v`` of a codomain
-    of ``cod_n`` elements.  A subset's preimage is the union of the fibres of
-    its elements."""
-    out = [0] * cod_n
-    for i, v in enumerate(img):
-        out[v] |= 1 << i
-    return out
-
-
-def _continuous_by_table(img, dom_closed: list, cod_n: int, cod_sets) -> bool:
-    """Whether the preimage under ``img`` of each codomain set in
-    ``cod_sets``, each given as a tuple of its elements, is closed, looked up
-    in the domain's ``_f_closed_table``.  Each preimage is the union of the
-    set's fibres, and the test stops at the first preimage that is not
-    closed."""
-    fibres = _fibres(img, cod_n)
-    for c in cod_sets:
-        pre = 0
-        for v in c:
-            pre |= fibres[v]
-        if not dom_closed[pre]:
-            return False
-    return True
+def _membership_table(bits: int) -> bytes:
+    """A ``bytes.translate`` table sending each element index to ``b"1"`` if
+    it is in ``bits`` and to ``b"0"`` otherwise.  It translates a map's image
+    string ``bytes(img)`` into the membership string of the preimage of
+    ``bits``, and ``bytes(range(n))`` into that of ``bits`` itself."""
+    return bytes(b"01"[bits >> v & 1] for v in range(256))
 
 
 @lru_cache(maxsize=None)
@@ -187,16 +166,16 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     in ``_semilattices_upto`` order, Freeness reports its count line before
     its per-map findings.
 
-    Each map's ``_image_sups`` table is computed once and read three ways.
-    Its entries at the powerdomain members are the map's sup-of-image
-    extension, which must be defined (Lem2.3) and be the one homomorphism
-    that restricts to the map (Freeness).  Its -1 entries are the subsets
-    the map refutes (Lem3.8).
-
-    A map whose restriction group, the powerdomain homomorphisms restricting
-    to it, is exactly its extension has nothing to report to Lem2.3 or
-    Freeness: a homomorphism has no -1 entry, is among the homomorphisms and
-    restricts to the map.  Its other tests are skipped.
+    The homomorphisms from the powerdomain are streamed once per
+    semilattice, counted and grouped by their restriction along the
+    embedding.  Each map's sup-of-image extension is evaluated only at the
+    powerdomain members, by ``_member_sups`` over each member's maximal
+    elements.  It must be defined (Lem2.3) and be the one homomorphism that
+    restricts to the map (Freeness).  A map whose restriction group is
+    exactly its extension has nothing to report to Lem2.3 or Freeness: a
+    homomorphism is defined everywhere, is a homomorphism and restricts to
+    the map.  Its other tests are skipped, and an extension is a
+    homomorphism exactly when it is in the group of its own restriction.
 
     Lem3.8 compares the subsets refuted by some map with those refuted by
     the restriction of some homomorphism; a homomorphism refutes, through
@@ -204,49 +183,54 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     finds nothing on a semilattice, restriction is a bijection from the
     homomorphisms onto the maps and the extension is its inverse, so both
     sides are the union of the same maps' refuted subsets and agree by
-    construction.  Only when Freeness has a finding there are the two unions
-    built, by streaming the maps again and evaluating every restriction, so
-    that a failure names the subsets that differ.  The maps are streamed;
-    only findings are kept."""
+    construction.  Only when Freeness has a finding are the two unions
+    built, from the full ``_image_sups`` table of each map and of each
+    restriction, so that a failure names the subsets that differ.  The maps
+    are streamed; only findings are kept."""
     h = build_hc(p)
     members = h.family.members
+    up = p.up_masks
+    maximal = ([x for x in iter_bits(m) if up[x] & m == 1 << x] for m in members)
+    maxima = [(xs[0], tuple(xs[1:])) for xs in maximal]
     j_img = h.j.img
+    # the restriction along the embedding, as a tuple even for one point
+    restrict = itemgetter(*j_img) if p.n > 1 else lambda g: (g[j_img[0]],)
     found = {"Lem2.3": [], "Freeness": [], "Lem3.8": []}
 
     def on_map(detail, **extra):
         return detail, {"semilattice": l.poset.to_json(), "map": list(f_img), **extra}
 
     for l in _semilattices_upto(semi_bound):
-        homs = _homomorphism_images(h.semilattice, l)
         groups: dict = {}
-        for g in homs:
-            groups.setdefault(tuple([g[k] for k in j_img]), []).append(g)
+        homs = 0
+        for g in iter_homomorphisms(h.semilattice, l):
+            groups.setdefault(restrict(g), []).append(g)
+            homs += 1
         per_map = []  # Freeness's findings after its count line
         count = 0
         for f_img in iter_monotone_maps(p, l.poset):
             count += 1
-            sups = _image_sups(l, f_img)
-            ext = tuple([sups[m] for m in members])
+            ext = _member_sups(l, f_img, maxima)
             matching = groups.get(f_img, [])
             if matching == [ext]:
                 continue
-            if -1 in ext:
+            if NO_SUP in ext:
                 for m, s in zip(members, ext):
-                    if s < 0:
+                    if s == NO_SUP:
                         detail = "member image has no least upper bound"
                         found["Lem2.3"].append(on_map(detail, member=p.subset_labels(m)))
-                undefined = members[ext.index(-1)]
+                undefined = members[ext.index(NO_SUP)]
                 per_map.append(
                     on_map("extension undefined on a member", member=p.subset_labels(undefined))
                 )
                 continue
-            # a cached homomorphism is monotone, so only an outsider is tested
-            if ext not in homs:
+            # a streamed homomorphism is monotone, so only an outsider is tested
+            if ext not in groups.get(restrict(ext), ()):
                 if not PosetMap(h.poset, l.poset, ext).is_monotone():
                     per_map.append(on_map("extension not monotone"))
                 else:
                     per_map.append(on_map("extension does not preserve joins"))
-            if tuple([ext[k] for k in j_img]) != f_img:
+            if restrict(ext) != f_img:
                 per_map.append(on_map("extension does not restrict to the map"))
             if len(matching) != 1 or matching[0] != ext:
                 per_map.append(
@@ -255,14 +239,14 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
                         "exactly the sup-of-image extension"
                     )
                 )
-        if len(homs) != count:
-            detail = f"{len(homs)} powerdomain maps vs {count} monotone maps"
+        if homs != count:
+            detail = f"{homs} powerdomain maps vs {count} monotone maps"
             per_map.insert(0, (detail, {"semilattice": l.poset.to_json()}))
         if not per_map:
             continue
         found["Freeness"] += per_map
         refut_maps, refut_homs = (
-            {a for img in images for a, s in enumerate(_image_sups(l, img)) if s < 0}
+            {a for img in images for a, s in enumerate(_image_sups(l, img)) if s == NO_SUP}
             for images in (iter_monotone_maps(p, l.poset), groups)
         )
         if refut_maps != refut_homs:
@@ -354,7 +338,7 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
                         map=list(img),
                         subset=p.subset_labels(a),
                     )
-                if sups[a] < 0:
+                if sups[a] == NO_SUP:
                     refutable[a] = True
     for a in gamma(p).members:
         if refutable[a] != (first_refutation(p, a, pool) is not None):
@@ -450,28 +434,29 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     when preimages of F-Scott closed sets are F-Scott closed.  A monotone
     map is a homomorphism when it is among ``_homomorphism_images`` of the
     pair.  It is continuous when the preimage of every meet-irreducible
-    closed set of the codomain is closed in the domain's
-    ``_f_closed_table``: every closed set is the intersection of the
-    irreducibles containing it (the full set being the empty intersection),
-    the preimage of an intersection is the intersection of the preimages,
-    and the domain's closed sets are closed under intersection, so then
-    every closed set's preimage is closed.  Part 2: the F-Scott closure of a
-    consistent set is the down-set of its join."""
+    closed set of the codomain is closed: every closed set is the
+    intersection of the irreducibles containing it (the full set being the
+    empty intersection), the preimage of an intersection is the intersection
+    of the preimages, and the domain's closed sets are closed under
+    intersection, so then every closed set's preimage is closed.  Each
+    preimage is ``bytes(img)`` translated by the irreducible's
+    ``_membership_table``, looked up among the membership strings of the
+    domain's ``gamma_f``.  Part 2: the F-Scott closure of a consistent set is
+    the down-set of its join."""
     ck = VerificationReport.sweep(
         "Prop3.4", pair_bound=pair_bound, consistent_bound=consistent_bound
     )
     pool = _semilattices_upto(pair_bound)
-    irreducibles = [
-        [tuple(iter_bits(c)) for c in meet_irreducibles(gamma_f(m))] for m in pool
-    ]
+    irreducibles = [[_membership_table(c) for c in meet_irreducibles(gamma_f(m))] for m in pool]
     for l in pool:
-        l_closed = _f_closed_table(l)
+        elements = bytes(range(l.n))
+        l_closed = {elements.translate(_membership_table(a)) for a in gamma_f(l).members}
         for m, m_irreducibles in zip(pool, irreducibles):
             homs = set(_homomorphism_images(l, m))
             for img in iter_monotone_maps(l.poset, m.poset):
                 # is_homomorphism and is_f_scott_continuous, by lookup
                 hom = img in homs
-                cont = _continuous_by_table(img, l_closed, m.n, m_irreducibles)
+                cont = l_closed.issuperset(map(bytes(img).translate, m_irreducibles))
                 if hom != cont:
                     ck.fail(
                         f"homomorphism={hom} but continuity={cont}",
@@ -501,10 +486,11 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     ck = VerificationReport.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
     for l in _semilattices_upto(l_bound):
         closures = [cl_f(l, a) for a in range(1 << l.n)]
+        at_closures = itemgetter(*closures)
         for m in _semilattices_upto(m_bound):
             for g in _homomorphism_images(l, m):
                 sups = _image_sups(m, g)
-                if [sups[c] for c in closures] == sups:
+                if bytes(at_closures(sups)) == sups:
                     continue
                 for a, c in enumerate(closures):
                     if sups[a] != sups[c]:

@@ -167,10 +167,21 @@ def mutant_failures(step):
         return [f for p in catalog.standard_trio() for f in check_thm_3_10(p).failures]
 
 
+def member_maxima(p, members):
+    """Each member's maximal elements as ``_member_sups`` reads them: the
+    first one and a tuple of the others."""
+    out = []
+    for m in members:
+        elems = [x for x in range(p.n) if m >> x & 1]
+        top = [x for x in elems if not any(y != x and p.le[x][y] for y in elems)]
+        out.append((top[0], tuple(top[1:])))
+    return out
+
+
 def literal_lemma_2_3(p, semi_bound):
     """Lem2.3's failures by its own loop: every cached monotone map into every
-    semilattice at the bound, with one ``_image_sups`` table per map.  The
-    functions are read from ``powerlab.suite`` at call time, so a mutant
+    semilattice at the bound, with one ``_member_sups`` evaluation per map.
+    The functions are read from ``powerlab.suite`` at call time, so a mutant
     patched there reaches this loop and the check alike.  The reference for
     the Lem2.3 slice of ``_map_sweep``."""
     from powerlab import suite
@@ -178,11 +189,12 @@ def literal_lemma_2_3(p, semi_bound):
 
     ck = suite.VerificationReport.on_poset("Lem2.3", p, max_semilattice_n=semi_bound)
     members = suite.build_hc(p).family.members
+    maxima = member_maxima(p, members)
     for l in suite._semilattices_upto(semi_bound):
         for img in monotone_map_images(p, l.poset):
-            sups = suite._image_sups(l, img)
-            for m in members:
-                if sups[m] < 0:
+            ext = suite._member_sups(l, img, maxima)
+            for m, s in zip(members, ext):
+                if s == suite.NO_SUP:
                     ck.fail(
                         "member image has no least upper bound",
                         semilattice=l.poset.to_json(),
@@ -204,6 +216,7 @@ def literal_freeness(p, semi_bound):
     ck = suite.VerificationReport.on_poset("Freeness", p, max_semilattice_n=semi_bound)
     h = suite.build_hc(p)
     members = h.family.members
+    maxima = member_maxima(p, members)
     j_img = h.j.img
     hc_pairs = [(i, j) for i, r in enumerate(h.poset.le) for j, b in enumerate(r) if b and i != j]
 
@@ -212,7 +225,7 @@ def literal_freeness(p, semi_bound):
 
     for l in suite._semilattices_upto(semi_bound):
         monos = monotone_map_images(p, l.poset)
-        homs = suite._homomorphism_images(h.semilattice, l)
+        homs = tuple(suite.iter_homomorphisms(h.semilattice, l))
         hom_set = set(homs)
         groups = {}
         for g in homs:
@@ -224,10 +237,9 @@ def literal_freeness(p, semi_bound):
             )
         up = l.poset.up_masks
         for f_img in monos:
-            sups = suite._image_sups(l, f_img)
-            ext = tuple([sups[m] for m in members])
-            if -1 in ext:
-                undefined = members[ext.index(-1)]
+            ext = suite._member_sups(l, f_img, maxima)
+            if suite.NO_SUP in ext:
+                undefined = members[ext.index(suite.NO_SUP)]
                 fail_map("extension undefined on a member", member=p.subset_labels(undefined))
                 continue
             if any(not up[ext[i]] >> ext[j] & 1 for i, j in hc_pairs):
@@ -260,12 +272,12 @@ def literal_lemma_3_8(p, semi_bound):
 
     def refutable(l, img):
         sups = suite._image_sups(l, img)
-        return [a for a in subsets if sups[a] < 0]
+        return [a for a in subsets if sups[a] == suite.NO_SUP]
 
     for l in suite._semilattices_upto(semi_bound):
         refut_maps = {a for img in monotone_map_images(p, l.poset) for a in refutable(l, img)}
         refut_homs = set()
-        for g in suite._homomorphism_images(h.semilattice, l):
+        for g in suite.iter_homomorphisms(h.semilattice, l):
             refut_homs.update(refutable(l, tuple([g[k] for k in j_img])))
         if refut_maps != refut_homs:
             diff = refut_maps ^ refut_homs
@@ -292,7 +304,7 @@ def literal_lemma_3_6(l_bound, m_bound):
         for m in suite._semilattices_upto(m_bound):
             for g in suite._homomorphism_images(l, m):
                 sups = suite._image_sups(m, g)
-                if [sups[c] for c in closures] == sups:
+                if bytes([sups[c] for c in closures]) == sups:
                     continue
                 for a in range(1 << l.n):
                     if sups[a] != sups[closures[a]]:

@@ -1,9 +1,11 @@
 """The one map sweep behind Lem2.3, Freeness and Lem3.8: failure parity
 with each statement's own loop, mutants that reach every failure detail,
-cache hygiene and sharing, and one ``_image_sups`` table per map.  Lem3.6,
+cache hygiene and sharing, and one ``_member_sups`` evaluation and no full
+``_image_sups`` table per map on the pass path.  Lem3.6,
 which has its own loop over pairs of semilattices, is held to the same
 parity and runs no map sweep."""
 
+import itertools
 import json
 
 import pytest
@@ -11,11 +13,12 @@ import pytest
 from powerlab import catalog
 from powerlab.enumeration import monotone_map_images
 from powerlab.poset import iter_bits
-from powerlab.semilattice import _homomorphism_images
+from powerlab.semilattice import NO_SUP, iter_homomorphisms
 from powerlab.suite import (
     Config,
     _image_sups,
     _map_sweep,
+    _member_sups,
     _semilattices_upto,
     check_freeness,
     check_lemma_2_3,
@@ -42,11 +45,11 @@ CHECKS = (
 
 
 def _without_first_homomorphism(l, m):
-    return _homomorphism_images(l, m)[1:]
+    return itertools.islice(iter_homomorphisms(l, m), 1, None)
 
 
 def _without_homomorphisms(l, m):
-    return ()
+    return iter(())
 
 
 def _with_a_non_monotone_map(l, m):
@@ -56,29 +59,44 @@ def _with_a_non_monotone_map(l, m):
     g = tuple(k % m.n for k in range(l.n))
     up_l, up_m = l.poset.up_masks, m.poset.up_masks
     monotone = all(up_m[g[i]] >> g[j] & 1 for i in range(l.n) for j in iter_bits(up_l[i]))
-    return _homomorphism_images(l, m) + (() if monotone else (g,))
+    return itertools.chain(iter_homomorphisms(l, m), () if monotone else (g,))
+
+
+def _no_sup_for_the_last_member(l, img, maxima):
+    # the last member is the full domain whenever the poset has a top
+    return _member_sups(l, img, maxima)[:-1] + (NO_SUP,)
+
+
+def _shifted_sup_for_the_last_member(l, img, maxima):
+    # moves the last member's sup to the next element, so the extension
+    # leaves the homomorphisms and, into an antichain, stops being monotone
+    out = _member_sups(l, img, maxima)
+    return out if out[-1] == NO_SUP else out[:-1] + ((out[-1] + 1) % l.n,)
 
 
 def _no_sup_for_the_full_set(l, img):
-    # the full domain is a powerdomain member whenever the poset has a top
-    out = _image_sups(l, img)
-    out[-1] = -1
-    return out
+    # the full-table form of the undefined sup, for the statements that read
+    # every subset: the full domain's entry comes last
+    return _image_sups(l, img)[:-1] + bytes([NO_SUP])
 
 
 def _shifted_sup_for_the_full_set(l, img):
-    # moves the full set's sup to the next element, so the extension leaves
-    # the homomorphisms and, into an antichain, stops being monotone
+    # the full-table form of the shifted sup
     out = _image_sups(l, img)
-    if out[-1] >= 0:
-        out[-1] = (out[-1] + 1) % l.n
-    return out
+    return out if out[-1] == NO_SUP else out[:-1] + bytes([(out[-1] + 1) % l.n])
+
+
+# the full-table mutants, patched over ``_image_sups`` in powerlab.suite
+TABLE_MUTANTS = {
+    "undefined_sup": ("_image_sups", _no_sup_for_the_full_set),
+    "shifted_sup": ("_image_sups", _shifted_sup_for_the_full_set),
+}
 
 
 # (patched name in powerlab.suite, mutant, the failure details it must raise)
 MUTANTS = {
     "drop_one_homomorphism": (
-        "_homomorphism_images",
+        "iter_homomorphisms",
         _without_first_homomorphism,
         {
             ("Freeness", "{N} powerdomain maps vs {M} monotone maps"),
@@ -87,12 +105,12 @@ MUTANTS = {
         },
     ),
     "drop_every_homomorphism": (
-        "_homomorphism_images",
+        "iter_homomorphisms",
         _without_homomorphisms,
         {("Lem3.8", "map-refutable and embedding-refutable subsets disagree")},
     ),
     "add_a_non_monotone_map": (
-        "_homomorphism_images",
+        "iter_homomorphisms",
         _with_a_non_monotone_map,
         {
             ("Freeness", "{N} powerdomain maps vs {M} monotone maps"),
@@ -100,16 +118,16 @@ MUTANTS = {
         },
     ),
     "undefined_sup": (
-        "_image_sups",
-        _no_sup_for_the_full_set,
+        "_member_sups",
+        _no_sup_for_the_last_member,
         {
             ("Lem2.3", "member image has no least upper bound"),
             ("Freeness", "extension undefined on a member"),
         },
     ),
     "shifted_sup": (
-        "_image_sups",
-        _shifted_sup_for_the_full_set,
+        "_member_sups",
+        _shifted_sup_for_the_last_member,
         {
             ("Freeness", "extension not monotone"),
             ("Freeness", "extension does not restrict to the map"),
@@ -178,22 +196,29 @@ def test_mutant_result_does_not_leak(mutant):
     assert [checks[s](p, 2).verdict for s in statements] == ["PASS"] * len(statements)
 
 
-def test_one_sup_table_per_map():
-    # the three statements share one _image_sups table per (poset,
-    # semilattice, map) at their default bounds: posets <= 4, semilattices <= 4
-    calls = []
+def test_pass_path_reads_member_sups_only():
+    # at their default bounds, posets <= 4 and semilattices <= 4, the three
+    # statements evaluate each (poset, semilattice, map) at the powerdomain
+    # members once and build no full sup table
+    calls = {"_member_sups": 0, "_image_sups": 0}
 
-    def counted(l, img):
-        calls.append(1)
-        return _image_sups(l, img)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
 
     posets = small_posets(4)
     maps = sum(len(monotone_map_images(p, l.poset)) for p in posets for l in _semilattices_upto(4))
-    with sweep_mutant("_image_sups", counted):
-        for p in posets:
-            for check, _ in CHECKS:
-                assert check(p, 4).verdict == "PASS"
-    assert len(calls) == maps == 18526
+    with sweep_mutant("_member_sups", counted("_member_sups", _member_sups)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("powerlab.suite._image_sups", counted("_image_sups", _image_sups))
+            for p in posets:
+                for check, _ in CHECKS:
+                    assert check(p, 4).verdict == "PASS"
+    assert calls == {"_member_sups": maps, "_image_sups": 0}
+    assert maps == 18526
 
 
 # -- Lem3.6, by its own loop -----------------------------------------------------
@@ -213,7 +238,7 @@ def test_lemma_3_6_matches_its_loop_under_the_pair_join_mutant():
 
 
 def test_lemma_3_6_matches_its_loop_under_a_sup_mutant():
-    name, replacement, _ = MUTANTS["shifted_sup"]
+    name, replacement = TABLE_MUTANTS["shifted_sup"]
     with sweep_mutant(name, replacement):
         assert check_lemma_3_6(3, 3).failures
         for bounds in LEMMA_3_6_BOUNDS:

@@ -122,6 +122,24 @@ class TestVSemilattice:
                 assert l.sup_table[b] == least_upper_bound(up, full, b)
                 assert l.sup_of_bits(b) == l.sup_table[b]
 
+    def test_sup_translations_match_the_join_table(self):
+        from powerlab.semilattice import NO_SUP
+
+        for l in semis_upto(4):
+            for y, table in enumerate(l.sup_translations):
+                assert len(table) == 256
+                assert table[l.n] == y and table[NO_SUP] == NO_SUP
+                for s in range(l.n):
+                    assert table[s] == (NO_SUP if l.join[s][y] == -1 else l.join[s][y])
+            assert l.empty_sup == bytes([NO_SUP if l.sup_of_bits(0) is None else l.sup_of_bits(0)])
+
+    def test_sup_translations_refuse_255_elements(self):
+        # byte n marks the empty set, so it must differ from NO_SUP = 255
+        assert len(VSemilattice.from_poset(catalog.chain(254)).sup_translations) == 254
+        l = VSemilattice.from_poset(catalog.chain(255))
+        with pytest.raises(PosetError):
+            l.sup_translations
+
     def test_from_poset_matches_the_per_pair_scan(self):
         # the join table of the literal scan on every pair, or None when
         # some bounded pair has no least upper bound

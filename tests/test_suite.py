@@ -26,10 +26,12 @@ from powerlab.cli import main
 from powerlab.enumeration import canonical_form, enumerate_posets, monotone_map_images
 from powerlab.families import gamma, gamma0
 from powerlab.hoare import WitnessCert, build_hc, partial_join
-from powerlab.poset import PosetMap, iter_bits, scott_closure
+from powerlab.poset import PosetMap, scott_closure
 from powerlab.semilattice import (
+    NO_SUP,
     VSemilattice,
     _homomorphism_images,
+    _member_sups,
     gamma_f,
     is_f_scott_continuous,
     meet_irreducibles,
@@ -37,10 +39,8 @@ from powerlab.semilattice import (
 )
 from powerlab.suite import (
     STATEMENT_ORDER,
-    _continuous_by_table,
-    _f_closed_table,
-    _fibres,
     _image_sups,
+    _membership_table,
     _semilattices_upto,
     check_cor_3_11,
     check_enum,
@@ -57,6 +57,7 @@ from powerlab.suite import (
 
 from conftest import (
     closure_mutant,
+    member_maxima,
     mutant_failures,
     small_posets,
     sweep_mutant,
@@ -534,43 +535,43 @@ class TestTabulatedVerdicts:
                             )
 
     def test_prop_3_4_matches_f_scott_continuity(self):
-        pool = _semilattices_upto(3)
+        # every closed set of the codomain, as check_prop_3_4 reads the
+        # meet-irreducible ones: the image string translated by its
+        # membership table, looked up among the domain's closed strings
+        pool = _semilattices_upto(4)
         for l in pool:
-            closed = _f_closed_table(l)
+            closed = {bytes(range(l.n)).translate(_membership_table(a)) for a in gamma_f(l).members}
             for m in pool:
-                closed_sets = [tuple(iter_bits(c)) for c in gamma_f(m).members]
+                tables = [_membership_table(c) for c in gamma_f(m).members]
                 for img in monotone_map_images(l.poset, m.poset):
                     f = PosetMap(l.poset, m.poset, img)
-                    assert _continuous_by_table(img, closed, m.n, closed_sets) == (
-                        is_f_scott_continuous(f, l, m)
-                    )
+                    translated = all(bytes(img).translate(t) in closed for t in tables)
+                    assert translated == is_f_scott_continuous(f, l, m)
 
     def test_prop_3_4_irreducibles_match_f_scott_continuity(self):
         # Prop3.4 tests each map on the meet-irreducible closed sets only
         pool = _semilattices_upto(4)
         for l in pool:
-            closed = _f_closed_table(l)
+            closed = {bytes(range(l.n)).translate(_membership_table(a)) for a in gamma_f(l).members}
             for m in pool:
-                irreducibles = [tuple(iter_bits(c)) for c in meet_irreducibles(gamma_f(m))]
+                tables = [_membership_table(c) for c in meet_irreducibles(gamma_f(m))]
                 for img in monotone_map_images(l.poset, m.poset):
                     f = PosetMap(l.poset, m.poset, img)
-                    assert _continuous_by_table(img, closed, m.n, irreducibles) == (
-                        is_f_scott_continuous(f, l, m)
-                    )
+                    translated = all(bytes(img).translate(t) in closed for t in tables)
+                    assert translated == is_f_scott_continuous(f, l, m)
 
-    def test_preimage_table_matches_preimage_bits(self):
-        # a subset's preimage is the union of its elements' fibres
+    def test_translated_preimage_matches_preimage_bits(self):
+        # position i of the translated image string is 1 exactly when the
+        # image of i lies in the set, which makes the string, read from its
+        # end, the preimage's bitmask
         pool = _semilattices_upto(3)
         for l in pool:
             for m in pool:
                 for img in monotone_map_images(l.poset, m.poset):
                     f = PosetMap(l.poset, m.poset, img)
-                    fibres = _fibres(img, m.n)
                     for c in range(1 << m.n):
-                        pre = 0
-                        for v in iter_bits(c):
-                            pre |= fibres[v]
-                        assert pre == f.preimage_bits(c)
+                        translated = bytes(img).translate(_membership_table(c))
+                        assert int(translated[::-1], 2) == f.preimage_bits(c)
 
 
 class TestTableMutants:
@@ -579,7 +580,7 @@ class TestTableMutants:
     def test_prop_3_2_catches_invented_sups(self):
         # every subset whose image has no sup is given the first image's element
         def inventing(l, img):
-            return [img[0] if s < 0 else s for s in _image_sups(l, img)]
+            return _image_sups(l, img).replace(bytes([NO_SUP]), bytes([img[0]]))
 
         posets = small_posets(3)
         with sweep_mutant("_image_sups", inventing):
@@ -598,7 +599,8 @@ class TestTableMutants:
             top = p.down_masks.index(p.full_mask)
 
             def dropping(l, img, top=top):
-                return [-1 if a >> top & 1 else s for a, s in enumerate(_image_sups(l, img))]
+                sups = _image_sups(l, img)
+                return bytes(NO_SUP if a >> top & 1 else s for a, s in enumerate(sups))
 
             with sweep_mutant("_image_sups", dropping):
                 reports.append(check_prop_3_2(p, 3))
@@ -608,13 +610,14 @@ class TestTableMutants:
         assert [check_prop_3_2(p, 3).verdict for p in posets] == ["PASS"] * len(posets)
 
     def test_prop_3_2_catches_an_undefined_sup(self):
-        # test_map_sweep's undefined_sup mutant takes the full set's sup
-        # away; on a poset with a non-maximal element the set of maximal
-        # elements has the full set as closure and keeps its sup under a
-        # constant map, so closure transport breaks there
-        from test_map_sweep import MUTANTS
+        # test_map_sweep's undefined_sup mutant, in its full-table form,
+        # takes the full set's sup away; on a poset with a non-maximal
+        # element the set of maximal elements has the full set as closure
+        # and keeps its sup under a constant map, so closure transport
+        # breaks there
+        from test_map_sweep import TABLE_MUTANTS
 
-        name, mutant, _ = MUTANTS["undefined_sup"]
+        name, mutant = TABLE_MUTANTS["undefined_sup"]
         posets = [p for p in small_posets(3) if any(row != 1 << i for i, row in enumerate(p.up_masks))]
         with sweep_mutant(name, mutant):
             reports = [check_prop_3_2(p, 3) for p in posets]
@@ -669,15 +672,16 @@ class TestStatementMutants:
         assert [f["detail"] for f in report.failures] == ["poset is not sober"]
 
 
-def _sup_oracle(f: PosetMap, l: VSemilattice) -> list:
-    # the literal sup of each subset's image, -1 where there is none
+def _sup_oracle(f: PosetMap, l: VSemilattice) -> bytes:
+    # the literal sup of each subset's image, NO_SUP where there is none
     sups = [l.sup_of_bits(f.image_bits(a)) for a in range(1 << f.dom.n)]
-    return [-1 if s is None else s for s in sups]
+    return bytes(NO_SUP if s is None else s for s in sups)
 
 
 class TestImageSups:
-    """``_image_sups`` joins along the padded join columns; every entry must
-    be the literal sup of the subset's image."""
+    """``_image_sups`` translates along ``sup_translations``, and
+    ``_member_sups`` folds the same tables over maximal elements; every
+    entry must be the literal sup of the subset's image."""
 
     def test_monotone_maps_match_sup_of_bits(self):
         for n in range(1, 5):
@@ -686,6 +690,18 @@ class TestImageSups:
                     for img in monotone_map_images(p, l.poset):
                         f = PosetMap(p, l.poset, img)
                         assert _image_sups(l, img) == _sup_oracle(f, l)
+
+    def test_member_sups_match_sup_of_bits(self):
+        # every member of the powerdomain, which the map sweep evaluates
+        for p in small_posets(4):
+            members = build_hc(p).family.members
+            maxima = member_maxima(p, members)
+            for l in _semilattices_upto(4):
+                for img in monotone_map_images(p, l.poset):
+                    f = PosetMap(p, l.poset, img)
+                    expected = [l.sup_of_bits(f.image_bits(m)) for m in members]
+                    expected = tuple(NO_SUP if s is None else s for s in expected)
+                    assert _member_sups(l, img, maxima) == expected
 
     def test_homomorphisms_match_sup_of_bits(self):
         # Lem3.6's domain side: homomorphisms between semilattices
