@@ -72,7 +72,10 @@ def canonical_form(p: FinitePoset) -> bytes:
     - the initial colour of ``i`` ranks its (down-set size, up-set size);
     - a refinement round gives ``i`` the rank of (its colour, the sorted
       colours strictly below it, the sorted colours strictly above it), and
-      rounds repeat until no cell splits;
+      rounds repeat until no cell splits.  An element alone in its colour
+      cell gets just ``(colour,)``: no other signature starts with that
+      colour, so its neighbour colours never decide an order or an equality
+      between signatures, and dropping them leaves every rank unchanged;
     - a non-discrete colouring branches on its first non-singleton cell in
       colour order: each branch gives one element of that cell the fresh
       colour ``max + 1`` and refines again;
@@ -94,27 +97,37 @@ def canonical_form(p: FinitePoset) -> bytes:
     if cached is not None:
         return cached
     n = p.n
-    up, down = p.up_masks, p.down_masks
+    if n > 255:
+        raise PosetError(f"a canonical form's header byte holds at most 255 elements, not {n}")
+    up = p.up_masks
     elems = range(n)
-    # lists, not tuple(<generator>): such a tuple is allocated at a guessed
-    # size and shrunk, so once freed it lands in the free list of a smaller
-    # size than it came from, and those free lists fill up (about 0.8 MB
-    # more peak RSS over the n <= 7 enumeration)
-    above = [list(iter_bits(up[i] & ~(1 << i))) for i in elems]
-    below = [list(iter_bits(down[i] & ~(1 << i))) for i in elems]
-    twin_key = [(up[i] & ~(1 << i), down[i] & ~(1 << i)) for i in elems]
+    # one bit pass fills both, in ascending order.  Lists, not tuples: a
+    # tuple(<generator>) is allocated at a guessed size and shrunk, and once
+    # freed it fills the free list of a smaller size (about 0.8 MB more peak
+    # RSS over the n <= 7 enumeration)
+    above, below = [[] for _ in elems], [[] for _ in elems]
+    for i in elems:
+        rest = up[i] & ~(1 << i)
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            above[i].append(j)
+            below[j].append(i)
+            rest ^= low
 
     def refine(colors: list[int], k: int) -> tuple[list[int], int]:
         # colours are always 0..k-1, so a round that ranks k distinct
         # signatures reproduces them and is the fixpoint
         while k < n:
+            sizes = [0] * k
+            for c in colors:
+                sizes[c] += 1
+            get = colors.__getitem__
             sigs = [
-                (
-                    colors[i],
-                    tuple(sorted([colors[j] for j in below[i]])),
-                    tuple(sorted([colors[j] for j in above[i]])),
-                )
-                for i in elems
+                (c,)
+                if sizes[c] == 1
+                else (c, tuple(sorted(map(get, below[i]))), tuple(sorted(map(get, above[i]))))
+                for i, c in enumerate(colors)
             ]
             distinct = sorted(set(sigs))
             if len(distinct) == k:
@@ -126,10 +139,11 @@ def canonical_form(p: FinitePoset) -> bytes:
 
     # an explicit stack: a nested function that calls itself is a reference
     # cycle, left to the garbage collector after every call
-    initial = [(down[i].bit_count(), up[i].bit_count()) for i in elems]
+    initial = [(len(below[i]), len(above[i])) for i in elems]
     ranking = {s: r for r, s in enumerate(sorted(set(initial)))}
     stack = [refine([ranking[s] for s in initial], len(ranking))]
     best = 1 << n * n  # above every leaf
+    twin_key = None
     while stack:
         colors, k = stack.pop()
         if k == n:
@@ -142,6 +156,8 @@ def canonical_form(p: FinitePoset) -> bytes:
                 acc |= (row | 1 << colors[i]) << colors[i] * n
             best = min(best, acc)
             continue
+        if twin_key is None:
+            twin_key = [(up[i] & ~(1 << i), p.down_masks[i] & ~(1 << i)) for i in elems]
         sizes = [0] * k
         for c in colors:
             sizes[c] += 1
@@ -237,8 +253,9 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
     for prev in _canonical_forms(n - 1):
         p = _poset_from_form(prev)
         up, down = p.up_masks, p.down_masks
-        # (element, down-set size) of the parent's maximal elements
-        maximal = [(i, down[i].bit_count()) for i in range(n - 1) if up[i] == 1 << i]
+        # over[s]: the parent's maximal elements whose down-sets exceed size s
+        maximal = [i for i in range(n - 1) if up[i] == 1 << i]
+        over = [sum(1 << i for i in maximal if down[i].bit_count() > s) for s in range(n + 1)]
         # (a, b) with b the next twin after a in index order: keep b only with a
         classes: dict = {}
         for i in range(n - 1):
@@ -246,10 +263,9 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
         twins = [(c[k], c[k + 1]) for c in classes.values() for k in range(len(c) - 1)]
         # the new element n - 1 is maximal and lies above exactly the ideal
         for ideal in _ideals(p, include_empty=True):
-            size = ideal.bit_count() + 1
-            if any(d > size for i, d in maximal if not ideal >> i & 1):
+            if over[ideal.bit_count() + 1] & ~ideal:
                 continue
-            if any(ideal >> b & 1 and not ideal >> a & 1 for a, b in twins):
+            if twins and any(ideal >> b & 1 and not ideal >> a & 1 for a, b in twins):
                 continue
             child = [row | top if ideal >> i & 1 else row for i, row in enumerate(up)]
             child.append(top)

@@ -14,6 +14,7 @@ import json
 import string
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 
 class PosetError(ValueError):
@@ -32,9 +33,14 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+# a..z, then x26, x27, ...: enough for every poset a canonical form can pack
+_LABELS = tuple(string.ascii_lowercase) + tuple(f"x{i}" for i in range(26, 256))
+
+
 def _default_labels(n: int) -> tuple[str, ...]:
-    letters = string.ascii_lowercase
-    return tuple(letters[i] if i < 26 else f"x{i}" for i in range(n))
+    if n > len(_LABELS):
+        return _LABELS + tuple(f"x{i}" for i in range(len(_LABELS), n))
+    return _LABELS[:n]
 
 
 class FinitePoset:
@@ -54,9 +60,8 @@ class FinitePoset:
         for row in rows:
             if len(row) != n:
                 raise PosetError(f"relation matrix must be square, got shape {(n, len(row))}")
-        self._set_relation(
-            tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows), labels
-        )
+        powers = [1 << j for j in range(n)]
+        self._set_relation(tuple([sum(compress(powers, row)) for row in rows]), labels)
 
     def _set_relation(self, up: tuple[int, ...], labels) -> None:
         n = len(up)
@@ -70,19 +75,17 @@ class FinitePoset:
             raise PosetError(f"expected {n} labels, got {len(labels)}")
         if len(set(labels)) != n:
             raise PosetError("duplicate label")
+        # one pass checks each row's range and reflexivity, reads the columns
+        # and what each row reaches in two steps; a reflexive row is transitive
+        # iff that reach is the row.  iter_bits is inlined: every poset built
+        # runs this loop, and the generator would double its cost
+        down = [0] * n
+        reflexive = transitive = True
         for i, row in enumerate(up):
             if row >> n:
                 raise PosetError(f"up-mask of element {i} has bits outside 0..{n - 1}")
-        if any(not row >> i & 1 for i, row in enumerate(up)):
-            raise PosetError("relation is not reflexive")
-        # one pass reads the columns and what each row reaches in two steps;
-        # a reflexive row is transitive iff that two-step reach is the row.
-        # iter_bits is inlined: every poset built runs this loop, and the
-        # generator would double its cost
-        down = [0] * n
-        transitive = True
-        for i, row in enumerate(up):
             bit, reach, rest = 1 << i, 0, row
+            reflexive = reflexive and row & bit
             while rest:
                 low = rest & -rest
                 j = low.bit_length() - 1
@@ -90,8 +93,11 @@ class FinitePoset:
                 reach |= up[j]
                 rest ^= low
             transitive = transitive and reach == row
-        if any(row & down[i] != 1 << i for i, row in enumerate(up)):
-            raise PosetError("relation is not antisymmetric")
+        if not reflexive:
+            raise PosetError("relation is not reflexive")
+        for i, row in enumerate(up):
+            if row & down[i] != 1 << i:
+                raise PosetError("relation is not antisymmetric")
         if not transitive:
             raise PosetError("relation is not transitive")
         self.n = n

@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerlab import FinitePoset, canonical_form, enumerate_posets, unpack_canonical
+from powerlab import (
+    FinitePoset,
+    PosetError,
+    are_isomorphic,
+    canonical_form,
+    catalog,
+    enumerate_posets,
+    unpack_canonical,
+)
 from powerlab.poset import iter_bits
 
 from conftest import literal_canonical_form
@@ -40,6 +48,16 @@ class TestAgainstUnprunedSearch:
     def test_empty_poset(self):
         empty = FinitePoset.from_covers([], [])
         assert canonical_form(empty) == literal_canonical_form(empty) == bytes([0])
+
+
+def test_the_header_byte_bounds_the_size():
+    largest = catalog.antichain(255)
+    assert unpack_canonical(canonical_form(largest)) == largest
+    p = catalog.antichain(256)
+    with pytest.raises(PosetError, match="at most 255 elements, not 256"):
+        canonical_form(p)
+    with pytest.raises(PosetError, match="at most 255 elements"):
+        are_isomorphic(p, p)
 
 
 def crown_union(*halves):

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from powerlab import Config, FinitePoset, enumerate_posets, run_all
+from powerlab import Config, FinitePoset, canonical_form, enumerate_posets, run_all
 from powerlab import enumeration
 from powerlab.enumeration import POSET_COUNTS, _canonical_forms
 from powerlab.poset import InvariantError, _ideals
@@ -19,6 +19,10 @@ from conftest import literal_canonical_forms
 FILTERED_CANDIDATES = {1: 1, 2: 2, 3: 5, 4: 16, 5: 68, 6: 350, 7: 2333}
 
 FORMS_DIGEST = "fd2eb824a2ead515603ae182e42bf32143ddb34e01706510912260c9c74b68cf"
+
+# the n = 8 forms, past the literal search (n <= 7) and the brute-force
+# oracle (n <= 6); only A000112's count and these bytes check them
+FORMS_8_DIGEST = "c96a299eb6e84493111b01eba24310a98321154332b533f7c2eebff285c8b91a"
 
 
 @contextmanager
@@ -43,6 +47,32 @@ def test_forms_match_the_unfiltered_loop(n):
 def test_forms_are_pinned():
     data = b"".join(f for n in range(1, 8) for f in _canonical_forms(n))
     assert hashlib.sha256(data).hexdigest() == FORMS_DIGEST
+
+
+def test_forms_of_eight_are_pinned():
+    forms = _canonical_forms(8)
+    assert len(forms) == POSET_COUNTS[8]
+    assert hashlib.sha256(b"".join(forms)).hexdigest() == FORMS_8_DIGEST
+
+
+def test_generation_runs_no_bit_generator(monkeypatch):
+    # canonical_form and the generator read the masks in plain loops: a
+    # per-element iter_bits generator would cost more than the search
+    classes = {n: _canonical_forms(n) for n in range(1, 7)}
+    fresh = [FinitePoset.from_up_masks(p.up_masks) for n in classes for p in enumerate_posets(n)]
+
+    def refuse(mask):
+        raise AssertionError("iter_bits called")
+
+    monkeypatch.setattr(enumeration, "iter_bits", refuse)
+    assert sorted(canonical_form(p) for p in fresh) == [f for n in classes for f in classes[n]]
+    _canonical_forms.cache_clear()
+    enumeration._poset_from_form.cache_clear()
+    try:
+        assert {n: _canonical_forms(n) for n in classes} == classes
+    finally:
+        _canonical_forms.cache_clear()
+        enumeration._poset_from_form.cache_clear()
 
 
 def _counting_builds(monkeypatch) -> list:

@@ -214,6 +214,19 @@ class TestAxiomOracle:
             assert renamed != from_matrix and renamed != from_masks
             assert len({from_matrix, from_masks, renamed}) == 2
 
+    def test_any_truth_values_build_the_same_poset(self):
+        truthy, falsy = ("yes", 2, -1, 0.5, [0]), (None, "", 0.0, [], ())
+        for p in small_posets(5):
+            bools = [list(row) for row in p.le]
+            ints = [[int(v) for v in row] for row in bools]
+            mixed = [
+                [(truthy if v else falsy)[(i + j) % 5] for j, v in enumerate(row)]
+                for i, row in enumerate(bools)
+            ]
+            built = [FinitePoset(m) for m in (bools, ints, mixed)]
+            assert built == [p] * 3
+            assert all(q.up_masks == p.up_masks and q.down_masks == p.down_masks for q in built)
+
     def test_closure_of_random_covers_matches_oracle(self):
         rng = random.Random(11)
         for _ in range(300):
@@ -516,6 +529,10 @@ class TestCatalog:
         assert p.n == 30 and len(set(p.labels)) == 30
         assert p.up_masks == tuple(1 << i for i in range(30))
         assert catalog.antichain(10).labels == tuple("abcdefghij")
+        # past the precomputed labels too: a..z, then x26, x27, ...
+        for n in (255, 256, 257, 300):
+            want = tuple("abcdefghijklmnopqrstuvwxyz"[i] if i < 26 else f"x{i}" for i in range(n))
+            assert catalog.antichain(n).labels == want
 
 
 class TestHasseAndExport:
