@@ -300,7 +300,9 @@ def iter_monotone_maps(p: FinitePoset, q: FinitePoset):
     Backtracking along that linear extension: the candidates for each element
     are the common up-set of the images of its predecessors, tried in
     increasing order.  The stack is explicit, one candidate mask per depth, so
-    nothing refers to itself and no garbage is left for the collector.
+    nothing refers to itself and no garbage is left for the collector; the
+    last element's candidates are assigned in one inner loop, with no push or
+    pop per map.
     """
     n = p.n
     if n == 0:
@@ -310,22 +312,25 @@ def iter_monotone_maps(p: FinitePoset, q: FinitePoset):
     # preds[k]: the elements strictly below order[k], all earlier in the order
     preds = [list(iter_bits(p.down_masks[e] & ~(1 << e))) for e in order]
     up, full = q.up_masks, q.full_mask
-    last = n - 1
+    last, leaf = n - 1, order[-1]
     img = [0] * n
     rest = [0] * n  # rest[k]: the candidates for order[k] not yet tried
     rest[0] = full
     k = 0
     while k >= 0:
         cand = rest[k]
+        if k == last:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                img[leaf] = low.bit_length() - 1
+                yield tuple(img)
         if not cand:
             k -= 1
             continue
         low = cand & -cand
         rest[k] = cand ^ low
         img[order[k]] = low.bit_length() - 1
-        if k == last:
-            yield tuple(img)
-            continue
         k += 1
         cand = full
         for x in preds[k]:

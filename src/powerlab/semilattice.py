@@ -15,6 +15,15 @@ streams them.  Sups of images run on ``sup_translations``, one 256-byte
 ``bytes.translate`` table per element: ``_image_sups`` gives the sup of
 every subset's image under a map as bytes, ``NO_SUP`` marking none, and
 ``_member_sups`` the sups at given lower sets only, from their maximal
+elements.  ``_column_sups`` runs ``_image_sups``'s fold for many maps at
+once: the images of each domain element form a column, byte ``r`` for map
+``r``, and each step of the fold joins every (sup, image) byte pair of
+every subset so far with one ``translate`` of ``(sups << 4) | column``
+through ``_column_join``, a table derived from ``sup_translations``.  The
+fold visits the elements and subsets in ``_image_sups``'s order and reads
+the same tables, so byte ``r`` of each result is ``_image_sups`` of map
+``r``.  A sup and an image must each fit a nibble, with 15 for no sup and
+the codomain's size for the empty set, so the codomain has at most 14
 elements.
 
 The module carries no test switch: mutation probes replace a ``cl_f`` step
@@ -216,6 +225,42 @@ def _image_sups(l: VSemilattice, img) -> bytes:
     for v in img:
         out += out.translate(tables[v])
     return l.empty_sup + out[1:]
+
+
+def _column_join(m: VSemilattice) -> bytes:
+    """A ``translate`` table of ``m``'s join on packed nibble pairs: entry
+    ``(s << 4) | y`` is ``sup_translations[y][s]``, with 15 for ``NO_SUP``.
+
+    Read at ``s`` a sup, ``m.n`` for the empty set or 15 for none, and at
+    ``y`` an element, it gives the sup with ``y`` added, as ``_image_sups``
+    does; the nibbles need ``m.n <= 14``, else a ``PosetError``."""
+    if m.n > 14:
+        raise PosetError(f"sup columns pack at most 14 elements, not {m.n}")
+    rows = zip(*(t[:16] for t in m.sup_translations))
+    return b"".join(bytes(row).ljust(16, b"\x0f") for row in rows).replace(bytes([NO_SUP]), b"\x0f")
+
+
+def _column_sups(m: VSemilattice, images, join: bytes) -> tuple:
+    """``_image_sups`` of many maps at once: byte ``r`` of ``out[a]`` is
+    ``_image_sups(m, images[r])[a]``, with 15 for ``NO_SUP``.
+
+    The subsets' sups sit one after another in one byte string, ``k`` bytes
+    per subset for the ``k`` maps, as ``_image_sups`` keeps one byte per
+    subset; each domain element ``x`` extends all of them at once, in the
+    same order, by ``out[a | bit(x)] = join(out[a], column x)``.  Column
+    ``x`` holds ``images[r][x]`` at byte ``r``, repeated once per subset so
+    far, and each byte pair is packed as ``(out << 4) | column`` and joined
+    by one ``translate`` through ``join``, ``_column_join(m)``.  Every byte
+    of ``out`` is at most 15, so the shift carries nothing into the next
+    byte.  The empty set's ``m.n`` gives way to ``m.empty_sup`` at the end.
+    ``images`` must not be empty."""
+    k = len(images)
+    out = bytes([m.n]) * k
+    for col in zip(*images):
+        col = int.from_bytes(bytes(col) * (len(out) // k), "big")
+        out += ((int.from_bytes(out, "big") << 4) | col).to_bytes(len(out), "big").translate(join)
+    out = bytes([min(m.empty_sup[0], 15)]) * k + out[k:]
+    return tuple(out[a : a + k] for a in range(0, len(out), k))
 
 
 def _member_sups(l: VSemilattice, img, maxima) -> tuple:
@@ -438,8 +483,11 @@ def iter_homomorphisms(l: VSemilattice, m: VSemilattice):
     """The images of the homomorphisms ``l -> m``, streamed in the order of
     ``iter_monotone_maps``: the monotone maps that preserve the join of each
     pair of ``l.join_triples``, since a monotone map already preserves the
-    join of a comparable pair."""
+    join of a comparable pair.  With no such pair every monotone map is one."""
     triples = l.join_triples
+    if not triples:
+        yield from iter_monotone_maps(l.poset, m.poset)
+        return
     jm = m.join
     for img in iter_monotone_maps(l.poset, m.poset):
         for i, j, z in triples:

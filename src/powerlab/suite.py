@@ -17,7 +17,8 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, not_
 
 from .enumeration import (
     DEFAULT_MAX_N,
@@ -44,6 +45,8 @@ from .poset import (
 )
 from .semilattice import (
     NO_SUP,
+    _column_join,
+    _column_sups,
     _homomorphism_images,
     _image_sups,
     _member_sups,
@@ -438,32 +441,47 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     intersection of the irreducibles containing it (the full set being the
     empty intersection), the preimage of an intersection is the intersection
     of the preimages, and the domain's closed sets are closed under
-    intersection, so then every closed set's preimage is closed.  Each
-    preimage is ``bytes(img)`` translated by the irreducible's
-    ``_membership_table``, looked up among the membership strings of the
-    domain's ``gamma_f``.  Part 2: the F-Scott closure of a consistent set is
-    the down-set of its join."""
+    intersection, so then every closed set's preimage is closed.
+
+    A pair's maps are decided at once, by columns: byte ``r`` of column
+    ``x`` is the image of ``x`` under map ``r``.  Translated by a bit table,
+    ``_membership_table`` of an irreducible with ``b"1"`` read as ``1 << x``,
+    and summed over ``x``, the columns give every map's preimage as a subset
+    index, one byte each, so the pair bound is at most 8.  One more
+    ``translate`` flags the maps whose preimage is not closed: through the
+    ``_membership_table`` of the subset indices that are not F-Scott closed
+    in the domain, read as 0 and 1.  Part 2: the F-Scott closure of a
+    consistent set is the down-set of its join."""
+    if pair_bound > 8:
+        raise PosetError(f"Prop3.4 packs preimages in bytes: pair bound {pair_bound} exceeds 8")
     ck = VerificationReport.sweep(
         "Prop3.4", pair_bound=pair_bound, consistent_bound=consistent_bound
     )
     pool = _semilattices_upto(pair_bound)
-    irreducibles = [[_membership_table(c) for c in meet_irreducibles(gamma_f(m))] for m in pool]
+    as_bit = [bytes.maketrans(b"01", bytes([0, 1 << x])) for x in range(pair_bound)]
+    irreducibles = [list(map(_membership_table, meet_irreducibles(gamma_f(m)))) for m in pool]
+    irreducibles = [[[c.translate(t) for t in as_bit] for c in cs] for cs in irreducibles]
     for l in pool:
-        elements = bytes(range(l.n))
-        l_closed = {elements.translate(_membership_table(a)) for a in gamma_f(l).members}
+        unclosed = _membership_table(~sum(1 << a for a in gamma_f(l).members)).translate(as_bit[0])
         for m, m_irreducibles in zip(pool, irreducibles):
+            maps = tuple(iter_monotone_maps(l.poset, m.poset))
+            columns = [bytes(col) for col in zip(*maps)]
+            broken = 0
+            for tables in m_irreducibles:
+                pre = sum(int.from_bytes(x.translate(t), "big") for x, t in zip(columns, tables))
+                broken |= int.from_bytes(pre.to_bytes(len(maps), "big").translate(unclosed), "big")
+            # byte r of hom ^ broken is 0 where map r is a homomorphism but
+            # not continuous, or continuous but no homomorphism
             homs = set(_homomorphism_images(l, m))
-            for img in iter_monotone_maps(l.poset, m.poset):
-                # is_homomorphism and is_f_scott_continuous, by lookup
-                hom = img in homs
-                cont = l_closed.issuperset(map(bytes(img).translate, m_irreducibles))
-                if hom != cont:
-                    ck.fail(
-                        f"homomorphism={hom} but continuity={cont}",
-                        dom=l.poset.to_json(),
-                        cod=m.poset.to_json(),
-                        map=list(img),
-                    )
+            hom = bytes(map(homs.__contains__, maps))
+            agree = (int.from_bytes(hom, "big") ^ broken).to_bytes(len(maps), "big")
+            for img, h in compress(zip(maps, hom), map(not_, agree)):
+                ck.fail(
+                    f"homomorphism={bool(h)} but continuity={not h}",
+                    dom=l.poset.to_json(),
+                    cod=m.poset.to_json(),
+                    map=list(img),
+                )
     for l in _semilattices_upto(consistent_bound):
         for a in range(1, 1 << l.n):
             if not is_consistent(l.poset, a):
@@ -481,19 +499,25 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
 def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     """A subset and its F-Scott closure are refuted by exactly the same
     homomorphisms, so join-existence transports across the closure: each
-    homomorphism's ``_image_sups`` table must agree at every subset and at
-    that subset's ``cl_f`` closure."""
+    homomorphism's sups must agree at every subset and at that subset's
+    ``cl_f`` closure.  A pair's homomorphisms are evaluated at once by
+    ``_column_sups``, whose nibbles hold codomains of at most 14 elements."""
+    if m_bound > 14:
+        raise PosetError(f"Lem3.6 packs sups into nibbles: m bound {m_bound} exceeds 14")
     ck = VerificationReport.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
+    pool = _semilattices_upto(m_bound)
+    joins = [_column_join(m) for m in pool]
     for l in _semilattices_upto(l_bound):
         closures = [cl_f(l, a) for a in range(1 << l.n)]
         at_closures = itemgetter(*closures)
-        for m in _semilattices_upto(m_bound):
-            for g in _homomorphism_images(l, m):
-                sups = _image_sups(m, g)
-                if bytes(at_closures(sups)) == sups:
-                    continue
+        for m, join in zip(pool, joins):
+            homs = _homomorphism_images(l, m)
+            sups = _column_sups(m, homs, join)
+            if at_closures(sups) == sups:
+                continue
+            for r, g in enumerate(homs):
                 for a, c in enumerate(closures):
-                    if sups[a] != sups[c]:
+                    if sups[a][r] != sups[c][r]:
                         ck.fail(
                             "join-existence does not transport across the closure",
                             dom=l.poset.to_json(),

@@ -318,6 +318,38 @@ def literal_lemma_3_6(l_bound, m_bound):
     return ck.failures
 
 
+def literal_prop_3_4(pair_bound):
+    """Prop3.4's part-1 failures by its own loop, one map at a time: each
+    monotone map between semilattices at the bound is a homomorphism when it
+    is among the cached ones, and continuous when ``preimage_bits`` of each
+    meet-irreducible closed set of the codomain is a closed set of the
+    domain.  The functions are read at call time, so a mutant patched in
+    ``powerlab.suite`` reaches this loop and the check alike.  The
+    reference for ``check_prop_3_4(pair_bound, 0)``."""
+    from powerlab import suite
+    from powerlab.poset import PosetMap
+
+    ck = suite.VerificationReport.sweep("Prop3.4", pair_bound=pair_bound, consistent_bound=0)
+    pool = suite._semilattices_upto(pair_bound)
+    for l in pool:
+        closed = set(suite.gamma_f(l).members)
+        for m in pool:
+            homs = set(suite._homomorphism_images(l, m))
+            irreducibles = suite.meet_irreducibles(suite.gamma_f(m))
+            for img in suite.iter_monotone_maps(l.poset, m.poset):
+                f = PosetMap(l.poset, m.poset, img)
+                hom = img in homs
+                cont = all(f.preimage_bits(c) in closed for c in irreducibles)
+                if hom != cont:
+                    ck.fail(
+                        f"homomorphism={hom} but continuity={cont}",
+                        dom=l.poset.to_json(),
+                        cod=m.poset.to_json(),
+                        map=list(img),
+                    )
+    return ck.failures
+
+
 @contextmanager
 def sweep_mutant(name, replacement):
     """Run with ``powerlab.suite.<name>`` replaced by ``replacement``, a
