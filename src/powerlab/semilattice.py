@@ -11,20 +11,14 @@ all closed sets with the lectic Next-Closure algorithm, so the work is
 proportional to the number of closed sets rather than to 2**n.
 Homomorphisms are the monotone maps of ``iter_monotone_maps`` that preserve
 the join of every consistent incomparable pair; ``iter_homomorphisms``
-streams them.  Sups of images run on ``sup_translations``, one 256-byte
-``bytes.translate`` table per element: ``_image_sups`` gives the sup of
-every subset's image under a map as bytes, ``NO_SUP`` marking none, and
-``_member_sups`` the sups at given lower sets only, from their maximal
-elements.  ``_column_sups`` runs ``_image_sups``'s fold for many maps at
-once: the images of each domain element form a column, byte ``r`` for map
-``r``, and each step of the fold joins every (sup, image) byte pair of
-every subset so far with one ``translate`` of ``(sups << 4) | column``
-through ``_column_join``, a table derived from ``sup_translations``.  The
-fold visits the elements and subsets in ``_image_sups``'s order and reads
-the same tables, so byte ``r`` of each result is ``_image_sups`` of map
-``r``.  A sup and an image must each fit a nibble, with 15 for no sup and
-the codomain's size for the empty set, so the codomain has at most 14
-elements.
+streams them.  Sups of images have one evaluator, ``_column_sups``, which
+gives them for many maps at once, as bytes: the images of each domain
+element form a column, byte ``r`` for map ``r``, and each domain element
+extends the sups of every subset so far with one ``translate`` of
+``(sups << 4) | column`` through ``VSemilattice.column_join``, the join on
+packed nibble pairs.  A sup and an image must each fit a nibble, with
+``NO_SUP`` = 15 for no sup and the codomain's size for the empty set, so
+the codomain has at most 14 elements.
 
 The module carries no test switch: mutation probes replace a ``cl_f`` step
 in this module's namespace from outside, and clear ``gamma_f``'s cache, the
@@ -57,8 +51,8 @@ from .poset import (
     sup,
 )
 
-# the byte that marks a set with no least upper bound in a sup table
-NO_SUP = 255
+# the nibble that marks a set with no least upper bound in a sup column
+NO_SUP = 15
 
 
 class VSemilattice:
@@ -143,29 +137,20 @@ class VSemilattice:
         return tuple(principal.get(ub) for ub in self.bound_masks)
 
     @cached_property
-    def sup_translations(self) -> tuple:
-        """``sup_translations[y]`` is a 256-byte ``bytes.translate`` table:
-        entry ``s`` is ``join[s][y]``, or ``NO_SUP`` where that is undefined,
-        entry ``n`` is ``y`` and every other entry is ``NO_SUP``.
-
-        Read at a set's sup ``s`` it gives the sup of that set with ``y``
-        added; entry ``n`` stands for the empty set, and a set with no sup
-        stays without one.  ``_image_sups`` and ``_member_sups`` run on these
-        tables, so they need ``n`` and ``NO_SUP`` to be distinct bytes: a
-        semilattice of ``NO_SUP`` or more elements is a ``PosetError``."""
+    def column_join(self) -> bytes:
+        """A ``bytes.translate`` table of the join on packed nibble pairs:
+        entry ``(s << 4) | y`` is ``join[s][y]``, or ``NO_SUP`` where that is
+        undefined.  Row ``n`` stands for the empty set and is the identity;
+        every other entry is ``NO_SUP``, so a set with no sup stays without
+        one.  Read at a set's sup ``s`` and an element ``y`` it gives the sup
+        of that set with ``y`` added.  The nibbles need ``n <= 14``, else a
+        ``PosetError``; ``_column_sups`` is its one reader."""
         n = self.n
-        if n >= NO_SUP:
-            raise PosetError(f"sup tables hold at most {NO_SUP - 1} elements, not {n}")
-        columns = ([NO_SUP if v == -1 else v for v in col] for col in zip(*self.join))
-        pad = bytes([NO_SUP]) * (255 - n)
-        return tuple(bytes(col) + bytes([y]) + pad for y, col in enumerate(columns))
-
-    @cached_property
-    def empty_sup(self) -> bytes:
-        """The sup of the empty set, the bottom ``sup_of_bits(0)``, as one byte
-        of a sup table: ``NO_SUP`` when there is no bottom."""
-        bottom = self.sup_of_bits(0)
-        return bytes([NO_SUP if bottom is None else bottom])
+        if n > 14:
+            raise PosetError(f"sup columns pack at most 14 elements, not {n}")
+        pad = bytes([NO_SUP])
+        rows = [[NO_SUP if v == -1 else v for v in row] for row in self.join] + [range(n)]
+        return b"".join(bytes(row).ljust(16, pad) for row in rows).ljust(256, pad)
 
     @cached_property
     def join_triples(self) -> tuple:
@@ -207,80 +192,36 @@ def is_v_semilattice(p: FinitePoset) -> bool:
     return VSemilattice.from_poset(p) is not None
 
 
-def _image_sups(l: VSemilattice, img) -> bytes:
-    """``out[a]``: the least upper bound in ``l`` of the image of subset ``a``
-    of the domain under ``img``, or ``NO_SUP`` if it has none; one byte per
-    domain subset.
-
-    One ``translate`` per domain element, by the recurrence ``out[a | bit(y)]
-    = join(out[a], img[y])`` on ``l.sup_translations``, where byte ``n``
-    marks the empty image until its sup, ``l.empty_sup``, replaces it.  This
-    is sound in a semilattice: for a nonempty S with sup s, sup(S ∪ {y})
-    exists exactly when join(s, y) does, and then they are equal, since an
-    upper bound of S ∪ {y} bounds s and y; a nonempty S with no sup is
-    unbounded, because a bounded nonempty set has a sup, and so is S ∪ {y}.
-    """
-    tables = l.sup_translations
-    out = bytes([len(tables)])
-    for v in img:
-        out += out.translate(tables[v])
-    return l.empty_sup + out[1:]
-
-
-def _column_join(m: VSemilattice) -> bytes:
-    """A ``translate`` table of ``m``'s join on packed nibble pairs: entry
-    ``(s << 4) | y`` is ``sup_translations[y][s]``, with 15 for ``NO_SUP``.
-
-    Read at ``s`` a sup, ``m.n`` for the empty set or 15 for none, and at
-    ``y`` an element, it gives the sup with ``y`` added, as ``_image_sups``
-    does; the nibbles need ``m.n <= 14``, else a ``PosetError``."""
-    if m.n > 14:
-        raise PosetError(f"sup columns pack at most 14 elements, not {m.n}")
-    rows = zip(*(t[:16] for t in m.sup_translations))
-    return b"".join(bytes(row).ljust(16, b"\x0f") for row in rows).replace(bytes([NO_SUP]), b"\x0f")
-
-
-def _column_sups(m: VSemilattice, images, join: bytes) -> tuple:
-    """``_image_sups`` of many maps at once: byte ``r`` of ``out[a]`` is
-    ``_image_sups(m, images[r])[a]``, with 15 for ``NO_SUP``.
+def _column_sups(m: VSemilattice, images) -> tuple:
+    """The sups in ``m`` of the images of every domain subset under many
+    maps at once: byte ``r`` of ``out[a]`` is the least upper bound of the
+    image of subset ``a`` under ``images[r]``, or ``NO_SUP`` if it has none.
 
     The subsets' sups sit one after another in one byte string, ``k`` bytes
-    per subset for the ``k`` maps, as ``_image_sups`` keeps one byte per
-    subset; each domain element ``x`` extends all of them at once, in the
-    same order, by ``out[a | bit(x)] = join(out[a], column x)``.  Column
-    ``x`` holds ``images[r][x]`` at byte ``r``, repeated once per subset so
-    far, and each byte pair is packed as ``(out << 4) | column`` and joined
-    by one ``translate`` through ``join``, ``_column_join(m)``.  Every byte
-    of ``out`` is at most 15, so the shift carries nothing into the next
-    byte.  The empty set's ``m.n`` gives way to ``m.empty_sup`` at the end.
-    ``images`` must not be empty."""
+    per subset for the ``k`` maps, and each domain element ``x`` extends all
+    of them at once, in subset order, by the recurrence ``out[a | bit(x)] =
+    join(out[a], column x)``.  Column ``x`` holds ``images[r][x]`` at byte
+    ``r``, repeated once per subset so far, and each byte pair is packed as
+    ``(out << 4) | column`` and joined by one ``translate`` through
+    ``m.column_join``; every byte of ``out`` is at most 15, so the shift
+    carries nothing into the next byte.  The empty set's ``m.n`` gives way
+    to the bottom at the end.  The recurrence is sound in a semilattice: for
+    a nonempty S with sup s, sup(S ∪ {y}) exists exactly when join(s, y)
+    does, and then they are equal, since an upper bound of S ∪ {y} bounds s
+    and y; a nonempty S with no sup is unbounded, because a bounded nonempty
+    set has a sup, and so is S ∪ {y}.  With no maps there is no column to
+    fold, and the result is one empty string, the empty set's."""
     k = len(images)
+    if not k:
+        return (b"",)
+    join = m.column_join
     out = bytes([m.n]) * k
     for col in zip(*images):
         col = int.from_bytes(bytes(col) * (len(out) // k), "big")
         out += ((int.from_bytes(out, "big") << 4) | col).to_bytes(len(out), "big").translate(join)
-    out = bytes([min(m.empty_sup[0], 15)]) * k + out[k:]
+    bottom = m.sup_of_bits(0)
+    out = bytes([NO_SUP if bottom is None else bottom]) * k + out[k:]
     return tuple(out[a : a + k] for a in range(0, len(out), k))
-
-
-def _member_sups(l: VSemilattice, img, maxima) -> tuple:
-    """The sup in ``l`` of the image under the monotone ``img`` of each
-    nonempty lower set, or ``NO_SUP`` where it has none: the fold of
-    ``_image_sups`` over the set's maximal elements only, which ``maxima``
-    gives per set as the first one and a tuple of the others.
-
-    That is enough because ``img`` is monotone: each element of a lower set
-    m lies below a maximal one, so its image lies below that one's image, and
-    the images of m and of max m have the same upper bounds, hence the same
-    sup or none."""
-    tables = l.sup_translations
-    out = []
-    for first, rest in maxima:
-        s = img[first]
-        for x in rest:
-            s = tables[img[x]][s]
-        out.append(s)
-    return tuple(out)
 
 
 # -- F-Scott closed sets ------------------------------------------------------

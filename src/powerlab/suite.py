@@ -38,18 +38,14 @@ from .poset import (
     PosetMap,
     is_consistent,
     is_sober,
-    iter_bits,
     iter_monotone_maps,
     scott_closure,
     way_down_masks,
 )
 from .semilattice import (
     NO_SUP,
-    _column_join,
     _column_sups,
     _homomorphism_images,
-    _image_sups,
-    _member_sups,
     cl_f,
     gamma_f,
     iter_homomorphisms,
@@ -158,7 +154,7 @@ def _membership_table(bits: int) -> bytes:
     it is in ``bits`` and to ``b"0"`` otherwise.  It translates a map's image
     string ``bytes(img)`` into the membership string of the preimage of
     ``bits``, and ``bytes(range(n))`` into that of ``bits`` itself."""
-    return bytes(b"01"[bits >> v & 1] for v in range(256))
+    return format(bits & ((1 << 256) - 1), "0256b")[::-1].encode()
 
 
 @lru_cache(maxsize=None)
@@ -171,14 +167,15 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
 
     The homomorphisms from the powerdomain are streamed once per
     semilattice, counted and grouped by their restriction along the
-    embedding.  Each map's sup-of-image extension is evaluated only at the
-    powerdomain members, by ``_member_sups`` over each member's maximal
-    elements.  It must be defined (Lem2.3) and be the one homomorphism that
-    restricts to the map (Freeness).  A map whose restriction group is
-    exactly its extension has nothing to report to Lem2.3 or Freeness: a
-    homomorphism is defined everywhere, is a homomorphism and restricts to
-    the map.  Its other tests are skipped, and an extension is a
-    homomorphism exactly when it is in the group of its own restriction.
+    embedding.  The monotone maps into the semilattice go to one
+    ``_column_sups`` table, and each map's sup-of-image extension is its
+    byte at each powerdomain member.  It must be defined (Lem2.3) and be the
+    one homomorphism that restricts to the map (Freeness).  A map whose
+    restriction group is exactly its extension has nothing to report to
+    Lem2.3 or Freeness: a homomorphism is defined everywhere, is a
+    homomorphism and restricts to the map.  Its other tests are skipped, and
+    an extension is a homomorphism exactly when it is in the group of its
+    own restriction.
 
     Lem3.8 compares the subsets refuted by some map with those refuted by
     the restriction of some homomorphism; a homomorphism refutes, through
@@ -187,14 +184,11 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     homomorphisms onto the maps and the extension is its inverse, so both
     sides are the union of the same maps' refuted subsets and agree by
     construction.  Only when Freeness has a finding are the two unions
-    built, from the full ``_image_sups`` table of each map and of each
-    restriction, so that a failure names the subsets that differ.  The maps
-    are streamed; only findings are kept."""
+    built, the maps' from the same table and the restrictions' from one
+    more ``_column_sups`` table, so that a failure names the subsets that
+    differ.  Only findings are kept."""
     h = build_hc(p)
     members = h.family.members
-    up = p.up_masks
-    maximal = ([x for x in iter_bits(m) if up[x] & m == 1 << x] for m in members)
-    maxima = [(xs[0], tuple(xs[1:])) for xs in maximal]
     j_img = h.j.img
     # the restriction along the embedding, as a tuple even for one point
     restrict = itemgetter(*j_img) if p.n > 1 else lambda g: (g[j_img[0]],)
@@ -210,10 +204,9 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
             groups.setdefault(restrict(g), []).append(g)
             homs += 1
         per_map = []  # Freeness's findings after its count line
-        count = 0
-        for f_img in iter_monotone_maps(p, l.poset):
-            count += 1
-            ext = _member_sups(l, f_img, maxima)
+        maps = tuple(iter_monotone_maps(p, l.poset))
+        sups = _column_sups(l, maps)
+        for f_img, ext in zip(maps, zip(*[sups[m] for m in members])):
             matching = groups.get(f_img, [])
             if matching == [ext]:
                 continue
@@ -242,15 +235,15 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
                         "exactly the sup-of-image extension"
                     )
                 )
-        if homs != count:
-            detail = f"{homs} powerdomain maps vs {count} monotone maps"
+        if homs != len(maps):
+            detail = f"{homs} powerdomain maps vs {len(maps)} monotone maps"
             per_map.insert(0, (detail, {"semilattice": l.poset.to_json()}))
         if not per_map:
             continue
         found["Freeness"] += per_map
         refut_maps, refut_homs = (
-            {a for img in images for a, s in enumerate(_image_sups(l, img)) if s == NO_SUP}
-            for images in (iter_monotone_maps(p, l.poset), groups)
+            {a for a, row in enumerate(table) if NO_SUP in row}
+            for table in (sups, _column_sups(l, list(groups)))
         )
         if refut_maps != refut_homs:
             detail = "map-refutable and embedding-refutable subsets disagree"
@@ -319,32 +312,36 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Closure transport: a set's image and its closure's image have a least
     upper bound together (and then the same one), for every monotone map.
 
-    The sups come from ``_image_sups``; which closed sets some map refutes
-    is checked, one closed set at a time, against ``first_refutation``,
-    which reads the semilattices' ``sup_table`` instead, so a table that
-    invents or drops sups fails.  When every table agrees at a set and its
-    closure, so does refutability, which therefore has no test of its own."""
+    The sups of all the maps into a semilattice are one ``_column_sups``
+    table, compared at every subset and at its Scott closure for all maps at
+    once, as Lem3.6 does; only on a mismatch are the maps walked one by one
+    to name those that break it.  Which closed sets some map refutes is
+    checked, one closed set at a time, against ``first_refutation``, which
+    reads the semilattices' ``sup_table`` instead, so a table that invents
+    or drops sups fails.  When every table agrees at a set and its closure,
+    so does refutability, which therefore has no test of its own."""
     ck = VerificationReport.on_poset("Prop3.2", p, max_semilattice_n=semi_bound)
-    subsets = range(1 << p.n)
-    closures = [scott_closure(p, a) for a in subsets]
-    refutable = [False] * (1 << p.n)
+    closures = [scott_closure(p, a) for a in range(1 << p.n)]
+    at_closures = itemgetter(*closures)
+    refutable = set()
     pool = _semilattices_upto(semi_bound)
     for l in pool:
-        for img in iter_monotone_maps(p, l.poset):
-            # sup_exists_transport_check(p, l, f, a) is sups[a] == sups[closures[a]]
-            sups = _image_sups(l, img)
-            for a in subsets:
-                if sups[a] != sups[closures[a]]:
-                    ck.fail(
-                        "closure transport broke",
-                        semilattice=l.poset.to_json(),
-                        map=list(img),
-                        subset=p.subset_labels(a),
-                    )
-                if sups[a] == NO_SUP:
-                    refutable[a] = True
+        maps = tuple(iter_monotone_maps(p, l.poset))
+        sups = _column_sups(l, maps)
+        if at_closures(sups) != sups:
+            for r, img in enumerate(maps):
+                for a, c in enumerate(closures):
+                    # sup_exists_transport_check(p, l, f, a) is sups[a][r] == sups[c][r]
+                    if sups[a][r] != sups[c][r]:
+                        ck.fail(
+                            "closure transport broke",
+                            semilattice=l.poset.to_json(),
+                            map=list(img),
+                            subset=p.subset_labels(a),
+                        )
+        refutable |= {a for a, row in enumerate(sups) if NO_SUP in row}
     for a in gamma(p).members:
-        if refutable[a] != (first_refutation(p, a, pool) is not None):
+        if (a in refutable) != (first_refutation(p, a, pool) is not None):
             ck.fail(
                 "the sup tables and the refutation search disagree on refutability",
                 subset=p.subset_labels(a),
@@ -358,8 +355,9 @@ def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
     powerdomain homomorphisms.
 
     A homomorphism's restriction along the embedding is a monotone map, so
-    its refutable subsets are those the map sweep found for that map; only a
-    restriction the sweep never met is evaluated."""
+    its refutable subsets are those the map sweep found for that map; the
+    restrictions get a sup table of their own only on a semilattice where
+    Freeness has a finding."""
     return _swept("Lem3.8", p, semi_bound)
 
 
@@ -501,18 +499,19 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     homomorphisms, so join-existence transports across the closure: each
     homomorphism's sups must agree at every subset and at that subset's
     ``cl_f`` closure.  A pair's homomorphisms are evaluated at once by
-    ``_column_sups``, whose nibbles hold codomains of at most 14 elements."""
+    ``_column_sups``, whose nibbles hold codomains of at most 14 elements;
+    only on a mismatch are they walked one by one to name those that break
+    the lemma."""
     if m_bound > 14:
         raise PosetError(f"Lem3.6 packs sups into nibbles: m bound {m_bound} exceeds 14")
     ck = VerificationReport.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
     pool = _semilattices_upto(m_bound)
-    joins = [_column_join(m) for m in pool]
     for l in _semilattices_upto(l_bound):
         closures = [cl_f(l, a) for a in range(1 << l.n)]
         at_closures = itemgetter(*closures)
-        for m, join in zip(pool, joins):
+        for m in pool:
             homs = _homomorphism_images(l, m)
-            sups = _column_sups(m, homs, join)
+            sups = _column_sups(m, homs)
             if at_closures(sups) == sups:
                 continue
             for r, g in enumerate(homs):

@@ -167,20 +167,20 @@ def mutant_failures(step):
         return [f for p in catalog.standard_trio() for f in check_thm_3_10(p).failures]
 
 
-def member_maxima(p, members):
-    """Each member's maximal elements as ``_member_sups`` reads them: the
-    first one and a tuple of the others."""
-    out = []
-    for m in members:
-        elems = [x for x in range(p.n) if m >> x & 1]
-        top = [x for x in elems if not any(y != x and p.le[x][y] for y in elems)]
-        out.append((top[0], tuple(top[1:])))
-    return out
+def member_sups(l, img, members):
+    """The sup in ``l`` of the image under ``img`` of each member, or
+    ``NO_SUP`` where it has none: ``_column_sups`` of the one map, read from
+    ``powerlab.suite`` at call time, so a mutant patched there reaches the
+    statement loops below and the checks alike."""
+    from powerlab import suite
+
+    sups = suite._column_sups(l, (img,))
+    return tuple(sups[m][0] for m in members)
 
 
 def literal_lemma_2_3(p, semi_bound):
     """Lem2.3's failures by its own loop: every cached monotone map into every
-    semilattice at the bound, with one ``_member_sups`` evaluation per map.
+    semilattice at the bound, with one ``member_sups`` evaluation per map.
     The functions are read from ``powerlab.suite`` at call time, so a mutant
     patched there reaches this loop and the check alike.  The reference for
     the Lem2.3 slice of ``_map_sweep``."""
@@ -189,10 +189,9 @@ def literal_lemma_2_3(p, semi_bound):
 
     ck = suite.VerificationReport.on_poset("Lem2.3", p, max_semilattice_n=semi_bound)
     members = suite.build_hc(p).family.members
-    maxima = member_maxima(p, members)
     for l in suite._semilattices_upto(semi_bound):
         for img in monotone_map_images(p, l.poset):
-            ext = suite._member_sups(l, img, maxima)
+            ext = member_sups(l, img, members)
             for m, s in zip(members, ext):
                 if s == suite.NO_SUP:
                     ck.fail(
@@ -216,7 +215,6 @@ def literal_freeness(p, semi_bound):
     ck = suite.VerificationReport.on_poset("Freeness", p, max_semilattice_n=semi_bound)
     h = suite.build_hc(p)
     members = h.family.members
-    maxima = member_maxima(p, members)
     j_img = h.j.img
     hc_pairs = [(i, j) for i, r in enumerate(h.poset.le) for j, b in enumerate(r) if b and i != j]
 
@@ -237,7 +235,7 @@ def literal_freeness(p, semi_bound):
             )
         up = l.poset.up_masks
         for f_img in monos:
-            ext = suite._member_sups(l, f_img, maxima)
+            ext = member_sups(l, f_img, members)
             if suite.NO_SUP in ext:
                 undefined = members[ext.index(suite.NO_SUP)]
                 fail_map("extension undefined on a member", member=p.subset_labels(undefined))
@@ -260,8 +258,8 @@ def literal_freeness(p, semi_bound):
 def literal_lemma_3_8(p, semi_bound):
     """Lem3.8's failures by its own loop: per semilattice, the subsets refuted
     by some cached monotone map against those refuted by the restriction of
-    some powerdomain homomorphism, each evaluated by ``_image_sups``.  The
-    reference for the Lem3.8 slice of ``_map_sweep``."""
+    some powerdomain homomorphism, each evaluated by ``_column_sups`` on its
+    own.  The reference for the Lem3.8 slice of ``_map_sweep``."""
     from powerlab import suite
     from powerlab.enumeration import monotone_map_images
 
@@ -271,8 +269,8 @@ def literal_lemma_3_8(p, semi_bound):
     subsets = range(1 << p.n)
 
     def refutable(l, img):
-        sups = suite._image_sups(l, img)
-        return [a for a in subsets if sups[a] == suite.NO_SUP]
+        sups = suite._column_sups(l, (img,))
+        return [a for a in subsets if sups[a][0] == suite.NO_SUP]
 
     for l in suite._semilattices_upto(semi_bound):
         refut_maps = {a for img in monotone_map_images(p, l.poset) for a in refutable(l, img)}
@@ -291,7 +289,7 @@ def literal_lemma_3_8(p, semi_bound):
 
 def literal_lemma_3_6(l_bound, m_bound):
     """Lem3.6's failures by its own loop: every cached homomorphism between
-    semilattices at the bounds, with one ``_image_sups`` table each, compared
+    semilattices at the bounds, with one ``_column_sups`` table each, compared
     at every subset and at its ``cl_f`` closure.  The functions are read at
     call time, so a mutant patched in ``powerlab.suite`` or
     ``powerlab.semilattice`` reaches this loop and the check alike.  The
@@ -303,7 +301,7 @@ def literal_lemma_3_6(l_bound, m_bound):
         closures = [suite.cl_f(l, a) for a in range(1 << l.n)]
         for m in suite._semilattices_upto(m_bound):
             for g in suite._homomorphism_images(l, m):
-                sups = suite._image_sups(m, g)
+                sups = b"".join(suite._column_sups(m, (g,)))
                 if bytes([sups[c] for c in closures]) == sups:
                     continue
                 for a in range(1 << l.n):

@@ -1,7 +1,8 @@
 """Prop3.4 and Lem3.6 evaluate a semilattice pair's maps all at once, as
 byte columns: the continuity flags against ``is_f_scott_continuous``, the
-sup columns against ``_image_sups``, failure payloads against each
-statement's per-map loop, the packing limits, and no per-map sup table."""
+sup columns at the widest codomain and with no maps, failure payloads
+against each statement's per-map loop, the packing limits, and one sup
+table per pair."""
 
 import json
 from functools import lru_cache
@@ -12,21 +13,16 @@ from powerlab import catalog
 from powerlab.enumeration import monotone_map_images
 from powerlab.poset import PosetError, PosetMap
 from powerlab.semilattice import (
-    NO_SUP,
     VSemilattice,
-    _column_join,
     _column_sups,
     _homomorphism_images,
-    _image_sups,
     is_f_scott_continuous,
     meet_irreducibles,
 )
 from powerlab.suite import _semilattices_upto, check_lemma_3_6, check_prop_3_4
 
 from conftest import literal_prop_3_4, sweep_mutant
-
-# a column nibble read back as a sup byte: 15 is NO_SUP
-_SUP_BYTE = bytes(range(15)) + bytes([NO_SUP]) * 241
+from test_suite import _sup_oracle
 
 
 def _dump(failures):
@@ -98,16 +94,6 @@ class TestPayloads:
 
 
 class TestSupColumns:
-    def test_every_homomorphism_matches_image_sups(self):
-        pool = _semilattices_upto(4)
-        for l in pool:
-            for m in pool:
-                homs = _homomorphism_images(l, m)
-                columns = _column_sups(m, homs, _column_join(m))
-                assert len(columns) == 1 << l.n
-                for r, g in enumerate(homs):
-                    assert bytes(c[r] for c in columns).translate(_SUP_BYTE) == _image_sups(m, g)
-
     def test_fourteen_elements_fit(self):
         # the widest codomain: the empty-set marker 14 and NO_SUP's 15
         # stay apart from every element
@@ -115,15 +101,23 @@ class TestSupColumns:
             m = VSemilattice.from_poset(m)
             for l in _semilattices_upto(2):
                 images = monotone_map_images(l.poset, m.poset)
-                columns = _column_sups(m, images, _column_join(m))
+                columns = _column_sups(m, images)
+                assert len(columns) == 1 << l.n
                 for r, g in enumerate(images):
-                    assert bytes(c[r] for c in columns).translate(_SUP_BYTE) == _image_sups(m, g)
+                    f = PosetMap(l.poset, m.poset, g)
+                    assert bytes(c[r] for c in columns) == _sup_oracle(f, m)
+
+    def test_no_maps_give_one_empty_string(self):
+        # with no map there is no column to fold: only the empty set's
+        # string, with no byte in it
+        for m in _semilattices_upto(3):
+            assert _column_sups(m, ()) == (b"",)
 
 
 class TestPackingLimits:
     def test_a_fifteen_element_codomain_is_refused(self):
         with pytest.raises(PosetError, match="at most 14 elements, not 15"):
-            _column_join(VSemilattice.from_poset(catalog.chain(15)))
+            VSemilattice.from_poset(catalog.chain(15)).column_join
 
     def test_oversized_bounds_are_refused_before_any_work(self, monkeypatch):
         def no_work(k):
@@ -137,16 +131,15 @@ class TestPackingLimits:
 
 
 def test_lemma_3_6_builds_no_sup_table_per_map(monkeypatch):
-    # the columns replace the 16 413 per-homomorphism _image_sups tables
+    # one sup table per semilattice pair holds its 16 413 homomorphisms
     calls = []
 
-    def counted(l, img):
-        calls.append(img)
-        return _image_sups(l, img)
+    def counted(m, images):
+        calls.append(len(images))
+        return _column_sups(m, images)
 
-    monkeypatch.setattr("powerlab.suite._image_sups", counted)
-    monkeypatch.setattr("powerlab.semilattice._image_sups", counted)
+    monkeypatch.setattr("powerlab.suite._column_sups", counted)
     assert check_lemma_3_6(4, 4).verdict == "PASS"
-    assert calls == []
     pool = _semilattices_upto(4)
-    assert sum(len(_homomorphism_images(l, m)) for l in pool for m in pool) == 16413
+    assert len(calls) == len(pool) ** 2
+    assert sum(calls) == sum(len(_homomorphism_images(l, m)) for l in pool for m in pool) == 16413

@@ -1,7 +1,7 @@
 """The one map sweep behind Lem2.3, Freeness and Lem3.8: failure parity
 with each statement's own loop, mutants that reach every failure detail,
-cache hygiene and sharing, and one ``_member_sups`` evaluation and no full
-``_image_sups`` table per map on the pass path.  Lem3.6,
+cache hygiene and sharing, and one ``_column_sups`` table per (poset,
+semilattice) pair on the pass path.  Lem3.6,
 which has its own loop over pairs of semilattices, is held to the same
 parity and runs no map sweep."""
 
@@ -16,9 +16,8 @@ from powerlab.poset import iter_bits
 from powerlab.semilattice import NO_SUP, VSemilattice, iter_homomorphisms
 from powerlab.suite import (
     Config,
-    _image_sups,
+    _column_sups,
     _map_sweep,
-    _member_sups,
     _semilattices_upto,
     check_freeness,
     check_lemma_2_3,
@@ -62,27 +61,25 @@ def _with_a_non_monotone_map(l, m):
     return itertools.chain(iter_homomorphisms(l, m), () if monotone else (g,))
 
 
-def _no_sup_for_the_last_member(l, img, maxima):
-    # the last member is the full domain whenever the poset has a top
-    return _member_sups(l, img, maxima)[:-1] + (NO_SUP,)
+def _no_sup_for_the_full_set(l, images):
+    # every map's sup at the full domain, whose entry comes last, taken
+    # away; the full domain is a powerdomain member whenever the poset has
+    # a top
+    return _column_sups(l, images)[:-1] + (bytes([NO_SUP]) * len(images),)
 
 
-def _shifted_sup_for_the_last_member(l, img, maxima):
-    # moves the last member's sup to the next element, so the extension
-    # leaves the homomorphisms and, into an antichain, stops being monotone
-    out = _member_sups(l, img, maxima)
-    return out if out[-1] == NO_SUP else out[:-1] + ((out[-1] + 1) % l.n,)
+def _shifted_sup_for_the_full_set(l, images):
+    # moves every map's sup at the full domain to the next element, so the
+    # extension leaves the homomorphisms and, into an antichain, stops being
+    # monotone
+    out = _column_sups(l, images)
+    return out[:-1] + (bytes(s if s == NO_SUP else (s + 1) % l.n for s in out[-1]),)
 
 
-def _no_sup_for_the_full_set(l, img):
-    # the full-table form of the undefined sup, for the statements that read
-    # every subset: the full domain's entry comes last
-    return _image_sups(l, img)[:-1] + bytes([NO_SUP])
-
-
-# the full-table mutants, patched over ``_image_sups`` in powerlab.suite
+# the mutants of the sup table that every statement on maps reads, patched
+# over ``_column_sups`` in powerlab.suite
 TABLE_MUTANTS = {
-    "undefined_sup": ("_image_sups", _no_sup_for_the_full_set),
+    "undefined_sup": ("_column_sups", _no_sup_for_the_full_set),
 }
 
 
@@ -111,16 +108,15 @@ MUTANTS = {
         },
     ),
     "undefined_sup": (
-        "_member_sups",
-        _no_sup_for_the_last_member,
+        *TABLE_MUTANTS["undefined_sup"],
         {
             ("Lem2.3", "member image has no least upper bound"),
             ("Freeness", "extension undefined on a member"),
         },
     ),
     "shifted_sup": (
-        "_member_sups",
-        _shifted_sup_for_the_last_member,
+        "_column_sups",
+        _shifted_sup_for_the_full_set,
         {
             ("Freeness", "extension not monotone"),
             ("Freeness", "extension does not restrict to the map"),
@@ -189,29 +185,25 @@ def test_mutant_result_does_not_leak(mutant):
     assert [checks[s](p, 2).verdict for s in statements] == ["PASS"] * len(statements)
 
 
-def test_pass_path_reads_member_sups_only():
+def test_pass_path_reads_one_column_table_per_pair():
     # at their default bounds, posets <= 4 and semilattices <= 4, the three
-    # statements evaluate each (poset, semilattice, map) at the powerdomain
-    # members once and build no full sup table
-    calls = {"_member_sups": 0, "_image_sups": 0}
+    # statements evaluate each (poset, semilattice) pair's maps in one sup
+    # table, and Lem3.8 builds no table for the homomorphisms
+    calls = []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
+    def counted(l, images):
+        calls.append((l, len(images)))
+        return _column_sups(l, images)
 
     posets = small_posets(4)
-    maps = sum(len(monotone_map_images(p, l.poset)) for p in posets for l in _semilattices_upto(4))
-    with sweep_mutant("_member_sups", counted("_member_sups", _member_sups)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("powerlab.suite._image_sups", counted("_image_sups", _image_sups))
-            for p in posets:
-                for check, _ in CHECKS:
-                    assert check(p, 4).verdict == "PASS"
-    assert calls == {"_member_sups": maps, "_image_sups": 0}
-    assert maps == 18526
+    semilattices = _semilattices_upto(4)
+    maps = sum(len(monotone_map_images(p, l.poset)) for p in posets for l in semilattices)
+    with sweep_mutant("_column_sups", counted):
+        for p in posets:
+            for check, _ in CHECKS:
+                assert check(p, 4).verdict == "PASS"
+    assert [l for l, _ in calls] == list(semilattices) * len(posets)
+    assert sum(k for _, k in calls) == maps == 18526
 
 
 # -- Lem3.6, by its own loop -----------------------------------------------------
@@ -230,23 +222,23 @@ def test_lemma_3_6_matches_its_loop_under_the_pair_join_mutant():
             assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))
 
 
-_SUP_TRANSLATIONS = VSemilattice.__dict__["sup_translations"]
+_COLUMN_JOIN = VSemilattice.__dict__["column_join"]
 
 
-def _shifted_sup_translations(l):
-    # each defined join z of an entry s with the table's element y, other
-    # than s or y itself, moved to the next element
-    return tuple(
-        bytes(z if z == NO_SUP or z in (s, y) else (z + 1) % l.n for s, z in enumerate(t))
-        for y, t in enumerate(_SUP_TRANSLATIONS.func(l))
+def _shifted_column_join(l):
+    # each defined join z of a sup s < n with an element y, other than s or
+    # y itself, moved to the next element
+    return bytes(
+        z if z == NO_SUP or z in (e >> 4, e & 15) or e >> 4 >= l.n else (z + 1) % l.n
+        for e, z in enumerate(_COLUMN_JOIN.func(l))
     )
 
 
 def test_lemma_3_6_matches_its_loop_under_a_sup_mutant(monkeypatch):
-    # the sup tables that the check's column join and the loop's
-    # _image_sups both read; a class-level property overrides any value
-    # already cached on an instance
-    monkeypatch.setattr(VSemilattice, "sup_translations", property(_shifted_sup_translations))
+    # the join table that _column_sups reads, for the check's many maps and
+    # the loop's one map at a time; a class-level property overrides any
+    # value already cached on an instance
+    monkeypatch.setattr(VSemilattice, "column_join", property(_shifted_column_join))
     assert check_lemma_3_6(3, 3).failures
     for bounds in LEMMA_3_6_BOUNDS:
         assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))

@@ -122,23 +122,23 @@ class TestVSemilattice:
                 assert l.sup_table[b] == least_upper_bound(up, full, b)
                 assert l.sup_of_bits(b) == l.sup_table[b]
 
-    def test_sup_translations_match_the_join_table(self):
+    def test_column_join_matches_the_join_table(self):
+        # entry (s << 4) | y is join[s][y], 15 where undefined; row n, the
+        # empty set, is the identity, and every other entry is NO_SUP
         from powerlab.semilattice import NO_SUP
 
-        for l in semis_upto(4):
-            for y, table in enumerate(l.sup_translations):
-                assert len(table) == 256
-                assert table[l.n] == y and table[NO_SUP] == NO_SUP
-                for s in range(l.n):
-                    assert table[s] == (NO_SUP if l.join[s][y] == -1 else l.join[s][y])
-            assert l.empty_sup == bytes([NO_SUP if l.sup_of_bits(0) is None else l.sup_of_bits(0)])
-
-    def test_sup_translations_refuse_255_elements(self):
-        # byte n marks the empty set, so it must differ from NO_SUP = 255
-        assert len(VSemilattice.from_poset(catalog.chain(254)).sup_translations) == 254
-        l = VSemilattice.from_poset(catalog.chain(255))
-        with pytest.raises(PosetError):
-            l.sup_translations
+        assert NO_SUP == 15
+        for l in semis_upto(6):
+            n, table = l.n, l.column_join
+            assert len(table) == 256
+            for e, z in enumerate(table):
+                s, y = e >> 4, e & 15
+                if s < n and y < n:
+                    assert z == (NO_SUP if l.join[s][y] == -1 else l.join[s][y])
+                elif s == n and y < n:
+                    assert z == y
+                else:
+                    assert z == NO_SUP
 
     def test_from_poset_matches_the_per_pair_scan(self):
         # the join table of the literal scan on every pair, or None when

@@ -31,7 +31,6 @@ from powerlab.semilattice import (
     NO_SUP,
     VSemilattice,
     _homomorphism_images,
-    _member_sups,
     gamma_f,
     is_f_scott_continuous,
     meet_irreducibles,
@@ -39,7 +38,7 @@ from powerlab.semilattice import (
 )
 from powerlab.suite import (
     STATEMENT_ORDER,
-    _image_sups,
+    _column_sups,
     _membership_table,
     _semilattices_upto,
     check_cor_3_11,
@@ -57,7 +56,6 @@ from powerlab.suite import (
 
 from conftest import (
     closure_mutant,
-    member_maxima,
     mutant_failures,
     small_posets,
     sweep_mutant,
@@ -526,11 +524,12 @@ class TestTabulatedVerdicts:
             for p in enumerate_posets(n):
                 closures = [scott_closure(p, a) for a in range(1 << n)]
                 for l in _semilattices_upto(4):
-                    for img in monotone_map_images(p, l.poset):
-                        sups = _image_sups(l, img)
+                    maps = monotone_map_images(p, l.poset)
+                    sups = _column_sups(l, maps)
+                    for r, img in enumerate(maps):
                         f = PosetMap(p, l.poset, img)
                         for a in range(1 << n):
-                            assert (sups[a] == sups[closures[a]]) == (
+                            assert (sups[a][r] == sups[closures[a]][r]) == (
                                 sup_exists_transport_check(p, l, f, a)
                             )
 
@@ -560,6 +559,13 @@ class TestTabulatedVerdicts:
                     translated = all(bytes(img).translate(t) in closed for t in tables)
                     assert translated == is_f_scott_continuous(f, l, m)
 
+    def test_membership_table_matches_the_generator_form(self):
+        # one format call against the bit-by-bit generator, on every mask
+        # below 2**8 and on masks with bits set past 255
+        masks = [*range(1 << 8), -1, ~5, -(1 << 200), ~0b1011 << 3, (1 << 300) | 0b1011]
+        for bits in masks:
+            assert _membership_table(bits) == bytes(b"01"[bits >> v & 1] for v in range(256))
+
     def test_translated_preimage_matches_preimage_bits(self):
         # position i of the translated image string is 1 exactly when the
         # image of i lies in the set, which makes the string, read from its
@@ -579,11 +585,15 @@ class TestTableMutants:
 
     def test_prop_3_2_catches_invented_sups(self):
         # every subset whose image has no sup is given the first image's element
-        def inventing(l, img):
-            return _image_sups(l, img).replace(bytes([NO_SUP]), bytes([img[0]]))
+        def inventing(l, images):
+            first = [img[0] for img in images]
+            return tuple(
+                bytes(f if s == NO_SUP else s for s, f in zip(row, first))
+                for row in _column_sups(l, images)
+            )
 
         posets = small_posets(3)
-        with sweep_mutant("_image_sups", inventing):
+        with sweep_mutant("_column_sups", inventing):
             reports = [check_prop_3_2(p, 3) for p in posets]
         details = {f["detail"] for r in reports for f in r.failures}
         assert details == {"the sup tables and the refutation search disagree on refutability"}
@@ -598,11 +608,13 @@ class TestTableMutants:
         for p in posets:
             top = p.down_masks.index(p.full_mask)
 
-            def dropping(l, img, top=top):
-                sups = _image_sups(l, img)
-                return bytes(NO_SUP if a >> top & 1 else s for a, s in enumerate(sups))
+            def dropping(l, images, top=top):
+                none = bytes([NO_SUP]) * len(images)
+                return tuple(
+                    none if a >> top & 1 else row for a, row in enumerate(_column_sups(l, images))
+                )
 
-            with sweep_mutant("_image_sups", dropping):
+            with sweep_mutant("_column_sups", dropping):
                 reports.append(check_prop_3_2(p, 3))
         details = {f["detail"] for r in reports for f in r.failures}
         assert details == {"the sup tables and the refutation search disagree on refutability"}
@@ -610,8 +622,8 @@ class TestTableMutants:
         assert [check_prop_3_2(p, 3).verdict for p in posets] == ["PASS"] * len(posets)
 
     def test_prop_3_2_catches_an_undefined_sup(self):
-        # test_map_sweep's undefined_sup mutant, in its full-table form,
-        # takes the full set's sup away; on a poset with a non-maximal
+        # test_map_sweep's undefined_sup mutant takes every map's sup at
+        # the full set away; on a poset with a non-maximal
         # element the set of maximal elements has the full set as closure
         # and keeps its sup under a constant map, so closure transport
         # breaks there
@@ -679,35 +691,30 @@ def _sup_oracle(f: PosetMap, l: VSemilattice) -> bytes:
 
 
 class TestImageSups:
-    """``_image_sups`` translates along ``sup_translations``, and
-    ``_member_sups`` folds the same tables over maximal elements; every
-    entry must be the literal sup of the subset's image."""
+    """``_column_sups`` is the one evaluator of the sups of images, for many
+    maps at once; byte ``r`` of every subset's string must be the literal
+    sup of the subset's image under map ``r``."""
 
     def test_monotone_maps_match_sup_of_bits(self):
+        # the map sweep's and Prop3.2's side: every (poset, semilattice)
+        # pair's monotone maps in one table
         for n in range(1, 5):
             for p in enumerate_posets(n):
                 for l in _semilattices_upto(4):
-                    for img in monotone_map_images(p, l.poset):
+                    maps = monotone_map_images(p, l.poset)
+                    sups = _column_sups(l, maps)
+                    for r, img in enumerate(maps):
                         f = PosetMap(p, l.poset, img)
-                        assert _image_sups(l, img) == _sup_oracle(f, l)
-
-    def test_member_sups_match_sup_of_bits(self):
-        # every member of the powerdomain, which the map sweep evaluates
-        for p in small_posets(4):
-            members = build_hc(p).family.members
-            maxima = member_maxima(p, members)
-            for l in _semilattices_upto(4):
-                for img in monotone_map_images(p, l.poset):
-                    f = PosetMap(p, l.poset, img)
-                    expected = [l.sup_of_bits(f.image_bits(m)) for m in members]
-                    expected = tuple(NO_SUP if s is None else s for s in expected)
-                    assert _member_sups(l, img, maxima) == expected
+                        assert bytes(s[r] for s in sups) == _sup_oracle(f, l)
 
     def test_homomorphisms_match_sup_of_bits(self):
-        # Lem3.6's domain side: homomorphisms between semilattices
-        pool = _semilattices_upto(3)
+        # Lem3.6's side: every semilattice pair's homomorphisms in one
+        # table, the 16 413 of Lem3.6's default bounds
+        pool = _semilattices_upto(4)
         for l in pool:
             for m in pool:
-                for g in _homomorphism_images(l, m):
+                homs = _homomorphism_images(l, m)
+                sups = _column_sups(m, homs)
+                for r, g in enumerate(homs):
                     f = PosetMap(l.poset, m.poset, g)
-                    assert _image_sups(m, g) == _sup_oracle(f, m)
+                    assert bytes(s[r] for s in sups) == _sup_oracle(f, m)
