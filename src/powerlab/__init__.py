@@ -36,7 +36,6 @@ from .semilattice import (
     is_f_scott_continuous,
     is_homomorphism,
     is_v_semilattice,
-    preserves_directed_sups,
     sup_exists_transport_check,
 )
 from .hoare import (

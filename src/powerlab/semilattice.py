@@ -8,10 +8,12 @@ sets that also contain the join of each of their consistent finite subsets;
 ``cl_f`` is the corresponding closure operator, a down-set followed by a
 semi-naive worklist that joins every pair once, and ``gamma_f`` enumerates
 all closed sets with the lectic Next-Closure algorithm, so the work is
-proportional to the number of closed sets rather than to 2**n.
-Homomorphisms are the monotone maps of ``iter_monotone_maps`` that preserve
-the join of every consistent incomparable pair; ``iter_homomorphisms``
-streams them.  Sups of images have one evaluator, ``_column_sups``, which
+proportional to the number of closed sets rather than to 2**n;
+``is_f_scott_closed`` is ``cl_f``'s fixpoint test.  Homomorphisms are the
+monotone maps of ``iter_monotone_maps`` that preserve the join of every
+consistent incomparable pair; ``iter_homomorphisms`` streams them, and
+``is_homomorphism``, the literal definition over every consistent pair, is
+its test oracle.  Sups of images have one evaluator, ``_column_sups``, which
 gives them for many maps at once, as bytes: the images of each domain
 element form a column, byte ``r`` for map ``r``, and each domain element
 extends the sups of every subset so far with one ``translate`` of
@@ -40,10 +42,8 @@ from .poset import (
     InvariantError,
     PosetError,
     PosetMap,
-    directed_subsets_with_sups,
     down_set,
     is_consistent,
-    is_lower_set,
     is_scott_closed,
     iter_bits,
     iter_monotone_maps,
@@ -228,22 +228,10 @@ def _column_sups(m: VSemilattice, images) -> tuple:
 
 
 def is_f_scott_closed(l: VSemilattice, bits: int) -> bool:
-    """Lower set closed under joins of its consistent pairs.
-
-    Iterated pair joins generate the joins of all consistent finite subsets;
-    that reduction is validated against is_f_scott_closed_literal in the test
-    suite rather than assumed silently.
-    """
-    if not is_lower_set(l.poset, bits):
-        return False
-    elems = list(iter_bits(bits))
-    join = l.join
-    for a in range(len(elems)):
-        for b in range(a + 1, len(elems)):
-            v = join[elems[a]][elems[b]]
-            if v != -1 and not bits >> v & 1:
-                return False
-    return True
+    """Whether ``bits`` is a fixpoint of ``cl_f``: a lower set holding the
+    join of each of its consistent pairs.  The test suite checks it against
+    is_f_scott_closed_literal, which tests every consistent finite subset."""
+    return cl_f(l, bits) == bits
 
 
 def is_f_scott_closed_literal(l: VSemilattice, bits: int) -> bool:
@@ -361,38 +349,19 @@ def _gamma_f_cached(l: VSemilattice) -> SetFamily:
 
 
 def is_homomorphism(f: PosetMap, l: VSemilattice, m: VSemilattice) -> bool:
-    """Monotone and preserving the join of every consistent pair.
-
-    Preservation of directed sups follows from monotonicity on finite posets;
-    that reduction is itself exercised by the test suite via
-    preserves_directed_sups.
-    """
+    """The literal definition, the test oracle of ``iter_homomorphisms``:
+    monotone, and preserving the join of every consistent pair.  Directed
+    sups need no test: on finite posets a monotone map preserves them, which
+    the test suite checks with ``PosetMap.is_scott_continuous``."""
     _check_map(f, l, m)
     if not f.is_monotone():
         return False
-    return _img_is_homomorphism(f.img, l, m)
-
-
-def _img_is_homomorphism(img, l: VSemilattice, m: VSemilattice) -> bool:
-    """Whether the map with images ``img`` preserves every consistent join.
-
-    The map must be monotone: only the pairs of ``l.join_triples`` are
-    tested, because a monotone map preserves the join of a comparable pair.
-    """
-    jm = m.join
-    return all(jm[img[i]][img[j]] == img[z] for i, j, z in l.join_triples)
-
-
-def preserves_directed_sups(f: PosetMap, l: VSemilattice, m: VSemilattice) -> bool:
-    """Literal check over all directed subsets; test oracle for the finite reduction."""
-    _check_map(f, l, m)
-    for dbits, s in directed_subsets_with_sups(l.poset):
-        t = m.sup_of_bits(f.image_bits(dbits))
-        if s is None:
-            continue
-        if t is None or t != f.img[s]:
-            return False
-    return True
+    img, jm = f.img, m.join
+    return all(
+        z == -1 or jm[img[i]][img[j]] == img[z]
+        for i, row in enumerate(l.join)
+        for j, z in enumerate(row)
+    )
 
 
 def _check_map(f: PosetMap, l: VSemilattice, m: VSemilattice):

@@ -252,6 +252,19 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     return found
 
 
+def _transport_breaks(closures, images, sups):
+    """The (image, subset) pairs, in map then subset order, at which a map's
+    sup in ``sups``, the ``_column_sups`` table of ``images``, differs from
+    its sup at ``closures[a]``, the subset's closure.  All maps are compared
+    at once; only on a mismatch are they walked one by one."""
+    if itemgetter(*closures)(sups) == sups:
+        return
+    for r, img in enumerate(images):
+        for a, c in enumerate(closures):
+            if sups[a][r] != sups[c][r]:
+                yield img, a
+
+
 def _swept(statement: str, p: FinitePoset, semi_bound: int) -> VerificationReport:
     """The report of the findings ``_map_sweep`` keeps for ``statement``,
     copied so that no report shares an object with the cache."""
@@ -313,32 +326,27 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     upper bound together (and then the same one), for every monotone map.
 
     The sups of all the maps into a semilattice are one ``_column_sups``
-    table, compared at every subset and at its Scott closure for all maps at
-    once, as Lem3.6 does; only on a mismatch are the maps walked one by one
-    to name those that break it.  Which closed sets some map refutes is
-    checked, one closed set at a time, against ``first_refutation``, which
-    reads the semilattices' ``sup_table`` instead, so a table that invents
-    or drops sups fails.  When every table agrees at a set and its closure,
-    so does refutability, which therefore has no test of its own."""
+    table, read by ``_transport_breaks`` at every subset and at its Scott
+    closure.  Which closed sets some map refutes is checked, one closed set
+    at a time, against ``first_refutation``, which reads the semilattices'
+    ``sup_table`` instead, so a table that invents or drops sups fails.
+    When every table agrees at a set and its closure, so does refutability,
+    which therefore has no test of its own."""
     ck = VerificationReport.on_poset("Prop3.2", p, max_semilattice_n=semi_bound)
     closures = [scott_closure(p, a) for a in range(1 << p.n)]
-    at_closures = itemgetter(*closures)
     refutable = set()
     pool = _semilattices_upto(semi_bound)
     for l in pool:
         maps = tuple(iter_monotone_maps(p, l.poset))
         sups = _column_sups(l, maps)
-        if at_closures(sups) != sups:
-            for r, img in enumerate(maps):
-                for a, c in enumerate(closures):
-                    # sup_exists_transport_check(p, l, f, a) is sups[a][r] == sups[c][r]
-                    if sups[a][r] != sups[c][r]:
-                        ck.fail(
-                            "closure transport broke",
-                            semilattice=l.poset.to_json(),
-                            map=list(img),
-                            subset=p.subset_labels(a),
-                        )
+        # sup_exists_transport_check(p, l, f, a) fails exactly at these
+        for img, a in _transport_breaks(closures, maps, sups):
+            ck.fail(
+                "closure transport broke",
+                semilattice=l.poset.to_json(),
+                map=list(img),
+                subset=p.subset_labels(a),
+            )
         refutable |= {a for a, row in enumerate(sups) if NO_SUP in row}
     for a in gamma(p).members:
         if (a in refutable) != (first_refutation(p, a, pool) is not None):
@@ -499,31 +507,24 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     homomorphisms, so join-existence transports across the closure: each
     homomorphism's sups must agree at every subset and at that subset's
     ``cl_f`` closure.  A pair's homomorphisms are evaluated at once by
-    ``_column_sups``, whose nibbles hold codomains of at most 14 elements;
-    only on a mismatch are they walked one by one to name those that break
-    the lemma."""
+    ``_column_sups``, whose nibbles hold codomains of at most 14 elements,
+    and ``_transport_breaks`` names those that break the lemma."""
     if m_bound > 14:
         raise PosetError(f"Lem3.6 packs sups into nibbles: m bound {m_bound} exceeds 14")
     ck = VerificationReport.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
     pool = _semilattices_upto(m_bound)
     for l in _semilattices_upto(l_bound):
         closures = [cl_f(l, a) for a in range(1 << l.n)]
-        at_closures = itemgetter(*closures)
         for m in pool:
             homs = _homomorphism_images(l, m)
-            sups = _column_sups(m, homs)
-            if at_closures(sups) == sups:
-                continue
-            for r, g in enumerate(homs):
-                for a, c in enumerate(closures):
-                    if sups[a][r] != sups[c][r]:
-                        ck.fail(
-                            "join-existence does not transport across the closure",
-                            dom=l.poset.to_json(),
-                            cod=m.poset.to_json(),
-                            map=list(g),
-                            subset=l.poset.subset_labels(a),
-                        )
+            for g, a in _transport_breaks(closures, homs, _column_sups(m, homs)):
+                ck.fail(
+                    "join-existence does not transport across the closure",
+                    dom=l.poset.to_json(),
+                    cod=m.poset.to_json(),
+                    map=list(g),
+                    subset=l.poset.subset_labels(a),
+                )
     return ck
 
 

@@ -18,6 +18,8 @@ from powerlab.poset import _ideals
 from powerlab.poset import enumerate_directed_subsets
 from powerlab.semilattice import _homomorphism_images
 
+from test_suite import ORACLES
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # the cached enumerators are called through __wrapped__, so every call runs the body
@@ -195,3 +197,21 @@ def test_least_upper_bound_is_called_only_by_the_directed_step():
                 in_step += sum(map(_calls_least_upper_bound, ast.walk(func)))
     assert per_file == {"poset.py": 1}
     assert in_step == 1
+
+
+def test_only_oracles_call_oracles():
+    # the runtime guard in test_suite covers the default run; this covers
+    # every path: no function outside ORACLES names an ORACLES function, as
+    # a call or as a value, nor PosetMap.is_scott_continuous
+    refused = set(ORACLES) | {"is_scott_continuous"}
+    found = []
+    for path in sorted((ROOT / "src" / "powerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name in ORACLES:
+                continue
+            for node in ast.walk(func):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in refused:
+                    found.append(f"{path.name}:{node.lineno} {func.name} -> {name}")
+    assert found == []

@@ -41,6 +41,7 @@ from powerlab.suite import (
     _column_sups,
     _membership_table,
     _semilattices_upto,
+    _transport_breaks,
     check_cor_3_11,
     check_enum,
     check_freeness,
@@ -456,7 +457,7 @@ def test_traced_spans_carry_traffic(tmp_path):
 # are what those statements check, so they are not listed.
 ORACLES = (
     "is_scott_closed", "directed_sup_closure_step", "least_upper_bound",
-    "is_f_scott_closed_literal", "preserves_directed_sups",
+    "is_f_scott_closed_literal", "is_homomorphism",
     "f_scott_continuity_violation", "is_f_scott_continuous",
     "sup_exists_transport_check", "partial_join", "enumerate_homomorphisms",
     "enumerate_monotone_maps", "monotone_map_images", "f_c",
@@ -532,6 +533,27 @@ class TestTabulatedVerdicts:
                             assert (sups[a][r] == sups[closures[a]][r]) == (
                                 sup_exists_transport_check(p, l, f, a)
                             )
+
+    def test_transport_breaks_walk_in_map_then_subset_order(self):
+        # no break at the true closures; with every closure read as the full
+        # set, each (map, subset) whose sup differs from the full set's, in order
+        breaks = 0
+        for p in enumerate_posets(3):
+            subsets = range(1 << p.n)
+            for l in _semilattices_upto(3):
+                maps = monotone_map_images(p, l.poset)
+                sups = _column_sups(l, maps)
+                closures = [scott_closure(p, a) for a in subsets]
+                assert list(_transport_breaks(closures, maps, sups)) == []
+                expected = [
+                    (img, a)
+                    for r, img in enumerate(maps)
+                    for a in subsets
+                    if sups[a][r] != sups[p.full_mask][r]
+                ]
+                assert list(_transport_breaks([p.full_mask] * len(subsets), maps, sups)) == expected
+                breaks += len(expected)
+        assert breaks
 
     def test_prop_3_4_matches_f_scott_continuity(self):
         # every closed set of the codomain, as check_prop_3_4 reads the
