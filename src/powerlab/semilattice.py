@@ -13,7 +13,13 @@ proportional to the number of closed sets rather than to 2**n;
 monotone maps of ``iter_monotone_maps`` that preserve the join of every
 consistent incomparable pair; ``iter_homomorphisms`` streams them, and
 ``is_homomorphism``, the literal definition over every consistent pair, is
-its test oracle.  Sups of images have one evaluator, ``_column_sups``, which
+its test oracle.  A pair of semilattices has one cached table,
+``_map_columns``: its monotone maps, enumerated once, as byte columns, and
+their homomorphism flags, one ``translate`` per join triple for all maps at
+once; ``_homomorphism_images`` is the flagged rows of that table.  The
+F-Scott continuity oracle, ``f_scott_continuity_violation``, decides closed
+sets with ``is_f_scott_closed_literal`` alone, so it shares no code with
+``cl_f``.  Sups of images have one evaluator, ``_column_sups``, which
 gives them for many maps at once, as bytes: the images of each domain
 element form a column, byte ``r`` for map ``r``, and each domain element
 extends the sups of every subset so far with one ``translate`` of
@@ -35,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from .families import SetFamily
 from .poset import (
@@ -370,12 +377,16 @@ def _check_map(f: PosetMap, l: VSemilattice, m: VSemilattice):
 
 
 def f_scott_continuity_violation(f: PosetMap, l: VSemilattice, m: VSemilattice):
-    """A closed set of the codomain whose preimage is not closed, or None."""
+    """The first closed set of the codomain, in subset order, whose preimage
+    is not closed, or None.  Both sides are decided by
+    ``is_f_scott_closed_literal``, so the oracle shares no code with
+    ``cl_f``."""
     _check_map(f, l, m)
-    for c in gamma_f(m).members:
-        pre = f.preimage_bits(c)
-        if not is_f_scott_closed(l, pre):
-            return c, pre
+    for c in range(1 << m.n):
+        if is_f_scott_closed_literal(m, c):
+            pre = f.preimage_bits(c)
+            if not is_f_scott_closed_literal(l, pre):
+                return c, pre
     return None
 
 
@@ -386,7 +397,7 @@ def is_f_scott_continuous(f: PosetMap, l: VSemilattice, m: VSemilattice) -> bool
 
 def enumerate_homomorphisms(l: VSemilattice, m: VSemilattice) -> list[PosetMap]:
     """All join-preserving monotone maps, in the order of ``iter_monotone_maps``."""
-    return [PosetMap(l.poset, m.poset, img) for img in _homomorphism_images(l, m)]
+    return [PosetMap(l.poset, m.poset, img) for img in iter_homomorphisms(l, m)]
 
 
 def iter_homomorphisms(l: VSemilattice, m: VSemilattice):
@@ -407,11 +418,45 @@ def iter_homomorphisms(l: VSemilattice, m: VSemilattice):
             yield img
 
 
+# a ``bytes.translate`` table sending 0 to 1 and every other byte to 0
+_ZERO_FLAGS = bytes([1]) + bytes(255)
+
+
+@lru_cache(maxsize=None)
+def _map_columns(l: VSemilattice, m: VSemilattice) -> tuple[tuple[bytes, ...], bytes]:
+    """The monotone maps ``l -> m`` as byte columns, with their homomorphism
+    flags: byte ``r`` of ``columns[x]`` is the image of ``x`` under map
+    ``r``, in the order of ``iter_monotone_maps``, and byte ``r`` of
+    ``flags`` is 1 when map ``r`` is a homomorphism and 0 otherwise.
+
+    A monotone map preserves the join of a comparable pair, so only the
+    pairs of ``l.join_triples`` are tested, all maps at once: per triple
+    ``(i, j, z)``, one ``translate`` of the packed pairs ``(columns[i] << 4)
+    | columns[j]`` through ``m.column_join``, XORed with column ``z``, is 0
+    exactly at the maps that preserve that join.  Every byte of both sides
+    is at most 15, so the OR over the triples stays bytewise, and its zero
+    bytes are the homomorphisms.  The one enumeration of a semilattice
+    pair's maps, for Prop3.4 and ``_homomorphism_images``; codomains of at
+    most 14 elements."""
+    maps = tuple(iter_monotone_maps(l.poset, m.poset))
+    k = len(maps)
+    columns = tuple(bytes(col) for col in zip(*maps))
+    ints = [int.from_bytes(c, "big") for c in columns]
+    join = m.column_join
+    wrong = 0
+    for i, j, z in l.join_triples:
+        joined = ((ints[i] << 4) | ints[j]).to_bytes(k, "big").translate(join)
+        wrong |= int.from_bytes(joined, "big") ^ ints[z]
+    return columns, wrong.to_bytes(k, "big").translate(_ZERO_FLAGS)
+
+
 @lru_cache(maxsize=None)
 def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[tuple[int, ...], ...]:
-    """``iter_homomorphisms(l, m)`` as a tuple, cached for the semilattice
-    pairs that Prop3.4 and Lem3.6 both read."""
-    return tuple(iter_homomorphisms(l, m))
+    """The images of the homomorphisms ``l -> m``, in the order of
+    ``iter_monotone_maps``: the flagged rows of ``_map_columns(l, m)``,
+    cached for Lem3.6."""
+    columns, flags = _map_columns(l, m)
+    return tuple(compress(zip(*columns), flags))
 
 
 def sup_exists_transport_check(

@@ -36,6 +36,7 @@ from .poset import (
     InvariantError,
     PosetError,
     PosetMap,
+    hasse,
     is_consistent,
     is_sober,
     iter_monotone_maps,
@@ -46,6 +47,7 @@ from .semilattice import (
     NO_SUP,
     _column_sups,
     _homomorphism_images,
+    _map_columns,
     cl_f,
     gamma_f,
     iter_homomorphisms,
@@ -157,6 +159,41 @@ def _membership_table(bits: int) -> bytes:
     return format(bits & ((1 << 256) - 1), "0256b")[::-1].encode()
 
 
+def _points_generate(h) -> bool:
+    """Premise B: the point closures, ``h.j``'s images, generate every member
+    of the powerdomain ``h`` under its defined joins."""
+    join = h.semilattice.join
+    reached, new = set(), set(h.j.img)
+    while new:
+        reached |= new
+        new = {z for a in reached for b in reached if (z := join[a][b]) != -1} - reached
+    return len(reached) == len(join)
+
+
+def _extends_freely(l, maps, sups, members, points, covers, triples) -> bool:
+    """Whether every map's sup-of-image extension, read from ``sups``, its
+    ``_column_sups`` table, is defined at every powerdomain member, restricts
+    to the map at the point closures ``points``, and keeps each cover pair
+    ``(a, b)`` in order and each join triple ``(i, j, z)`` of the
+    powerdomain, all given as subsets.  Each order or join test is one
+    ``translate`` of the packed member strings ``(sups[a] << 4) | sups[b]``
+    through ``l.column_join``, for all maps at once: with no ``NO_SUP``
+    byte, ``join(s, y) == y`` exactly when ``s <= y``."""
+    if any(NO_SUP in sups[a] for a in members):
+        return False
+    if any(sups[a] != bytes(col) for a, col in zip(points, zip(*maps))):
+        return False
+    k, join = len(maps), l.column_join
+
+    def joined(a, b):
+        packed = (int.from_bytes(sups[a], "big") << 4) | int.from_bytes(sups[b], "big")
+        return packed.to_bytes(k, "big").translate(join)
+
+    return all(joined(a, b) == sups[b] for a, b in covers) and all(
+        joined(i, j) == sups[z] for i, j, z in triples
+    )
+
+
 @lru_cache(maxsize=None)
 def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     """Lem2.3's, Freeness's and Lem3.8's findings on the monotone maps from
@@ -165,31 +202,46 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     in ``_semilattices_upto`` order, Freeness reports its count line before
     its per-map findings.
 
-    The homomorphisms from the powerdomain are streamed once per
-    semilattice, counted and grouped by their restriction along the
-    embedding.  The monotone maps into the semilattice go to one
-    ``_column_sups`` table, and each map's sup-of-image extension is its
-    byte at each powerdomain member.  It must be defined (Lem2.3) and be the
-    one homomorphism that restricts to the map (Freeness).  A map whose
-    restriction group is exactly its extension has nothing to report to
-    Lem2.3 or Freeness: a homomorphism is defined everywhere, is a
-    homomorphism and restricts to the map.  Its other tests are skipped, and
-    an extension is a homomorphism exactly when it is in the group of its
-    own restriction.
+    The monotone maps into a semilattice go to one ``_column_sups`` table,
+    and each map's sup-of-image extension E is its byte at each powerdomain
+    member.  The pass path reads nothing else.  ``_extends_freely`` tests,
+    for all maps at once, that E is defined on every member (Lem2.3),
+    restricts to the map along the embedding j, keeps each cover pair of
+    the powerdomain in order, and preserves the join of each consistent
+    incomparable pair; ``_points_generate`` tests premise B, that j(P)
+    generates the powerdomain under its defined joins, once per poset.
+    These prove that nothing is left to report:
 
-    Lem3.8 compares the subsets refuted by some map with those refuted by
-    the restriction of some homomorphism; a homomorphism refutes, through
-    the embedding, exactly what its restriction refutes.  When Freeness
-    finds nothing on a semilattice, restriction is a bijection from the
-    homomorphisms onto the maps and the extension is its inverse, so both
-    sides are the union of the same maps' refuted subsets and agree by
-    construction.  Only when Freeness has a finding are the two unions
-    built, the maps' from the same table and the restrictions' from one
+    - Existence.  E is monotone, since the cover pairs generate the order,
+      and preserves the join of a comparable pair a <= b, which is b,
+      because E(a) <= E(b).  So E is a homomorphism that restricts to the
+      map.
+    - Uniqueness.  A homomorphism g that restricts to the map agrees with E
+      on j(P), and the members where they agree are closed under the
+      defined joins: g(a v b) = g(a) v g(b) = E(a) v E(b) = E(a v b).  By
+      premise B they agree everywhere.
+    - So restriction is a bijection from the homomorphisms onto the maps,
+      with the extension its inverse: a homomorphism g restricts to the
+      monotone map g.j, whose one homomorphism is g.  Each map's group is
+      exactly its extension, and the counts agree, so Freeness has nothing
+      to report; Lem3.8's two unions of refuted subsets are unions over the
+      same maps and agree.
+
+    A semilattice on which a test fails, and every semilattice when premise
+    B fails, takes the failure path instead: the homomorphisms from the
+    powerdomain are streamed once, counted and grouped by their restriction
+    along the embedding, and each map whose group is not exactly its
+    extension is tested for definedness, monotonicity, join preservation,
+    restriction and uniqueness, in that order.  Lem3.8 then builds both
+    unions, the maps' from the same table and the restrictions' from one
     more ``_column_sups`` table, so that a failure names the subsets that
     differ.  Only findings are kept."""
     h = build_hc(p)
     members = h.family.members
     j_img = h.j.img
+    generated = _points_generate(h)
+    covers = [(members[a], members[b]) for a, b in hasse(h.poset)]
+    triples = [tuple(members[x] for x in t) for t in h.semilattice.join_triples]
     # the restriction along the embedding, as a tuple even for one point
     restrict = itemgetter(*j_img) if p.n > 1 else lambda g: (g[j_img[0]],)
     found = {"Lem2.3": [], "Freeness": [], "Lem3.8": []}
@@ -198,14 +250,16 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
         return detail, {"semilattice": l.poset.to_json(), "map": list(f_img), **extra}
 
     for l in _semilattices_upto(semi_bound):
+        maps = tuple(iter_monotone_maps(p, l.poset))
+        sups = _column_sups(l, maps)
+        if generated and _extends_freely(l, maps, sups, members, p.down_masks, covers, triples):
+            continue
         groups: dict = {}
         homs = 0
         for g in iter_homomorphisms(h.semilattice, l):
             groups.setdefault(restrict(g), []).append(g)
             homs += 1
         per_map = []  # Freeness's findings after its count line
-        maps = tuple(iter_monotone_maps(p, l.poset))
-        sups = _column_sups(l, maps)
         for f_img, ext in zip(maps, zip(*[sups[m] for m in members])):
             matching = groups.get(f_img, [])
             if matching == [ext]:
@@ -440,14 +494,16 @@ def check_sober(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
 
 def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport:
     """Part 1: a map between semilattices preserves consistent joins exactly
-    when preimages of F-Scott closed sets are F-Scott closed.  A monotone
-    map is a homomorphism when it is among ``_homomorphism_images`` of the
-    pair.  It is continuous when the preimage of every meet-irreducible
-    closed set of the codomain is closed: every closed set is the
-    intersection of the irreducibles containing it (the full set being the
-    empty intersection), the preimage of an intersection is the intersection
-    of the preimages, and the domain's closed sets are closed under
-    intersection, so then every closed set's preimage is closed.
+    when preimages of F-Scott closed sets are F-Scott closed.  A pair's
+    monotone maps and their homomorphism flags are ``_map_columns`` of the
+    pair, the one enumeration of its maps, which Lem3.6 reads again through
+    ``_homomorphism_images``.  A map is continuous when the preimage of
+    every meet-irreducible closed set of the codomain is closed: every
+    closed set is the intersection of the irreducibles containing it (the
+    full set being the empty intersection), the preimage of an intersection
+    is the intersection of the preimages, and the domain's closed sets are
+    closed under intersection, so then every closed set's preimage is
+    closed.
 
     A pair's maps are decided at once, by columns: byte ``r`` of column
     ``x`` is the image of ``x`` under map ``r``.  Translated by a bit table,
@@ -470,18 +526,16 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     for l in pool:
         unclosed = _membership_table(~sum(1 << a for a in gamma_f(l).members)).translate(as_bit[0])
         for m, m_irreducibles in zip(pool, irreducibles):
-            maps = tuple(iter_monotone_maps(l.poset, m.poset))
-            columns = [bytes(col) for col in zip(*maps)]
+            columns, hom = _map_columns(l, m)
+            k = len(hom)
             broken = 0
             for tables in m_irreducibles:
                 pre = sum(int.from_bytes(x.translate(t), "big") for x, t in zip(columns, tables))
-                broken |= int.from_bytes(pre.to_bytes(len(maps), "big").translate(unclosed), "big")
+                broken |= int.from_bytes(pre.to_bytes(k, "big").translate(unclosed), "big")
             # byte r of hom ^ broken is 0 where map r is a homomorphism but
             # not continuous, or continuous but no homomorphism
-            homs = set(_homomorphism_images(l, m))
-            hom = bytes(map(homs.__contains__, maps))
-            agree = (int.from_bytes(hom, "big") ^ broken).to_bytes(len(maps), "big")
-            for img, h in compress(zip(maps, hom), map(not_, agree)):
+            agree = (int.from_bytes(hom, "big") ^ broken).to_bytes(k, "big")
+            for img, h in compress(zip(zip(*columns), hom), map(not_, agree)):
                 ck.fail(
                     f"homomorphism={bool(h)} but continuity={not h}",
                     dom=l.poset.to_json(),

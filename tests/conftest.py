@@ -319,11 +319,14 @@ def literal_lemma_3_6(l_bound, m_bound):
 def literal_prop_3_4(pair_bound):
     """Prop3.4's part-1 failures by its own loop, one map at a time: each
     monotone map between semilattices at the bound is a homomorphism when it
-    is among the cached ones, and continuous when ``preimage_bits`` of each
-    meet-irreducible closed set of the codomain is a closed set of the
-    domain.  The functions are read at call time, so a mutant patched in
-    ``powerlab.suite`` reaches this loop and the check alike.  The
-    reference for ``check_prop_3_4(pair_bound, 0)``."""
+    is among the rows flagged in ``_map_columns`` of the pair, and
+    continuous when ``preimage_bits`` of each meet-irreducible closed set of
+    the codomain is a closed set of the domain.  The functions are read at
+    call time, so a mutant patched in ``powerlab.suite`` reaches this loop
+    and the check alike.  The reference for ``check_prop_3_4(pair_bound,
+    0)``."""
+    from itertools import compress
+
     from powerlab import suite
     from powerlab.poset import PosetMap
 
@@ -332,7 +335,8 @@ def literal_prop_3_4(pair_bound):
     for l in pool:
         closed = set(suite.gamma_f(l).members)
         for m in pool:
-            homs = set(suite._homomorphism_images(l, m))
+            columns, flags = suite._map_columns(l, m)
+            homs = set(compress(zip(*columns), flags))
             irreducibles = suite.meet_irreducibles(suite.gamma_f(m))
             for img in suite.iter_monotone_maps(l.poset, m.poset):
                 f = PosetMap(l.poset, m.poset, img)
@@ -349,25 +353,39 @@ def literal_prop_3_4(pair_bound):
 
 
 @contextmanager
-def sweep_mutant(name, replacement):
-    """Run with ``powerlab.suite.<name>`` replaced by ``replacement``, a
-    mutant of a function the map sweep or Lem3.6 reads.  The ``_map_sweep``
-    and ``_homomorphism_images`` caches, the ones that could hold a mutant's
-    result, are cleared on entry and on exit, so no result leaks into or out
-    of the mutant."""
+def sweep_mutant(**patches):
+    """Run with each ``powerlab.suite`` name in ``patches`` replaced by its
+    value, a mutant of a function the map sweep, Prop3.4 or Lem3.6 reads.
+    The ``_map_sweep``, ``_map_columns`` and ``_homomorphism_images``
+    caches, the ones that could hold a mutant's result, are cleared on entry
+    and on exit, so no result leaks into or out of the mutant."""
     from powerlab import semilattice, suite
 
     def clear():
         suite._map_sweep.cache_clear()
+        semilattice._map_columns.cache_clear()
         semilattice._homomorphism_images.cache_clear()
 
     clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(suite, name, replacement)
+            for attr, value in patches.items():
+                mp.setattr(suite, attr, value)
             yield
     finally:
         clear()
+
+
+@pytest.fixture
+def cached_literal_closedness(monkeypatch):
+    """``is_f_scott_closed_literal`` cached per (semilattice, subset) inside
+    ``powerlab.semilattice``, where ``f_scott_continuity_violation`` reads
+    it: the continuity oracle then decides each subset literally once per
+    test, not once per map."""
+    from powerlab import semilattice
+
+    literal = lru_cache(maxsize=None)(semilattice.is_f_scott_closed_literal)
+    monkeypatch.setattr(semilattice, "is_f_scott_closed_literal", literal)
 
 
 def literal_first_refutation(p, bits, semilattices):

@@ -343,6 +343,12 @@ class TestVerify:
             "fc732ac2cad4361f240dd517e589e8a9684ebd36a29349263d813700fd15b435"
         )
 
+    def test_max_semilattice_6_report_is_pinned(self, capsys, tmp_path):
+        # the map sweep runs into every semilattice of up to 6 elements
+        assert self._report_digest(capsys, tmp_path, "--max-semilattice", "6") == (
+            "83e3021f85d002433e6a6c3cc1c584264483d56abf7c6e5e8135af391dd5a1c1"
+        )
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2

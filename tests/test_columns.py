@@ -1,25 +1,29 @@
 """Prop3.4 and Lem3.6 evaluate a semilattice pair's maps all at once, as
-byte columns: the continuity flags against ``is_f_scott_continuous``, the
-sup columns at the widest codomain and with no maps, failure payloads
-against each statement's per-map loop, the packing limits, and one sup
-table per pair."""
+byte columns: the homomorphism flags against ``is_homomorphism``, the
+continuity flags against ``is_f_scott_continuous``, the sup columns at the
+widest codomain and with no maps, failure payloads against each statement's
+per-map loop, the packing limits, one enumeration and one sup table per
+pair."""
 
 import json
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
 from powerlab import catalog
 from powerlab.enumeration import monotone_map_images
-from powerlab.poset import PosetError, PosetMap
+from powerlab.poset import PosetError, PosetMap, iter_monotone_maps
 from powerlab.semilattice import (
     VSemilattice,
     _column_sups,
     _homomorphism_images,
+    _map_columns,
     is_f_scott_continuous,
+    is_homomorphism,
     meet_irreducibles,
 )
-from powerlab.suite import _semilattices_upto, check_lemma_3_6, check_prop_3_4
+from powerlab.suite import Config, _semilattices_upto, check_lemma_3_6, check_prop_3_4, run_all
 
 from conftest import literal_prop_3_4, sweep_mutant
 from test_suite import _sup_oracle
@@ -39,23 +43,46 @@ def _continuous(l, m):
     )
 
 
+def _continuity_as_homomorphisms(complement):
+    # _map_columns with the continuity oracle's verdicts, or their
+    # complement, in place of the homomorphism flags
+    def mutant(l, m):
+        columns, _ = _map_columns(l, m)
+        continuous = set(_continuous(l, m))
+        return columns, bytes((img in continuous) != complement for img in zip(*columns))
+
+    return mutant
+
+
+def test_flags_match_is_homomorphism_on_every_pair():
+    # the columns are iter_monotone_maps' rows, and each flag is the literal
+    # definition's verdict on its row
+    pool = _semilattices_upto(4)
+    homs = 0
+    for l in pool:
+        for m in pool:
+            columns, flags = _map_columns(l, m)
+            images = tuple(zip(*columns))
+            assert images == monotone_map_images(l.poset, m.poset)
+            assert list(flags) == [is_homomorphism(PosetMap(l.poset, m.poset, g), l, m) for g in images]
+            homs += sum(flags)
+    assert homs == 16413
+
+
+@pytest.mark.usefixtures("cached_literal_closedness")
 class TestContinuityFlags:
-    """With the homomorphism side of Prop3.4 replaced by the continuity
+    """With the homomorphism flags of Prop3.4 replaced by the continuity
     oracle, the check fails on exactly the maps whose flag disagrees with
     ``is_f_scott_continuous``."""
 
     def test_flags_match_the_oracle_on_every_pair(self):
-        with sweep_mutant("_homomorphism_images", _continuous):
+        with sweep_mutant(_map_columns=_continuity_as_homomorphisms(False)):
             assert check_prop_3_4(4, 0).failures == []
 
     def test_flags_are_not_vacuous(self):
         # the oracle's complement as the homomorphisms: every map disagrees,
         # and each failure names the map's oracle verdict as its continuity
-        def discontinuous(l, m):
-            cont = set(_continuous(l, m))
-            return tuple(g for g in monotone_map_images(l.poset, m.poset) if g not in cont)
-
-        with sweep_mutant("_homomorphism_images", discontinuous):
+        with sweep_mutant(_map_columns=_continuity_as_homomorphisms(True)):
             failures = check_prop_3_4(4, 0).failures
         pool = _semilattices_upto(4)
         assert len(failures) == sum(len(monotone_map_images(l.poset, m.poset)) for l in pool for m in pool)
@@ -84,10 +111,12 @@ class TestPayloads:
         assert _dump(failures) == _dump(literal_prop_3_4(3))
 
     def test_prop_3_4_matches_its_loop_without_a_homomorphism(self):
+        # each pair's first homomorphism flagged as none
         def mutant(l, m):
-            return _homomorphism_images(l, m)[1:]
+            columns, flags = _map_columns(l, m)
+            return columns, flags.replace(b"\x01", b"\x00", 1)
 
-        with sweep_mutant("_homomorphism_images", mutant):
+        with sweep_mutant(_map_columns=mutant):
             failures = check_prop_3_4(3, 0).failures
             assert failures
             assert _dump(failures) == _dump(literal_prop_3_4(3))
@@ -143,3 +172,21 @@ def test_lemma_3_6_builds_no_sup_table_per_map(monkeypatch):
     pool = _semilattices_upto(4)
     assert len(calls) == len(pool) ** 2
     assert sum(calls) == sum(len(_homomorphism_images(l, m)) for l in pool for m in pool) == 16413
+
+
+def test_each_pair_is_enumerated_once(monkeypatch):
+    # Prop3.4 and Lem3.6 read one table per semilattice pair, so a run of
+    # both enumerates each pair's monotone maps once
+    counts = Counter()
+
+    def counted(p, q):
+        counts[p, q] += 1
+        return iter_monotone_maps(p, q)
+
+    monkeypatch.setattr("powerlab.suite.iter_monotone_maps", counted)
+    monkeypatch.setattr("powerlab.semilattice.iter_monotone_maps", counted)
+    with sweep_mutant():
+        summary = run_all(Config(suites=("prop3.4", "lem3.6")))
+    assert not summary.any_fail and not summary.any_inconclusive
+    pool = _semilattices_upto(4)
+    assert counts == Counter({(l.poset, m.poset): 1 for l in pool for m in pool})

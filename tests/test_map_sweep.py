@@ -1,23 +1,27 @@
 """The one map sweep behind Lem2.3, Freeness and Lem3.8: failure parity
 with each statement's own loop, mutants that reach every failure detail,
-cache hygiene and sharing, and one ``_column_sups`` table per (poset,
-semilattice) pair on the pass path.  Lem3.6,
-which has its own loop over pairs of semilattices, is held to the same
-parity and runs no map sweep."""
+the pass path against the failure path, premise B, cache hygiene and
+sharing, and one ``_column_sups`` table per (poset, semilattice) pair with
+no homomorphism stream on the pass path.  Lem3.6, which has its own loop
+over pairs of semilattices, is held to the same parity and runs no map
+sweep."""
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from powerlab import catalog
+from powerlab import catalog, semilattice
 from powerlab.enumeration import monotone_map_images
+from powerlab.hoare import build_hc
 from powerlab.poset import iter_bits
 from powerlab.semilattice import NO_SUP, VSemilattice, iter_homomorphisms
 from powerlab.suite import (
     Config,
     _column_sups,
     _map_sweep,
+    _points_generate,
     _semilattices_upto,
     check_freeness,
     check_lemma_2_3,
@@ -41,6 +45,11 @@ CHECKS = (
     (check_freeness, literal_freeness),
     (check_lemma_3_8, literal_lemma_3_8),
 )
+
+
+def _unproven(h):
+    # premise B read as failed, so every semilattice takes the failure path
+    return False
 
 
 def _without_first_homomorphism(l, m):
@@ -76,6 +85,15 @@ def _shifted_sup_for_the_full_set(l, images):
     return out[:-1] + (bytes(s if s == NO_SUP else (s + 1) % l.n for s in out[-1]),)
 
 
+def _full_sup_for_every_pair(l, images):
+    # every subset of two or more elements takes the full domain's sups: on
+    # the vee the extension stays monotone and restricts to the map, but
+    # sends the pair of minimal points to the top's image, which breaks the
+    # join of their point closures wherever their images join below it
+    out = _column_sups(l, images)
+    return tuple(out[-1] if a & (a - 1) else s for a, s in enumerate(out))
+
+
 # the mutants of the sup table that every statement on maps reads, patched
 # over ``_column_sups`` in powerlab.suite
 TABLE_MUTANTS = {
@@ -83,11 +101,15 @@ TABLE_MUTANTS = {
 }
 
 
-# (patched name in powerlab.suite, mutant, the failure details it must raise)
+# (the powerlab.suite names patched, each with its mutant; the failure
+# details the mutant must raise).  The pass path streams no homomorphism,
+# so a mutant of the stream is paired with premise B read as failed: the
+# sweep cannot then prove uniqueness and must walk every semilattice
+# through the stream.  A mutant of the table itself must be caught by the
+# pass path's own tests.
 MUTANTS = {
     "drop_one_homomorphism": (
-        "iter_homomorphisms",
-        _without_first_homomorphism,
+        {"iter_homomorphisms": _without_first_homomorphism, "_points_generate": _unproven},
         {
             ("Freeness", "{N} powerdomain maps vs {M} monotone maps"),
             ("Freeness", "extension does not preserve joins"),
@@ -95,28 +117,32 @@ MUTANTS = {
         },
     ),
     "drop_every_homomorphism": (
-        "iter_homomorphisms",
-        _without_homomorphisms,
+        {"iter_homomorphisms": _without_homomorphisms, "_points_generate": _unproven},
         {("Lem3.8", "map-refutable and embedding-refutable subsets disagree")},
     ),
     "add_a_non_monotone_map": (
-        "iter_homomorphisms",
-        _with_a_non_monotone_map,
+        {"iter_homomorphisms": _with_a_non_monotone_map, "_points_generate": _unproven},
         {
             ("Freeness", "{N} powerdomain maps vs {M} monotone maps"),
             ("Lem3.8", "map-refutable and embedding-refutable subsets disagree"),
         },
     ),
+    "unjoined_sup": (
+        {"_column_sups": _full_sup_for_every_pair},
+        {
+            ("Freeness", "extension does not preserve joins"),
+            ("Freeness", "{N} powerdomain maps restrict to this map"),
+        },
+    ),
     "undefined_sup": (
-        *TABLE_MUTANTS["undefined_sup"],
+        dict([TABLE_MUTANTS["undefined_sup"]]),
         {
             ("Lem2.3", "member image has no least upper bound"),
             ("Freeness", "extension undefined on a member"),
         },
     ),
     "shifted_sup": (
-        "_column_sups",
-        _shifted_sup_for_the_full_set,
+        {"_column_sups": _shifted_sup_for_the_full_set},
         {
             ("Freeness", "extension not monotone"),
             ("Freeness", "extension does not restrict to the map"),
@@ -146,9 +172,9 @@ def test_every_poset_matches_the_statement_loops():
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_failures_match_the_statement_loops(mutant):
-    name, replacement, expected = MUTANTS[mutant]
+    patches, expected = MUTANTS[mutant]
     seen = set()
-    with sweep_mutant(name, replacement):
+    with sweep_mutant(**patches):
         for p in small_posets(3):
             for check, literal in CHECKS:
                 failures = check(p, 3).failures
@@ -169,20 +195,71 @@ def test_mutants_reach_every_failure_detail():
         ("Freeness", "{N} powerdomain maps restrict to this map"),
         ("Lem3.8", "map-refutable and embedding-refutable subsets disagree"),
     }
-    assert set().union(*(details for _, _, details in MUTANTS.values())) == every
+    assert set().union(*(details for _, details in MUTANTS.values())) == every
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_result_does_not_leak(mutant):
-    # a cached PASS must not survive into the mutant, nor its FAIL out of it
-    name, replacement, expected = MUTANTS[mutant]
-    p = catalog.chain(2)
+    # a cached PASS must not survive into the mutant, nor its FAIL out of
+    # it, on the vee: the smallest poset whose powerdomain has a join of two
+    # incomparable members
+    patches, expected = MUTANTS[mutant]
+    p = catalog.vee()
     checks = {"Lem2.3": check_lemma_2_3, "Freeness": check_freeness, "Lem3.8": check_lemma_3_8}
     statements = sorted({s for s, _ in expected})
     assert [checks[s](p, 2).verdict for s in statements] == ["PASS"] * len(statements)
-    with sweep_mutant(name, replacement):
+    with sweep_mutant(**patches):
         assert [checks[s](p, 2).verdict for s in statements] == ["FAIL"] * len(statements)
     assert [checks[s](p, 2).verdict for s in statements] == ["PASS"] * len(statements)
+
+
+@pytest.mark.parametrize("mutant", [None, *sorted(MUTANTS)])
+def test_failure_path_matches_the_pass_path(mutant):
+    # with premise B read as failed every semilattice is walked through the
+    # homomorphism stream; the findings must be those of the pass path,
+    # clean and under each mutant
+    patches = MUTANTS[mutant][0] if mutant else {}
+    posets = small_posets(4)
+    with sweep_mutant(**patches):
+        passed = [_dump(_map_sweep(p, 4)) for p in posets]
+    with sweep_mutant(**{**patches, "_points_generate": _unproven}):
+        walked = [_dump(_map_sweep(p, 4)) for p in posets]
+    # the posets whose findings differ, so that a failure names them
+    assert [p for p, a, b in zip(posets, walked, passed) if a != b] == []
+
+
+def test_points_generate_every_powerdomain_up_to_six():
+    # premise B on each of the 405 posets of 1 to 6 elements
+    posets = small_posets(6)
+    assert len(posets) == 405
+    assert all(_points_generate(build_hc(p)) for p in posets)
+
+
+def test_points_generate_is_not_vacuous():
+    # with the join of the vee's two minimal points taken out, the member
+    # they make is reached from no point closure
+    h = build_hc(catalog.vee())
+    a, b = (h.j.img[x] for x in range(2))
+    join = [list(row) for row in h.semilattice.join]
+    join[a][b] = join[b][a] = -1
+    broken = SimpleNamespace(j=h.j, semilattice=SimpleNamespace(join=join))
+    assert _points_generate(h) and not _points_generate(broken)
+
+
+def test_default_run_streams_no_homomorphism(monkeypatch):
+    # every (poset, semilattice) pair of a default run passes on its sup
+    # table alone, and Prop3.4 and Lem3.6 flag homomorphisms by columns
+    calls = []
+
+    def counted(l, m):
+        calls.append((l, m))
+        return iter_homomorphisms(l, m)
+
+    monkeypatch.setattr(semilattice, "iter_homomorphisms", counted)
+    with sweep_mutant(iter_homomorphisms=counted):
+        summary = run_all()
+    assert not summary.any_fail and not summary.any_inconclusive
+    assert calls == []
 
 
 def test_pass_path_reads_one_column_table_per_pair():
@@ -198,7 +275,7 @@ def test_pass_path_reads_one_column_table_per_pair():
     posets = small_posets(4)
     semilattices = _semilattices_upto(4)
     maps = sum(len(monotone_map_images(p, l.poset)) for p in posets for l in semilattices)
-    with sweep_mutant("_column_sups", counted):
+    with sweep_mutant(_column_sups=counted):
         for p in posets:
             for check, _ in CHECKS:
                 assert check(p, 4).verdict == "PASS"
@@ -234,14 +311,36 @@ def _shifted_column_join(l):
     )
 
 
-def test_lemma_3_6_matches_its_loop_under_a_sup_mutant(monkeypatch):
+def _sups_under_a_shifted_join(l, images):
+    # _column_sups folded through the shifted join table, which no other
+    # reader of column_join sees; a class-level property overrides any value
+    # already cached on an instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VSemilattice, "column_join", property(_shifted_column_join))
+        return _column_sups(l, images)
+
+
+def test_lemma_3_6_matches_its_loop_under_a_sup_mutant():
     # the join table that _column_sups reads, for the check's many maps and
-    # the loop's one map at a time; a class-level property overrides any
-    # value already cached on an instance
-    monkeypatch.setattr(VSemilattice, "column_join", property(_shifted_column_join))
-    assert check_lemma_3_6(3, 3).failures
-    for bounds in LEMMA_3_6_BOUNDS:
-        assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))
+    # the loop's one map at a time
+    with sweep_mutant(_column_sups=_sups_under_a_shifted_join):
+        assert check_lemma_3_6(3, 3).failures
+        for bounds in LEMMA_3_6_BOUNDS:
+            assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))
+
+
+def test_every_poset_matches_the_statement_loops_under_a_sup_mutant():
+    # the same sup tables under the map sweep: the extensions they take out
+    # of order or off the joins must fail the pass path's column tests, so
+    # that the failure path reports what the statement loops report
+    seen = set()
+    with sweep_mutant(_column_sups=_sups_under_a_shifted_join):
+        for p in small_posets(3):
+            for check, literal in CHECKS:
+                failures = check(p, 3).failures
+                assert _dump(failures) == _dump(literal(p, 3))
+                seen.update((f["statement"], _detail_kind(f["detail"])) for f in failures)
+    assert ("Freeness", "extension not monotone") in seen
 
 
 def test_one_map_sweep_entry_per_poset():

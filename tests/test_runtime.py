@@ -16,7 +16,7 @@ import powerlab
 from powerlab.enumeration import enumerate_posets, enumerate_v_semilattices, monotone_map_images
 from powerlab.poset import _ideals
 from powerlab.poset import enumerate_directed_subsets
-from powerlab.semilattice import _homomorphism_images
+from powerlab.semilattice import _homomorphism_images, _map_columns
 
 from test_suite import ORACLES
 
@@ -28,6 +28,7 @@ ENUMERATORS = {
     "monotone_map_images": lambda p, l: monotone_map_images.__wrapped__(p, l.poset),
     "enumerate_directed_subsets": lambda p, l: enumerate_directed_subsets(p.up_masks, p.full_mask),
     "_homomorphism_images": lambda p, l: _homomorphism_images.__wrapped__(l, l),
+    "_map_columns": lambda p, l: _map_columns.__wrapped__(l, l),
 }
 
 

@@ -555,6 +555,7 @@ class TestTabulatedVerdicts:
                 breaks += len(expected)
         assert breaks
 
+    @pytest.mark.usefixtures("cached_literal_closedness")
     def test_prop_3_4_matches_f_scott_continuity(self):
         # every closed set of the codomain, as check_prop_3_4 reads the
         # meet-irreducible ones: the image string translated by its
@@ -569,6 +570,7 @@ class TestTabulatedVerdicts:
                     translated = all(bytes(img).translate(t) in closed for t in tables)
                     assert translated == is_f_scott_continuous(f, l, m)
 
+    @pytest.mark.usefixtures("cached_literal_closedness")
     def test_prop_3_4_irreducibles_match_f_scott_continuity(self):
         # Prop3.4 tests each map on the meet-irreducible closed sets only
         pool = _semilattices_upto(4)
@@ -615,7 +617,7 @@ class TestTableMutants:
             )
 
         posets = small_posets(3)
-        with sweep_mutant("_column_sups", inventing):
+        with sweep_mutant(_column_sups=inventing):
             reports = [check_prop_3_2(p, 3) for p in posets]
         details = {f["detail"] for r in reports for f in r.failures}
         assert details == {"the sup tables and the refutation search disagree on refutability"}
@@ -636,7 +638,7 @@ class TestTableMutants:
                     none if a >> top & 1 else row for a, row in enumerate(_column_sups(l, images))
                 )
 
-            with sweep_mutant("_column_sups", dropping):
+            with sweep_mutant(_column_sups=dropping):
                 reports.append(check_prop_3_2(p, 3))
         details = {f["detail"] for r in reports for f in r.failures}
         assert details == {"the sup tables and the refutation search disagree on refutability"}
@@ -653,7 +655,7 @@ class TestTableMutants:
 
         name, mutant = TABLE_MUTANTS["undefined_sup"]
         posets = [p for p in small_posets(3) if any(row != 1 << i for i, row in enumerate(p.up_masks))]
-        with sweep_mutant(name, mutant):
+        with sweep_mutant(**{name: mutant}):
             reports = [check_prop_3_2(p, 3) for p in posets]
         assert [r.verdict for r in reports] == ["FAIL"] * len(posets)
         for r in reports:
