@@ -13,20 +13,21 @@ proportional to the number of closed sets rather than to 2**n;
 monotone maps of ``iter_monotone_maps`` that preserve the join of every
 consistent incomparable pair; ``iter_homomorphisms`` streams them, and
 ``is_homomorphism``, the literal definition over every consistent pair, is
-its test oracle.  A pair of semilattices has one cached table,
-``_map_columns``: its monotone maps, enumerated once, as byte columns, and
-their homomorphism flags, one ``translate`` per join triple for all maps at
-once; ``_homomorphism_images`` is the flagged rows of that table.  The
-F-Scott continuity oracle, ``f_scott_continuity_violation``, decides closed
-sets with ``is_f_scott_closed_literal`` alone, so it shares no code with
-``cl_f``.  Sups of images have one evaluator, ``_column_sups``, which
-gives them for many maps at once, as bytes: the images of each domain
-element form a column, byte ``r`` for map ``r``, and each domain element
-extends the sups of every subset so far with one ``translate`` of
-``(sups << 4) | column`` through ``VSemilattice.column_join``, the join on
-packed nibble pairs.  A sup and an image must each fit a nibble, with
-``NO_SUP`` = 15 for no sup and the codomain's size for the empty set, so
-the codomain has at most 14 elements.
+its test oracle; ``f_scott_continuity_violation``, the F-Scott continuity
+oracle, decides closed sets with ``is_f_scott_closed_literal`` alone, so it
+shares no code with ``cl_f``.  Maps are held many at once as byte columns,
+byte ``r`` of column ``x`` being the image of ``x`` under map ``r``:
+``_monotone_columns`` turns the rows of ``iter_monotone_maps`` into them by
+``_columns``, the one transpose.  A pair of semilattices has one cached
+table, ``_map_columns``: its monotone maps, enumerated once, and their
+homomorphism flags, one ``translate`` per join triple for all maps at once;
+``_homomorphism_images`` keeps the flagged bytes of its columns.  Sups of
+images have one evaluator, ``_column_sups``: each domain element extends
+the sups of every subset so far with one ``translate`` of ``(sups << 4) |
+column`` through ``VSemilattice.column_join``, the join on packed nibble
+pairs.  A sup and an image must each fit a nibble, with ``NO_SUP`` = 15 for
+no sup and the codomain's size for the empty set, so the codomain has at
+most 14 elements.
 
 The module carries no test switch: mutation probes replace a ``cl_f`` step
 in this module's namespace from outside, and clear ``gamma_f``'s cache, the
@@ -199,36 +200,43 @@ def is_v_semilattice(p: FinitePoset) -> bool:
     return VSemilattice.from_poset(p) is not None
 
 
-def _column_sups(m: VSemilattice, images) -> tuple:
-    """The sups in ``m`` of the images of every domain subset under many
-    maps at once: byte ``r`` of ``out[a]`` is the least upper bound of the
-    image of subset ``a`` under ``images[r]``, or ``NO_SUP`` if it has none.
+def _columns(rows, n: int) -> tuple[bytes, ...]:
+    """The one transpose of map rows, each of ``n`` images, into byte columns."""
+    return tuple(map(bytes, zip(*rows))) or (b"",) * n
+
+
+def _monotone_columns(p: FinitePoset, q: FinitePoset) -> tuple[bytes, ...]:
+    """``iter_monotone_maps(p, q)`` as byte columns, enumerated on every call."""
+    return _columns(iter_monotone_maps(p, q), p.n)
+
+
+def _column_sups(m: VSemilattice, columns) -> tuple:
+    """The sups in ``m`` of the images of every domain subset under the maps
+    of ``columns``: byte ``r`` of ``out[a]`` is the least upper bound of the
+    image of subset ``a`` under map ``r``, or ``NO_SUP`` if it has none.
 
     The subsets' sups sit one after another in one byte string, ``k`` bytes
     per subset for the ``k`` maps, and each domain element ``x`` extends all
     of them at once, in subset order, by the recurrence ``out[a | bit(x)] =
-    join(out[a], column x)``.  Column ``x`` holds ``images[r][x]`` at byte
-    ``r``, repeated once per subset so far, and each byte pair is packed as
-    ``(out << 4) | column`` and joined by one ``translate`` through
-    ``m.column_join``; every byte of ``out`` is at most 15, so the shift
-    carries nothing into the next byte.  The empty set's ``m.n`` gives way
-    to the bottom at the end.  The recurrence is sound in a semilattice: for
-    a nonempty S with sup s, sup(S ∪ {y}) exists exactly when join(s, y)
-    does, and then they are equal, since an upper bound of S ∪ {y} bounds s
-    and y; a nonempty S with no sup is unbounded, because a bounded nonempty
-    set has a sup, and so is S ∪ {y}.  With no maps there is no column to
-    fold, and the result is one empty string, the empty set's."""
-    k = len(images)
-    if not k:
-        return (b"",)
+    join(out[a], column x)``.  Column ``x`` is repeated once per subset so
+    far, and each byte pair is packed as ``(out << 4) | column`` and joined
+    by one ``translate`` through ``m.column_join``; every byte of ``out`` is
+    at most 15, so the shift carries nothing into the next byte.  The empty
+    set's ``m.n`` gives way to the bottom at the end.  The recurrence is
+    sound in a semilattice: for a nonempty S with sup s, sup(S ∪ {y})
+    exists exactly when join(s, y) does, and then they are equal, since an
+    upper bound of S ∪ {y} bounds s and y; a nonempty S with no sup is
+    unbounded, because a bounded nonempty set has a sup, and so is
+    S ∪ {y}.  With no maps every string is empty."""
+    k = len(columns[0])
     join = m.column_join
     out = bytes([m.n]) * k
-    for col in zip(*images):
-        col = int.from_bytes(bytes(col) * (len(out) // k), "big")
+    for x, col in enumerate(columns):
+        col = int.from_bytes(col * (1 << x), "big")
         out += ((int.from_bytes(out, "big") << 4) | col).to_bytes(len(out), "big").translate(join)
     bottom = m.sup_of_bits(0)
     out = bytes([NO_SUP if bottom is None else bottom]) * k + out[k:]
-    return tuple(out[a : a + k] for a in range(0, len(out), k))
+    return tuple(out[a * k : a * k + k] for a in range(1 << len(columns)))
 
 
 # -- F-Scott closed sets ------------------------------------------------------
@@ -438,9 +446,8 @@ def _map_columns(l: VSemilattice, m: VSemilattice) -> tuple[tuple[bytes, ...], b
     bytes are the homomorphisms.  The one enumeration of a semilattice
     pair's maps, for Prop3.4 and ``_homomorphism_images``; codomains of at
     most 14 elements."""
-    maps = tuple(iter_monotone_maps(l.poset, m.poset))
-    k = len(maps)
-    columns = tuple(bytes(col) for col in zip(*maps))
+    columns = _monotone_columns(l.poset, m.poset)
+    k = len(columns[0])
     ints = [int.from_bytes(c, "big") for c in columns]
     join = m.column_join
     wrong = 0
@@ -451,12 +458,10 @@ def _map_columns(l: VSemilattice, m: VSemilattice) -> tuple[tuple[bytes, ...], b
 
 
 @lru_cache(maxsize=None)
-def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[tuple[int, ...], ...]:
-    """The images of the homomorphisms ``l -> m``, in the order of
-    ``iter_monotone_maps``: the flagged rows of ``_map_columns(l, m)``,
-    cached for Lem3.6."""
+def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[bytes, ...]:
+    """The flagged bytes of each column of ``_map_columns(l, m)``, for Lem3.6."""
     columns, flags = _map_columns(l, m)
-    return tuple(compress(zip(*columns), flags))
+    return tuple(bytes(compress(col, flags)) for col in columns)
 
 
 def sup_exists_transport_check(

@@ -39,15 +39,16 @@ from .poset import (
     hasse,
     is_consistent,
     is_sober,
-    iter_monotone_maps,
     scott_closure,
     way_down_masks,
 )
 from .semilattice import (
     NO_SUP,
     _column_sups,
+    _columns,
     _homomorphism_images,
     _map_columns,
+    _monotone_columns,
     cl_f,
     gamma_f,
     iter_homomorphisms,
@@ -170,20 +171,20 @@ def _points_generate(h) -> bool:
     return len(reached) == len(join)
 
 
-def _extends_freely(l, maps, sups, members, points, covers, triples) -> bool:
-    """Whether every map's sup-of-image extension, read from ``sups``, its
-    ``_column_sups`` table, is defined at every powerdomain member, restricts
-    to the map at the point closures ``points``, and keeps each cover pair
-    ``(a, b)`` in order and each join triple ``(i, j, z)`` of the
-    powerdomain, all given as subsets.  Each order or join test is one
-    ``translate`` of the packed member strings ``(sups[a] << 4) | sups[b]``
-    through ``l.column_join``, for all maps at once: with no ``NO_SUP``
-    byte, ``join(s, y) == y`` exactly when ``s <= y``."""
+def _extends_freely(l, columns, sups, members, points, covers, triples) -> bool:
+    """Whether every map's sup-of-image extension, read from ``sups``, the
+    ``_column_sups`` table of the map ``columns``, is defined at every
+    powerdomain member, restricts to the map at the point closures
+    ``points``, and keeps each cover pair ``(a, b)`` in order and each join
+    triple ``(i, j, z)`` of the powerdomain, as subsets.  Each order or join
+    test is one ``translate`` of the packed member strings ``(sups[a] << 4)
+    | sups[b]`` through ``l.column_join``, for all maps at once: with no
+    ``NO_SUP`` byte, ``join(s, y) == y`` exactly when ``s <= y``."""
     if any(NO_SUP in sups[a] for a in members):
         return False
-    if any(sups[a] != bytes(col) for a, col in zip(points, zip(*maps))):
+    if any(sups[a] != col for a, col in zip(points, columns)):
         return False
-    k, join = len(maps), l.column_join
+    k, join = len(columns[0]), l.column_join
 
     def joined(a, b):
         packed = (int.from_bytes(sups[a], "big") << 4) | int.from_bytes(sups[b], "big")
@@ -202,14 +203,14 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     in ``_semilattices_upto`` order, Freeness reports its count line before
     its per-map findings.
 
-    The monotone maps into a semilattice go to one ``_column_sups`` table,
-    and each map's sup-of-image extension E is its byte at each powerdomain
-    member.  The pass path reads nothing else.  ``_extends_freely`` tests,
-    for all maps at once, that E is defined on every member (Lem2.3),
-    restricts to the map along the embedding j, keeps each cover pair of
-    the powerdomain in order, and preserves the join of each consistent
-    incomparable pair; ``_points_generate`` tests premise B, that j(P)
-    generates the powerdomain under its defined joins, once per poset.
+    The maps into a semilattice, as ``_monotone_columns``, go to one
+    ``_column_sups`` table, and each map's sup-of-image extension E is its
+    byte at each powerdomain member.  The pass path reads nothing else.
+    ``_extends_freely`` tests, for all maps at once, that E is defined on
+    every member (Lem2.3), restricts to the map along the embedding j, keeps
+    each cover pair of the powerdomain in order, and preserves the join of
+    each consistent incomparable pair; ``_points_generate`` tests premise B,
+    that j(P) generates the powerdomain under its joins, once per poset.
     These prove that nothing is left to report:
 
     - Existence.  E is monotone, since the cover pairs generate the order,
@@ -228,14 +229,14 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
       same maps and agree.
 
     A semilattice on which a test fails, and every semilattice when premise
-    B fails, takes the failure path instead: the homomorphisms from the
-    powerdomain are streamed once, counted and grouped by their restriction
-    along the embedding, and each map whose group is not exactly its
-    extension is tested for definedness, monotonicity, join preservation,
-    restriction and uniqueness, in that order.  Lem3.8 then builds both
-    unions, the maps' from the same table and the restrictions' from one
-    more ``_column_sups`` table, so that a failure names the subsets that
-    differ.  Only findings are kept."""
+    B fails, takes the failure path instead, on rows: the homomorphisms from
+    the powerdomain are streamed once, counted and grouped by their
+    restriction along the embedding, and each map whose group is not
+    exactly its extension is tested for definedness, monotonicity, join
+    preservation, restriction and uniqueness, in that order.  Lem3.8 then
+    builds both unions, the maps' from the same table and the restrictions'
+    from one more ``_column_sups`` table, of their ``_columns``, so that a
+    failure names the subsets that differ.  Only findings are kept."""
     h = build_hc(p)
     members = h.family.members
     j_img = h.j.img
@@ -250,17 +251,15 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
         return detail, {"semilattice": l.poset.to_json(), "map": list(f_img), **extra}
 
     for l in _semilattices_upto(semi_bound):
-        maps = tuple(iter_monotone_maps(p, l.poset))
-        sups = _column_sups(l, maps)
-        if generated and _extends_freely(l, maps, sups, members, p.down_masks, covers, triples):
+        columns = _monotone_columns(p, l.poset)
+        sups = _column_sups(l, columns)
+        if generated and _extends_freely(l, columns, sups, members, p.down_masks, covers, triples):
             continue
         groups: dict = {}
-        homs = 0
         for g in iter_homomorphisms(h.semilattice, l):
             groups.setdefault(restrict(g), []).append(g)
-            homs += 1
         per_map = []  # Freeness's findings after its count line
-        for f_img, ext in zip(maps, zip(*[sups[m] for m in members])):
+        for f_img, ext in zip(zip(*columns), zip(*[sups[m] for m in members])):
             matching = groups.get(f_img, [])
             if matching == [ext]:
                 continue
@@ -289,15 +288,16 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
                         "exactly the sup-of-image extension"
                     )
                 )
-        if homs != len(maps):
-            detail = f"{homs} powerdomain maps vs {len(maps)} monotone maps"
+        homs = sum(map(len, groups.values()))
+        if homs != len(columns[0]):
+            detail = f"{homs} powerdomain maps vs {len(columns[0])} monotone maps"
             per_map.insert(0, (detail, {"semilattice": l.poset.to_json()}))
         if not per_map:
             continue
         found["Freeness"] += per_map
         refut_maps, refut_homs = (
             {a for a, row in enumerate(table) if NO_SUP in row}
-            for table in (sups, _column_sups(l, list(groups)))
+            for table in (sups, _column_sups(l, _columns(groups, p.n)))
         )
         if refut_maps != refut_homs:
             detail = "map-refutable and embedding-refutable subsets disagree"
@@ -306,14 +306,14 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     return found
 
 
-def _transport_breaks(closures, images, sups):
+def _transport_breaks(closures, columns, sups):
     """The (image, subset) pairs, in map then subset order, at which a map's
-    sup in ``sups``, the ``_column_sups`` table of ``images``, differs from
-    its sup at ``closures[a]``, the subset's closure.  All maps are compared
-    at once; only on a mismatch are they walked one by one."""
+    sup in ``sups``, the ``_column_sups`` table of the map ``columns``,
+    differs from its sup at ``closures[a]``, the subset's closure.  All maps
+    are compared at once; only on a mismatch are they walked one by one."""
     if itemgetter(*closures)(sups) == sups:
         return
-    for r, img in enumerate(images):
+    for r, img in enumerate(zip(*columns)):
         for a, c in enumerate(closures):
             if sups[a][r] != sups[c][r]:
                 yield img, a
@@ -391,10 +391,10 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     refutable = set()
     pool = _semilattices_upto(semi_bound)
     for l in pool:
-        maps = tuple(iter_monotone_maps(p, l.poset))
-        sups = _column_sups(l, maps)
+        columns = _monotone_columns(p, l.poset)
+        sups = _column_sups(l, columns)
         # sup_exists_transport_check(p, l, f, a) fails exactly at these
-        for img, a in _transport_breaks(closures, maps, sups):
+        for img, a in _transport_breaks(closures, columns, sups):
             ck.fail(
                 "closure transport broke",
                 semilattice=l.poset.to_json(),
@@ -560,9 +560,9 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     """A subset and its F-Scott closure are refuted by exactly the same
     homomorphisms, so join-existence transports across the closure: each
     homomorphism's sups must agree at every subset and at that subset's
-    ``cl_f`` closure.  A pair's homomorphisms are evaluated at once by
-    ``_column_sups``, whose nibbles hold codomains of at most 14 elements,
-    and ``_transport_breaks`` names those that break the lemma."""
+    ``cl_f`` closure.  The columns of ``_homomorphism_images`` go to one
+    ``_column_sups`` table per pair, whose nibbles hold codomains of at
+    most 14 elements, and ``_transport_breaks`` names the breaking maps."""
     if m_bound > 14:
         raise PosetError(f"Lem3.6 packs sups into nibbles: m bound {m_bound} exceeds 14")
     ck = VerificationReport.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)

@@ -167,6 +167,11 @@ def mutant_failures(step):
         return [f for p in catalog.standard_trio() for f in check_thm_3_10(p).failures]
 
 
+def one_map_columns(img):
+    """The byte columns of the one map ``img``, as ``_column_sups`` takes them."""
+    return tuple(bytes([y]) for y in img)
+
+
 def member_sups(l, img, members):
     """The sup in ``l`` of the image under ``img`` of each member, or
     ``NO_SUP`` where it has none: ``_column_sups`` of the one map, read from
@@ -174,7 +179,7 @@ def member_sups(l, img, members):
     statement loops below and the checks alike."""
     from powerlab import suite
 
-    sups = suite._column_sups(l, (img,))
+    sups = suite._column_sups(l, one_map_columns(img))
     return tuple(sups[m][0] for m in members)
 
 
@@ -269,7 +274,7 @@ def literal_lemma_3_8(p, semi_bound):
     subsets = range(1 << p.n)
 
     def refutable(l, img):
-        sups = suite._column_sups(l, (img,))
+        sups = suite._column_sups(l, one_map_columns(img))
         return [a for a in subsets if sups[a][0] == suite.NO_SUP]
 
     for l in suite._semilattices_upto(semi_bound):
@@ -300,8 +305,8 @@ def literal_lemma_3_6(l_bound, m_bound):
     for l in suite._semilattices_upto(l_bound):
         closures = [suite.cl_f(l, a) for a in range(1 << l.n)]
         for m in suite._semilattices_upto(m_bound):
-            for g in suite._homomorphism_images(l, m):
-                sups = b"".join(suite._column_sups(m, (g,)))
+            for g in zip(*suite._homomorphism_images(l, m)):
+                sups = b"".join(suite._column_sups(m, one_map_columns(g)))
                 if bytes([sups[c] for c in closures]) == sups:
                     continue
                 for a in range(1 << l.n):
@@ -328,7 +333,7 @@ def literal_prop_3_4(pair_bound):
     from itertools import compress
 
     from powerlab import suite
-    from powerlab.poset import PosetMap
+    from powerlab.poset import PosetMap, iter_monotone_maps
 
     ck = suite.VerificationReport.sweep("Prop3.4", pair_bound=pair_bound, consistent_bound=0)
     pool = suite._semilattices_upto(pair_bound)
@@ -338,7 +343,7 @@ def literal_prop_3_4(pair_bound):
             columns, flags = suite._map_columns(l, m)
             homs = set(compress(zip(*columns), flags))
             irreducibles = suite.meet_irreducibles(suite.gamma_f(m))
-            for img in suite.iter_monotone_maps(l.poset, m.poset):
+            for img in iter_monotone_maps(l.poset, m.poset):
                 f = PosetMap(l.poset, m.poset, img)
                 hom = img in homs
                 cont = all(f.preimage_bits(c) in closed for c in irreducibles)

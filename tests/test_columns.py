@@ -1,6 +1,7 @@
 """Prop3.4 and Lem3.6 evaluate a semilattice pair's maps all at once, as
 byte columns: the homomorphism flags against ``is_homomorphism``, the
-continuity flags against ``is_f_scott_continuous``, the sup columns at the
+cached homomorphism columns against ``iter_homomorphisms``, the continuity
+flags against ``is_f_scott_continuous``, the sup columns at the
 widest codomain and with no maps, failure payloads against each statement's
 per-map loop, the packing limits, one enumeration and one sup table per
 pair."""
@@ -19,8 +20,10 @@ from powerlab.semilattice import (
     _column_sups,
     _homomorphism_images,
     _map_columns,
+    _monotone_columns,
     is_f_scott_continuous,
     is_homomorphism,
+    iter_homomorphisms,
     meet_irreducibles,
 )
 from powerlab.suite import Config, _semilattices_upto, check_lemma_3_6, check_prop_3_4, run_all
@@ -66,6 +69,20 @@ def test_flags_match_is_homomorphism_on_every_pair():
             assert images == monotone_map_images(l.poset, m.poset)
             assert list(flags) == [is_homomorphism(PosetMap(l.poset, m.poset, g), l, m) for g in images]
             homs += sum(flags)
+    assert homs == 16413
+
+
+def test_homomorphism_columns_match_the_stream_on_every_pair():
+    # the cached view Lem3.6 reads is iter_homomorphisms' rows, transposed
+    # into one byte column per domain element
+    pool = _semilattices_upto(4)
+    homs = 0
+    for l in pool:
+        for m in pool:
+            rows = list(iter_homomorphisms(l, m))
+            columns = _homomorphism_images(l, m)
+            assert columns == tuple(bytes(g[x] for g in rows) for x in range(l.n))
+            homs += len(rows)
     assert homs == 16413
 
 
@@ -130,17 +147,18 @@ class TestSupColumns:
             m = VSemilattice.from_poset(m)
             for l in _semilattices_upto(2):
                 images = monotone_map_images(l.poset, m.poset)
-                columns = _column_sups(m, images)
+                columns = _column_sups(m, _monotone_columns(l.poset, m.poset))
                 assert len(columns) == 1 << l.n
                 for r, g in enumerate(images):
                     f = PosetMap(l.poset, m.poset, g)
                     assert bytes(c[r] for c in columns) == _sup_oracle(f, m)
 
     def test_no_maps_give_one_empty_string(self):
-        # with no map there is no column to fold: only the empty set's
-        # string, with no byte in it
+        # with no map each of the n domain columns is empty, and so is
+        # every subset's string, one per subset
         for m in _semilattices_upto(3):
-            assert _column_sups(m, ()) == (b"",)
+            for n in range(1, 4):
+                assert _column_sups(m, (b"",) * n) == (b"",) * (1 << n)
 
 
 class TestPackingLimits:
@@ -163,15 +181,15 @@ def test_lemma_3_6_builds_no_sup_table_per_map(monkeypatch):
     # one sup table per semilattice pair holds its 16 413 homomorphisms
     calls = []
 
-    def counted(m, images):
-        calls.append(len(images))
-        return _column_sups(m, images)
+    def counted(m, columns):
+        calls.append(len(columns[0]))
+        return _column_sups(m, columns)
 
     monkeypatch.setattr("powerlab.suite._column_sups", counted)
     assert check_lemma_3_6(4, 4).verdict == "PASS"
     pool = _semilattices_upto(4)
     assert len(calls) == len(pool) ** 2
-    assert sum(calls) == sum(len(_homomorphism_images(l, m)) for l in pool for m in pool) == 16413
+    assert sum(calls) == sum(len(_homomorphism_images(l, m)[0]) for l in pool for m in pool) == 16413
 
 
 def test_each_pair_is_enumerated_once(monkeypatch):
@@ -183,7 +201,6 @@ def test_each_pair_is_enumerated_once(monkeypatch):
         counts[p, q] += 1
         return iter_monotone_maps(p, q)
 
-    monkeypatch.setattr("powerlab.suite.iter_monotone_maps", counted)
     monkeypatch.setattr("powerlab.semilattice.iter_monotone_maps", counted)
     with sweep_mutant():
         summary = run_all(Config(suites=("prop3.4", "lem3.6")))

@@ -1,8 +1,9 @@
 """The one map sweep behind Lem2.3, Freeness and Lem3.8: failure parity
 with each statement's own loop, mutants that reach every failure detail,
 the pass path against the failure path, premise B, cache hygiene and
-sharing, and one ``_column_sups`` table per (poset, semilattice) pair with
-no homomorphism stream on the pass path.  Lem3.6, which has its own loop
+sharing, one ``_column_sups`` table per (poset, semilattice) pair with
+no homomorphism stream on the pass path, and a shifted ``column_join``
+that every column reader sees.  Lem3.6, which has its own loop
 over pairs of semilattices, is held to the same parity and runs no map
 sweep."""
 
@@ -70,27 +71,27 @@ def _with_a_non_monotone_map(l, m):
     return itertools.chain(iter_homomorphisms(l, m), () if monotone else (g,))
 
 
-def _no_sup_for_the_full_set(l, images):
+def _no_sup_for_the_full_set(l, columns):
     # every map's sup at the full domain, whose entry comes last, taken
     # away; the full domain is a powerdomain member whenever the poset has
     # a top
-    return _column_sups(l, images)[:-1] + (bytes([NO_SUP]) * len(images),)
+    return _column_sups(l, columns)[:-1] + (bytes([NO_SUP]) * len(columns[0]),)
 
 
-def _shifted_sup_for_the_full_set(l, images):
+def _shifted_sup_for_the_full_set(l, columns):
     # moves every map's sup at the full domain to the next element, so the
     # extension leaves the homomorphisms and, into an antichain, stops being
     # monotone
-    out = _column_sups(l, images)
+    out = _column_sups(l, columns)
     return out[:-1] + (bytes(s if s == NO_SUP else (s + 1) % l.n for s in out[-1]),)
 
 
-def _full_sup_for_every_pair(l, images):
+def _full_sup_for_every_pair(l, columns):
     # every subset of two or more elements takes the full domain's sups: on
     # the vee the extension stays monotone and restricts to the map, but
     # sends the pair of minimal points to the top's image, which breaks the
     # join of their point closures wherever their images join below it
-    out = _column_sups(l, images)
+    out = _column_sups(l, columns)
     return tuple(out[-1] if a & (a - 1) else s for a, s in enumerate(out))
 
 
@@ -268,9 +269,9 @@ def test_pass_path_reads_one_column_table_per_pair():
     # table, and Lem3.8 builds no table for the homomorphisms
     calls = []
 
-    def counted(l, images):
-        calls.append((l, len(images)))
-        return _column_sups(l, images)
+    def counted(l, columns):
+        calls.append((l, len(columns[0])))
+        return _column_sups(l, columns)
 
     posets = small_posets(4)
     semilattices = _semilattices_upto(4)
@@ -311,13 +312,13 @@ def _shifted_column_join(l):
     )
 
 
-def _sups_under_a_shifted_join(l, images):
+def _sups_under_a_shifted_join(l, columns):
     # _column_sups folded through the shifted join table, which no other
     # reader of column_join sees; a class-level property overrides any value
     # already cached on an instance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(VSemilattice, "column_join", property(_shifted_column_join))
-        return _column_sups(l, images)
+        return _column_sups(l, columns)
 
 
 def test_lemma_3_6_matches_its_loop_under_a_sup_mutant():
@@ -341,6 +342,23 @@ def test_every_poset_matches_the_statement_loops_under_a_sup_mutant():
                 assert _dump(failures) == _dump(literal(p, 3))
                 seen.update((f["statement"], _detail_kind(f["detail"])) for f in failures)
     assert ("Freeness", "extension not monotone") in seen
+
+
+def test_every_column_reader_sees_a_shifted_column_join():
+    # the shifted join table installed on the class, where every reader of
+    # column_join finds it: the sup tables of the map sweep, Prop3.2 and
+    # Lem3.6, and Prop3.4's homomorphism flags.  The finding counts of a
+    # default run are pinned, so no reader drops out of the column format
+    with sweep_mutant(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VSemilattice, "column_join", property(_shifted_column_join))
+        summary = run_all()
+    assert {g["statement"]: len(g["failures"]) for g in summary.groups if g["failures"]} == {
+        "Freeness": 186,
+        "Prop3.2": 2,
+        "Prop3.4": 301,
+        "Lem3.6": 50,
+    }
+    assert not summary.any_inconclusive
 
 
 def test_one_map_sweep_entry_per_poset():

@@ -16,7 +16,7 @@ import powerlab
 from powerlab.enumeration import enumerate_posets, enumerate_v_semilattices, monotone_map_images
 from powerlab.poset import _ideals
 from powerlab.poset import enumerate_directed_subsets
-from powerlab.semilattice import _homomorphism_images, _map_columns
+from powerlab.semilattice import _homomorphism_images, _map_columns, _monotone_columns
 
 from test_suite import ORACLES
 
@@ -29,6 +29,7 @@ ENUMERATORS = {
     "enumerate_directed_subsets": lambda p, l: enumerate_directed_subsets(p.up_masks, p.full_mask),
     "_homomorphism_images": lambda p, l: _homomorphism_images.__wrapped__(l, l),
     "_map_columns": lambda p, l: _map_columns.__wrapped__(l, l),
+    "_monotone_columns": lambda p, l: _monotone_columns(p, l.poset),
 }
 
 
@@ -216,3 +217,34 @@ def test_only_oracles_call_oracles():
                 if isinstance(node, (ast.Name, ast.Attribute)) and name in refused:
                     found.append(f"{path.name}:{node.lineno} {func.name} -> {name}")
     assert found == []
+
+
+# the functions that may name iter_monotone_maps: the one transpose of its
+# rows into columns, the homomorphism stream, the refutation search and the
+# cached row oracle; every other reader takes the maps as columns
+MONOTONE_MAP_READERS = {
+    ("semilattice.py", "_monotone_columns"),
+    ("semilattice.py", "iter_homomorphisms"),
+    ("hoare.py", "first_refutation"),
+    ("enumeration.py", "monotone_map_images"),
+}
+
+
+def test_only_the_column_function_and_the_streams_name_monotone_maps():
+    readers, importers = set(), set()
+    for path in sorted((ROOT / "src" / "powerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "iter_monotone_maps" for alias in node.names
+            ):
+                importers.add(path.name)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name == "iter_monotone_maps":
+                    readers.add((path.name, func.name))
+    assert readers == MONOTONE_MAP_READERS
+    assert importers == {"semilattice.py", "hoare.py", "enumeration.py"}

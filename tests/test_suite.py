@@ -31,6 +31,7 @@ from powerlab.semilattice import (
     NO_SUP,
     VSemilattice,
     _homomorphism_images,
+    _monotone_columns,
     gamma_f,
     is_f_scott_continuous,
     meet_irreducibles,
@@ -526,7 +527,7 @@ class TestTabulatedVerdicts:
                 closures = [scott_closure(p, a) for a in range(1 << n)]
                 for l in _semilattices_upto(4):
                     maps = monotone_map_images(p, l.poset)
-                    sups = _column_sups(l, maps)
+                    sups = _column_sups(l, _monotone_columns(p, l.poset))
                     for r, img in enumerate(maps):
                         f = PosetMap(p, l.poset, img)
                         for a in range(1 << n):
@@ -542,16 +543,17 @@ class TestTabulatedVerdicts:
             subsets = range(1 << p.n)
             for l in _semilattices_upto(3):
                 maps = monotone_map_images(p, l.poset)
-                sups = _column_sups(l, maps)
+                columns = _monotone_columns(p, l.poset)
+                sups = _column_sups(l, columns)
                 closures = [scott_closure(p, a) for a in subsets]
-                assert list(_transport_breaks(closures, maps, sups)) == []
+                assert list(_transport_breaks(closures, columns, sups)) == []
                 expected = [
                     (img, a)
                     for r, img in enumerate(maps)
                     for a in subsets
                     if sups[a][r] != sups[p.full_mask][r]
                 ]
-                assert list(_transport_breaks([p.full_mask] * len(subsets), maps, sups)) == expected
+                assert list(_transport_breaks([p.full_mask] * len(subsets), columns, sups)) == expected
                 breaks += len(expected)
         assert breaks
 
@@ -609,11 +611,11 @@ class TestTableMutants:
 
     def test_prop_3_2_catches_invented_sups(self):
         # every subset whose image has no sup is given the first image's element
-        def inventing(l, images):
-            first = [img[0] for img in images]
+        def inventing(l, columns):
+            first = columns[0]
             return tuple(
                 bytes(f if s == NO_SUP else s for s, f in zip(row, first))
-                for row in _column_sups(l, images)
+                for row in _column_sups(l, columns)
             )
 
         posets = small_posets(3)
@@ -632,10 +634,10 @@ class TestTableMutants:
         for p in posets:
             top = p.down_masks.index(p.full_mask)
 
-            def dropping(l, images, top=top):
-                none = bytes([NO_SUP]) * len(images)
+            def dropping(l, columns, top=top):
+                none = bytes([NO_SUP]) * len(columns[0])
                 return tuple(
-                    none if a >> top & 1 else row for a, row in enumerate(_column_sups(l, images))
+                    none if a >> top & 1 else row for a, row in enumerate(_column_sups(l, columns))
                 )
 
             with sweep_mutant(_column_sups=dropping):
@@ -726,7 +728,7 @@ class TestImageSups:
             for p in enumerate_posets(n):
                 for l in _semilattices_upto(4):
                     maps = monotone_map_images(p, l.poset)
-                    sups = _column_sups(l, maps)
+                    sups = _column_sups(l, _monotone_columns(p, l.poset))
                     for r, img in enumerate(maps):
                         f = PosetMap(p, l.poset, img)
                         assert bytes(s[r] for s in sups) == _sup_oracle(f, l)
@@ -739,6 +741,6 @@ class TestImageSups:
             for m in pool:
                 homs = _homomorphism_images(l, m)
                 sups = _column_sups(m, homs)
-                for r, g in enumerate(homs):
+                for r, g in enumerate(zip(*homs)):
                     f = PosetMap(l.poset, m.poset, g)
                     assert bytes(s[r] for s in sups) == _sup_oracle(f, m)
