@@ -18,10 +18,11 @@ oracle, decides closed sets with ``is_f_scott_closed_literal`` alone, so it
 shares no code with ``cl_f``.  Maps are held many at once as byte columns,
 byte ``r`` of column ``x`` being the image of ``x`` under map ``r``:
 ``_monotone_columns`` turns the rows of ``iter_monotone_maps`` into them by
-``_columns``, the one transpose.  A pair of semilattices has one cached
-table, ``_map_columns``: its monotone maps, enumerated once, and their
-homomorphism flags, one ``translate`` per join triple for all maps at once;
-``_homomorphism_images`` keeps the flagged bytes of its columns.  Sups of
+``_columns``, the one transpose, and caches them: one table per (domain,
+codomain) pair per run.  ``_map_columns`` adds a semilattice pair's
+homomorphism flags, one ``translate`` per join triple for all maps at once,
+and ``_homomorphism_images`` keeps the flagged bytes of its columns, or the
+columns themselves when every map is flagged.  Sups of
 images have one evaluator, ``_column_sups``: each domain element extends
 the sups of every subset so far with one ``translate`` of ``(sups << 4) |
 column`` through ``VSemilattice.column_join``, the join on packed nibble
@@ -205,8 +206,13 @@ def _columns(rows, n: int) -> tuple[bytes, ...]:
     return tuple(map(bytes, zip(*rows))) or (b"",) * n
 
 
+@lru_cache(maxsize=None)
 def _monotone_columns(p: FinitePoset, q: FinitePoset) -> tuple[bytes, ...]:
-    """``iter_monotone_maps(p, q)`` as byte columns, enumerated on every call."""
+    """``iter_monotone_maps(p, q)`` as byte columns: the one map table of a
+    (domain, codomain) pair, enumerated once per run and read by the map
+    sweep, Prop3.2 and ``_map_columns``.  Their sup tables are rebuilt from
+    it on each read, never cached: held for every pair they would outweigh
+    the columns many times over."""
     return _columns(iter_monotone_maps(p, q), p.n)
 
 
@@ -443,9 +449,9 @@ def _map_columns(l: VSemilattice, m: VSemilattice) -> tuple[tuple[bytes, ...], b
     | columns[j]`` through ``m.column_join``, XORed with column ``z``, is 0
     exactly at the maps that preserve that join.  Every byte of both sides
     is at most 15, so the OR over the triples stays bytewise, and its zero
-    bytes are the homomorphisms.  The one enumeration of a semilattice
-    pair's maps, for Prop3.4 and ``_homomorphism_images``; codomains of at
-    most 14 elements."""
+    bytes are the homomorphisms.  ``columns`` is the pair's shared
+    ``_monotone_columns`` table, so the cache adds only the flags.  Read by
+    Prop3.4 and ``_homomorphism_images``; codomains of at most 14 elements."""
     columns = _monotone_columns(l.poset, m.poset)
     k = len(columns[0])
     ints = [int.from_bytes(c, "big") for c in columns]
@@ -459,8 +465,11 @@ def _map_columns(l: VSemilattice, m: VSemilattice) -> tuple[tuple[bytes, ...], b
 
 @lru_cache(maxsize=None)
 def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[bytes, ...]:
-    """The flagged bytes of each column of ``_map_columns(l, m)``, for Lem3.6."""
+    """The flagged bytes of each column of ``_map_columns(l, m)``, for Lem3.6:
+    the shared columns themselves, uncopied, when every map is flagged."""
     columns, flags = _map_columns(l, m)
+    if 0 not in flags:
+        return columns
     return tuple(bytes(compress(col, flags)) for col in columns)
 
 

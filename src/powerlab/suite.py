@@ -96,6 +96,23 @@ def _poset_instance(p: FinitePoset) -> dict:
     return {"poset": p.to_json(), "n": p.n, "canonical": canonical_form(p).hex()}
 
 
+class _Instance:
+    """A report's ``instance`` field.  Set to a poset, it holds the poset and
+    builds its ``_poset_instance`` the first time it is read, so a report
+    whose instance nothing reads, a passing one, builds none."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default
+        value = report.__dict__["_instance"]
+        if isinstance(value, FinitePoset):
+            value = report.__dict__["_instance"] = _poset_instance(value)
+        return value
+
+    def __set__(self, report, value):
+        report.__dict__["_instance"] = value
+
+
 @dataclass
 class VerificationReport:
     """One check's findings on one instance; the verdict is read off them.
@@ -105,13 +122,13 @@ class VerificationReport:
 
     statement: str
     bounds: dict
-    instance: dict | None = None
+    instance: dict | None = _Instance()
     failures: list = field(default_factory=list)
     inconclusive: list = field(default_factory=list)
 
     @classmethod
     def on_poset(cls, statement: str, p: FinitePoset, **bounds) -> VerificationReport:
-        return cls(statement, {"max_poset_n": p.n, **bounds}, _poset_instance(p))
+        return cls(statement, {"max_poset_n": p.n, **bounds}, p)
 
     @classmethod
     def sweep(cls, statement: str, **bounds) -> VerificationReport:
@@ -496,8 +513,8 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     """Part 1: a map between semilattices preserves consistent joins exactly
     when preimages of F-Scott closed sets are F-Scott closed.  A pair's
     monotone maps and their homomorphism flags are ``_map_columns`` of the
-    pair, the one enumeration of its maps, which Lem3.6 reads again through
-    ``_homomorphism_images``.  A map is continuous when the preimage of
+    pair, its shared ``_monotone_columns`` table with the flags, which
+    Lem3.6 reads again through ``_homomorphism_images``.  A map is continuous when the preimage of
     every meet-irreducible closed set of the codomain is closed: every
     closed set is the intersection of the irreducibles containing it (the
     full set being the empty intersection), the preimage of an intersection

@@ -359,15 +359,18 @@ def literal_prop_3_4(pair_bound):
 
 @contextmanager
 def sweep_mutant(**patches):
-    """Run with each ``powerlab.suite`` name in ``patches`` replaced by its
-    value, a mutant of a function the map sweep, Prop3.4 or Lem3.6 reads.
-    The ``_map_sweep``, ``_map_columns`` and ``_homomorphism_images``
-    caches, the ones that could hold a mutant's result, are cleared on entry
-    and on exit, so no result leaks into or out of the mutant."""
+    """Run with each name in ``patches`` replaced by its value in
+    ``powerlab.suite``, or in ``powerlab.semilattice`` where the suite does
+    not hold it: a mutant of a function the map sweep, Prop3.4 or Lem3.6
+    reads.  The ``_map_sweep``, ``_monotone_columns``, ``_map_columns`` and
+    ``_homomorphism_images`` caches, the ones that could hold a mutant's
+    result, are cleared on entry and on exit, so no result leaks into or out
+    of the mutant."""
     from powerlab import semilattice, suite
 
     def clear():
         suite._map_sweep.cache_clear()
+        semilattice._monotone_columns.cache_clear()
         semilattice._map_columns.cache_clear()
         semilattice._homomorphism_images.cache_clear()
 
@@ -375,7 +378,7 @@ def sweep_mutant(**patches):
     try:
         with pytest.MonkeyPatch.context() as mp:
             for attr, value in patches.items():
-                mp.setattr(suite, attr, value)
+                mp.setattr(suite if hasattr(suite, attr) else semilattice, attr, value)
             yield
     finally:
         clear()

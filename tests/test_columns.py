@@ -207,3 +207,23 @@ def test_each_pair_is_enumerated_once(monkeypatch):
     assert not summary.any_fail and not summary.any_inconclusive
     pool = _semilattices_upto(4)
     assert counts == Counter({(l.poset, m.poset): 1 for l in pool for m in pool})
+
+
+def test_a_default_run_enumerates_each_pair_once(monkeypatch):
+    # the map sweep, Prop3.2, Prop3.4 and Lem3.6 read one cached table per
+    # (domain, codomain) pair: 552 tables of 18 526 maps in all, where a
+    # table per reader came to 1265 enumerations of 39 464 maps
+    counts, maps = Counter(), []
+
+    def counted(p, q):
+        counts[p, q] += 1
+        rows = tuple(iter_monotone_maps(p, q))
+        maps.append(len(rows))
+        return rows
+
+    monkeypatch.setattr("powerlab.semilattice.iter_monotone_maps", counted)
+    with sweep_mutant():
+        summary = run_all()
+    assert not summary.any_fail and not summary.any_inconclusive
+    assert set(counts.values()) == {1}
+    assert (len(counts), sum(maps)) == (552, 18526)

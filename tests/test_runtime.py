@@ -29,7 +29,7 @@ ENUMERATORS = {
     "enumerate_directed_subsets": lambda p, l: enumerate_directed_subsets(p.up_masks, p.full_mask),
     "_homomorphism_images": lambda p, l: _homomorphism_images.__wrapped__(l, l),
     "_map_columns": lambda p, l: _map_columns.__wrapped__(l, l),
-    "_monotone_columns": lambda p, l: _monotone_columns(p, l.poset),
+    "_monotone_columns": lambda p, l: _monotone_columns.__wrapped__(p, l.poset),
 }
 
 

@@ -41,6 +41,7 @@ from powerlab.suite import (
     STATEMENT_ORDER,
     _column_sups,
     _membership_table,
+    _poset_instance,
     _semilattices_upto,
     _transport_breaks,
     check_cor_3_11,
@@ -261,6 +262,25 @@ class TestRunAll:
         a = strip_timing(run_all(cfg).to_json())
         b = strip_timing(run_all(cfg).to_json())
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_a_passing_run_builds_no_instance(self, monkeypatch):
+        # a poset report builds its instance when it is first read, by a
+        # failure payload or a caller: the 515 poset reports of a passing
+        # default run build none, and a read report builds its own once
+        built = []
+
+        def counted(p):
+            built.append(p)
+            return _poset_instance(p)
+
+        monkeypatch.setattr(suite, "_poset_instance", counted)
+        assert run_all().to_json()["all_pass"] is True
+        assert built == []
+        (report,) = run_statement("Def2.1", Config(max_poset_n=1))
+        assert built == []
+        assert report.instance == report.instance
+        assert len(built) == 1
+        assert report.instance == _poset_instance(built[0])
 
     def test_exit_code_mapping(self):
         assert exit_code_for(False, False, False) == 0
