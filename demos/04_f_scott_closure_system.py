@@ -4,7 +4,8 @@ Partial joins and the F-Scott closure system
 
 On a semilattice with joins for consistent pairs, the F-Scott closed sets are
 the lower sets that also swallow joins of their consistent finite subsets.
-The closure system is enumerated with Next-Closure, and sending a closed set
+The closure system is generated by closure steps, each closed set C giving
+cl_f(max C ∪ {x}) for every x minimal outside it, and sending a closed set
 of the base poset to the closure of its embedded image lands an order
 isomorphism onto it.
 """
@@ -42,7 +43,8 @@ print("{ {a},{b} } F-Scott closed?", is_f_scott_closed(l, pair))
 print("cl_f adds the join:", [labels[i] for i in range(l.n) if cl_f(l, pair) >> i & 1])
 print()
 
-# Next-Closure enumerates the whole system; sizes line up with gamma0(V)
+# closure steps from the empty set reach the whole system; sizes line up
+# with gamma0(V)
 system = gamma_f(l)
 print("F-Scott closure system of H_c(V):")
 for m in system.members:

@@ -343,9 +343,11 @@ def iter_monotone_maps(p: FinitePoset, q: FinitePoset):
 
 def down_set(p: FinitePoset, bits: int) -> int:
     """All elements below or equal to some element of the subset."""
-    out = 0
-    for i in iter_bits(bits):
-        out |= p.down_masks[i]
+    out, down = 0, p.down_masks
+    while bits:
+        low = bits & -bits
+        out |= down[low.bit_length() - 1]
+        bits ^= low
     return out
 
 

@@ -6,10 +6,10 @@ validated once at construction, in O(n**2) with no associativity loop
 (``VSemilattice`` proves it redundant).  F-Scott closed subsets are lower
 sets that also contain the join of each of their consistent finite subsets;
 ``cl_f`` is the corresponding closure operator, a down-set followed by a
-semi-naive worklist that joins every pair once, and ``gamma_f`` enumerates
-all closed sets with the lectic Next-Closure algorithm, so the work is
-proportional to the number of closed sets rather than to 2**n;
-``is_f_scott_closed`` is ``cl_f``'s fixpoint test.  Homomorphisms are the
+semi-naive worklist that joins every pair once, and ``gamma_f`` generates
+all closed sets by closure steps, cl_f(max C ∪ {x}) from each closed set C
+found and each x minimal outside it, so the work is one ``cl_f`` per such
+pair rather than 2**n; ``is_f_scott_closed`` is ``cl_f``'s fixpoint test.  Homomorphisms are the
 monotone maps of ``iter_monotone_maps`` that preserve the join of every
 consistent incomparable pair; ``iter_homomorphisms`` streams them, and
 ``is_homomorphism``, the literal definition over every consistent pair, is
@@ -48,7 +48,6 @@ from itertools import compress
 from .families import SetFamily
 from .poset import (
     FinitePoset,
-    InvariantError,
     PosetError,
     PosetMap,
     down_set,
@@ -283,9 +282,14 @@ def _step_pair_join(l: VSemilattice, bits: int) -> int:
     the later of its two elements is processed; no round re-joins old pairs.
     """
     p, join = l.poset, l.join
-    done = []
-    queue = list(iter_bits(bits))
-    while queue:
+    done, queue, new = [], [], bits
+    while True:
+        while new:
+            low = new & -new
+            queue.append(low.bit_length() - 1)
+            new ^= low
+        if not queue:
+            return bits
         x = queue.pop()
         row = join[x]
         found = 0
@@ -298,8 +302,6 @@ def _step_pair_join(l: VSemilattice, bits: int) -> int:
         if new:
             new = down_set(p, new) & ~bits
             bits |= new
-            queue.extend(iter_bits(new))
-    return bits
 
 
 def cl_f(l: VSemilattice, bits: int) -> int:
@@ -339,31 +341,39 @@ def meet_irreducibles(family: SetFamily) -> tuple[int, ...]:
 
 
 def gamma_f(l: VSemilattice) -> SetFamily:
-    """Every F-Scott closed set, the empty set included, by Next-Closure in
-    lectic order."""
+    """Every F-Scott closed set, the empty set included, generated by closure
+    steps: from cl_f(∅), each closed set C found yields cl_f(max C ∪ {x})
+    for each x minimal outside C, until no step finds a new set.
+
+    Every step gives a closed set, and every closed set D is found: cl_f(∅)
+    lies in D, so take a largest found set C inside D.  If C ≠ D, take x
+    minimal in D \\ C.  Then x is minimal outside C, since D is a lower set,
+    and cl_f(max C ∪ {x}) = cl_f(C ∪ {x}), since C = ↓max C.  That set is
+    found, lies in D and strictly contains C, against the choice of C; so
+    C = D.  This is the usual generation argument for closure systems
+    (Ganter & Wille, *Formal Concept Analysis*, Springer 1999, ch. 1).
+    Each found set is expanded once, so ``cl_f`` runs once for the empty
+    set and once per (closed set, minimal outside element) pair; the order
+    of expansion is immaterial, and ``SetFamily`` puts the members in its
+    canonical order.  The step inputs are ``max C ∪ {x}``, not lower sets,
+    so a ``cl_f`` that skips its down-set shows in the sets found."""
     return _gamma_f_cached(l)
 
 
 @lru_cache(maxsize=None)
 def _gamma_f_cached(l: VSemilattice) -> SetFamily:
-    n = l.n
-    members = []
-    current = cl_f(l, 0)
-    members.append(current)
-    full = cl_f(l, l.poset.full_mask)
-    while current != full:
-        for i in range(n - 1, -1, -1):
-            if current >> i & 1:
-                continue
-            prefix = current & ((1 << i) - 1)
-            cand = cl_f(l, prefix | (1 << i))
-            if cand & ((1 << i) - 1) == prefix:
-                current = cand
-                members.append(current)
-                break
-        else:
-            raise InvariantError("lectic enumeration stalled before the top closure")
-    return SetFamily(l.poset, members)
+    p = l.poset
+    up, down = p.up_masks, p.down_masks
+    start = cl_f(l, 0)
+    found, stack = {start}, [start]
+    while stack:
+        c = stack.pop()
+        tops = sum(1 << x for x in iter_bits(c) if up[x] & c == 1 << x)
+        for x in iter_bits(p.full_mask & ~c):
+            if down[x] & ~c == 1 << x and (d := cl_f(l, tops | 1 << x)) not in found:
+                found.add(d)
+                stack.append(d)
+    return SetFamily(p, found)
 
 
 # -- maps between semilattices ------------------------------------------------

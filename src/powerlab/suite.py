@@ -16,9 +16,9 @@ import copy
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
-from operator import itemgetter, not_
+from operator import itemgetter, not_, or_
 
 from .enumeration import (
     DEFAULT_MAX_N,
@@ -37,8 +37,8 @@ from .poset import (
     PosetError,
     PosetMap,
     hasse,
-    is_consistent,
     is_sober,
+    iter_bits,
     scott_closure,
     way_down_masks,
 )
@@ -217,7 +217,7 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     """Lem2.3's, Freeness's and Lem3.8's findings on the monotone maps from
     ``p`` into every semilattice at the bound, keyed by statement id, each a
     list of (detail, extras), from one pass over the maps.  Per semilattice,
-    in ``_semilattices_upto`` order, Freeness reports its count line before
+    in ``_semilattices_upto`` order, Freeness reports its count lines before
     its per-map findings.
 
     The maps into a semilattice, as ``_monotone_columns``, go to one
@@ -253,7 +253,14 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     preservation, restriction and uniqueness, in that order.  Lem3.8 then
     builds both unions, the maps' from the same table and the restrictions'
     from one more ``_column_sups`` table, of their ``_columns``, so that a
-    failure names the subsets that differ.  Only findings are kept."""
+    failure names the subsets that differ.  Only findings are kept.
+
+    The table and the homomorphisms come from one enumerator, so none of
+    these tests sees a map that it drops.  The maps into the 2-element chain
+    are counted apart: a monotone map into 0 < 1 is fixed by the lower set
+    it sends to 0, so there are as many as ``gamma0(p)`` has members, listed
+    by ``_ideals`` with no code of ``iter_monotone_maps``.  A mismatch is
+    Freeness's first finding on that semilattice."""
     h = build_hc(p)
     members = h.family.members
     j_img = h.j.img
@@ -269,6 +276,9 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
 
     for l in _semilattices_upto(semi_bound):
         columns = _monotone_columns(p, l.poset)
+        if l.n == 2 and l.join[0][1] != -1 and len(columns[0]) != len(ideals := gamma0(p)):
+            detail = f"{len(columns[0])} monotone maps into the 2-chain vs {len(ideals)} lower sets"
+            found["Freeness"].append((detail, {"semilattice": l.poset.to_json()}))
         sups = _column_sups(l, columns)
         if generated and _extends_freely(l, columns, sups, members, p.down_masks, covers, triples):
             continue
@@ -469,32 +479,40 @@ def check_thm_3_9(p: FinitePoset, semi_bound: int) -> VerificationReport:
 
 
 def check_thm_3_10(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
-    """Sending a closed set to the closure of its embedded image is an order
-    isomorphism between the closed-set family (with the empty set) and the
-    F-Scott closure system of the powerdomain.  Both families are ordered by
-    inclusion, so the order test is that the map preserves and reflects
-    inclusion.  Reflecting inclusion makes the map injective, and a closed
-    image, surjectivity and injectivity make the families equally large
-    (``gamma0`` is ``gamma`` plus the empty set, from one ``_ideals``
-    list), so neither injectivity nor the count has a test of its own."""
+    """Sending a closed set A to η(A), the closure of its embedded image, is
+    an order isomorphism between the closed-set family (with the empty set)
+    and the F-Scott closure system of the powerdomain.  Each image must be
+    F-Scott closed and every closed set an image; then η must preserve and
+    reflect inclusion, which makes it injective, and a closed image,
+    surjectivity and injectivity make the families equally large (``gamma0``
+    is ``gamma`` plus the empty set, from one ``_ideals`` list), so neither
+    injectivity nor the count has a test of its own.
+
+    Preservation is tested on the covering pairs A ⊂ A ∪ {x} of the family,
+    x minimal outside A: any A ⊆ B is joined to B by such steps, adding a
+    minimal element of B \\ A at a time, so transitivity gives the rest.
+    Reflection follows from ∪η(A) = A, the union of the powerdomain members
+    in η(A): if η(A) ⊆ η(B) then A = ∪η(A) ⊆ ∪η(B) = B.  That is one pass
+    over each image where testing every pair would take |Γ0|² tests."""
     ck = VerificationReport.on_poset("Thm3.10", p)
     h = build_hc(p)
     l = h.semilattice
+    members, down = h.family.members, p.down_masks
     g0 = gamma0(p)
-    eta = [cl_f(l, h.j.image_bits(a)) for a in g0.members]
+    eta = {a: cl_f(l, h.j.image_bits(a)) for a in g0.members}
     gf_set = set(gamma_f(l).members)
-    for a, image in zip(g0.members, eta):
+    for a, image in eta.items():
         if image not in gf_set:
             ck.fail("image is not F-Scott closed", subset=p.subset_labels(a))
-    if set(eta) != gf_set:
+    if set(eta.values()) != gf_set:
         ck.fail("map is not surjective")
-    for i, a in enumerate(g0.members):
-        for k, b in enumerate(g0.members):
-            if (a & ~b == 0) != (eta[i] & ~eta[k] == 0):
-                ck.fail(
-                    "map does not preserve and reflect inclusion",
-                    pair=[p.subset_labels(a), p.subset_labels(b)],
-                )
+    for a, image in eta.items():
+        if reduce(or_, [members[i] for i in iter_bits(image)], 0) != a:
+            ck.fail("image does not union back to the set", subset=p.subset_labels(a))
+        for x in iter_bits(p.full_mask & ~a):
+            if down[x] & ~a == 1 << x and image & ~eta[a | 1 << x]:
+                pair = [p.subset_labels(a), p.subset_labels(a | 1 << x)]
+                ck.fail("map does not preserve inclusion", pair=pair)
     return ck
 
 
@@ -530,7 +548,9 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     ``translate`` flags the maps whose preimage is not closed: through the
     ``_membership_table`` of the subset indices that are not F-Scott closed
     in the domain, read as 0 and 1.  Part 2: the F-Scott closure of a
-    consistent set is the down-set of its join."""
+    consistent set is the down-set of its join; a nonempty subset is
+    consistent when its ``bound_masks`` entry is nonzero, and its join is
+    its ``sup_table`` entry."""
     if pair_bound > 8:
         raise PosetError(f"Prop3.4 packs preimages in bytes: pair bound {pair_bound} exceeds 8")
     ck = VerificationReport.sweep(
@@ -560,11 +580,8 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
                     map=list(img),
                 )
     for l in _semilattices_upto(consistent_bound):
-        for a in range(1, 1 << l.n):
-            if not is_consistent(l.poset, a):
-                continue
-            s = l.sup_of_bits(a)
-            if s is None or cl_f(l, a) != l.poset.down_masks[s]:
+        for a, bounds, s in zip(range(1, 1 << l.n), l.bound_masks[1:], l.sup_table[1:]):
+            if bounds and (s is None or cl_f(l, a) != l.poset.down_masks[s]):
                 ck.fail(
                     "closure of a consistent set is not the down-set of its join",
                     semilattice=l.poset.to_json(),

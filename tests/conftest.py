@@ -167,6 +167,50 @@ def mutant_failures(step):
         return [f for p in catalog.standard_trio() for f in check_thm_3_10(p).failures]
 
 
+def lectic_gamma_f(l):
+    """Every F-Scott closed set of ``l`` by Next-Closure in lectic order
+    (Ganter & Wille, *Formal Concept Analysis*, Springer 1999, ch. 1), with
+    ``cl_f`` read from ``powerlab.semilattice`` at call time: the reference
+    for the closure-step generation of ``gamma_f``."""
+    from powerlab import semilattice
+    from powerlab.families import SetFamily
+
+    members = [semilattice.cl_f(l, 0)]
+    full = semilattice.cl_f(l, l.poset.full_mask)
+    while members[-1] != full:
+        current = members[-1]
+        for i in range(l.n - 1, -1, -1):
+            if current >> i & 1:
+                continue
+            prefix = current & ((1 << i) - 1)
+            cand = semilattice.cl_f(l, prefix | (1 << i))
+            if cand & ((1 << i) - 1) == prefix:
+                members.append(cand)
+                break
+        else:
+            raise AssertionError("lectic enumeration stalled before the top closure")
+    return SetFamily(l.poset, members)
+
+
+def order_violations(p):
+    """The pairs (A, B) of ``gamma0(p)``, as subsets, on which A ⊆ B and
+    η(A) ⊆ η(B) disagree, η(A) being ``cl_f`` of the embedded image of A,
+    read from ``powerlab.suite`` at call time: Thm3.10's order test by the
+    double loop over every pair, the reference for its covering pairs and
+    unions."""
+    from powerlab import suite
+
+    h = suite.build_hc(p)
+    g0 = suite.gamma0(p).members
+    eta = [suite.cl_f(h.semilattice, h.j.image_bits(a)) for a in g0]
+    return [
+        (a, b)
+        for a, ea in zip(g0, eta)
+        for b, eb in zip(g0, eta)
+        if (a & ~b == 0) != (ea & ~eb == 0)
+    ]
+
+
 def one_map_columns(img):
     """The byte columns of the one map ``img``, as ``_column_sups`` takes them."""
     return tuple(bytes([y]) for y in img)
@@ -209,11 +253,12 @@ def literal_lemma_2_3(p, semi_bound):
 
 
 def literal_freeness(p, semi_bound):
-    """Freeness's failures by its own loop: the map count per semilattice,
-    then every cached monotone map's sup-of-image extension tested for
-    definedness, monotonicity, join preservation, restriction and
-    uniqueness, in that order.  The reference for the Freeness slice of
-    ``_map_sweep``."""
+    """Freeness's failures by its own loop: per semilattice, the maps into
+    the 2-chain counted against the lower sets of ``p``, found by testing
+    every subset, then the map count, then every cached monotone map's
+    sup-of-image extension tested for definedness, monotonicity, join
+    preservation, restriction and uniqueness, in that order.  The reference
+    for the Freeness slice of ``_map_sweep``."""
     from powerlab import suite
     from powerlab.enumeration import monotone_map_images
 
@@ -222,12 +267,18 @@ def literal_freeness(p, semi_bound):
     members = h.family.members
     j_img = h.j.img
     hc_pairs = [(i, j) for i, r in enumerate(h.poset.le) for j, b in enumerate(r) if b and i != j]
+    lower_sets = [a for a in range(1 << p.n) if down_set(p, a) == a]
 
     def fail_map(detail, **extra):
         ck.fail(detail, semilattice=l.poset.to_json(), map=list(f_img), **extra)
 
     for l in suite._semilattices_upto(semi_bound):
         monos = monotone_map_images(p, l.poset)
+        if l.n == 2 and l.join[0][1] != -1 and len(monos) != len(lower_sets):
+            ck.fail(
+                f"{len(monos)} monotone maps into the 2-chain vs {len(lower_sets)} lower sets",
+                semilattice=l.poset.to_json(),
+            )
         homs = tuple(suite.iter_homomorphisms(h.semilattice, l))
         hom_set = set(homs)
         groups = {}

@@ -191,7 +191,9 @@ def test_mutant_failures_match_the_statement_loops(mutant):
 
 
 def test_mutants_reach_every_failure_detail():
-    # every detail the three statements report, counts taken out
+    # every detail the three statements report, counts taken out, but the
+    # count of maps into the 2-chain, which
+    # test_a_default_run_counts_the_maps_into_the_2_chain reaches
     every = {
         ("Lem2.3", "member image has no least upper bound"),
         ("Freeness", "{N} powerdomain maps vs {M} monotone maps"),
@@ -241,6 +243,23 @@ def test_mutant_result_does_not_leak(mutant):
     assert [checks[s](p, 2).verdict for s in statements] == ["PASS"] * len(statements)
     for l in _semilattices_upto(2):
         assert _monotone_columns(p, l.poset) == _columns(monotone_map_images(p, l.poset), p.n)
+
+
+def _without_the_first_map(p, q):
+    return itertools.islice(iter_monotone_maps(p, q), 1, None)
+
+
+def test_a_default_run_counts_the_maps_into_the_2_chain():
+    # an enumeration that drops the first map of every pair feeds both the
+    # map tables and the homomorphism stream they are compared with; only
+    # the count of the maps into the 2-chain against the lower sets sees it
+    with sweep_mutant(iter_monotone_maps=_without_the_first_map):
+        summary = run_all()
+    freeness = next(g for g in summary.groups if g["statement"] == "Freeness")
+    details = {f["detail"] for f in freeness["failures"]}
+    # the one-element poset's two maps, one of them dropped
+    assert "1 monotone maps into the 2-chain vs 2 lower sets" in details
+    assert not run_all().any_fail
 
 
 @pytest.mark.parametrize("mutant", [None, *sorted(MUTANTS)])

@@ -16,7 +16,12 @@ import powerlab
 from powerlab.enumeration import enumerate_posets, enumerate_v_semilattices, monotone_map_images
 from powerlab.poset import _ideals
 from powerlab.poset import enumerate_directed_subsets
-from powerlab.semilattice import _homomorphism_images, _map_columns, _monotone_columns
+from powerlab.semilattice import (
+    _gamma_f_cached,
+    _homomorphism_images,
+    _map_columns,
+    _monotone_columns,
+)
 
 from test_suite import ORACLES
 
@@ -30,6 +35,7 @@ ENUMERATORS = {
     "_homomorphism_images": lambda p, l: _homomorphism_images.__wrapped__(l, l),
     "_map_columns": lambda p, l: _map_columns.__wrapped__(l, l),
     "_monotone_columns": lambda p, l: _monotone_columns.__wrapped__(p, l.poset),
+    "_gamma_f_cached": lambda p, l: _gamma_f_cached.__wrapped__(l),
 }
 
 

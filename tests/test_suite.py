@@ -32,6 +32,7 @@ from powerlab.semilattice import (
     VSemilattice,
     _homomorphism_images,
     _monotone_columns,
+    cl_f,
     gamma_f,
     is_f_scott_continuous,
     meet_irreducibles,
@@ -60,6 +61,7 @@ from powerlab.suite import (
 from conftest import (
     closure_mutant,
     mutant_failures,
+    order_violations,
     small_posets,
     sweep_mutant,
     without_pair,
@@ -290,6 +292,38 @@ class TestRunAll:
         assert exit_code_for(False, True, True) == 3
 
 
+# the two findings of Thm3.10's order test
+THM_3_10_ORDER_DETAILS = {"map does not preserve inclusion", "image does not union back to the set"}
+
+
+def _unclosed_at_odd_sizes(l, bits):
+    # the embedded image itself, unclosed, when it has an odd number of
+    # points: every image still unions back to its set, but a closed image
+    # below an unclosed one breaks preservation
+    return bits if bits.bit_count() % 2 else cl_f(l, bits)
+
+
+def _everything(l, bits):
+    # every image the full powerdomain: preserved, never reflected
+    return l.poset.full_mask
+
+
+# mutants of cl_f as check_thm_3_10 reads it, in powerlab.suite
+ETA_MUTANTS = {"unclosed_at_odd_sizes": _unclosed_at_odd_sizes, "everything": _everything}
+
+
+@contextmanager
+def _order_mutant(name):
+    """Run under the mutant of eta named, or under ``closure_mutant(name)``."""
+    if name not in ETA_MUTANTS:
+        with closure_mutant(name):
+            yield
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("powerlab.suite.cl_f", ETA_MUTANTS[name])
+        yield
+
+
 class TestMutation:
     def test_pair_join_mutant_fails_on_vee(self):
         failures = mutant_failures("pair_join")
@@ -312,6 +346,26 @@ class TestMutation:
             assert replay_failure(payload) == "FAIL"
         # with the mutation gone the same instance passes again
         assert replay_failure(payload) == "PASS"
+
+    def test_double_loop_finds_no_order_violation(self):
+        for p in small_posets(5):
+            assert order_violations(p) == []
+
+    @pytest.mark.parametrize("mutant", ["lower", "pair_join", "directed_sup", *sorted(ETA_MUTANTS)])
+    def test_every_double_loop_violation_is_an_order_finding(self, mutant):
+        # preservation on covering pairs and the unions of the images stand
+        # in for the test of every pair: wherever that test finds a pair,
+        # the check must report an order finding.  The closure mutants leave
+        # eta an order embedding, so the double loop finds no pair under
+        # them; each mutant of eta itself breaks the order on some poset
+        violated = 0
+        with _order_mutant(mutant):
+            for p in [*catalog.standard_trio(), *small_posets(4)]:
+                if order_violations(p):
+                    violated += 1
+                    details = {f["detail"] for f in check_thm_3_10(p).failures}
+                    assert details & THM_3_10_ORDER_DETAILS, p
+        assert bool(violated) == (mutant in ETA_MUTANTS)
 
     def test_replay_global_statement(self):
         report = check_cor_3_11(2)
