@@ -11,14 +11,12 @@ from powerlab import (
     down_set,
     hasse,
     is_consistent,
-    is_directed,
     is_lower_set,
-    is_scott_closed,
     scott_closure,
     sup,
     upper_bounds,
-    way_below,
 )
+from powerlab.poset import is_directed, is_scott_closed, way_below
 
 # the "vee": two incomparable points below a common top
 V = FinitePoset.from_covers(("a", "b", "t"), (("a", "t"), ("b", "t")))

@@ -14,10 +14,10 @@ from powerlab import (
     build_hc,
     catalog,
     gamma_c,
-    partial_join,
     refute_v_existing,
     sup_of_image,
 )
+from powerlab.hoare import partial_join
 
 for poset in (catalog.antichain(2), catalog.vee(), catalog.wedge()):
     h = build_hc(poset)

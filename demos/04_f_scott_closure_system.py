@@ -19,12 +19,11 @@ from powerlab import (
     gamma0,
     gamma_f,
     is_f_scott_closed,
-    is_v_semilattice,
 )
 
 V = catalog.vee()
-print("is V a consistent-join semilattice?", is_v_semilattice(V))
-print("is the bowtie?", is_v_semilattice(catalog.bowtie()))
+print("is V a consistent-join semilattice?", VSemilattice.from_poset(V) is not None)
+print("is the bowtie?", VSemilattice.from_poset(catalog.bowtie()) is not None)
 print()
 
 lv = VSemilattice.from_poset(V)

@@ -12,16 +12,16 @@ import json
 from powerlab import (
     Config,
     are_isomorphic,
-    bruteforce_poset_count,
     canonical_form,
     catalog,
     enumerate_posets,
     enumerate_v_semilattices,
     run_all,
 )
+from powerlab.enumeration import bruteforce_canonical_forms
 
 print("poset classes by size:", [len(enumerate_posets(n)) for n in range(1, 6)])
-print("oracle agrees:        ", [bruteforce_poset_count(n) for n in range(1, 6)])
+print("oracle agrees:        ", [len(bruteforce_canonical_forms(n)) for n in range(1, 6)])
 print("semilattices by size: ", [len(enumerate_v_semilattices(n)) for n in range(1, 6)])
 print()
 

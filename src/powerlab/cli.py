@@ -25,7 +25,7 @@ from .families import gamma
 from .hoare import build_hc, refute_v_existing
 from .poset import FinitePoset, PosetError
 from .semilattice import VSemilattice, gamma_f
-from .suite import Config, run_all
+from .suite import Config, run_all, verdict_of
 
 USAGE_ERROR = 2
 UNEXPECTED_ERROR = 4
@@ -120,14 +120,9 @@ def cmd_enumerate(args) -> int:
         posets = enumerate_posets(args.n, cache_dir=args.cache)
     except OSError as exc:
         raise CliError(f"cannot use cache directory {args.cache}: {exc}")
-    lines = []
     if args.semilattices:
-        for p in posets:
-            if VSemilattice.from_poset(p) is not None:
-                lines.append(json.dumps(p.to_json()))
-    else:
-        lines = [json.dumps(p.to_json()) for p in posets]
-    _emit("\n".join(lines), args.out)
+        posets = [p for p in posets if VSemilattice.from_poset(p) is not None]
+    _emit("\n".join(json.dumps(p.to_json()) for p in posets), args.out)
     return 0
 
 
@@ -152,19 +147,15 @@ def cmd_verify(args) -> int:
         settings["suites"] = [args.suite]
     if args.strict:
         settings["strict"] = True
-    known = {f for f in Config.__dataclass_fields__}
-    unknown = set(settings) - known
+    unknown = set(settings) - set(Config.__dataclass_fields__)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     # a PosetError here (bad settings, a sweep past the enumeration cap)
     # reaches main, which reports it as a usage error
     summary = run_all(Config(**settings))
     for group in summary.groups:
-        status = "FAIL" if group["failures"] else (
-            "INCONCLUSIVE" if group["inconclusive"] else "PASS"
-        )
         print(
-            f"{group['statement']}: {status} "
+            f"{group['statement']}: {verdict_of(group['failures'], group['inconclusive'])} "
             f"({group['instances']} instances, bound {group['bound']})"
         )
     if args.out is not None:

@@ -37,7 +37,6 @@ from .poset import (
     FinitePoset,
     InvariantError,
     PosetError,
-    PosetMap,
     _ideals,
     iter_bits,
     iter_monotone_maps,
@@ -175,9 +174,7 @@ def canonical_form(p: FinitePoset) -> bytes:
 
 
 def are_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
-    if p.n != q.n:
-        return False
-    return canonical_form(p) == canonical_form(q)
+    return p.n == q.n and canonical_form(p) == canonical_form(q)
 
 
 # -- generation up to isomorphism ----------------------------------------------
@@ -262,7 +259,7 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
             classes.setdefault((up[i] & ~(1 << i), down[i] & ~(1 << i)), []).append(i)
         twins = [(c[k], c[k + 1]) for c in classes.values() for k in range(len(c) - 1)]
         # the new element n - 1 is maximal and lies above exactly the ideal
-        for ideal in _ideals(p, include_empty=True):
+        for ideal in _ideals(p):
             if over[ideal.bit_count() + 1] & ~ideal:
                 continue
             if twins and any(ideal >> b & 1 and not ideal >> a & 1 for a, b in twins):
@@ -306,16 +303,7 @@ def bruteforce_canonical_forms(n: int) -> frozenset:
     return frozenset(forms)
 
 
-def bruteforce_poset_count(n: int) -> int:
-    return len(bruteforce_canonical_forms(n))
-
-
 # -- monotone maps ----------------------------------------------------------------
-
-
-def enumerate_monotone_maps(p: FinitePoset, q: FinitePoset) -> list[PosetMap]:
-    """All monotone maps p -> q, in the order of ``iter_monotone_maps``."""
-    return [PosetMap(p, q, img) for img in monotone_map_images(p, q)]
 
 
 @lru_cache(maxsize=None)

@@ -88,13 +88,14 @@ class SetFamily:
 
 
 def gamma(p: FinitePoset) -> SetFamily:
-    """The nonempty Scott closed (= nonempty lower) subsets of ``p``."""
-    return SetFamily(p, _ideals(p, include_empty=False))
+    """The nonempty Scott closed (= nonempty lower) subsets of ``p``: every
+    ideal but the first of ``_ideals``, the empty set."""
+    return SetFamily(p, _ideals(p)[1:])
 
 
 def gamma0(p: FinitePoset) -> SetFamily:
     """``gamma`` plus the empty set."""
-    return SetFamily(p, _ideals(p, include_empty=True))
+    return SetFamily(p, _ideals(p))
 
 
 def closure_in_family(family: SetFamily, subfamily) -> SetFamily:

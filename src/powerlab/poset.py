@@ -253,9 +253,6 @@ class PosetMap:
         if any(not 0 <= v < self.cod.n for v in self.img):
             raise PosetError("map image index out of range")
 
-    def __call__(self, i: int) -> int:
-        return self.img[i]
-
     def is_monotone(self) -> bool:
         img, cup = self.img, self.cod.up_masks
         return all(
@@ -284,13 +281,6 @@ class PosetMap:
             if t is None or t != self.img[s]:
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "dom": self.dom.to_json(),
-            "cod": self.cod.to_json(),
-            "map": {self.dom.labels[i]: self.cod.labels[v] for i, v in enumerate(self.img)},
-        }
 
 
 def iter_monotone_maps(p: FinitePoset, q: FinitePoset):
@@ -520,7 +510,7 @@ def way_down_masks(p: FinitePoset) -> tuple[int, ...]:
     return cached
 
 
-def _ideals(p: FinitePoset, include_empty: bool) -> list[int]:
+def _ideals(p: FinitePoset) -> list[int]:
     """All lower sets, grown along a linear extension.
 
     Each element, in turn, is added to every ideal found so far that already
@@ -533,7 +523,7 @@ def _ideals(p: FinitePoset, include_empty: bool) -> list[int]:
         bit = 1 << e
         below = p.down_masks[e] & ~bit
         out += [m | bit for m in out if not below & ~m]
-    return out if include_empty else out[1:]
+    return out
 
 
 def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:
@@ -542,7 +532,7 @@ def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:
         raise PosetError("irreducibility is only defined for Scott closed sets")
     if bits == 0:
         return False
-    proper = [c for c in _ideals(p, include_empty=True) if c & ~bits == 0 and c != bits]
+    proper = [c for c in _ideals(p) if c & ~bits == 0 and c != bits]
     for i, c1 in enumerate(proper):
         for c2 in proper[i + 1 :]:
             if c1 | c2 == bits:
@@ -559,7 +549,7 @@ def is_sober(p: FinitePoset) -> bool:
     proper subset of their union.  Those unions are collected in one pass
     over the pairs of closed sets; ``is_irreducible_closed`` is the per-set
     oracle."""
-    closed = _ideals(p, include_empty=True)
+    closed = _ideals(p)
     reducible = {
         c1 | c2
         for i, c1 in enumerate(closed)

@@ -119,9 +119,6 @@ class VSemilattice:
                 if ub & ~up[v]:
                     raise PosetError("join entry is not the least upper bound")
 
-    def defined(self, i: int, j: int) -> bool:
-        return self.join[i][j] != -1
-
     def sup_of_bits(self, bits: int):
         """``sup`` of an arbitrary subset; sweeps over many subsets index ``sup_table``."""
         return sup(self.poset, bits)
@@ -194,10 +191,6 @@ class VSemilattice:
 
     def __hash__(self):
         return hash((self.poset, self.join))
-
-
-def is_v_semilattice(p: FinitePoset) -> bool:
-    return VSemilattice.from_poset(p) is not None
 
 
 def _columns(rows, n: int) -> tuple[bytes, ...]:
@@ -419,11 +412,6 @@ def is_f_scott_continuous(f: PosetMap, l: VSemilattice, m: VSemilattice) -> bool
     return f_scott_continuity_violation(f, l, m) is None
 
 
-def enumerate_homomorphisms(l: VSemilattice, m: VSemilattice) -> list[PosetMap]:
-    """All join-preserving monotone maps, in the order of ``iter_monotone_maps``."""
-    return [PosetMap(l.poset, m.poset, img) for img in iter_homomorphisms(l, m)]
-
-
 def iter_homomorphisms(l: VSemilattice, m: VSemilattice):
     """The images of the homomorphisms ``l -> m``, streamed in the order of
     ``iter_monotone_maps``: the monotone maps that preserve the join of each
@@ -495,6 +483,4 @@ def sup_exists_transport_check(
         raise PosetError("transport check requires a monotone map")
     s_direct = l.sup_of_bits(f.image_bits(bits))
     s_closed = l.sup_of_bits(f.image_bits(scott_closure(p, bits)))
-    if (s_direct is None) != (s_closed is None):
-        return False
     return s_direct == s_closed

@@ -136,7 +136,7 @@ class VerificationReport:
 
     @property
     def verdict(self) -> str:
-        return "FAIL" if self.failures else ("INCONCLUSIVE" if self.inconclusive else "PASS")
+        return verdict_of(self.failures, self.inconclusive)
 
     def _payload(self, detail: str, extra: dict) -> dict:
         return {
@@ -828,12 +828,16 @@ class Summary:
         }
 
 
+def verdict_of(failures, inconclusive) -> str:
+    """The one verdict rule, of a report, a statement group or a run: FAIL on
+    any failure, else INCONCLUSIVE on any doubt, else PASS."""
+    return "FAIL" if failures else ("INCONCLUSIVE" if inconclusive else "PASS")
+
+
 def exit_code_for(any_fail: bool, any_inconclusive: bool, strict: bool) -> int:
-    if any_fail:
-        return 1
-    if any_inconclusive and strict:
-        return 3
-    return 0
+    return {"FAIL": 1, "INCONCLUSIVE": 3 if strict else 0, "PASS": 0}[
+        verdict_of(any_fail, any_inconclusive)
+    ]
 
 
 def run_all(config: Config | None = None) -> Summary:
@@ -862,7 +866,27 @@ def replay_failure(payload: dict) -> str:
     Payloads carry the statement, the bounds it ran at, and the instance
     descriptor, which is all the replay needs: a per-poset check runs on the
     payload's poset, a global check on the payload's bounds, by ``_run_check``.
+
+    A payload is outside input, refused with ``PosetError`` before any check
+    unless its bounds are integers in 0..``DEFAULT_MAX_N`` named by its
+    statement's ``bounds(Config())`` and its poset fits ``max_poset_n``.
     """
-    st = _statement(payload["statement"])
-    p = FinitePoset.from_json(payload["instance"]["poset"]) if st.per_poset else None
-    return _run_check(st, payload["bounds"], p).verdict
+    if not isinstance(payload, dict) or not isinstance(payload.get("statement"), str):
+        raise PosetError("a failure payload needs a statement name")
+    st, bounds = _statement(payload["statement"]), payload.get("bounds")
+    names = set(st.bounds(Config()))
+    needed = {"max_poset_n"} if st.per_poset else names
+    if not isinstance(bounds, dict) or not needed <= set(bounds) <= names:
+        raise PosetError(f"{st.id} replays with the bounds {sorted(names)}, not {bounds!r}")
+    for name, value in bounds.items():
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= DEFAULT_MAX_N:
+            raise PosetError(f"bound {name}={value!r} is not an integer in 0..{DEFAULT_MAX_N}")
+    if not st.per_poset:
+        return _run_check(st, bounds).verdict
+    instance = payload.get("instance")
+    if not isinstance(instance, dict) or not isinstance(instance.get("poset"), dict):
+        raise PosetError(f"a {st.id} failure payload needs its instance's poset")
+    p = FinitePoset.from_json(instance["poset"])
+    if p.n > bounds["max_poset_n"]:
+        raise PosetError(f"the payload's poset has {p.n} elements, past max_poset_n")
+    return _run_check(st, bounds, p).verdict

@@ -584,7 +584,7 @@ def literal_canonical_forms(n):
     top = 1 << (n - 1)
     for prev in literal_canonical_forms(n - 1):
         p = unpack_canonical(prev)
-        for ideal in _ideals(p, include_empty=True):
+        for ideal in _ideals(p):
             up = [row | top if ideal >> i & 1 else row for i, row in enumerate(p.up_masks)]
             up.append(top)
             seen.add(canonical_form(FinitePoset.from_up_masks(up)))

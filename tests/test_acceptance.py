@@ -15,12 +15,12 @@ import pytest
 from powerlab import (
     Config,
     build_hc,
-    bruteforce_poset_count,
     catalog,
     cl_f,
     enumerate_posets,
     run_statement,
 )
+from powerlab.enumeration import bruteforce_canonical_forms
 
 from conftest import closure_mutant, literal_fixpoint, mutant_failures
 
@@ -110,7 +110,7 @@ def test_criterion_6_relatively_consistent_agreement():
 
 def test_criterion_7_enumeration_self_test():
     """Per-size class counts match the independent brute-force oracle."""
-    oracle = [bruteforce_poset_count(n) for n in range(1, 6)]
+    oracle = [len(bruteforce_canonical_forms(n)) for n in range(1, 6)]
     emitted = [len(enumerate_posets(n)) for n in range(1, 6)]
     line = "PASS" if oracle == emitted else "FAIL"
     print(f"[criterion 7] {line} (oracle {oracle}, emitted {emitted})")

@@ -17,12 +17,11 @@ from powerlab import (
     cl_f,
     enumerate_v_semilattices,
     gamma,
-    is_scott_closed,
     scott_closure,
     sup,
 )
 from powerlab.hoare import gamma_c
-from powerlab.poset import enumerate_directed_subsets
+from powerlab.poset import enumerate_directed_subsets, is_scott_closed
 
 from conftest import literal_fixpoint, small_posets
 

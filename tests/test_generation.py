@@ -120,14 +120,14 @@ def test_a_valid_cache_file_builds_each_poset_once(monkeypatch, tmp_path):
     assert all(a is b for a, b in zip(enumerate_posets(n), posets))
 
 
-def _without_ideals_containing_0(p, include_empty):
+def _without_ideals_containing_0(p):
     # not invariant under isomorphism: it loses the chain already at n = 2
-    return [i for i in _ideals(p, include_empty) if not i & 1]
+    return [i for i in _ideals(p) if not i & 1]
 
 
-def _without_the_empty_ideal_of_a_six(p, include_empty):
+def _without_the_empty_ideal_of_a_six(p):
     # loses only the antichain on 7, past the brute-force oracle's reach
-    out = _ideals(p, include_empty)
+    out = _ideals(p)
     return [i for i in out if i] if p.n == 6 else out
 
 

@@ -15,19 +15,16 @@ from powerlab import (
     WitnessCert,
     build_hc,
     catalog,
-    f_c,
     gamma,
     gamma_c,
     is_consistent,
-    is_relatively_consistent,
-    partial_join,
     r_gamma_c,
     refute_v_existing,
     sup_of_image,
 )
 from powerlab import hoare
 from powerlab.enumeration import canonical_form, enumerate_v_semilattices, iter_monotone_maps
-from powerlab.hoare import first_refutation
+from powerlab.hoare import f_c, first_refutation, is_relatively_consistent, partial_join
 from powerlab.poset import upper_bounds
 from powerlab.suite import (
     check_def_2_1,

@@ -23,13 +23,14 @@ from powerlab.semilattice import (
     _monotone_columns,
 )
 
+from test_reach import source_defs
 from test_suite import ORACLES
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # the cached enumerators are called through __wrapped__, so every call runs the body
 ENUMERATORS = {
-    "_ideals": lambda p, l: _ideals(p, include_empty=True),
+    "_ideals": lambda p, l: _ideals(p),
     "monotone_map_images": lambda p, l: monotone_map_images.__wrapped__(p, l.poset),
     "enumerate_directed_subsets": lambda p, l: enumerate_directed_subsets(p.up_masks, p.full_mask),
     "_homomorphism_images": lambda p, l: _homomorphism_images.__wrapped__(l, l),
@@ -209,19 +210,18 @@ def test_least_upper_bound_is_called_only_by_the_directed_step():
 
 def test_only_oracles_call_oracles():
     # the runtime guard in test_suite covers the default run; this covers
-    # every path: no function outside ORACLES names an ORACLES function, as
-    # a call or as a value, nor PosetMap.is_scott_continuous
-    refused = set(ORACLES) | {"is_scott_continuous"}
+    # every path: no function outside ORACLES names an ORACLES function or
+    # method, as a call or as a value; a method is named by its own name
+    refused = {name.rpartition(".")[2] for name in ORACLES}
     found = []
     for path in sorted((ROOT / "src" / "powerlab").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name in ORACLES:
+        for qualname, _first, func in source_defs(path.read_text()):
+            if qualname in ORACLES:
                 continue
             for node in ast.walk(func):
                 name = getattr(node, "id", None) or getattr(node, "attr", None)
                 if isinstance(node, (ast.Name, ast.Attribute)) and name in refused:
-                    found.append(f"{path.name}:{node.lineno} {func.name} -> {name}")
+                    found.append(f"{path.name}:{node.lineno} {qualname} -> {name}")
     assert found == []
 
 

@@ -324,6 +324,40 @@ def _order_mutant(name):
         yield
 
 
+_A12, _VEE = catalog.antichain(12).to_json(), catalog.vee().to_json()
+
+UNTRUSTED_PAYLOADS = {
+    "a bound past the cap": {
+        "statement": "Lem2.3",
+        "bounds": {"max_poset_n": 12, "max_semilattice_n": 4},
+        "instance": {"poset": _A12},
+    },
+    "a poset past its bound": {
+        "statement": "Lem2.3",
+        "bounds": {"max_poset_n": 4, "max_semilattice_n": 4},
+        "instance": {"poset": _A12},
+    },
+    "a string bound": {
+        "statement": "Freeness",
+        "bounds": {"max_poset_n": 3, "max_semilattice_n": "4"},
+        "instance": {"poset": _VEE},
+    },
+    "a boolean bound": {"statement": "Cor3.11", "bounds": {"max_poset_n": True}},
+    "a negative bound": {"statement": "Cor3.11", "bounds": {"max_poset_n": -1}},
+    "an unknown bound key": {"statement": "Cor3.11", "bounds": {"max_poset_n": 2, "jobs": 1}},
+    "a global bound missing": {"statement": "Prop3.4", "bounds": {"pair_bound": 2}},
+    "a per-poset bound missing": {
+        "statement": "Sober", "bounds": {"max_semilattice_n": 2}, "instance": {"poset": _VEE}
+    },
+    "no statement": {"bounds": {"max_poset_n": 2}},
+    "no bounds": {"statement": "Cor3.11"},
+    "no instance": {"statement": "Sober", "bounds": {"max_poset_n": 3}},
+    "no poset": {"statement": "Sober", "bounds": {"max_poset_n": 3}, "instance": {"n": 3}},
+    "a poset as text": {"statement": "Sober", "bounds": {"max_poset_n": 3}, "instance": {"poset": "{"}},
+    "no payload": ["Cor3.11", {"max_poset_n": 2}],
+}
+
+
 class TestMutation:
     def test_pair_join_mutant_fails_on_vee(self):
         failures = mutant_failures("pair_join")
@@ -382,6 +416,20 @@ class TestMutation:
         if "poset" in report.instance:
             payload["instance"] = report.instance
         assert replay_failure(json.loads(json.dumps(payload))) == "PASS"
+
+    @pytest.mark.parametrize("payload", list(UNTRUSTED_PAYLOADS.values()), ids=list(UNTRUSTED_PAYLOADS))
+    def test_an_untrusted_payload_is_refused_before_any_check(self, monkeypatch, payload):
+        # a payload is outside input: its bounds and poset are checked before
+        # _run_check, which here raises, so a payload let through fails the
+        # test at once; the Lem2.3 antichain on 12 would otherwise run until
+        # memory runs out
+        def no_check(*args):
+            raise AssertionError("a check ran on an untrusted payload")
+
+        monkeypatch.setattr(suite, "_run_check", no_check)
+        with pytest.raises(PosetError):
+            replay_failure(payload)
+
 
 
 @contextmanager
@@ -526,24 +574,25 @@ def test_traced_spans_carry_traffic(tmp_path):
     assert counts["hoare.refute_v_existing.not_found"] == 513
 
 
-# the literal definitions, kept as oracles for the tests: a default run must
-# reach none of them.  Thm2.2's brute-force way-below (``way_down_masks`` over
+# the literal definitions, kept as oracles for the tests, and their helpers: a
+# default run must reach none of them.  A method is named with its class.
+# Thm2.2's brute-force way-below (``way_down_masks`` over
 # ``enumerate_directed_subsets``) and Enum's ``bruteforce_canonical_forms``
 # are what those statements check, so they are not listed.
 ORACLES = (
     "is_scott_closed", "directed_sup_closure_step", "least_upper_bound",
-    "is_f_scott_closed_literal", "is_homomorphism",
+    "is_f_scott_closed_literal", "is_homomorphism", "_check_map",
     "f_scott_continuity_violation", "is_f_scott_continuous",
-    "sup_exists_transport_check", "partial_join", "enumerate_homomorphisms",
-    "enumerate_monotone_maps", "monotone_map_images", "f_c",
-    "is_relatively_consistent", "way_below", "is_irreducible_closed",
+    "sup_exists_transport_check", "partial_join", "monotone_map_images", "f_c",
+    "is_relatively_consistent", "way_below", "is_irreducible_closed", "is_directed",
+    "PosetMap.preimage_bits", "PosetMap.is_scott_continuous",
 )
 
 ORACLE_GUARDED_VERIFY = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import powerlab
-from powerlab import poset, suite
+from powerlab import suite
 
 def refusing(name):
     def oracle(*args, **kwargs):
@@ -553,6 +602,12 @@ def refusing(name):
 modules = [m for name, m in sys.modules.items() if name == "powerlab" or name.startswith("powerlab.")]
 rebound = {}
 for name in sys.argv[2:]:
+    owner, _, attr = name.rpartition(".")
+    if owner:  # a method, replaced on its class
+        cls = next(vars(m)[owner] for m in modules if owner in vars(m))
+        setattr(cls, attr, refusing(name))
+        rebound[name] = 1
+        continue
     orig = next(vars(m)[name] for m in modules if name in vars(m))
     rebound[name] = 0
     for m in modules:
@@ -560,7 +615,6 @@ for name in sys.argv[2:]:
             if value is orig:
                 setattr(m, attr, refusing(name))
                 rebound[name] += 1
-poset.PosetMap.is_scott_continuous = refusing("PosetMap.is_scott_continuous")
 summary = suite.run_all(suite.Config())
 print(json.dumps({"rebound": rebound, "verdicts": {
     g["statement"]: [len(g["failures"]), len(g["inconclusive"])] for g in summary.groups}}))
