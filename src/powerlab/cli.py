@@ -3,10 +3,12 @@
 Subcommands mirror the library surface: family and powerdomain dumps, the
 F-Scott closure system, join-existence witnesses, isomorphism-free poset
 enumeration, and the verification sweep.  Exit codes: 0 all pass, 1 any
-failure, 2 usage or input error (every ``PosetError`` a subcommand raises,
-and an ``--out`` file that cannot be opened), 3 inconclusive results under
---strict, 4 an unexpected error, whose traceback goes to stderr, 141 (the
-shell's status for a tool ended by SIGPIPE) a stdout closed by its reader.
+failure, 2 usage or input error (every ``PosetError`` a subcommand raises, a
+poset or config file that is not JSON, undecodable or nested too deeply
+included, and an ``--out`` file that cannot be opened), 3 inconclusive
+results under --strict, 4 an unexpected error, whose traceback goes to
+stderr, 141 (the shell's status for a tool ended by SIGPIPE) a stdout closed
+by its reader.
 
 ``--out`` is opened before any work starts, as a shell redirection would be.
 """
@@ -18,7 +20,6 @@ import contextlib
 import json
 import os
 import sys
-import traceback
 
 from .enumeration import enumerate_posets
 from .families import gamma
@@ -38,14 +39,12 @@ class CliError(Exception):
 
 def _load_poset(path: str) -> FinitePoset:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path}: {exc}")
     try:
-        return FinitePoset.from_json(data)
+        return FinitePoset.from_json(text)
     except PosetError as exc:
         raise CliError(f"invalid poset in {path}: {exc}")
 
@@ -130,11 +129,11 @@ def cmd_verify(args) -> int:
     settings = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, "rb") as fh:
                 settings = json.load(fh)
         except OSError as exc:
             raise CliError(f"cannot read config {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
             raise CliError(f"malformed JSON in config {args.config}: {exc}")
         if not isinstance(settings, dict):
             raise CliError(f"config {args.config} must be a JSON object")
@@ -147,7 +146,7 @@ def cmd_verify(args) -> int:
         settings["suites"] = [args.suite]
     if args.strict:
         settings["strict"] = True
-    unknown = set(settings) - set(Config.__dataclass_fields__)
+    unknown = set(settings) - set(Config.FIELDS)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     # a PosetError here (bad settings, a sweep past the enumeration cap)
@@ -235,6 +234,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return BROKEN_PIPE
     except Exception:
+        import traceback  # here, not at module level: only this exit needs it
+
         traceback.print_exc()
         return UNEXPECTED_ERROR
 

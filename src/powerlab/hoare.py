@@ -12,7 +12,6 @@ that collapse of the literal definition, ``is_relatively_consistent``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .enumeration import DEFAULT_MAX_N, enumerate_v_semilattices
@@ -38,7 +37,6 @@ def gamma_c(p: FinitePoset) -> SetFamily:
     return SetFamily(p, [m for m in gamma(p) if is_consistent(p, m)])
 
 
-@dataclass(frozen=True)
 class ConsistentHoare:
     """The consistent Hoare powerdomain with its embedding of the base poset.
 
@@ -47,12 +45,17 @@ class ConsistentHoare:
     union), and ``j`` sends a point to its down-set.
     """
 
-    base: FinitePoset
-    family: SetFamily
-    poset: FinitePoset
-    semilattice: VSemilattice
-    j: PosetMap
-    family_equals_gamma_c: bool
+    def __init__(
+        self,
+        base: FinitePoset,
+        family: SetFamily,
+        poset: FinitePoset,
+        semilattice: VSemilattice,
+        j: PosetMap,
+        family_equals_gamma_c: bool,
+    ):
+        self.base, self.family, self.poset = base, family, poset
+        self.semilattice, self.j, self.family_equals_gamma_c = semilattice, j, family_equals_gamma_c
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +114,6 @@ def partial_join(h: ConsistentHoare, a_bits: int, b_bits: int):
 # -- join-existence certificates ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class WitnessCert:
     """Verdict on whether the image of a subset has a least upper bound.
 
@@ -119,11 +121,11 @@ class WitnessCert:
     index of the bound when the verdict is SUP_EXISTS.
     """
 
-    semilattice: VSemilattice
-    map: PosetMap
-    subset: int
-    verdict: str
-    value: int | None
+    def __init__(
+        self, semilattice: VSemilattice, map: PosetMap, subset: int, verdict: str, value: int | None
+    ):
+        self.semilattice, self.map, self.subset = semilattice, map, subset
+        self.verdict, self.value = verdict, value
 
     def to_json(self) -> dict:
         return {
@@ -138,11 +140,11 @@ class WitnessCert:
         }
 
 
-@dataclass(frozen=True)
 class NoWitnessFound:
     """Refutation search exhausted its bound; evidence of membership, not proof."""
 
-    max_size: int
+    def __init__(self, max_size: int):
+        self.max_size = max_size
 
     def to_json(self) -> dict:
         return {"verdict": "NOT_FOUND", "searched_max_size": self.max_size}

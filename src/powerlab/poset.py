@@ -11,8 +11,6 @@ every family computation in this package.
 from __future__ import annotations
 
 import json
-import string
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -34,7 +32,7 @@ def iter_bits(mask: int):
 
 
 # a..z, then x26, x27, ...: enough for every poset a canonical form can pack
-_LABELS = tuple(string.ascii_lowercase) + tuple(f"x{i}" for i in range(26, 256))
+_LABELS = tuple("abcdefghijklmnopqrstuvwxyz") + tuple(f"x{i}" for i in range(26, 256))
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -149,13 +147,18 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, data) -> "FinitePoset":
-        """Parse the ``{"labels": [...], "covers": [[lo, hi], ...]}`` format.
+        """Parse the ``{"labels": [...], "covers": [[lo, hi], ...]}`` format,
+        given parsed or as JSON text (``str`` or ``bytes``).
 
         Labels are strings and every cover is a two-element list of labels;
-        any other shape is a ``PosetError``.
+        text that is not JSON, or nests too deeply to parse, and any other
+        shape are a ``PosetError``.
         """
-        if isinstance(data, str):
-            data = json.loads(data)
+        if isinstance(data, (str, bytes)):
+            try:
+                data = json.loads(data)
+            except (ValueError, RecursionError) as exc:
+                raise PosetError(f"malformed JSON: {exc}") from None
         if not isinstance(data, dict) or "labels" not in data or "covers" not in data:
             raise PosetError('poset JSON needs "labels" and "covers" fields')
         labels, covers = data["labels"], data["covers"]
@@ -238,20 +241,16 @@ class FinitePoset:
         return hash((self.labels, self.up_masks))
 
 
-@dataclass(frozen=True)
 class PosetMap:
     """A function between posets, given by the image index of each element."""
 
-    dom: FinitePoset
-    cod: FinitePoset
-    img: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "img", tuple(self.img))
-        if len(self.img) != self.dom.n:
-            raise PosetError(f"map needs {self.dom.n} images, got {len(self.img)}")
-        if any(not 0 <= v < self.cod.n for v in self.img):
+    def __init__(self, dom: FinitePoset, cod: FinitePoset, img):
+        img = tuple(img)
+        if len(img) != dom.n:
+            raise PosetError(f"map needs {dom.n} images, got {len(img)}")
+        if any(not 0 <= v < cod.n for v in img):
             raise PosetError("map image index out of range")
+        self.dom, self.cod, self.img = dom, cod, img
 
     def is_monotone(self) -> bool:
         img, cup = self.img, self.cod.up_masks

@@ -40,7 +40,6 @@ leaves the bare down-set.
 
 from __future__ import annotations
 
-import csv
 import io
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -171,6 +170,8 @@ class VSemilattice:
         )
 
     def join_table_csv(self) -> str:
+        import csv  # here, not at module level: only ``gammaf --format csv`` writes one
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         labels = self.poset.labels

@@ -12,10 +12,8 @@ row per statement with its suite aliases, its check and its bounds.
 
 from __future__ import annotations
 
-import copy
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import itemgetter, not_, or_
@@ -56,16 +54,26 @@ from .semilattice import (
 )
 
 
-@dataclass
 class Config:
-    """Sweep bounds and options for a verification run."""
+    """Sweep bounds and options for a verification run.  ``FIELDS`` names the
+    keyword arguments, which a config file may set; the class attributes are
+    their defaults."""
 
-    max_poset_n: int = 5
-    max_semilattice_n: int = 4
-    suites: tuple = ("all",)
-    strict: bool = False
+    FIELDS = ("max_poset_n", "max_semilattice_n", "suites", "strict")
+    max_poset_n = 5
+    max_semilattice_n = 4
+    suites = ("all",)
+    strict = False
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        max_poset_n: int = max_poset_n,
+        max_semilattice_n: int = max_semilattice_n,
+        suites: tuple = suites,
+        strict: bool = strict,
+    ):
+        self.max_poset_n, self.max_semilattice_n = max_poset_n, max_semilattice_n
+        self.suites, self.strict = suites, strict
         for name in ("max_poset_n", "max_semilattice_n"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -96,35 +104,28 @@ def _poset_instance(p: FinitePoset) -> dict:
     return {"poset": p.to_json(), "n": p.n, "canonical": canonical_form(p).hex()}
 
 
-class _Instance:
-    """A report's ``instance`` field.  Set to a poset, it holds the poset and
-    builds its ``_poset_instance`` the first time it is read, so a report
-    whose instance nothing reads, a passing one, builds none."""
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return None  # the field's default
-        value = report.__dict__["_instance"]
-        if isinstance(value, FinitePoset):
-            value = report.__dict__["_instance"] = _poset_instance(value)
-        return value
-
-    def __set__(self, report, value):
-        report.__dict__["_instance"] = value
-
-
-@dataclass
 class VerificationReport:
     """One check's findings on one instance; the verdict is read off them.
     Each finding is a replayable payload of the statement, the bounds, the
     instance and a detail line; ``instance=`` in the extras overrides the
     report's own instance for that one payload."""
 
-    statement: str
-    bounds: dict
-    instance: dict | None = _Instance()
-    failures: list = field(default_factory=list)
-    inconclusive: list = field(default_factory=list)
+    def __init__(self, statement: str, bounds: dict, instance=None):
+        self.statement, self.bounds, self.instance = statement, bounds, instance
+        self.failures, self.inconclusive = [], []
+
+    @property
+    def instance(self) -> dict | None:
+        """Set to a poset, the report holds the poset and builds its
+        ``_poset_instance`` the first time this is read, so a report whose
+        instance nothing reads, a passing one, builds none."""
+        if isinstance(self._instance, FinitePoset):
+            self._instance = _poset_instance(self._instance)
+        return self._instance
+
+    @instance.setter
+    def instance(self, value) -> None:
+        self._instance = value
 
     @classmethod
     def on_poset(cls, statement: str, p: FinitePoset, **bounds) -> VerificationReport:
@@ -349,6 +350,8 @@ def _transport_breaks(closures, columns, sups):
 def _swept(statement: str, p: FinitePoset, semi_bound: int) -> VerificationReport:
     """The report of the findings ``_map_sweep`` keeps for ``statement``,
     copied so that no report shares an object with the cache."""
+    import copy  # here, not at module level: only a failing sweep copies
+
     ck = VerificationReport.on_poset(statement, p, max_semilattice_n=semi_bound)
     for detail, extra in _map_sweep(p, semi_bound)[statement]:
         ck.fail(detail, **copy.deepcopy(extra))
@@ -698,7 +701,6 @@ def check_enum(max_poset_n: int) -> VerificationReport:
 # -- registry and orchestration ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Statement:
     """One catalog row.  ``bounds(config)`` gives the bound a run reports for
     the statement; a global check is called as ``check(**bounds)``, a
@@ -706,11 +708,11 @@ class Statement:
     ``max_poset_n``.  A check reads nothing but its arguments, so its verdict
     depends only on the instance and the bounds."""
 
-    id: str
-    aliases: tuple
-    check: Callable
-    bounds: Callable
-    per_poset: bool = False
+    def __init__(
+        self, id: str, aliases: tuple, check: Callable, bounds: Callable, per_poset: bool = False
+    ):
+        self.id, self.aliases, self.check, self.bounds = id, aliases, check, bounds
+        self.per_poset = per_poset
 
 
 def _per_poset(cap: int | None = None) -> Callable:
@@ -795,12 +797,11 @@ def run_statement(statement: str, config: Config) -> list[VerificationReport]:
     return [_run_check(st, bounds, p) for p in _posets_upto(bounds["max_poset_n"])]
 
 
-@dataclass
 class Summary:
     """Grouped result of a verification run."""
 
-    config: Config
-    groups: list
+    def __init__(self, config: Config, groups: list):
+        self.config, self.groups = config, groups
 
     @property
     def any_fail(self) -> bool:

@@ -258,6 +258,20 @@ class TestInputErrors:
         assert code == 2
         assert "malformed JSON" in err
 
+    @pytest.mark.parametrize(
+        "text", [b'{"labels": ["\xff"], "covers": []}', b"[" * 200_000 + b"]" * 200_000],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    @pytest.mark.parametrize("argv", [("gamma",), ("verify", "--config")], ids=["poset", "config"])
+    def test_undecodable_or_deep_json(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("powerlab: ") and "malformed JSON" in err and str(path) in err
+        assert "Traceback" not in err
+
     def test_order_axiom_violation(self, capsys, tmp_path):
         path = tmp_path / "cyclic.json"
         path.write_text(

@@ -570,6 +570,18 @@ class TestHasseAndExport:
         with pytest.raises(PosetError, match="fields"):
             FinitePoset.from_json({"labels": ["a"]})
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{", b'{"labels": ["\xff"], "covers": []}', "[" * 200_000 + "]" * 200_000],
+        ids=["not-json", "not-utf8", "nested-too-deep"],
+    )
+    def test_malformed_json_text_rejected(self, text):
+        with pytest.raises(PosetError, match="malformed JSON"):
+            FinitePoset.from_json(text)
+
+    def test_json_bytes_round_trip(self, vee):
+        assert FinitePoset.from_json(json.dumps(vee.to_json()).encode()) == vee
+
     def test_dot_output(self, vee):
         dot = vee.to_dot()
         assert dot.startswith("digraph")

@@ -93,6 +93,15 @@ def test_cli_import_loads_no_process_pool():
     assert not {"multiprocessing", "concurrent.futures.process"} & loaded
 
 
+def test_cli_import_loads_no_failure_path_modules():
+    # each costs every cold start milliseconds: the records are plain
+    # classes, not dataclasses (which pull in inspect), and csv and traceback
+    # are imported by the one function that writes a CSV or prints a traceback
+    loaded = _modules_loaded_by_cli_import()
+    assert "powerlab.cli" in loaded
+    assert not {"dataclasses", "inspect", "csv", "traceback"} & loaded
+
+
 def test_no_runtime_dependency_declared():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines

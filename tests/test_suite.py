@@ -1,7 +1,6 @@
 """The verification sweep: reports, determinism, replay, and closure mutants."""
 
 import copy
-import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -25,7 +24,7 @@ from powerlab import (
 from powerlab.cli import main
 from powerlab.enumeration import canonical_form, enumerate_posets, monotone_map_images
 from powerlab.families import gamma, gamma0
-from powerlab.hoare import WitnessCert, build_hc, partial_join
+from powerlab.hoare import ConsistentHoare, WitnessCert, build_hc, partial_join
 from powerlab.poset import PosetMap, scott_closure
 from powerlab.semilattice import (
     NO_SUP,
@@ -136,7 +135,8 @@ class TestChecks:
         assert report.statement == "Thm3.10"
         assert report.verdict == "PASS"
         assert report.instance["n"] == 3
-        assert json.dumps(dataclasses.asdict(report))  # JSON serializable
+        fields = ("statement", "bounds", "instance", "failures", "inconclusive")
+        assert json.dumps({name: getattr(report, name) for name in fields})  # JSON serializable
 
     def test_thm_3_10_family_posets_share_a_canonical_form(self):
         # Thm3.10 checks eta as an order isomorphism; the canonical forms of
@@ -212,10 +212,11 @@ class TestChecks:
         assert [replay_failure(payload) for payload in payloads] == ["PASS"] * 3
 
     def test_thm_3_9_closure_added_members(self, monkeypatch, vee):
-        monkeypatch.setattr(
-            "powerlab.suite.build_hc",
-            lambda p: dataclasses.replace(build_hc(p), family_equals_gamma_c=False),
-        )
+        def closure_added(p):
+            h = build_hc(p)
+            return ConsistentHoare(h.base, h.family, h.poset, h.semilattice, h.j, False)
+
+        monkeypatch.setattr("powerlab.suite.build_hc", closure_added)
         report = check_thm_3_9(vee, 4)
         assert report.verdict == "FAIL"
         assert [x["detail"] for x in report.failures] == [
