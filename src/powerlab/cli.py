@@ -4,11 +4,10 @@ Subcommands mirror the library surface: family and powerdomain dumps, the
 F-Scott closure system, join-existence witnesses, isomorphism-free poset
 enumeration, and the verification sweep.  Exit codes: 0 all pass, 1 any
 failure, 2 usage or input error (every ``PosetError`` a subcommand raises, a
-poset or config file that is not JSON, undecodable or nested too deeply
-included, and an ``--out`` file that cannot be opened), 3 inconclusive
-results under --strict, 4 an unexpected error, whose traceback goes to
-stderr, 141 (the shell's status for a tool ended by SIGPIPE) a stdout closed
-by its reader.
+poset file that is not JSON, undecodable or nested too deeply included, and
+an ``--out`` file that cannot be opened), 3 inconclusive results under
+--strict, 4 an unexpected error, whose traceback goes to stderr, 141 (the
+shell's status for a tool ended by SIGPIPE) a stdout closed by its reader.
 
 ``--out`` is opened before any work starts, as a shell redirection would be.
 """
@@ -60,10 +59,8 @@ def _open_out(path: str | None):
 
 
 def _emit(text: str, out):
-    if out is None:
-        print(text)
-    else:
-        out.write(text)
+    """Write ``text`` to ``--out`` or stdout alike, ending it with one newline."""
+    (out or sys.stdout).write(text if text.endswith("\n") else text + "\n")
 
 
 def cmd_gamma(args) -> int:
@@ -126,32 +123,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    settings = {}
-    if args.config:
-        try:
-            with open(args.config, "rb") as fh:
-                settings = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read config {args.config}: {exc}")
-        except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
-            raise CliError(f"malformed JSON in config {args.config}: {exc}")
-        if not isinstance(settings, dict):
-            raise CliError(f"config {args.config} must be a JSON object")
-    # flags win over the config file
-    if args.max_poset is not None:
-        settings["max_poset_n"] = args.max_poset
-    if args.max_semilattice is not None:
-        settings["max_semilattice_n"] = args.max_semilattice
-    if args.suite is not None:
-        settings["suites"] = [args.suite]
-    if args.strict:
-        settings["strict"] = True
-    unknown = set(settings) - set(Config.FIELDS)
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
     # a PosetError here (bad settings, a sweep past the enumeration cap)
     # reaches main, which reports it as a usage error
-    summary = run_all(Config(**settings))
+    suites = [s for s in args.suite.split(",") if s]
+    summary = run_all(Config(args.max_poset, args.max_semilattice, suites, args.strict))
     for group in summary.groups:
         print(
             f"{group['statement']}: {verdict_of(group['failures'], group['inconclusive'])} "
@@ -196,11 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--out")
 
     verify = sub.add_parser("verify", help="run the statement verification sweep")
-    verify.add_argument("--suite", default=None, help="all, thm3.9, thm3.10, cor3.11, freeness, ...")
-    verify.add_argument("--max-poset", type=int, default=None)
-    verify.add_argument("--max-semilattice", type=int, default=None)
-    verify.add_argument("--strict", action="store_true")
-    verify.add_argument("--config", help="JSON config file; flags win")
+    verify.add_argument(
+        "--suite",
+        default=",".join(Config.suites),
+        help="comma-separated statements: all, thm3.9, thm3.10, cor3.11, freeness, ...",
+    )
+    verify.add_argument("--max-poset", type=int, default=Config.max_poset_n)
+    verify.add_argument("--max-semilattice", type=int, default=Config.max_semilattice_n)
+    verify.add_argument("--strict", action="store_true", default=Config.strict)
     verify.add_argument("--out", help="write the report JSON here")
     return parser
 

@@ -55,11 +55,9 @@ from .semilattice import (
 
 
 class Config:
-    """Sweep bounds and options for a verification run.  ``FIELDS`` names the
-    keyword arguments, which a config file may set; the class attributes are
-    their defaults."""
+    """Sweep bounds and options for a verification run.  The class attributes
+    are the keyword arguments' defaults."""
 
-    FIELDS = ("max_poset_n", "max_semilattice_n", "suites", "strict")
     max_poset_n = 5
     max_semilattice_n = 4
     suites = ("all",)

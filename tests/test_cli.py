@@ -262,11 +262,11 @@ class TestInputErrors:
         "text", [b'{"labels": ["\xff"], "covers": []}', b"[" * 200_000 + b"]" * 200_000],
         ids=["not-utf8", "nested-too-deep"],
     )
-    @pytest.mark.parametrize("argv", [("gamma",), ("verify", "--config")], ids=["poset", "config"])
-    def test_undecodable_or_deep_json(self, capsys, tmp_path, argv, text):
+    @pytest.mark.parametrize("command", ["gamma"], ids=["poset"])
+    def test_undecodable_or_deep_json(self, capsys, tmp_path, command, text):
         path = tmp_path / "bad.json"
         path.write_bytes(text)
-        code, out, err = run_cli(capsys, *argv, str(path))
+        code, out, err = run_cli(capsys, command, str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("powerlab: ") and "malformed JSON" in err and str(path) in err
@@ -387,41 +387,48 @@ class TestVerify:
         assert out == ""
         assert "max_semilattice_n=7 exceeds the enumeration cap 6" in err
 
-    def test_config_file_flags_win(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_poset_n": 2, "suites": ["sober"]}))
-        code, out, _ = run_cli(
-            capsys, "verify", "--config", str(cfg), "--suite", "enum"
-        )
+    def test_suite_list_runs_each_named_statement(self, capsys):
+        # several statements in one run, reported in catalog order
+        code, out, _ = run_cli(capsys, "verify", "--suite", "enum,sober", "--max-poset", "2")
         assert code == 0
-        assert "Enum: PASS" in out
-        assert "Sober" not in out
+        assert out.splitlines() == [
+            "Sober: PASS (3 instances, bound {'max_poset_n': 2, 'max_semilattice_n': 4})",
+            "Enum: PASS (1 instances, bound {'max_poset_n': 2})",
+        ]
 
-    def test_unknown_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_posets": 2}))
-        code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    def test_empty_suite_list_rejected(self, capsys):
+        # no statement would run, and the report would claim all_pass
+        code, out, err = run_cli(capsys, "verify", "--suite", ",")
         assert code == 2
-        assert "unknown config keys" in err
+        assert out == ""
+        assert "suites must name at least one statement" in err
 
-    @pytest.mark.parametrize(
-        "settings, message",
-        [
-            ([2, "sober"], "must be a JSON object"),
-            ("sober", "must be a JSON object"),
-            ({"max_poset_n": "5"}, "max_poset_n must be an integer"),
-            ({"max_poset_n": 2.5}, "max_poset_n must be an integer"),
-            ({"max_poset_n": True}, "max_poset_n must be an integer"),
-            ({"suites": [1]}, "suites must be a list of names"),
-        ],
-        ids=["list", "string", "str-cap", "float-cap", "bool-cap", "int-suite"],
-    )
-    def test_malformed_config_values(self, capsys, tmp_path, settings, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(settings))
-        code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    def test_unknown_suite_after_all_rejected(self, capsys):
+        # every name is resolved, not only those before "all"
+        code, out, err = run_cli(capsys, "verify", "--suite", "all,bogus")
         assert code == 2
-        assert message in err
+        assert out == ""
+        assert "unknown suite name 'bogus'" in err
+
+    def test_config_flag_rejected(self, capsys):
+        # flags are verify's only settings; it reads no settings file
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", "x.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    def test_opens_no_file_but_out(self, monkeypatch, capsys, tmp_path):
+        opened = []
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        target = str(tmp_path / "report.json")
+        assert main(["verify", "--suite", "sober,enum", "--max-poset", "2", "--out", target]) == 0
+        assert opened == [target]
 
     def test_jobs_flag_rejected(self, capsys):
         # verification runs in one process; there is no worker count to set
@@ -538,12 +545,36 @@ class TestOutputFile:
         assert out == ""
         assert f"cannot write {tmp_path}" in err
 
-    def test_written_output_matches_stdout(self, capsys, tmp_path, vee_file):
-        target = tmp_path / "h.json"
-        _, printed, _ = run_cli(capsys, "hoare", vee_file)
-        code, out, _ = run_cli(capsys, "hoare", vee_file, "--out", str(target))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "{vee}"],
+            ["gamma", "{vee}", "--format", "dot"],
+            ["hoare", "{vee}"],
+            ["hoare", "{vee}", "--format", "dot"],
+            ["gammaf", "{vee}"],
+            ["gammaf", "{vee}", "--format", "csv"],
+            ["vexist", "{vee}", "--set", "a,b"],
+            ["enumerate", "--n", "3"],
+        ],
+        ids=[
+            "gamma-json",
+            "gamma-dot",
+            "hoare-json",
+            "hoare-dot",
+            "gammaf-json",
+            "gammaf-csv",
+            "vexist",
+            "enumerate",
+        ],
+    )
+    def test_written_output_matches_stdout(self, capsys, tmp_path, vee_file, argv):
+        argv = [arg.format(vee=vee_file) for arg in argv]
+        target = tmp_path / "out"
+        _, printed, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
         assert code == 0 and out == ""
-        assert target.read_text() + "\n" == printed
+        assert target.read_bytes() == printed.encode()
 
 
 class TestUnexpectedError:
@@ -622,56 +653,3 @@ class TestPosetShape:
         assert code == 2
         assert out == ""
         assert "needs a nonempty poset" in err
-
-
-class TestConfigTypes:
-    @pytest.mark.parametrize(
-        "settings, message",
-        [
-            ({"strict": "no"}, "strict must be true or false"),
-            ({"strict": 1}, "strict must be true or false"),
-        ],
-        ids=["string-strict", "int-strict"],
-    )
-    def test_mistyped_value_rejected(self, capsys, tmp_path, settings, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**settings, "suites": ["sober"], "max_poset_n": 2}))
-        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert message in err
-
-    def test_empty_suite_list_rejected(self, capsys, tmp_path):
-        # no statement would run, and the report would claim all_pass
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"suites": [], "max_poset_n": 2}))
-        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert "suites must name at least one statement" in err
-
-    def test_cache_dir_is_an_unknown_key(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        settings = {"cache_dir": str(tmp_path / "cache"), "suites": ["sober"], "max_poset_n": 2}
-        cfg.write_text(json.dumps(settings))
-        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert "unknown config keys: ['cache_dir']" in err
-
-    def test_jobs_is_an_unknown_key(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"jobs": 2, "suites": ["sober"], "max_poset_n": 2}))
-        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert "unknown config keys: ['jobs']" in err
-
-    def test_unknown_suite_after_all_rejected(self, capsys, tmp_path):
-        # every name is resolved, not only those before "all"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"suites": ["all", "bogus"]}))
-        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert "unknown suite name 'bogus'" in err

@@ -94,6 +94,37 @@ class TestConfig:
             Config(max_poset_n=0)
 
     @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"max_poset_n": "5"}, "max_poset_n must be an integer"),
+            ({"max_poset_n": 2.5}, "max_poset_n must be an integer"),
+            ({"max_poset_n": True}, "max_poset_n must be an integer"),
+            ({"suites": [1]}, "suites must be a list of names"),
+            ({"suites": "sober"}, "suites must be a list of names"),
+            ({"strict": "no"}, "strict must be true or false"),
+            ({"strict": 1}, "strict must be true or false"),
+            # no statement would run, and the report would claim all_pass
+            ({"suites": ()}, "suites must name at least one statement"),
+            # every name is resolved, not only those before "all"
+            ({"suites": ("all", "bogus")}, "unknown suite name 'bogus'"),
+        ],
+        ids=[
+            "str-cap",
+            "float-cap",
+            "bool-cap",
+            "int-suite",
+            "string-suites",
+            "string-strict",
+            "int-strict",
+            "no-suites",
+            "unknown-after-all",
+        ],
+    )
+    def test_mistyped_settings_rejected(self, settings, message):
+        with pytest.raises(PosetError, match=message):
+            Config(**settings)
+
+    @pytest.mark.parametrize(
         "name, statement",
         [
             ("def2.1", "Def2.1"),
