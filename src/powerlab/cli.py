@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
             f"({group['instances']} instances, bound {group['bound']})"
         )
     if args.out is not None:
-        json.dump(summary.to_json(), args.out, indent=2)
+        _emit(json.dumps(summary.to_json(), indent=2), args.out)
     return summary.exit_code()
 
 

@@ -19,16 +19,14 @@ shares no code with ``cl_f``.  Maps are held many at once as byte columns,
 byte ``r`` of column ``x`` being the image of ``x`` under map ``r``:
 ``_monotone_columns`` turns the rows of ``iter_monotone_maps`` into them by
 ``_columns``, the one transpose, and caches them: one table per (domain,
-codomain) pair per run.  ``_map_columns`` adds a semilattice pair's
-homomorphism flags, one ``translate`` per join triple for all maps at once,
-and ``_homomorphism_images`` keeps the flagged bytes of its columns, or the
-columns themselves when every map is flagged.  Sups of
-images have one evaluator, ``_column_sups``: each domain element extends
-the sups of every subset so far with one ``translate`` of ``(sups << 4) |
-column`` through ``VSemilattice.column_join``, the join on packed nibble
-pairs.  A sup and an image must each fit a nibble, with ``NO_SUP`` = 15 for
-no sup and the codomain's size for the empty set, so the codomain has at
-most 14 elements.
+codomain) pair per run.  ``_homomorphism_images`` keeps a semilattice
+pair's homomorphisms from that table, testing all maps at once.  Strings of
+bytes are joined in one place, ``_joined``: one ``translate`` of the packed
+nibbles ``(x << 4) | y`` by ``VSemilattice.column_join``.  Sups of images
+have one evaluator, ``_column_sups``: each domain element extends the sups
+of every subset so far with one ``_joined``.  A sup and an image must each
+fit a nibble, with ``NO_SUP`` = 15 for no sup and the codomain's size for
+the empty set, so the codomain has at most 14 elements.
 
 The module carries no test switch: mutation probes replace a ``cl_f`` step
 in this module's namespace from outside, and clear ``gamma_f``'s cache, the
@@ -148,7 +146,7 @@ class VSemilattice:
         every other entry is ``NO_SUP``, so a set with no sup stays without
         one.  Read at a set's sup ``s`` and an element ``y`` it gives the sup
         of that set with ``y`` added.  The nibbles need ``n <= 14``, else a
-        ``PosetError``; ``_column_sups`` is its one reader."""
+        ``PosetError``; ``_joined`` is its one reader."""
         n = self.n
         if n > 14:
             raise PosetError(f"sup columns pack at most 14 elements, not {n}")
@@ -203,10 +201,17 @@ def _columns(rows, n: int) -> tuple[bytes, ...]:
 def _monotone_columns(p: FinitePoset, q: FinitePoset) -> tuple[bytes, ...]:
     """``iter_monotone_maps(p, q)`` as byte columns: the one map table of a
     (domain, codomain) pair, enumerated once per run and read by the map
-    sweep, Prop3.2 and ``_map_columns``.  Their sup tables are rebuilt from
-    it on each read, never cached: held for every pair they would outweigh
-    the columns many times over."""
+    sweep, Prop3.2, Prop3.4 and ``_homomorphism_images``.  The sup tables
+    built from it are rebuilt on each read, never cached: held for every
+    pair they would outweigh the columns many times over."""
     return _columns(iter_monotone_maps(p, q), p.n)
+
+
+def _joined(m: VSemilattice, xs: bytes, ys: bytes) -> bytes:
+    """The bytewise joins in ``m`` of two strings of bytes at most 15: the
+    pairs packed as nibbles, one ``translate`` by ``m.column_join``."""
+    packed = (int.from_bytes(xs, "big") << 4) | int.from_bytes(ys, "big")
+    return packed.to_bytes(len(xs), "big").translate(m.column_join)
 
 
 def _column_sups(m: VSemilattice, columns) -> tuple:
@@ -217,22 +222,18 @@ def _column_sups(m: VSemilattice, columns) -> tuple:
     The subsets' sups sit one after another in one byte string, ``k`` bytes
     per subset for the ``k`` maps, and each domain element ``x`` extends all
     of them at once, in subset order, by the recurrence ``out[a | bit(x)] =
-    join(out[a], column x)``.  Column ``x`` is repeated once per subset so
-    far, and each byte pair is packed as ``(out << 4) | column`` and joined
-    by one ``translate`` through ``m.column_join``; every byte of ``out`` is
-    at most 15, so the shift carries nothing into the next byte.  The empty
-    set's ``m.n`` gives way to the bottom at the end.  The recurrence is
-    sound in a semilattice: for a nonempty S with sup s, sup(S ∪ {y})
-    exists exactly when join(s, y) does, and then they are equal, since an
-    upper bound of S ∪ {y} bounds s and y; a nonempty S with no sup is
-    unbounded, because a bounded nonempty set has a sup, and so is
-    S ∪ {y}.  With no maps every string is empty."""
+    join(out[a], column x)``: column ``x`` is repeated once per subset so
+    far and joined with ``out`` by one ``_joined``.  The empty set's ``m.n``
+    gives way to the bottom at the end.  The recurrence is sound in a
+    semilattice: for a nonempty S with sup s, sup(S ∪ {y}) exists exactly
+    when join(s, y) does, and then they are equal, since an upper bound of
+    S ∪ {y} bounds s and y; a nonempty S with no sup is unbounded, because
+    a bounded nonempty set has a sup, and so is S ∪ {y}.  With no maps every
+    string is empty."""
     k = len(columns[0])
-    join = m.column_join
     out = bytes([m.n]) * k
     for x, col in enumerate(columns):
-        col = int.from_bytes(col * (1 << x), "big")
-        out += ((int.from_bytes(out, "big") << 4) | col).to_bytes(len(out), "big").translate(join)
+        out += _joined(m, out, col * (1 << x))
     bottom = m.sup_of_bits(0)
     out = bytes([NO_SUP if bottom is None else bottom]) * k + out[k:]
     return tuple(out[a * k : a * k + k] for a in range(1 << len(columns)))
@@ -436,39 +437,22 @@ _ZERO_FLAGS = bytes([1]) + bytes(255)
 
 
 @lru_cache(maxsize=None)
-def _map_columns(l: VSemilattice, m: VSemilattice) -> tuple[tuple[bytes, ...], bytes]:
-    """The monotone maps ``l -> m`` as byte columns, with their homomorphism
-    flags: byte ``r`` of ``columns[x]`` is the image of ``x`` under map
-    ``r``, in the order of ``iter_monotone_maps``, and byte ``r`` of
-    ``flags`` is 1 when map ``r`` is a homomorphism and 0 otherwise.
-
-    A monotone map preserves the join of a comparable pair, so only the
-    pairs of ``l.join_triples`` are tested, all maps at once: per triple
-    ``(i, j, z)``, one ``translate`` of the packed pairs ``(columns[i] << 4)
-    | columns[j]`` through ``m.column_join``, XORed with column ``z``, is 0
-    exactly at the maps that preserve that join.  Every byte of both sides
-    is at most 15, so the OR over the triples stays bytewise, and its zero
-    bytes are the homomorphisms.  ``columns`` is the pair's shared
-    ``_monotone_columns`` table, so the cache adds only the flags.  Read by
-    Prop3.4 and ``_homomorphism_images``; codomains of at most 14 elements."""
+def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[bytes, ...]:
+    """The homomorphisms ``l -> m``: the rows of the pair's shared
+    ``_monotone_columns`` table that preserve each join of
+    ``l.join_triples``, or that table, uncopied, when every row does.  Per
+    triple ``(i, j, z)``, ``_joined`` of columns ``i`` and ``j`` XOR column
+    ``z`` is 0 exactly at the maps that preserve it; every byte is at most
+    15, so the OR over the triples stays bytewise.  Read by Prop3.4 and
+    Lem3.6; codomains of at most 14 elements."""
     columns = _monotone_columns(l.poset, m.poset)
-    k = len(columns[0])
-    ints = [int.from_bytes(c, "big") for c in columns]
-    join = m.column_join
     wrong = 0
     for i, j, z in l.join_triples:
-        joined = ((ints[i] << 4) | ints[j]).to_bytes(k, "big").translate(join)
-        wrong |= int.from_bytes(joined, "big") ^ ints[z]
-    return columns, wrong.to_bytes(k, "big").translate(_ZERO_FLAGS)
-
-
-@lru_cache(maxsize=None)
-def _homomorphism_images(l: VSemilattice, m: VSemilattice) -> tuple[bytes, ...]:
-    """The flagged bytes of each column of ``_map_columns(l, m)``, for Lem3.6:
-    the shared columns themselves, uncopied, when every map is flagged."""
-    columns, flags = _map_columns(l, m)
-    if 0 not in flags:
+        joined = _joined(m, columns[i], columns[j])
+        wrong |= int.from_bytes(joined, "big") ^ int.from_bytes(columns[z], "big")
+    if not wrong:
         return columns
+    flags = wrong.to_bytes(len(columns[0]), "big").translate(_ZERO_FLAGS)
     return tuple(bytes(compress(col, flags)) for col in columns)
 
 

@@ -45,7 +45,7 @@ from .semilattice import (
     _column_sups,
     _columns,
     _homomorphism_images,
-    _map_columns,
+    _joined,
     _monotone_columns,
     cl_f,
     gamma_f,
@@ -193,21 +193,15 @@ def _extends_freely(l, columns, sups, members, points, covers, triples) -> bool:
     powerdomain member, restricts to the map at the point closures
     ``points``, and keeps each cover pair ``(a, b)`` in order and each join
     triple ``(i, j, z)`` of the powerdomain, as subsets.  Each order or join
-    test is one ``translate`` of the packed member strings ``(sups[a] << 4)
-    | sups[b]`` through ``l.column_join``, for all maps at once: with no
-    ``NO_SUP`` byte, ``join(s, y) == y`` exactly when ``s <= y``."""
+    test is one ``_joined`` of two member strings in ``l``, for all maps at
+    once: with no ``NO_SUP`` byte, ``join(s, y) == y`` exactly when
+    ``s <= y``."""
     if any(NO_SUP in sups[a] for a in members):
         return False
     if any(sups[a] != col for a, col in zip(points, columns)):
         return False
-    k, join = len(columns[0]), l.column_join
-
-    def joined(a, b):
-        packed = (int.from_bytes(sups[a], "big") << 4) | int.from_bytes(sups[b], "big")
-        return packed.to_bytes(k, "big").translate(join)
-
-    return all(joined(a, b) == sups[b] for a, b in covers) and all(
-        joined(i, j) == sups[z] for i, j, z in triples
+    return all(_joined(l, sups[a], sups[b]) == sups[b] for a, b in covers) and all(
+        _joined(l, sups[i], sups[j]) == sups[z] for i, j, z in triples
     )
 
 
@@ -246,13 +240,16 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
 
     A semilattice on which a test fails, and every semilattice when premise
     B fails, takes the failure path instead, on rows: the homomorphisms from
-    the powerdomain are streamed once, counted and grouped by their
-    restriction along the embedding, and each map whose group is not
-    exactly its extension is tested for definedness, monotonicity, join
-    preservation, restriction and uniqueness, in that order.  Lem3.8 then
-    builds both unions, the maps' from the same table and the restrictions'
-    from one more ``_column_sups`` table, of their ``_columns``, so that a
-    failure names the subsets that differ.  Only findings are kept.
+    the powerdomain are streamed once by ``iter_homomorphisms``, counted and
+    grouped by their restriction along the embedding.  The stream reads
+    ``l.join``, not the pass path's ``column_join``, so a fault in the packed
+    table shows as a finding instead of passing both paths.  Each map whose
+    group is not exactly its extension is tested for definedness,
+    monotonicity, join preservation, restriction and uniqueness, in that
+    order.  Lem3.8 then builds both unions, the maps' from the same table
+    and the restrictions' from one more ``_column_sups`` table, of their
+    ``_columns``, so that a failure names the subsets that differ.  Only
+    findings are kept.
 
     The table and the homomorphisms come from one enumerator, so none of
     these tests sees a map that it drops.  The maps into the 2-element chain
@@ -531,15 +528,14 @@ def check_sober(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
 def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport:
     """Part 1: a map between semilattices preserves consistent joins exactly
     when preimages of F-Scott closed sets are F-Scott closed.  A pair's
-    monotone maps and their homomorphism flags are ``_map_columns`` of the
-    pair, its shared ``_monotone_columns`` table with the flags, which
-    Lem3.6 reads again through ``_homomorphism_images``.  A map is continuous when the preimage of
-    every meet-irreducible closed set of the codomain is closed: every
-    closed set is the intersection of the irreducibles containing it (the
-    full set being the empty intersection), the preimage of an intersection
-    is the intersection of the preimages, and the domain's closed sets are
-    closed under intersection, so then every closed set's preimage is
-    closed.
+    monotone maps are its shared ``_monotone_columns`` table, and its
+    homomorphisms are ``_homomorphism_images`` of the pair, cached for
+    Lem3.6.  A map is continuous when the preimage of every meet-irreducible
+    closed set of the codomain is closed: every closed set is the
+    intersection of the irreducibles containing it (the full set being the
+    empty intersection), the preimage of an intersection is the
+    intersection of the preimages, and the domain's closed sets are closed
+    under intersection, so then every closed set's preimage is closed.
 
     A pair's maps are decided at once, by columns: byte ``r`` of column
     ``x`` is the image of ``x`` under map ``r``.  Translated by a bit table,
@@ -548,10 +544,11 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     index, one byte each, so the pair bound is at most 8.  One more
     ``translate`` flags the maps whose preimage is not closed: through the
     ``_membership_table`` of the subset indices that are not F-Scott closed
-    in the domain, read as 0 and 1.  Part 2: the F-Scott closure of a
-    consistent set is the down-set of its join; a nonempty subset is
-    consistent when its ``bound_masks`` entry is nonzero, and its join is
-    its ``sup_table`` entry."""
+    in the domain, read as 0 and 1.  The continuous rows are compared with
+    the homomorphisms at once, and walked only on a mismatch.  Part 2: the
+    F-Scott closure of a consistent set is the down-set of its join; a
+    nonempty subset is consistent when its ``bound_masks`` entry is nonzero,
+    and its join is its ``sup_table`` entry."""
     if pair_bound > 8:
         raise PosetError(f"Prop3.4 packs preimages in bytes: pair bound {pair_bound} exceeds 8")
     ck = VerificationReport.sweep(
@@ -564,22 +561,26 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     for l in pool:
         unclosed = _membership_table(~sum(1 << a for a in gamma_f(l).members)).translate(as_bit[0])
         for m, m_irreducibles in zip(pool, irreducibles):
-            columns, hom = _map_columns(l, m)
-            k = len(hom)
+            columns = _monotone_columns(l.poset, m.poset)
+            k = len(columns[0])
             broken = 0
             for tables in m_irreducibles:
                 pre = sum(int.from_bytes(x.translate(t), "big") for x, t in zip(columns, tables))
                 broken |= int.from_bytes(pre.to_bytes(k, "big").translate(unclosed), "big")
-            # byte r of hom ^ broken is 0 where map r is a homomorphism but
-            # not continuous, or continuous but no homomorphism
-            agree = (int.from_bytes(hom, "big") ^ broken).to_bytes(k, "big")
-            for img, h in compress(zip(zip(*columns), hom), map(not_, agree)):
-                ck.fail(
-                    f"homomorphism={bool(h)} but continuity={not h}",
-                    dom=l.poset.to_json(),
-                    cod=m.poset.to_json(),
-                    map=list(img),
-                )
+            continuous = bytes(map(not_, broken.to_bytes(k, "big")))
+            homs = _homomorphism_images(l, m)
+            if tuple(bytes(compress(col, continuous)) for col in columns) == homs:
+                continue
+            hom_rows = set(zip(*homs))
+            for img, c in zip(zip(*columns), continuous):
+                h = img in hom_rows
+                if h != c:
+                    ck.fail(
+                        f"homomorphism={h} but continuity={not h}",
+                        dom=l.poset.to_json(),
+                        cod=m.poset.to_json(),
+                        map=list(img),
+                    )
     for l in _semilattices_upto(consistent_bound):
         for a, bounds, s in zip(range(1, 1 << l.n), l.bound_masks[1:], l.sup_table[1:]):
             if bounds and (s is None or cl_f(l, a) != l.poset.down_masks[s]):
@@ -595,9 +596,10 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     """A subset and its F-Scott closure are refuted by exactly the same
     homomorphisms, so join-existence transports across the closure: each
     homomorphism's sups must agree at every subset and at that subset's
-    ``cl_f`` closure.  The columns of ``_homomorphism_images`` go to one
-    ``_column_sups`` table per pair, whose nibbles hold codomains of at
-    most 14 elements, and ``_transport_breaks`` names the breaking maps."""
+    ``cl_f`` closure.  The columns of ``_homomorphism_images``, cached by
+    Prop3.4, go to one ``_column_sups`` table per pair, whose nibbles hold
+    codomains of at most 14 elements, and ``_transport_breaks`` names the
+    breaking maps."""
     if m_bound > 14:
         raise PosetError(f"Lem3.6 packs sups into nibbles: m bound {m_bound} exceeds 14")
     ck = VerificationReport.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)

@@ -375,14 +375,12 @@ def literal_lemma_3_6(l_bound, m_bound):
 def literal_prop_3_4(pair_bound):
     """Prop3.4's part-1 failures by its own loop, one map at a time: each
     monotone map between semilattices at the bound is a homomorphism when it
-    is among the rows flagged in ``_map_columns`` of the pair, and
+    is among the rows of ``_homomorphism_images`` of the pair, and
     continuous when ``preimage_bits`` of each meet-irreducible closed set of
     the codomain is a closed set of the domain.  The functions are read at
     call time, so a mutant patched in ``powerlab.suite`` reaches this loop
     and the check alike.  The reference for ``check_prop_3_4(pair_bound,
     0)``."""
-    from itertools import compress
-
     from powerlab import suite
     from powerlab.poset import PosetMap, iter_monotone_maps
 
@@ -391,8 +389,7 @@ def literal_prop_3_4(pair_bound):
     for l in pool:
         closed = set(suite.gamma_f(l).members)
         for m in pool:
-            columns, flags = suite._map_columns(l, m)
-            homs = set(compress(zip(*columns), flags))
+            homs = set(zip(*suite._homomorphism_images(l, m)))
             irreducibles = suite.meet_irreducibles(suite.gamma_f(m))
             for img in iter_monotone_maps(l.poset, m.poset):
                 f = PosetMap(l.poset, m.poset, img)
@@ -413,7 +410,7 @@ def sweep_mutant(**patches):
     """Run with each name in ``patches`` replaced by its value in
     ``powerlab.suite``, or in ``powerlab.semilattice`` where the suite does
     not hold it: a mutant of a function the map sweep, Prop3.4 or Lem3.6
-    reads.  The ``_map_sweep``, ``_monotone_columns``, ``_map_columns`` and
+    reads.  The ``_map_sweep``, ``_monotone_columns`` and
     ``_homomorphism_images`` caches, the ones that could hold a mutant's
     result, are cleared on entry and on exit, so no result leaks into or out
     of the mutant."""
@@ -422,7 +419,6 @@ def sweep_mutant(**patches):
     def clear():
         suite._map_sweep.cache_clear()
         semilattice._monotone_columns.cache_clear()
-        semilattice._map_columns.cache_clear()
         semilattice._homomorphism_images.cache_clear()
 
     clear()

@@ -319,6 +319,16 @@ class TestVerify:
         }
         assert group["instances"] == 8
 
+    def test_report_file_ends_in_one_newline(self, capsys, tmp_path):
+        # the --out file is the indented report and one newline, as every
+        # other command writes its --out file
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "verify", "--suite", "sober", "--max-poset", "2", "--out", str(out_path))
+        assert code == 0
+        text = out_path.read_text()
+        assert text.endswith("}\n")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
     @staticmethod
     def _report_digest(capsys, tmp_path, *argv):
         # the report with its wall_ms fields stripped, digested as the

@@ -1,10 +1,9 @@
 """Prop3.4 and Lem3.6 evaluate a semilattice pair's maps all at once, as
-byte columns: the homomorphism flags against ``is_homomorphism``, the
-cached homomorphism columns against ``iter_homomorphisms``, the continuity
-flags against ``is_f_scott_continuous``, the sup columns at the
-widest codomain and with no maps, failure payloads against each statement's
-per-map loop, the packing limits, one enumeration and one sup table per
-pair."""
+byte columns: the cached homomorphism columns against ``is_homomorphism``
+and against ``iter_homomorphisms``, the continuity flags against
+``is_f_scott_continuous``, the sup columns at the widest codomain and with
+no maps, failure payloads against each statement's per-map loop, the
+packing limits, one enumeration and one sup table per pair."""
 
 import json
 from collections import Counter
@@ -18,8 +17,8 @@ from powerlab.poset import PosetError, PosetMap, iter_monotone_maps
 from powerlab.semilattice import (
     VSemilattice,
     _column_sups,
+    _columns,
     _homomorphism_images,
-    _map_columns,
     _monotone_columns,
     is_f_scott_continuous,
     is_homomorphism,
@@ -47,28 +46,31 @@ def _continuous(l, m):
 
 
 def _continuity_as_homomorphisms(complement):
-    # _map_columns with the continuity oracle's verdicts, or their
-    # complement, in place of the homomorphism flags
+    # _homomorphism_images holding the maps the continuity oracle accepts,
+    # or those it rejects, in place of the homomorphisms
     def mutant(l, m):
-        columns, _ = _map_columns(l, m)
         continuous = set(_continuous(l, m))
-        return columns, bytes((img in continuous) != complement for img in zip(*columns))
+        rows = monotone_map_images(l.poset, m.poset)
+        return _columns([img for img in rows if (img in continuous) != complement], l.n)
 
     return mutant
 
 
 def test_flags_match_is_homomorphism_on_every_pair():
-    # the columns are iter_monotone_maps' rows, and each flag is the literal
-    # definition's verdict on its row
+    # the columns are iter_monotone_maps' rows that the literal definition
+    # accepts, and the shared map table itself when it accepts them all
     pool = _semilattices_upto(4)
     homs = 0
     for l in pool:
         for m in pool:
-            columns, flags = _map_columns(l, m)
+            columns = _monotone_columns(l.poset, m.poset)
             images = tuple(zip(*columns))
             assert images == monotone_map_images(l.poset, m.poset)
-            assert list(flags) == [is_homomorphism(PosetMap(l.poset, m.poset, g), l, m) for g in images]
-            homs += sum(flags)
+            flagged = [g for g in images if is_homomorphism(PosetMap(l.poset, m.poset, g), l, m)]
+            assert _homomorphism_images(l, m) == _columns(flagged, l.n)
+            if len(flagged) == len(images):
+                assert _homomorphism_images(l, m) is columns
+            homs += len(flagged)
     assert homs == 16413
 
 
@@ -88,18 +90,18 @@ def test_homomorphism_columns_match_the_stream_on_every_pair():
 
 @pytest.mark.usefixtures("cached_literal_closedness")
 class TestContinuityFlags:
-    """With the homomorphism flags of Prop3.4 replaced by the continuity
-    oracle, the check fails on exactly the maps whose flag disagrees with
-    ``is_f_scott_continuous``."""
+    """With the homomorphisms of Prop3.4 replaced by the maps a continuity
+    oracle accepts, the check fails on exactly the maps whose verdict
+    disagrees with ``is_f_scott_continuous``."""
 
     def test_flags_match_the_oracle_on_every_pair(self):
-        with sweep_mutant(_map_columns=_continuity_as_homomorphisms(False)):
+        with sweep_mutant(_homomorphism_images=_continuity_as_homomorphisms(False)):
             assert check_prop_3_4(4, 0).failures == []
 
     def test_flags_are_not_vacuous(self):
         # the oracle's complement as the homomorphisms: every map disagrees,
         # and each failure names the map's oracle verdict as its continuity
-        with sweep_mutant(_map_columns=_continuity_as_homomorphisms(True)):
+        with sweep_mutant(_homomorphism_images=_continuity_as_homomorphisms(True)):
             failures = check_prop_3_4(4, 0).failures
         pool = _semilattices_upto(4)
         assert len(failures) == sum(len(monotone_map_images(l.poset, m.poset)) for l in pool for m in pool)
@@ -109,7 +111,7 @@ class TestContinuityFlags:
 
 
 class TestPayloads:
-    """Failures are walked from the flagged rows in the per-map order."""
+    """Failures are walked from the map rows in the per-map order."""
 
     def test_prop_3_4_matches_its_loop(self):
         assert _dump(check_prop_3_4(3, 0).failures) == _dump(literal_prop_3_4(3))
@@ -128,12 +130,11 @@ class TestPayloads:
         assert _dump(failures) == _dump(literal_prop_3_4(3))
 
     def test_prop_3_4_matches_its_loop_without_a_homomorphism(self):
-        # each pair's first homomorphism flagged as none
+        # each pair's first homomorphism dropped from its columns
         def mutant(l, m):
-            columns, flags = _map_columns(l, m)
-            return columns, flags.replace(b"\x01", b"\x00", 1)
+            return tuple(col[1:] for col in _homomorphism_images(l, m))
 
-        with sweep_mutant(_map_columns=mutant):
+        with sweep_mutant(_homomorphism_images=mutant):
             failures = check_prop_3_4(3, 0).failures
             assert failures
             assert _dump(failures) == _dump(literal_prop_3_4(3))
@@ -194,7 +195,8 @@ def test_lemma_3_6_builds_no_sup_table_per_map(monkeypatch):
 
 def test_each_pair_is_enumerated_once(monkeypatch):
     # Prop3.4 and Lem3.6 read one table per semilattice pair, so a run of
-    # both enumerates each pair's monotone maps once
+    # both enumerates each pair's monotone maps once, and Prop3.4 computes
+    # each pair's homomorphisms, which Lem3.6 then reads from the cache
     counts = Counter()
 
     def counted(p, q):
@@ -202,10 +204,14 @@ def test_each_pair_is_enumerated_once(monkeypatch):
         return iter_monotone_maps(p, q)
 
     monkeypatch.setattr("powerlab.semilattice.iter_monotone_maps", counted)
-    with sweep_mutant():
-        summary = run_all(Config(suites=("prop3.4", "lem3.6")))
-    assert not summary.any_fail and not summary.any_inconclusive
     pool = _semilattices_upto(4)
+    with sweep_mutant():
+        summary = run_all(Config(suites=("prop3.4",)))
+        assert _homomorphism_images.cache_info().misses == len(pool) ** 2 == 529
+        assert not summary.any_fail and not summary.any_inconclusive
+        summary = run_all(Config(suites=("lem3.6",)))
+        assert _homomorphism_images.cache_info().misses == 529
+    assert not summary.any_fail and not summary.any_inconclusive
     assert counts == Counter({(l.poset, m.poset): 1 for l in pool for m in pool})
 
 

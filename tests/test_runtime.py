@@ -19,7 +19,6 @@ from powerlab.poset import enumerate_directed_subsets
 from powerlab.semilattice import (
     _gamma_f_cached,
     _homomorphism_images,
-    _map_columns,
     _monotone_columns,
 )
 
@@ -34,7 +33,6 @@ ENUMERATORS = {
     "monotone_map_images": lambda p, l: monotone_map_images.__wrapped__(p, l.poset),
     "enumerate_directed_subsets": lambda p, l: enumerate_directed_subsets(p.up_masks, p.full_mask),
     "_homomorphism_images": lambda p, l: _homomorphism_images.__wrapped__(l, l),
-    "_map_columns": lambda p, l: _map_columns.__wrapped__(l, l),
     "_monotone_columns": lambda p, l: _monotone_columns.__wrapped__(p, l.poset),
     "_gamma_f_cached": lambda p, l: _gamma_f_cached.__wrapped__(l),
 }
