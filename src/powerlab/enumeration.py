@@ -33,14 +33,7 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 
-from .poset import (
-    FinitePoset,
-    InvariantError,
-    PosetError,
-    _ideals,
-    iter_bits,
-    iter_monotone_maps,
-)
+from .poset import FinitePoset, InvariantError, PosetError, iter_bits, iter_monotone_maps
 from .semilattice import VSemilattice
 
 DEFAULT_MAX_N = 6
@@ -92,9 +85,6 @@ def canonical_form(p: FinitePoset) -> bytes:
     each twin class in the target cell.  It reaches fewer leaves, and the
     set of leaf values, hence their minimum, is unchanged.
     """
-    cached = p.__dict__.get("_canonical_form")
-    if cached is not None:
-        return cached
     n = p.n
     if n > 255:
         raise PosetError(f"a canonical form's header byte holds at most 255 elements, not {n}")
@@ -168,9 +158,7 @@ def canonical_form(p: FinitePoset) -> bytes:
                 branched = colors.copy()
                 branched[v] = k
                 stack.append(refine(branched, k + 1))
-    result = bytes([n]) + best.to_bytes((n * n + 7) // 8, "big")
-    p.__dict__["_canonical_form"] = result
-    return result
+    return bytes([n]) + best.to_bytes((n * n + 7) // 8, "big")
 
 
 def are_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
@@ -182,7 +170,8 @@ def are_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
 
 @lru_cache(maxsize=None)
 def _poset_from_form(form: bytes) -> FinitePoset:
-    # one shared instance per class, so per-instance memos survive re-enumeration
+    # one shared instance per class, so its cached properties (``ideals``,
+    # ``directed_subsets``) survive re-enumeration
     return unpack_canonical(form)
 
 
@@ -259,7 +248,7 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
             classes.setdefault((up[i] & ~(1 << i), down[i] & ~(1 << i)), []).append(i)
         twins = [(c[k], c[k + 1]) for c in classes.values() for k in range(len(c) - 1)]
         # the new element n - 1 is maximal and lies above exactly the ideal
-        for ideal in _ideals(p):
+        for ideal in p.ideals:
             if over[ideal.bit_count() + 1] & ~ideal:
                 continue
             if twins and any(ideal >> b & 1 and not ideal >> a & 1 for a, b in twins):

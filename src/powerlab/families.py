@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .poset import FinitePoset, PosetError, _ideals
+from .poset import FinitePoset, PosetError
 
 
 def _canonical_member_order(members) -> tuple[int, ...]:
@@ -89,13 +89,13 @@ class SetFamily:
 
 def gamma(p: FinitePoset) -> SetFamily:
     """The nonempty Scott closed (= nonempty lower) subsets of ``p``: every
-    ideal but the first of ``_ideals``, the empty set."""
-    return SetFamily(p, _ideals(p)[1:])
+    ideal but the first of ``p.ideals``, the empty set."""
+    return SetFamily(p, p.ideals[1:])
 
 
 def gamma0(p: FinitePoset) -> SetFamily:
     """``gamma`` plus the empty set."""
-    return SetFamily(p, _ideals(p))
+    return SetFamily(p, p.ideals)
 
 
 def closure_in_family(family: SetFamily, subfamily) -> SetFamily:

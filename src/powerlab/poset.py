@@ -200,6 +200,30 @@ class FinitePoset:
         # sorting by down-set size gives a topological order of any poset
         return tuple(sorted(range(self.n), key=lambda i: (self.down_masks[i].bit_count(), i)))
 
+    @cached_property
+    def ideals(self) -> tuple[int, ...]:
+        """All lower sets, grown along a linear extension.
+
+        Each element, in turn, is added to every ideal found so far that
+        already holds its strict down-set; those are exactly the ideals it
+        may join, as every element below it came earlier.  The work is
+        proportional to the number of ideals, not to 2**n.  The empty set
+        comes first.
+        """
+        out = [0]
+        for e in self.linear_extension:
+            bit = 1 << e
+            below = self.down_masks[e] & ~bit
+            out += [m | bit for m in out if not below & ~m]
+        return tuple(out)
+
+    @cached_property
+    def directed_subsets(self) -> tuple[tuple[int, int | None], ...]:
+        """Every nonempty directed subset with its sup, as ``(subset, sup)``
+        pairs in the order of ``enumerate_directed_subsets``."""
+        subsets = enumerate_directed_subsets(self.up_masks, self.full_mask)
+        return tuple([(d, sup(self, d)) for d in subsets])
+
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up_masks[i] >> j & 1)
 
@@ -398,27 +422,19 @@ DIRECTED_SUBSET_CAP = 16
 
 
 def directed_subsets_with_sups(p: FinitePoset, domain_bits: int | None = None):
-    """All nonempty directed subsets of ``domain_bits`` with their sups.
+    """All nonempty directed subsets of ``domain_bits`` with their sups: the
+    pairs of ``p.directed_subsets`` whose subset lies in the domain.
 
-    Exhaustive by construction, so only meant for small universes; results for
-    the whole poset are cached on the instance.
+    Exhaustive by construction, so only meant for small universes.
     """
     if domain_bits is None or domain_bits == p.full_mask:
-        return _directed_cache(p)
-    return [(d, s) for d, s in _directed_cache(p) if d & ~domain_bits == 0]
-
-
-def _directed_cache(p: FinitePoset):
-    cached = p.__dict__.get("_directed_subsets")
-    if cached is None:
-        cached = [(d, sup(p, d)) for d in enumerate_directed_subsets(p.up_masks, p.full_mask)]
-        p.__dict__["_directed_subsets"] = cached
-    return cached
+        return p.directed_subsets
+    return [(d, s) for d, s in p.directed_subsets if d & ~domain_bits == 0]
 
 
 def enumerate_directed_subsets(up_masks, domain_bits: int) -> list[int]:
     """Nonempty subsets of ``domain_bits`` whose every pair is bounded inside
-    the subset, grown like the ideals in ``_ideals``.
+    the subset, grown like ``FinitePoset.ideals``.
 
     The elements are visited by ascending up-set size, a reverse linear
     extension: a strictly larger element has a strictly smaller up-set.  A
@@ -490,39 +506,19 @@ def way_below(p: FinitePoset, x: int, y: int) -> bool:
 
 
 def way_down_masks(p: FinitePoset) -> tuple[int, ...]:
-    """``out[y]`` holds every element way below ``y``; cached on the poset.
+    """``out[y]`` holds every element way below ``y``.
 
     ``way_below``'s quantifier read in one pass over the directed subsets:
     each directed D with sup s removes the elements outside the down-set of
     D from ``out[y]`` for every y below s.  ``way_below`` is the per-pair
     oracle."""
-    cached = p.__dict__.get("_way_down_masks")
-    if cached is None:
-        out = [p.full_mask] * p.n
-        for dbits, s in directed_subsets_with_sups(p):
-            if s is not None:
-                below = down_set(p, dbits)
-                for y in iter_bits(p.down_masks[s]):
-                    out[y] &= below
-        cached = tuple(out)
-        p.__dict__["_way_down_masks"] = cached
-    return cached
-
-
-def _ideals(p: FinitePoset) -> list[int]:
-    """All lower sets, grown along a linear extension.
-
-    Each element, in turn, is added to every ideal found so far that already
-    holds its strict down-set; those are exactly the ideals it may join, as
-    every element below it came earlier.  The work is proportional to the
-    number of ideals, not to 2**n.  The empty set comes first.
-    """
-    out = [0]
-    for e in p.linear_extension:
-        bit = 1 << e
-        below = p.down_masks[e] & ~bit
-        out += [m | bit for m in out if not below & ~m]
-    return out
+    out = [p.full_mask] * p.n
+    for dbits, s in directed_subsets_with_sups(p):
+        if s is not None:
+            below = down_set(p, dbits)
+            for y in iter_bits(p.down_masks[s]):
+                out[y] &= below
+    return tuple(out)
 
 
 def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:
@@ -531,7 +527,7 @@ def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:
         raise PosetError("irreducibility is only defined for Scott closed sets")
     if bits == 0:
         return False
-    proper = [c for c in _ideals(p) if c & ~bits == 0 and c != bits]
+    proper = [c for c in p.ideals if c & ~bits == 0 and c != bits]
     for i, c1 in enumerate(proper):
         for c2 in proper[i + 1 :]:
             if c1 | c2 == bits:
@@ -548,7 +544,7 @@ def is_sober(p: FinitePoset) -> bool:
     proper subset of their union.  Those unions are collected in one pass
     over the pairs of closed sets; ``is_irreducible_closed`` is the per-set
     oracle."""
-    closed = _ideals(p)
+    closed = p.ideals
     reducible = {
         c1 | c2
         for i, c1 in enumerate(closed)

@@ -255,7 +255,7 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     these tests sees a map that it drops.  The maps into the 2-element chain
     are counted apart: a monotone map into 0 < 1 is fixed by the lower set
     it sends to 0, so there are as many as ``gamma0(p)`` has members, listed
-    by ``_ideals`` with no code of ``iter_monotone_maps``.  A mismatch is
+    by ``p.ideals`` with no code of ``iter_monotone_maps``.  A mismatch is
     Freeness's first finding on that semilattice."""
     h = build_hc(p)
     members = h.family.members
@@ -483,7 +483,7 @@ def check_thm_3_10(p: FinitePoset, semi_bound: int = 0) -> VerificationReport:
     F-Scott closed and every closed set an image; then η must preserve and
     reflect inclusion, which makes it injective, and a closed image,
     surjectivity and injectivity make the families equally large (``gamma0``
-    is ``gamma`` plus the empty set, from one ``_ideals`` list), so neither
+    is ``gamma`` plus the empty set, both read from ``p.ideals``), so neither
     injectivity nor the count has a test of its own.
 
     Preservation is tested on the covering pairs A ⊂ A ∪ {x} of the family,
@@ -869,8 +869,10 @@ def replay_failure(payload: dict) -> str:
     payload's poset, a global check on the payload's bounds, by ``_run_check``.
 
     A payload is outside input, refused with ``PosetError`` before any check
-    unless its bounds are integers in 0..``DEFAULT_MAX_N`` named by its
-    statement's ``bounds(Config())`` and its poset fits ``max_poset_n``.
+    unless its bounds are integers in 1..``DEFAULT_MAX_N`` named by its
+    statement's ``bounds(Config())`` and its poset fits ``max_poset_n``.  A
+    bound of 0 is refused: every bound a run reports is at least 1, and a
+    check at 0 would pass over no instance.
     """
     if not isinstance(payload, dict) or not isinstance(payload.get("statement"), str):
         raise PosetError("a failure payload needs a statement name")
@@ -880,8 +882,8 @@ def replay_failure(payload: dict) -> str:
     if not isinstance(bounds, dict) or not needed <= set(bounds) <= names:
         raise PosetError(f"{st.id} replays with the bounds {sorted(names)}, not {bounds!r}")
     for name, value in bounds.items():
-        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= DEFAULT_MAX_N:
-            raise PosetError(f"bound {name}={value!r} is not an integer in 0..{DEFAULT_MAX_N}")
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= DEFAULT_MAX_N:
+            raise PosetError(f"bound {name}={value!r} is not an integer in 1..{DEFAULT_MAX_N}")
     if not st.per_poset:
         return _run_check(st, bounds).verdict
     instance = payload.get("instance")

@@ -572,7 +572,6 @@ def literal_canonical_forms(n):
     new maximal element above each of its ideals, deduplicated by canonical
     form.  The reference for the filters of ``_canonical_forms``."""
     from powerlab import FinitePoset, canonical_form, unpack_canonical
-    from powerlab.poset import _ideals
 
     if n == 1:
         return (canonical_form(FinitePoset.from_up_masks([1])),)
@@ -580,7 +579,7 @@ def literal_canonical_forms(n):
     top = 1 << (n - 1)
     for prev in literal_canonical_forms(n - 1):
         p = unpack_canonical(prev)
-        for ideal in _ideals(p):
+        for ideal in p.ideals:
             up = [row | top if ideal >> i & 1 else row for i, row in enumerate(p.up_masks)]
             up.append(top)
             seen.add(canonical_form(FinitePoset.from_up_masks(up)))

@@ -13,7 +13,6 @@ from powerlab import (
     gamma0,
     is_lower_set,
 )
-from powerlab.poset import _ideals
 
 from conftest import small_posets
 
@@ -58,7 +57,7 @@ class TestGamma:
                 key=lambda b: (b.bit_count(), b),
             )
             assert list(gamma(p).members) == naive
-            raw = _ideals(p)
+            raw = p.ideals
             assert len(raw) == len(set(raw))
             assert raw[0] == 0 and sorted(raw[1:]) == sorted(naive)
 

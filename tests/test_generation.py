@@ -10,7 +10,7 @@ import pytest
 from powerlab import Config, FinitePoset, canonical_form, enumerate_posets, run_all
 from powerlab import enumeration
 from powerlab.enumeration import POSET_COUNTS, _canonical_forms
-from powerlab.poset import InvariantError, _ideals
+from powerlab.poset import InvariantError
 
 from conftest import literal_canonical_forms
 
@@ -25,17 +25,27 @@ FORMS_DIGEST = "fd2eb824a2ead515603ae182e42bf32143ddb34e01706510912260c9c74b68cf
 FORMS_8_DIGEST = "c96a299eb6e84493111b01eba24310a98321154332b533f7c2eebff285c8b91a"
 
 
+# the lower sets of a poset, read past a patched ``FinitePoset.ideals``
+lower_sets = FinitePoset.ideals.func
+
+
 @contextmanager
 def generation_mutant(ideals):
-    """Run with ``enumeration._ideals`` replaced by ``ideals``, the generator
-    recomputing every size; no form generated under it outlives it."""
-    _canonical_forms.cache_clear()
+    """Run with ``FinitePoset.ideals`` read as ``ideals(p)``, uncached, the
+    generator recomputing every size; no form or shared instance generated
+    under it outlives it."""
+
+    def clear():
+        _canonical_forms.cache_clear()
+        enumeration._poset_from_form.cache_clear()
+
+    clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enumeration, "_ideals", ideals)
+            mp.setattr(FinitePoset, "ideals", property(ideals))
             yield
     finally:
-        _canonical_forms.cache_clear()
+        clear()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -122,12 +132,12 @@ def test_a_valid_cache_file_builds_each_poset_once(monkeypatch, tmp_path):
 
 def _without_ideals_containing_0(p):
     # not invariant under isomorphism: it loses the chain already at n = 2
-    return [i for i in _ideals(p) if not i & 1]
+    return [i for i in lower_sets(p) if not i & 1]
 
 
 def _without_the_empty_ideal_of_a_six(p):
     # loses only the antichain on 7, past the brute-force oracle's reach
-    out = _ideals(p)
+    out = lower_sets(p)
     return [i for i in out if i] if p.n == 6 else out
 
 

@@ -25,7 +25,6 @@ from powerlab import (
 from powerlab.enumeration import enumerate_v_semilattices, monotone_map_images
 from powerlab.poset import (
     DIRECTED_SUBSET_CAP,
-    _ideals,
     directed_subsets_with_sups,
     directed_sup_closure_step,
     enumerate_directed_subsets,
@@ -504,7 +503,7 @@ class TestIrreducibleAndSober:
             principal = set(p.down_masks)
             oracle = all(
                 a in principal or not is_irreducible_closed(p, a)
-                for a in _ideals(p)[1:]
+                for a in p.ideals[1:]
             )
             assert is_sober(p) == oracle
 
@@ -513,12 +512,13 @@ class TestIrreducibleAndSober:
         # is no point closure, and its only other closed sets, the empty set
         # and {a}, are both below it: no union of an incomparable pair gives it
         b = a2.subset_from_labels(["b"])
+        ideals = FinitePoset.ideals.func
 
         def without_b(p):
-            return [c for c in _ideals(p) if c != b]
+            return tuple(c for c in ideals(p) if c != b)
 
         assert is_sober(a2)
-        monkeypatch.setattr("powerlab.poset._ideals", without_b)
+        monkeypatch.setattr(FinitePoset, "ideals", property(without_b))
         assert not is_sober(a2)
 
 

@@ -1,10 +1,12 @@
 """What importing and running powerlab leaves behind: only standard-library
 modules, no declared runtime dependency, no reads of the environment, no
-unused imports, no reference cycles from the enumerators, and no nested
-function that calls itself."""
+unused imports, no reference cycles from the enumerators, no nested
+function that calls itself, no memo written into an instance's ``__dict__``
+by hand, and each poset's lower sets and directed subsets built once."""
 
 import ast
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -13,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import powerlab
+from powerlab import FinitePoset
 from powerlab.enumeration import enumerate_posets, enumerate_v_semilattices, monotone_map_images
-from powerlab.poset import _ideals
 from powerlab.poset import enumerate_directed_subsets
 from powerlab.semilattice import (
     _gamma_f_cached,
@@ -27,9 +29,9 @@ from test_suite import ORACLES
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the cached enumerators are called through __wrapped__, so every call runs the body
+# the cached enumerators are called through __wrapped__ or func, so every call runs the body
 ENUMERATORS = {
-    "_ideals": lambda p, l: _ideals(p),
+    "FinitePoset.ideals": lambda p, l: FinitePoset.ideals.func(p),
     "monotone_map_images": lambda p, l: monotone_map_images.__wrapped__(p, l.poset),
     "enumerate_directed_subsets": lambda p, l: enumerate_directed_subsets(p.up_masks, p.full_mask),
     "_homomorphism_images": lambda p, l: _homomorphism_images.__wrapped__(l, l),
@@ -51,6 +53,55 @@ def test_enumerators_leave_no_reference_cycles(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+TABLE_COUNT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from functools import cached_property
+from powerlab import FinitePoset, run_all
+built = {}
+for name in ("ideals", "directed_subsets"):
+    def counted(p, table=getattr(FinitePoset, name).func, keys=built.setdefault(name, [])):
+        keys.append((p.labels, p.up_masks))
+        return table(p)
+    prop = cached_property(counted)
+    prop.__set_name__(FinitePoset, name)
+    setattr(FinitePoset, name, prop)
+assert not run_all().any_fail
+print(json.dumps({name: [len(keys), len(set(keys))] for name, keys in built.items()}))
+"""
+
+
+def test_a_default_run_builds_each_poset_table_once():
+    # in a fresh interpreter, so every cache starts empty: the lower sets of
+    # each of the 88 posets on 0..5 elements (the generation's parents and
+    # the checked posets) and the directed subsets of each poset Thm2.2
+    # reads are built once, on the one shared instance of its class
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", TABLE_COUNT, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    built = json.loads(run.stdout)
+    assert built["ideals"] == [88, 88]
+    assert built["directed_subsets"] == [87, 87]
+
+
+def test_no_module_reads_an_instance_dict():
+    # a memo is a cached_property on the object its table is derived from,
+    # or a module lru_cache; an entry written into __dict__ by hand, or read
+    # through vars(), would be a third scheme
+    found = []
+    for path in sorted((ROOT / "src" / "powerlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                found.append(f"{path.name}:{node.lineno} __dict__")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars":
+                found.append(f"{path.name}:{node.lineno} vars()")
+    assert found == []
 
 
 PROBE = """

@@ -376,6 +376,26 @@ UNTRUSTED_PAYLOADS = {
     },
     "a boolean bound": {"statement": "Cor3.11", "bounds": {"max_poset_n": True}},
     "a negative bound": {"statement": "Cor3.11", "bounds": {"max_poset_n": -1}},
+    # a bound of 0 would replay as PASS over no instance at all
+    "Enum over no size": {"statement": "Enum", "bounds": {"max_poset_n": 0}},
+    "Cor3.11 over no poset": {"statement": "Cor3.11", "bounds": {"max_poset_n": 0}},
+    "Lem3.6 over no pair": {"statement": "Lem3.6", "bounds": {"l_bound": 0, "m_bound": 0}},
+    "Prop3.4 over no pair": {
+        "statement": "Prop3.4", "bounds": {"pair_bound": 0, "consistent_bound": 0}
+    },
+    "Lem3.7 over no semilattice": {
+        "statement": "Lem3.7", "bounds": {"semi_bound": 0, "hc_base_bound": 0}
+    },
+    "Lem2.3 over no semilattice": {
+        "statement": "Lem2.3",
+        "bounds": {"max_poset_n": 3, "max_semilattice_n": 0},
+        "instance": {"poset": _VEE},
+    },
+    "Thm3.9 over no semilattice": {
+        "statement": "Thm3.9",
+        "bounds": {"max_poset_n": 3, "max_semilattice_n": 0},
+        "instance": {"poset": _VEE},
+    },
     "an unknown bound key": {"statement": "Cor3.11", "bounds": {"max_poset_n": 2, "jobs": 1}},
     "a global bound missing": {"statement": "Prop3.4", "bounds": {"pair_bound": 2}},
     "a per-poset bound missing": {
