@@ -14,16 +14,18 @@ ever materializing the 2**(n*n) relation space: each canonical parent on
 n - 1 elements is extended by a new maximal element above each of its
 ideals.  Two isomorphism-invariant filters, the cheap half of canonical
 augmentation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
-26, 1998), skip most candidates before a poset is built.  The down-size
+26, 1998), skip most candidates before they are labelled.  The down-size
 filter keeps a candidate only when its new element is a maximal element of
 largest down-set size: every class arises from its canonical parent by
 adding such an element back, so no class is lost.  The twin filter keeps,
 within each class of the parent's twins, only ideals whose members come
 first in index order: permuting twins is an automorphism of the parent,
 which carries any ideal to such a one, gives an isomorphic child and keeps
-the down-size verdict.  The candidates that survive are then deduplicated
-by canonical form, and a class count that disagrees with A000112 raises
-(``_canonical_forms`` spells out the argument).
+the down-size verdict.  The candidates that survive are labelled straight
+from their masks, with no poset built, and deduplicated by canonical form;
+a class count that disagrees with A000112 raises (``_canonical_forms``
+spells out the argument).  A form becomes a poset only through
+``_poset_from_form``, which runs the order checks of ``FinitePoset``.
 """
 
 from __future__ import annotations
@@ -85,10 +87,16 @@ def canonical_form(p: FinitePoset) -> bytes:
     each twin class in the target cell.  It reaches fewer leaves, and the
     set of leaf values, hence their minimum, is unchanged.
     """
-    n = p.n
+    return _label(p.n, p.up_masks, p.down_masks)
+
+
+def _label(n: int, up, down) -> bytes:
+    """``canonical_form`` read from the masks alone, so the generator can
+    label a candidate without building it.  Nothing here checks that ``up``
+    and ``down`` are the two views of one partial order: a form is validated
+    when ``_poset_from_form`` unpacks it."""
     if n > 255:
         raise PosetError(f"a canonical form's header byte holds at most 255 elements, not {n}")
-    up = p.up_masks
     elems = range(n)
     # one bit pass fills both, in ascending order.  Lists, not tuples: a
     # tuple(<generator>) is allocated at a guessed size and shrunk, and once
@@ -146,7 +154,7 @@ def canonical_form(p: FinitePoset) -> bytes:
             best = min(best, acc)
             continue
         if twin_key is None:
-            twin_key = [(up[i] & ~(1 << i), p.down_masks[i] & ~(1 << i)) for i in elems]
+            twin_key = [(up[i] & ~(1 << i), down[i] & ~(1 << i)) for i in elems]
         sizes = [0] * k
         for c in colors:
             sizes[c] += 1
@@ -188,15 +196,17 @@ def enumerate_posets(n: int, max_n: int = DEFAULT_MAX_N, cache_dir=None):
     if n > max_n:
         raise PosetError(f"n={n} exceeds the enumeration cap {max_n}")
     if cache_dir is None:
-        forms = _canonical_forms(n)
-    else:
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        forms = _read_cache(cache_dir, n)
-        if forms is None:
-            forms = _canonical_forms(n)
-            _write_cache(cache_dir, n, forms)
-    return tuple(_poset_from_form(f) for f in forms)
+        return tuple(_poset_from_form(f) for f in _canonical_forms(n))
+    cache_dir = Path(cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    forms = _read_cache(cache_dir, n)
+    if forms is not None:
+        return tuple(_poset_from_form(f) for f in forms)
+    forms = _canonical_forms(n)
+    # unpacking validates each form, so a form that is no order is never written
+    posets = tuple(_poset_from_form(f) for f in forms)
+    _write_cache(cache_dir, n, forms)
+    return posets
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +216,7 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
     Every poset C is the one-point extension of C - x by a maximal x lying
     above exactly the ideal ``↓x - x``, so extending each canonical parent
     on n - 1 elements by every ideal reaches every class.  Two filters skip
-    candidates before any poset is built, and neither loses a class:
+    candidates before they are labelled, and neither loses a class:
 
     - Down-size.  Choose x among the maximal elements of C with the largest
       down-set.  Down-set size is an isomorphism invariant, so the candidate
@@ -231,6 +241,14 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
     a filter that did lose a class fails loudly at every size up to 8.
     Generation starts from the empty poset, and each parent is the shared
     ``_poset_from_form`` instance that ``enumerate_posets`` also returns.
+
+    A candidate is labelled from its masks and never built: its up rows are
+    the parent's with n - 1 added above the ideal, and its down masks are
+    the parent's with ``ideal | top`` appended.  Its order axioms are
+    checked later, when ``_poset_from_form`` unpacks its form: in
+    ``enumerate_posets``, as the parent of the next size, or in
+    ``_read_cache``.  Relabelling keeps every axiom, so a candidate that
+    broke one has a form that fails there.
     """
     if n == 0:
         return (bytes([0]),)
@@ -255,7 +273,7 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
                 continue
             child = [row | top if ideal >> i & 1 else row for i, row in enumerate(up)]
             child.append(top)
-            seen.add(canonical_form(FinitePoset.from_up_masks(child)))
+            seen.add(_label(n, child, (*down, ideal | top)))
     expected = POSET_COUNTS.get(n, len(seen))
     if len(seen) != expected:
         raise InvariantError(f"generated {len(seen)} posets of size {n}, A000112 has {expected}")

@@ -224,6 +224,22 @@ class FinitePoset:
         subsets = enumerate_directed_subsets(self.up_masks, self.full_mask)
         return tuple([(d, sup(self, d)) for d in subsets])
 
+    @cached_property
+    def way_down_masks(self) -> tuple[int, ...]:
+        """``out[y]`` holds every element way below ``y``.
+
+        ``way_below``'s quantifier read in one pass over the directed
+        subsets: each directed D with sup s removes the elements outside the
+        down-set of D from ``out[y]`` for every y below s.  ``way_below`` is
+        the per-pair oracle."""
+        out = [self.full_mask] * self.n
+        for dbits, s in directed_subsets_with_sups(self):
+            if s is not None:
+                below = down_set(self, dbits)
+                for y in iter_bits(self.down_masks[s]):
+                    out[y] &= below
+        return tuple(out)
+
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up_masks[i] >> j & 1)
 
@@ -506,19 +522,9 @@ def way_below(p: FinitePoset, x: int, y: int) -> bool:
 
 
 def way_down_masks(p: FinitePoset) -> tuple[int, ...]:
-    """``out[y]`` holds every element way below ``y``.
-
-    ``way_below``'s quantifier read in one pass over the directed subsets:
-    each directed D with sup s removes the elements outside the down-set of
-    D from ``out[y]`` for every y below s.  ``way_below`` is the per-pair
-    oracle."""
-    out = [p.full_mask] * p.n
-    for dbits, s in directed_subsets_with_sups(p):
-        if s is not None:
-            below = down_set(p, dbits)
-            for y in iter_bits(p.down_masks[s]):
-                out[y] &= below
-    return tuple(out)
+    """``out[y]`` holds every element way below ``y``: the table
+    ``FinitePoset.way_down_masks``, computed once per poset."""
+    return p.way_down_masks
 
 
 def is_irreducible_closed(p: FinitePoset, bits: int) -> bool:

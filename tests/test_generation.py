@@ -1,6 +1,7 @@
 """The filtered poset generator against the unfiltered loop: the same forms,
-fewer candidates built, pinned bytes, and a class-count guard that catches a
-filter losing a class at every size A000112 covers."""
+fewer candidates labelled and no candidate built, pinned bytes, a class-count
+guard that catches a filter losing a class at every size A000112 covers, and
+the order checks that every generated form still passes through."""
 
 import hashlib
 from contextlib import contextmanager
@@ -10,12 +11,12 @@ import pytest
 from powerlab import Config, FinitePoset, canonical_form, enumerate_posets, run_all
 from powerlab import enumeration
 from powerlab.enumeration import POSET_COUNTS, _canonical_forms
-from powerlab.poset import InvariantError
+from powerlab.poset import InvariantError, PosetError
 
 from conftest import literal_canonical_forms
 
 # the candidates the filters let through at each size, every one of them
-# built as a poset; the unfiltered loop builds 1, 2, 7, 28, 135, 766, 5439
+# labelled; the unfiltered loop labels 1, 2, 7, 28, 135, 766, 5439
 FILTERED_CANDIDATES = {1: 1, 2: 2, 3: 5, 4: 16, 5: 68, 6: 350, 7: 2333}
 
 FORMS_DIGEST = "fd2eb824a2ead515603ae182e42bf32143ddb34e01706510912260c9c74b68cf"
@@ -100,24 +101,54 @@ def _counting_builds(monkeypatch) -> list:
     return sizes
 
 
+def _counting_labels(monkeypatch) -> list:
+    """The sizes of the candidates ``_canonical_forms`` labels from now on,
+    in labelling order."""
+    sizes = []
+    label = enumeration._label
+
+    def counted(n, up, down):
+        sizes.append(n)
+        return label(n, up, down)
+
+    monkeypatch.setattr(enumeration, "_label", counted)
+    return sizes
+
+
 def test_filters_build_fewer_candidates(monkeypatch):
     # every parent's shared instance exists before the count starts
     for n in range(1, 8):
         _canonical_forms(n)
-    sizes = _counting_builds(monkeypatch)
+    labelled = _counting_labels(monkeypatch)
+    built = _counting_builds(monkeypatch)
     _canonical_forms.cache_clear()
     try:
         candidates = {}
         for n in range(1, 8):
-            before = len(sizes)
+            before = len(labelled)
             _canonical_forms(n)
-            built = sizes[before:]
-            # the parents are the shared instances: none is built again
-            assert built.count(n - 1) == 0
-            candidates[n] = built.count(n)
+            candidates[n] = labelled[before:].count(n)
+            # the parents are the shared instances, and a candidate is
+            # labelled from its masks: no poset is built at all
+            assert built == []
     finally:
         _canonical_forms.cache_clear()
     assert candidates == FILTERED_CANDIDATES
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_cold_run_builds_a_poset_only_per_class(monkeypatch, n):
+    enumeration._poset_from_form.cache_clear()
+    _canonical_forms.cache_clear()
+    built = _counting_builds(monkeypatch)
+    try:
+        _canonical_forms(n)
+        assert built.count(n) == 0
+        enumerate_posets(n)
+        assert built.count(n) == POSET_COUNTS[n]
+    finally:
+        enumeration._poset_from_form.cache_clear()
+        _canonical_forms.cache_clear()
 
 
 def test_a_valid_cache_file_builds_each_poset_once(monkeypatch, tmp_path):
@@ -139,6 +170,25 @@ def _without_the_empty_ideal_of_a_six(p):
     # loses only the antichain on 7, past the brute-force oracle's reach
     out = lower_sets(p)
     return [i for i in out if i] if p.n == 6 else out
+
+
+def _antichains_of_maximal_elements(p):
+    # each lower set cut to its maximal elements: a child whose new element
+    # lies above only those is not transitive once the ideal has a chain
+    return [
+        sum(1 << i for i in range(p.n) if ideal >> i & 1 and p.up_masks[i] & ideal == 1 << i)
+        for ideal in lower_sets(p)
+    ]
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_a_candidate_that_is_no_order_never_returns(n):
+    # the labeller checks no order axiom; every form is checked when it is
+    # unpacked, so a non-transitive candidate fails before it is returned,
+    # and before any class count could (on n <= 2 the mutant changes nothing)
+    with generation_mutant(_antichains_of_maximal_elements):
+        with pytest.raises(PosetError, match="not transitive"):
+            enumerate_posets(n)
 
 
 def test_a_lost_class_raises():

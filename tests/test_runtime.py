@@ -61,7 +61,7 @@ sys.path.insert(0, sys.argv[1])
 from functools import cached_property
 from powerlab import FinitePoset, run_all
 built = {}
-for name in ("ideals", "directed_subsets"):
+for name in ("ideals", "directed_subsets", "way_down_masks"):
     def counted(p, table=getattr(FinitePoset, name).func, keys=built.setdefault(name, [])):
         keys.append((p.labels, p.up_masks))
         return table(p)
@@ -76,8 +76,9 @@ print(json.dumps({name: [len(keys), len(set(keys))] for name, keys in built.item
 def test_a_default_run_builds_each_poset_table_once():
     # in a fresh interpreter, so every cache starts empty: the lower sets of
     # each of the 88 posets on 0..5 elements (the generation's parents and
-    # the checked posets) and the directed subsets of each poset Thm2.2
-    # reads are built once, on the one shared instance of its class
+    # the checked posets), and the directed subsets and way-below table of
+    # each poset Thm2.2 reads, are built once, on the one shared instance of
+    # its class
     run = subprocess.run(
         [sys.executable, "-B", "-c", TABLE_COUNT, str(ROOT / "src")],
         capture_output=True,
@@ -88,6 +89,8 @@ def test_a_default_run_builds_each_poset_table_once():
     built = json.loads(run.stdout)
     assert built["ideals"] == [88, 88]
     assert built["directed_subsets"] == [87, 87]
+    # Thm2.2 and r_gamma_c read one way-below table per poset
+    assert built["way_down_masks"] == [87, 87]
 
 
 def test_no_module_reads_an_instance_dict():
