@@ -44,6 +44,16 @@ DEFAULT_MAX_N = 6
 # Brinkmann & McKay, "Posets on up to 16 points", Order 19, 2002)
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999}
 
+# The number of semilattices, posets on n unlabeled points whose consistent
+# pairs all have joins, n = 1..6: A006966(n + 2), the lattices on n + 2
+# points.  Adjoining a new bottom and a new top makes such a poset a lattice
+# (two elements bounded in it join there, and any other pair joins at the
+# new top), and removing a lattice's top and bottom gives one back (a pair
+# with an upper bound other than the top has a join below it); both maps
+# respect isomorphism and undo each other (Davey & Priestley, *Introduction
+# to Lattices and Order*, 2nd ed., 2002, ch. 2; OEIS A006966)
+SEMILATTICE_COUNTS = {1: 1, 2: 2, 3: 5, 4: 15, 5: 53, 6: 222}
+
 
 # -- canonical forms ----------------------------------------------------------
 
@@ -179,7 +189,7 @@ def are_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
 @lru_cache(maxsize=None)
 def _poset_from_form(form: bytes) -> FinitePoset:
     # one shared instance per class, so its cached properties (``ideals``,
-    # ``directed_subsets``) survive re-enumeration
+    # ``way_down_masks``) survive re-enumeration
     return unpack_canonical(form)
 
 
@@ -282,9 +292,15 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
 
 @lru_cache(maxsize=None)
 def enumerate_v_semilattices(n: int) -> tuple:
-    """The posets of size ``n`` on which every consistent pair has a least join."""
+    """The posets of size ``n`` on which every consistent pair has a least
+    join; a count other than ``SEMILATTICE_COUNTS[n]`` raises
+    ``InvariantError``, so a filter that drops a class fails loudly."""
     candidates = (VSemilattice.from_poset(p) for p in enumerate_posets(n))
-    return tuple(l for l in candidates if l is not None)
+    out = tuple(l for l in candidates if l is not None)
+    expected = SEMILATTICE_COUNTS.get(n, len(out))
+    if len(out) != expected:
+        raise InvariantError(f"{len(out)} semilattices of size {n}, A006966 has {expected}")
+    return out
 
 
 # -- brute-force oracles --------------------------------------------------------

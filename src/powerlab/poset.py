@@ -218,26 +218,20 @@ class FinitePoset:
         return tuple(out)
 
     @cached_property
-    def directed_subsets(self) -> tuple[tuple[int, int | None], ...]:
-        """Every nonempty directed subset with its sup, as ``(subset, sup)``
-        pairs in the order of ``enumerate_directed_subsets``."""
-        subsets = enumerate_directed_subsets(self.up_masks, self.full_mask)
-        return tuple([(d, sup(self, d)) for d in subsets])
-
-    @cached_property
     def way_down_masks(self) -> tuple[int, ...]:
-        """``out[y]`` holds every element way below ``y``.
-
-        ``way_below``'s quantifier read in one pass over the directed
-        subsets: each directed D with sup s removes the elements outside the
-        down-set of D from ``out[y]`` for every y below s.  ``way_below`` is
-        the per-pair oracle."""
+        """``out[y]`` holds every element way below ``y``: x is way below y
+        exactly when every ideal, a directed lower set, whose sup lies above
+        y contains x (Abramsky & Jung, "Domain theory", 1994, §2.2).  That is
+        ``way_below``'s definition restated: for a directed D, ↓D is an
+        ideal with the same upper bounds, so the same sup, and x lies below
+        a member of D exactly when x ∈ ↓D.  One pass over the lower sets
+        that pass the literal ``is_directed``; ``way_below`` is the oracle."""
         out = [self.full_mask] * self.n
-        for dbits, s in directed_subsets_with_sups(self):
-            if s is not None:
-                below = down_set(self, dbits)
+        for ideal in self.ideals:
+            s = sup(self, ideal) if ideal else None
+            if s is not None and is_directed(self, ideal):
                 for y in iter_bits(self.down_masks[s]):
-                    out[y] &= below
+                    out[y] &= ideal
         return tuple(out)
 
     def leq(self, i: int, j: int) -> bool:
@@ -315,7 +309,7 @@ class PosetMap:
 
     def is_scott_continuous(self) -> bool:
         """Literal check: every directed subset's sup is mapped to the sup of its image."""
-        for dbits, s in directed_subsets_with_sups(self.dom):
+        for dbits, s in directed_subsets_with_sups(self.dom, self.dom.full_mask):
             t = sup(self.cod, self.image_bits(dbits))
             if t is None or t != self.img[s]:
                 return False
@@ -437,15 +431,11 @@ def is_lower_set(p: FinitePoset, bits: int) -> bool:
 DIRECTED_SUBSET_CAP = 16
 
 
-def directed_subsets_with_sups(p: FinitePoset, domain_bits: int | None = None):
-    """All nonempty directed subsets of ``domain_bits`` with their sups: the
-    pairs of ``p.directed_subsets`` whose subset lies in the domain.
-
-    Exhaustive by construction, so only meant for small universes.
-    """
-    if domain_bits is None or domain_bits == p.full_mask:
-        return p.directed_subsets
-    return [(d, s) for d, s in p.directed_subsets if d & ~domain_bits == 0]
+def directed_subsets_with_sups(p: FinitePoset, domain_bits: int) -> list:
+    """The nonempty directed subsets of ``domain_bits`` paired with their
+    sups, in the order of ``enumerate_directed_subsets``: exhaustive, so
+    only the literal definitions read it."""
+    return [(d, sup(p, d)) for d in enumerate_directed_subsets(p.up_masks, domain_bits)]
 
 
 def enumerate_directed_subsets(up_masks, domain_bits: int) -> list[int]:
@@ -515,7 +505,7 @@ def way_below(p: FinitePoset, x: int, y: int) -> bool:
     Decided by quantifying over all directed subsets; no finite-poset shortcut
     is assumed here.
     """
-    for dbits, s in directed_subsets_with_sups(p):
+    for dbits, s in directed_subsets_with_sups(p, p.full_mask):
         if s is not None and p.up_masks[y] >> s & 1 and not down_set(p, dbits) >> x & 1:
             return False
     return True

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter, not_, or_
 
 from .enumeration import (
@@ -102,15 +102,23 @@ def _poset_instance(p: FinitePoset) -> dict:
     return {"poset": p.to_json(), "n": p.n, "canonical": canonical_form(p).hex()}
 
 
+# the failure payloads a report keeps; past them only its count grows, so a
+# broken check's report stays small however many instances it refutes
+MAX_FAILURES = 1000
+
+
 class VerificationReport:
     """One check's findings on one instance; the verdict is read off them.
     Each finding is a replayable payload of the statement, the bounds, the
     instance and a detail line; ``instance=`` in the extras overrides the
-    report's own instance for that one payload."""
+    report's own instance for that one payload.  The first
+    ``MAX_FAILURES`` failures are kept, and ``failure_count`` counts them
+    all."""
 
     def __init__(self, statement: str, bounds: dict, instance=None):
         self.statement, self.bounds, self.instance = statement, bounds, instance
         self.failures, self.inconclusive = [], []
+        self.failure_count = 0
 
     @property
     def instance(self) -> dict | None:
@@ -147,7 +155,9 @@ class VerificationReport:
         }
 
     def fail(self, detail: str, **extra) -> None:
-        self.failures.append(self._payload(detail, extra))
+        self.failure_count += 1
+        if len(self.failures) < MAX_FAILURES:
+            self.failures.append(self._payload(detail, extra))
 
     def doubt(self, detail: str, **extra) -> None:
         self.inconclusive.append(self._payload(detail, extra))
@@ -348,8 +358,10 @@ def _swept(statement: str, p: FinitePoset, semi_bound: int) -> VerificationRepor
     import copy  # here, not at module level: only a failing sweep copies
 
     ck = VerificationReport.on_poset(statement, p, max_semilattice_n=semi_bound)
-    for detail, extra in _map_sweep(p, semi_bound)[statement]:
+    found = _map_sweep(p, semi_bound)[statement]
+    for detail, extra in found[:MAX_FAILURES]:
         ck.fail(detail, **copy.deepcopy(extra))
+    ck.failure_count = len(found)
     return ck
 
 
@@ -367,7 +379,12 @@ def check_def_2_1(p: FinitePoset, semi_bound: int) -> VerificationReport:
 
 def check_thm_2_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """The relatively consistent closed sets are exactly the powerdomain
-    members, with the way-below relation recomputed by brute force."""
+    members, with the way-below relation recomputed by brute force:
+    ``way_down_masks`` reads it from every lower set that passes the literal
+    ``is_directed``, which its docstring shows is the definition over
+    directed subsets restated, and each element's way-below set must be its
+    down-set.  The table walks up to 2**n lower sets, so past
+    ``DIRECTED_SUBSET_CAP`` elements the check is INCONCLUSIVE."""
     ck = VerificationReport.on_poset("Thm2.2", p)
     if p.n > DIRECTED_SUBSET_CAP:
         ck.doubt(f"way-below is brute-forced only up to {DIRECTED_SUBSET_CAP} elements")
@@ -599,7 +616,8 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     ``cl_f`` closure.  The columns of ``_homomorphism_images``, cached by
     Prop3.4, go to one ``_column_sups`` table per pair, whose nibbles hold
     codomains of at most 14 elements, and ``_transport_breaks`` names the
-    breaking maps."""
+    breaking maps; past the report's ``MAX_FAILURES`` they are only
+    counted."""
     if m_bound > 14:
         raise PosetError(f"Lem3.6 packs sups into nibbles: m bound {m_bound} exceeds 14")
     ck = VerificationReport.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
@@ -608,7 +626,8 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
         closures = [cl_f(l, a) for a in range(1 << l.n)]
         for m in pool:
             homs = _homomorphism_images(l, m)
-            for g, a in _transport_breaks(closures, homs, _column_sups(m, homs)):
+            breaks = _transport_breaks(closures, homs, _column_sups(m, homs))
+            for g, a in islice(breaks, MAX_FAILURES - len(ck.failures)):
                 ck.fail(
                     "join-existence does not transport across the closure",
                     dom=l.poset.to_json(),
@@ -616,6 +635,7 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
                     map=list(g),
                     subset=l.poset.subset_labels(a),
                 )
+            ck.failure_count += sum(1 for _ in breaks)  # past the kept payloads
     return ck
 
 
@@ -848,16 +868,17 @@ def run_all(config: Config | None = None) -> Summary:
     for statement in config.statements:
         t0 = time.perf_counter()
         reports = run_statement(statement, config)
-        groups.append(
-            {
-                "statement": statement,
-                "bound": _statement(statement).bounds(config),
-                "instances": len(reports),
-                "failures": [f for r in reports for f in r.failures],
-                "inconclusive": [x for r in reports for x in r.inconclusive],
-                "wall_ms": (time.perf_counter() - t0) * 1000.0,
-            }
-        )
+        group = {
+            "statement": statement,
+            "bound": _statement(statement).bounds(config),
+            "instances": len(reports),
+            "failures": [f for r in reports for f in r.failures],
+        }
+        if group["failures"]:  # a passing group's keys stay as they were
+            group["failure_count"] = sum(r.failure_count for r in reports)
+        group["inconclusive"] = [x for r in reports for x in r.inconclusive]
+        group["wall_ms"] = (time.perf_counter() - t0) * 1000.0
+        groups.append(group)
     return Summary(config, groups)
 
 

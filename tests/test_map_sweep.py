@@ -25,6 +25,7 @@ from powerlab.semilattice import (
     iter_homomorphisms,
 )
 from powerlab.suite import (
+    MAX_FAILURES,
     Config,
     _column_sups,
     _map_sweep,
@@ -348,6 +349,20 @@ def test_lemma_3_6_matches_its_loop_under_the_pair_join_mutant():
             assert _dump(check_lemma_3_6(*bounds).failures) == _dump(literal_lemma_3_6(*bounds))
 
 
+def test_lemma_3_6_keeps_the_first_failures_and_counts_them_all():
+    # under an empty closure, 186 508 (map, subset) pairs break at the
+    # default bounds: the report keeps the first MAX_FAILURES of them, in
+    # the order of the statement's own loop, and it and the run's group
+    # carry the exact count
+    with sweep_mutant(cl_f=lambda l, a: 0):
+        report = check_lemma_3_6(4, 4)
+        group = run_all(Config(suites=("lem3.6",))).groups[0]
+        assert check_lemma_3_6(3, 3).failure_count == 2232
+        assert _dump(check_lemma_3_6(3, 3).failures) == _dump(literal_lemma_3_6(3, 3))
+    assert report.failure_count == group["failure_count"] == 186508
+    assert len(report.failures) == len(group["failures"]) == MAX_FAILURES
+
+
 _COLUMN_JOIN = VSemilattice.__dict__["column_join"]
 
 
@@ -400,7 +415,7 @@ def test_every_column_reader_sees_a_shifted_column_join():
     with sweep_mutant(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(VSemilattice, "column_join", property(_shifted_column_join))
         summary = run_all()
-    assert {g["statement"]: len(g["failures"]) for g in summary.groups if g["failures"]} == {
+    assert {g["statement"]: g["failure_count"] for g in summary.groups if g["failures"]} == {
         "Freeness": 186,
         "Prop3.2": 2,
         "Prop3.4": 301,

@@ -22,7 +22,7 @@ from powerlab import (
     upper_bounds,
     way_down_masks,
 )
-from powerlab.enumeration import enumerate_v_semilattices, monotone_map_images
+from powerlab.enumeration import enumerate_posets, enumerate_v_semilattices, monotone_map_images
 from powerlab.poset import (
     DIRECTED_SUBSET_CAP,
     directed_subsets_with_sups,
@@ -392,18 +392,31 @@ class TestWayBelow:
             for y in range(p.n):
                 assert masks[y] == sum(1 << x for x in range(p.n) if way_below(p, x, y))
 
-    def test_masks_read_the_directed_subsets_once(self, monkeypatch):
-        # one pass over the directed subsets, not one per pair (x, y)
-        calls = []
+    def test_masks_read_no_directed_subset(self, monkeypatch):
+        # the table is read from the lower sets; the directed subsets are
+        # left to the oracles
+        def refusing(*args):
+            raise AssertionError("way_down_masks enumerated directed subsets")
 
-        def counting(p, domain_bits=None):
-            calls.append(p)
-            return directed_subsets_with_sups(p, domain_bits)
-
-        monkeypatch.setattr("powerlab.poset.directed_subsets_with_sups", counting)
+        monkeypatch.setattr("powerlab.poset.enumerate_directed_subsets", refusing)
         fresh = FinitePoset.from_up_masks(catalog.bowtie().up_masks)
         assert way_down_masks(fresh) == fresh.down_masks
-        assert len(calls) == 1
+
+    def test_masks_match_the_directed_subset_pass(self):
+        # the table read from the ideals against the pass it replaced, over
+        # every directed subset: on every poset up to 6 elements and on a
+        # seeded sample of 500 of the 16 999 classes of 8
+        def directed_subset_pass(p):
+            out = [p.full_mask] * p.n
+            for dbits, s in directed_subsets_with_sups(p, p.full_mask):
+                if s is not None:
+                    for y in iter_bits(p.down_masks[s]):
+                        out[y] &= down_set(p, dbits)
+            return tuple(out)
+
+        eights = random.Random(42).sample(enumerate_posets(8, max_n=8), 500)
+        for p in [*small_posets(6), *eights]:
+            assert way_down_masks(p) == directed_subset_pass(p)
 
 
 def _naive_directed(p, domain):

@@ -2,7 +2,7 @@
 modules, no declared runtime dependency, no reads of the environment, no
 unused imports, no reference cycles from the enumerators, no nested
 function that calls itself, no memo written into an instance's ``__dict__``
-by hand, and each poset's lower sets and directed subsets built once."""
+by hand, and each poset's lower sets and way-below table built once."""
 
 import ast
 import gc
@@ -59,15 +59,20 @@ TABLE_COUNT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from functools import cached_property
-from powerlab import FinitePoset, run_all
+from powerlab import FinitePoset, poset, run_all
 built = {}
-for name in ("ideals", "directed_subsets", "way_down_masks"):
+for name in ("ideals", "way_down_masks"):
     def counted(p, table=getattr(FinitePoset, name).func, keys=built.setdefault(name, [])):
         keys.append((p.labels, p.up_masks))
         return table(p)
     prop = cached_property(counted)
     prop.__set_name__(FinitePoset, name)
     setattr(FinitePoset, name, prop)
+def directed(up_masks, domain, table=poset.enumerate_directed_subsets,
+             keys=built.setdefault("directed_subsets", [])):
+    keys.append((up_masks, domain))
+    return table(up_masks, domain)
+poset.enumerate_directed_subsets = directed
 assert not run_all().any_fail
 print(json.dumps({name: [len(keys), len(set(keys))] for name, keys in built.items()}))
 """
@@ -76,9 +81,10 @@ print(json.dumps({name: [len(keys), len(set(keys))] for name, keys in built.item
 def test_a_default_run_builds_each_poset_table_once():
     # in a fresh interpreter, so every cache starts empty: the lower sets of
     # each of the 88 posets on 0..5 elements (the generation's parents and
-    # the checked posets), and the directed subsets and way-below table of
-    # each poset Thm2.2 reads, are built once, on the one shared instance of
-    # its class
+    # the checked posets), and the way-below table of each poset Thm2.2
+    # reads, are built once, on the one shared instance of its class; the
+    # way-below table is read from the lower sets, so no directed subset is
+    # enumerated
     run = subprocess.run(
         [sys.executable, "-B", "-c", TABLE_COUNT, str(ROOT / "src")],
         capture_output=True,
@@ -88,7 +94,7 @@ def test_a_default_run_builds_each_poset_table_once():
     assert run.returncode == 0, run.stderr
     built = json.loads(run.stdout)
     assert built["ideals"] == [88, 88]
-    assert built["directed_subsets"] == [87, 87]
+    assert built["directed_subsets"] == [0, 0]
     # Thm2.2 and r_gamma_c read one way-below table per poset
     assert built["way_down_masks"] == [87, 87]
 

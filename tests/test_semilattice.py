@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from powerlab import (
+    InvariantError,
     PosetError,
     PosetMap,
     VSemilattice,
@@ -15,7 +16,9 @@ from powerlab import (
     gamma_f,
     is_f_scott_closed,
     semilattice,
+    suite,
 )
+from powerlab.enumeration import SEMILATTICE_COUNTS, canonical_form
 from powerlab.semilattice import (
     f_scott_continuity_violation,
     is_f_scott_closed_literal,
@@ -158,6 +161,37 @@ class TestVSemilattice:
                 assert l is None
             else:
                 assert l is not None and [list(row) for row in l.join] == join
+
+    def test_counts_match_a006966(self):
+        assert {n: len(enumerate_v_semilattices(n)) for n in range(1, 7)} == SEMILATTICE_COUNTS
+        assert SEMILATTICE_COUNTS == {1: 1, 2: 2, 3: 5, 4: 15, 5: 53, 6: 222}
+
+    def test_a_dropped_semilattice_fails_the_default_run(self):
+        # the filter patched to reject the 3-element antichain: the count
+        # guard raises, and each check that reads the semilattices of 3
+        # elements fails on it instead of passing over four of the five
+        antichain = canonical_form(catalog.antichain(3))
+        keep = VSemilattice.from_poset
+
+        def dropping(p):
+            return None if canonical_form(p) == antichain else keep(p)
+
+        def clear():
+            enumerate_v_semilattices.cache_clear()
+            suite._map_sweep.cache_clear()
+
+        clear()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(VSemilattice, "from_poset", dropping)
+                with pytest.raises(InvariantError, match="4 semilattices of size 3, A006966 has 5"):
+                    enumerate_v_semilattices(3)
+                summary = run_all()
+        finally:
+            clear()
+        assert summary.to_json()["all_pass"] is False
+        failed = {g["statement"] for g in summary.groups if g["failures"]}
+        assert failed == {"Lem2.3", "Freeness", "Prop3.2", "Prop3.4", "Lem3.6", "Lem3.7", "Lem3.8"}
 
     def test_join_csv(self, vee):
         l = VSemilattice.from_poset(vee)

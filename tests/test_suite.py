@@ -25,7 +25,7 @@ from powerlab.cli import main
 from powerlab.enumeration import canonical_form, enumerate_posets, monotone_map_images
 from powerlab.families import gamma, gamma0
 from powerlab.hoare import ConsistentHoare, WitnessCert, build_hc, partial_join
-from powerlab.poset import PosetMap, scott_closure
+from powerlab.poset import PosetMap, scott_closure, way_below
 from powerlab.semilattice import (
     NO_SUP,
     VSemilattice,
@@ -586,6 +586,7 @@ def test_traced_spans_cover_the_catalog():
 # reaches the function they wrap
 DEAD_SPANS = {
     "poset.directed_sup_closure_step",
+    "poset.enumerate_directed_subsets",
     "hoare.sup_of_image",
     "semilattice.is_f_scott_continuous",
     "enumeration.monotone_map_images",
@@ -628,15 +629,16 @@ def test_traced_spans_carry_traffic(tmp_path):
 
 # the literal definitions, kept as oracles for the tests, and their helpers: a
 # default run must reach none of them.  A method is named with its class.
-# Thm2.2's brute-force way-below (``way_down_masks`` over
-# ``enumerate_directed_subsets``) and Enum's ``bruteforce_canonical_forms``
+# Thm2.2's brute-force way-below (``way_down_masks`` over the lower sets that
+# pass the literal ``is_directed``) and Enum's ``bruteforce_canonical_forms``
 # are what those statements check, so they are not listed.
 ORACLES = (
     "is_scott_closed", "directed_sup_closure_step", "least_upper_bound",
     "is_f_scott_closed_literal", "is_homomorphism", "_check_map",
     "f_scott_continuity_violation", "is_f_scott_continuous",
     "sup_exists_transport_check", "partial_join", "monotone_map_images", "f_c",
-    "is_relatively_consistent", "way_below", "is_irreducible_closed", "is_directed",
+    "is_relatively_consistent", "way_below", "is_irreducible_closed",
+    "enumerate_directed_subsets", "directed_subsets_with_sups",
     "PosetMap.preimage_bits", "PosetMap.is_scott_continuous",
 )
 
@@ -864,6 +866,24 @@ class TestStatementMutants:
         assert report.verdict == "FAIL"
         assert [f["detail"] for f in report.failures] == [
             f"way-below of {x} differs from its down-set" for x in vee.labels
+        ]
+
+    def test_thm_2_2_catches_way_below_over_undirected_lower_sets(self, monkeypatch):
+        # not an equivalent mutant: without the directedness filter, the
+        # vee's lower set {a, b}, whose sup is t, takes t out of its own
+        # way-below set, which the per-pair oracle keeps
+        vee = catalog.vee()
+        t = vee.label_index["t"]
+        oracle = sum(1 << x for x in range(vee.n) if way_below(vee, x, t))
+        assert oracle == vee.full_mask
+        monkeypatch.setattr("powerlab.poset.is_directed", lambda p, bits: True)
+        mutant = catalog.vee()
+        assert mutant.way_down_masks[t] == oracle & ~(1 << t)
+        report = check_thm_2_2(mutant, 0)
+        assert report.verdict == "FAIL"
+        assert [f["detail"] for f in report.failures] == [
+            "way-below of t differs from its down-set",
+            "relatively consistent family differs from the powerdomain",
         ]
 
     def test_lemma_3_7_catches_a_non_principal_closed_set(self, monkeypatch):
