@@ -183,11 +183,13 @@ def refute_v_existing(p: FinitePoset, bits: int, max_size: int = 4):
     the embedded image would be a consistent superset.  Failing that,
     ``first_refutation`` searches every semilattice of 1 to ``max_size``
     elements and every monotone map in canonical order; exhaustion is
-    reported with the bound.  A bound outside 1 to ``DEFAULT_MAX_N``, or a
-    set that is not a nonempty Scott closed subset of the poset, is refused
-    before any search.  The result depends only on the poset, the set
-    and the bound.
+    reported with the bound.  A bound that is a bool or not an integer in 1
+    to ``DEFAULT_MAX_N``, or a set that is not a nonempty Scott closed
+    subset of the poset, is refused before any search.  The result depends
+    only on the poset, the set and the bound.
     """
+    if isinstance(max_size, bool) or not isinstance(max_size, int):
+        raise PosetError(f"semilattice bound must be an integer, not {max_size!r}")
     if max_size < 1:
         raise PosetError(f"refutation needs a semilattice bound of at least 1, not {max_size}")
     if max_size > DEFAULT_MAX_N:

@@ -159,6 +159,15 @@ class VerificationReport:
         if len(self.failures) < MAX_FAILURES:
             self.failures.append(self._payload(detail, extra))
 
+    def fail_each(self, detail: str, items, payload: Callable) -> None:
+        """One failure per item of ``items``, its extras ``payload(item)``;
+        ``payload`` is called only for the failures that are kept, and the
+        items past them are only counted."""
+        items = iter(items)
+        for item in islice(items, MAX_FAILURES - len(self.failures)):
+            self.fail(detail, **payload(item))
+        self.failure_count += sum(1 for _ in items)
+
     def doubt(self, detail: str, **extra) -> None:
         self.inconclusive.append(self._payload(detail, extra))
 
@@ -217,11 +226,13 @@ def _extends_freely(l, columns, sups, members, points, covers, triples) -> bool:
 
 @lru_cache(maxsize=None)
 def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
-    """Lem2.3's, Freeness's and Lem3.8's findings on the monotone maps from
-    ``p`` into every semilattice at the bound, keyed by statement id, each a
-    list of (detail, extras), from one pass over the maps.  Per semilattice,
-    in ``_semilattices_upto`` order, Freeness reports its count lines before
-    its per-map findings.
+    """Lem2.3's, Freeness's and Lem3.8's reports on the monotone maps from
+    ``p`` into every semilattice at the bound, keyed by statement id, failed
+    straight into from one pass over the maps, so each keeps its first
+    ``MAX_FAILURES`` payloads and counts the rest.  The reports are cached
+    and shared by every caller, like ``build_hc``'s powerdomain, and are
+    read-only.  Per semilattice, in ``_semilattices_upto`` order, Freeness
+    reports its count lines before its per-map findings.
 
     The maps into a semilattice, as ``_monotone_columns``, go to one
     ``_column_sups`` table, and each map's sup-of-image extension E is its
@@ -258,8 +269,7 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     monotonicity, join preservation, restriction and uniqueness, in that
     order.  Lem3.8 then builds both unions, the maps' from the same table
     and the restrictions' from one more ``_column_sups`` table, of their
-    ``_columns``, so that a failure names the subsets that differ.  Only
-    findings are kept.
+    ``_columns``, so that a failure names the subsets that differ.
 
     The table and the homomorphisms come from one enumerator, so none of
     these tests sees a map that it drops.  The maps into the 2-element chain
@@ -275,59 +285,57 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
     triples = [tuple(members[x] for x in t) for t in h.semilattice.join_triples]
     # the restriction along the embedding, as a tuple even for one point
     restrict = itemgetter(*j_img) if p.n > 1 else lambda g: (g[j_img[0]],)
-    found = {"Lem2.3": [], "Freeness": [], "Lem3.8": []}
-
-    def on_map(detail, **extra):
-        return detail, {"semilattice": l.poset.to_json(), "map": list(f_img), **extra}
-
+    reports = {
+        s: VerificationReport.on_poset(s, p, max_semilattice_n=semi_bound)
+        for s in ("Lem2.3", "Freeness", "Lem3.8")
+    }
+    lem23, freeness, lem38 = reports.values()
     for l in _semilattices_upto(semi_bound):
         columns = _monotone_columns(p, l.poset)
         if l.n == 2 and l.join[0][1] != -1 and len(columns[0]) != len(ideals := gamma0(p)):
             detail = f"{len(columns[0])} monotone maps into the 2-chain vs {len(ideals)} lower sets"
-            found["Freeness"].append((detail, {"semilattice": l.poset.to_json()}))
+            freeness.fail(detail, semilattice=l.poset.to_json())
         sups = _column_sups(l, columns)
         if generated and _extends_freely(l, columns, sups, members, p.down_masks, covers, triples):
             continue
         groups: dict = {}
         for g in iter_homomorphisms(h.semilattice, l):
             groups.setdefault(restrict(g), []).append(g)
-        per_map = []  # Freeness's findings after its count line
+        on_l = {"semilattice": l.poset.to_json()}
+        counted = freeness.failure_count  # Lem3.8 runs when Freeness finds more
+        homs = sum(map(len, groups.values()))
+        if homs != len(columns[0]):
+            freeness.fail(f"{homs} powerdomain maps vs {len(columns[0])} monotone maps", **on_l)
         for f_img, ext in zip(zip(*columns), zip(*[sups[m] for m in members])):
             matching = groups.get(f_img, [])
             if matching == [ext]:
                 continue
+            on_map = {**on_l, "map": list(f_img)}
             if NO_SUP in ext:
-                for m, s in zip(members, ext):
-                    if s == NO_SUP:
-                        detail = "member image has no least upper bound"
-                        found["Lem2.3"].append(on_map(detail, member=p.subset_labels(m)))
-                undefined = members[ext.index(NO_SUP)]
-                per_map.append(
-                    on_map("extension undefined on a member", member=p.subset_labels(undefined))
+                lem23.fail_each(
+                    "member image has no least upper bound",
+                    [m for m, s in zip(members, ext) if s == NO_SUP],
+                    lambda m: {**on_map, "member": p.subset_labels(m)},
                 )
+                member = p.subset_labels(members[ext.index(NO_SUP)])
+                freeness.fail("extension undefined on a member", **on_map, member=member)
                 continue
             # a streamed homomorphism is monotone, so only an outsider is tested
             if ext not in groups.get(restrict(ext), ()):
                 if not PosetMap(h.poset, l.poset, ext).is_monotone():
-                    per_map.append(on_map("extension not monotone"))
+                    freeness.fail("extension not monotone", **on_map)
                 else:
-                    per_map.append(on_map("extension does not preserve joins"))
+                    freeness.fail("extension does not preserve joins", **on_map)
             if restrict(ext) != f_img:
-                per_map.append(on_map("extension does not restrict to the map"))
+                freeness.fail("extension does not restrict to the map", **on_map)
             if len(matching) != 1 or matching[0] != ext:
-                per_map.append(
-                    on_map(
-                        f"{len(matching)} powerdomain maps restrict to this map, expected "
-                        "exactly the sup-of-image extension"
-                    )
+                freeness.fail(
+                    f"{len(matching)} powerdomain maps restrict to this map, expected "
+                    "exactly the sup-of-image extension",
+                    **on_map,
                 )
-        homs = sum(map(len, groups.values()))
-        if homs != len(columns[0]):
-            detail = f"{homs} powerdomain maps vs {len(columns[0])} monotone maps"
-            per_map.insert(0, (detail, {"semilattice": l.poset.to_json()}))
-        if not per_map:
+        if freeness.failure_count == counted:
             continue
-        found["Freeness"] += per_map
         refut_maps, refut_homs = (
             {a for a, row in enumerate(table) if NO_SUP in row}
             for table in (sups, _column_sups(l, _columns(groups, p.n)))
@@ -335,8 +343,8 @@ def _map_sweep(p: FinitePoset, semi_bound: int) -> dict:
         if refut_maps != refut_homs:
             detail = "map-refutable and embedding-refutable subsets disagree"
             subsets = [p.subset_labels(a) for a in sorted(refut_maps ^ refut_homs)]
-            found["Lem3.8"].append((detail, {"semilattice": l.poset.to_json(), "subsets": subsets}))
-    return found
+            lem38.fail(detail, **on_l, subsets=subsets)
+    return reports
 
 
 def _transport_breaks(closures, columns, sups):
@@ -350,19 +358,6 @@ def _transport_breaks(closures, columns, sups):
         for a, c in enumerate(closures):
             if sups[a][r] != sups[c][r]:
                 yield img, a
-
-
-def _swept(statement: str, p: FinitePoset, semi_bound: int) -> VerificationReport:
-    """The report of the findings ``_map_sweep`` keeps for ``statement``,
-    copied so that no report shares an object with the cache."""
-    import copy  # here, not at module level: only a failing sweep copies
-
-    ck = VerificationReport.on_poset(statement, p, max_semilattice_n=semi_bound)
-    found = _map_sweep(p, semi_bound)[statement]
-    for detail, extra in found[:MAX_FAILURES]:
-        ck.fail(detail, **copy.deepcopy(extra))
-    ck.failure_count = len(found)
-    return ck
 
 
 # -- per-poset checks: check(p, semi_bound) ---------------------------------------
@@ -407,14 +402,14 @@ def check_thm_2_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
 def check_lemma_2_3(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """The image of every powerdomain member under every monotone map into
     every semilattice at the bound has a least upper bound."""
-    return _swept("Lem2.3", p, semi_bound)
+    return _map_sweep(p, semi_bound)["Lem2.3"]
 
 
 def check_freeness(p: FinitePoset, semi_bound: int) -> VerificationReport:
     """Every monotone map into a semilattice extends along the point-closure
     embedding to a unique join-preserving map on the powerdomain, and the
     extension is computed by taking sups of images."""
-    return _swept("Freeness", p, semi_bound)
+    return _map_sweep(p, semi_bound)["Freeness"]
 
 
 def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
@@ -435,11 +430,12 @@ def check_prop_3_2(p: FinitePoset, semi_bound: int) -> VerificationReport:
     for l in pool:
         columns = _monotone_columns(p, l.poset)
         sups = _column_sups(l, columns)
+        semilattice = l.poset.to_json()
         # sup_exists_transport_check(p, l, f, a) fails exactly at these
         for img, a in _transport_breaks(closures, columns, sups):
             ck.fail(
                 "closure transport broke",
-                semilattice=l.poset.to_json(),
+                semilattice=semilattice,
                 map=list(img),
                 subset=p.subset_labels(a),
             )
@@ -462,7 +458,7 @@ def check_lemma_3_8(p: FinitePoset, semi_bound: int) -> VerificationReport:
     its refutable subsets are those the map sweep found for that map; the
     restrictions get a sup table of their own only on a semilattice where
     Freeness has a finding."""
-    return _swept("Lem3.8", p, semi_bound)
+    return _map_sweep(p, semi_bound)["Lem3.8"]
 
 
 def check_thm_3_9(p: FinitePoset, semi_bound: int) -> VerificationReport:
@@ -575,9 +571,10 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
     as_bit = [bytes.maketrans(b"01", bytes([0, 1 << x])) for x in range(pair_bound)]
     irreducibles = [list(map(_membership_table, meet_irreducibles(gamma_f(m)))) for m in pool]
     irreducibles = [[[c.translate(t) for t in as_bit] for c in cs] for cs in irreducibles]
-    for l in pool:
+    jsons = [l.poset.to_json() for l in pool]
+    for l, dom in zip(pool, jsons):
         unclosed = _membership_table(~sum(1 << a for a in gamma_f(l).members)).translate(as_bit[0])
-        for m, m_irreducibles in zip(pool, irreducibles):
+        for m, cod, m_irreducibles in zip(pool, jsons, irreducibles):
             columns = _monotone_columns(l.poset, m.poset)
             k = len(columns[0])
             broken = 0
@@ -594,8 +591,8 @@ def check_prop_3_4(pair_bound: int, consistent_bound: int) -> VerificationReport
                 if h != c:
                     ck.fail(
                         f"homomorphism={h} but continuity={not h}",
-                        dom=l.poset.to_json(),
-                        cod=m.poset.to_json(),
+                        dom=dom,
+                        cod=cod,
                         map=list(img),
                     )
     for l in _semilattices_upto(consistent_bound):
@@ -616,26 +613,27 @@ def check_lemma_3_6(l_bound: int, m_bound: int) -> VerificationReport:
     ``cl_f`` closure.  The columns of ``_homomorphism_images``, cached by
     Prop3.4, go to one ``_column_sups`` table per pair, whose nibbles hold
     codomains of at most 14 elements, and ``_transport_breaks`` names the
-    breaking maps; past the report's ``MAX_FAILURES`` they are only
-    counted."""
+    breaking maps; past the report's kept failures they are only counted."""
     if m_bound > 14:
         raise PosetError(f"Lem3.6 packs sups into nibbles: m bound {m_bound} exceeds 14")
     ck = VerificationReport.sweep("Lem3.6", l_bound=l_bound, m_bound=m_bound)
     pool = _semilattices_upto(m_bound)
+    cods = [m.poset.to_json() for m in pool]
     for l in _semilattices_upto(l_bound):
         closures = [cl_f(l, a) for a in range(1 << l.n)]
-        for m in pool:
+        dom = l.poset.to_json()
+        for m, cod in zip(pool, cods):
             homs = _homomorphism_images(l, m)
-            breaks = _transport_breaks(closures, homs, _column_sups(m, homs))
-            for g, a in islice(breaks, MAX_FAILURES - len(ck.failures)):
-                ck.fail(
-                    "join-existence does not transport across the closure",
-                    dom=l.poset.to_json(),
-                    cod=m.poset.to_json(),
-                    map=list(g),
-                    subset=l.poset.subset_labels(a),
-                )
-            ck.failure_count += sum(1 for _ in breaks)  # past the kept payloads
+            ck.fail_each(
+                "join-existence does not transport across the closure",
+                _transport_breaks(closures, homs, _column_sups(m, homs)),
+                lambda brk: {
+                    "dom": dom,
+                    "cod": cod,
+                    "map": list(brk[0]),
+                    "subset": l.poset.subset_labels(brk[1]),
+                },
+            )
     return ck
 
 

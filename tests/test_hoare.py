@@ -293,6 +293,19 @@ class TestRefuteVExisting:
         with pytest.raises(PosetError, match="at least 1"):
             refute_v_existing(vee, vee.subset_from_labels(["a", "b"]), max_size=bound)
 
+    @pytest.mark.parametrize("bound", [2.5, True, "3"])
+    def test_bound_that_is_no_integer_rejected(self, vee, bound, monkeypatch):
+        # refused as Config refuses it, before the powerdomain is built or
+        # any semilattice searched: neither a TypeError from range() nor a
+        # search up to True elements
+        def searched(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(hoare, "build_hc", searched)
+        monkeypatch.setattr(hoare, "first_refutation", searched)
+        with pytest.raises(PosetError, match="must be an integer"):
+            refute_v_existing(vee, vee.subset_from_labels(["a", "b"]), max_size=bound)
+
 
 class TestFirstRefutations:
     """The bounded search on its own, without the canonical witness in front,

@@ -270,10 +270,14 @@ def test_failure_path_matches_the_pass_path(mutant):
     # clean and under each mutant
     patches = MUTANTS[mutant][0] if mutant else {}
     posets = small_posets(4)
+
+    def swept(p):
+        return _dump({s: [r.failures, r.failure_count] for s, r in _map_sweep(p, 4).items()})
+
     with sweep_mutant(**patches):
-        passed = [_dump(_map_sweep(p, 4)) for p in posets]
+        passed = [swept(p) for p in posets]
     with sweep_mutant(**{**patches, "_points_generate": _unproven}):
-        walked = [_dump(_map_sweep(p, 4)) for p in posets]
+        walked = [swept(p) for p in posets]
     # the posets whose findings differ, so that a failure names them
     assert [p for p, a, b in zip(posets, walked, passed) if a != b] == []
 
@@ -431,6 +435,28 @@ def test_one_map_sweep_entry_per_poset():
     summary = run_all(Config(suites=("lem2.3", "freeness", "lem3.8")))
     assert not summary.any_fail and not summary.any_inconclusive
     assert _map_sweep.cache_info().currsize == 24
+
+
+def _no_sup_for_any_nonempty_set(l, columns):
+    # every map's sup taken away at every nonempty subset
+    out = _column_sups(l, columns)
+    return out[:1] + (bytes([NO_SUP]) * len(columns[0]),) * (len(out) - 1)
+
+
+def test_the_sweep_holds_capped_reports():
+    # with no sup for any nonempty set, every member image of every map is
+    # a finding: a default run counts every one, and the reports that the
+    # sweep's cache holds keep at most MAX_FAILURES payloads each
+    with sweep_mutant(_column_sups=_no_sup_for_any_nonempty_set):
+        summary = run_all(Config(suites=("lem2.3", "freeness", "lem3.8")))
+        reports = [r for p in small_posets(4) for r in _map_sweep(p, 4).values()]
+        assert _map_sweep.cache_info().currsize == 24
+    counted = {
+        g["statement"]: (g.get("failure_count", 0), len(g["failures"])) for g in summary.groups
+    }
+    assert counted == {"Lem2.3": (78266, 21469), "Freeness": (18526, 13892), "Lem3.8": (0, 0)}
+    assert sum(r.failure_count for r in reports) == 78266 + 18526
+    assert max(len(r.failures) for r in reports) == MAX_FAILURES
 
 
 def test_lemma_3_6_runs_no_map_sweep():

@@ -1,8 +1,9 @@
 """What importing and running powerlab leaves behind: only standard-library
 modules, no declared runtime dependency, no reads of the environment, no
-unused imports, no reference cycles from the enumerators, no nested
-function that calls itself, no memo written into an instance's ``__dict__``
-by hand, and each poset's lower sets and way-below table built once."""
+unused imports, no reader of the failure cap but the report, no reference
+cycles from the enumerators, no nested function that calls itself, no memo
+written into an instance's ``__dict__`` by hand, and each poset's lower sets
+and way-below table built once."""
 
 import ast
 import gc
@@ -210,16 +211,16 @@ def test_no_function_imports_a_powerlab_module():
 
 
 def test_every_module_import_is_used():
-    # a deletion must take the imports only it used along with it; the
-    # package __init__ imports to re-export, and __future__ imports are
-    # compiler switches
+    # a deletion must take the imports only it used along with it, those
+    # inside a function body too; the package __init__ imports to
+    # re-export, and __future__ imports are compiler switches
     unused = []
     for path in sorted((ROOT / "src" / "powerlab").glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -228,6 +229,29 @@ def test_every_module_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_only_the_report_reads_the_failure_cap():
+    # "keep the first MAX_FAILURES payloads, count the rest" is decided in
+    # VerificationReport alone; a check that slices or counts past the cap
+    # itself would be a second copy of the rule
+    found = []
+    for path in sorted((ROOT / "src" / "powerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        report = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "VerificationReport"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                continue  # the cap's own definition
+            # a name, an attribute or an imported alias
+            names = [getattr(node, key, None) for key in ("id", "attr", "name")]
+            if "MAX_FAILURES" in names and id(node) not in report:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_nested_function_refers_to_itself():
